@@ -4,10 +4,24 @@ Verbs: ``examples``, ``curvature``, ``flow-run``, ``flow-compare``,
 ``a2-check``, ``smoothing-probe``.  Each file-writing command takes
 ``--config PATH`` (flat ``key = value`` text, ``#`` comments) and
 ``--out DIR``, writes exactly one ``manifest.json`` into the output
-directory, and is deterministic for a fixed config and seed.
+directory, and is deterministic for a fixed config and seed.  The
+file-writing commands are the rows of :data:`VERBS`; one runner,
+:func:`_run_verb`, loads their config, times their computation, maps their
+errors to exit codes and writes their outputs.
 
-Exit codes: 0 success, 2 invalid config, 3 flow blow-up (the manifest
-records the last valid time), 4 positivity failure in the input.
+Exit codes:
+
+* 0 success;
+* 2 invalid input: an unreadable config, an unknown key or a value of the
+  wrong type, a missing or non-positive required key, a malformed
+  ``--probe``, ``sizes`` of the wrong dimension or below 8 nodes, an
+  unreadable or malformed potential snapshot (non-finite values, a
+  background that is not positive definite), or a step control or sample
+  times the integrators reject (``max_halvings < 0``, ``diag_stride < 0``,
+  ``sample_times`` outside ``[0, T]``);
+* 3 flow blow-up: positivity failed beyond the halving budget; the outputs
+  hold the partial results and the manifest records the last valid time;
+* 4 positivity failure in the input metric itself.
 """
 
 from __future__ import annotations
@@ -15,7 +29,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Mapping
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -45,40 +61,14 @@ EXIT_NOT_PD = 4
 _INPUT_KEYS = {"example": "str", "potential": "str", "sizes": "ints", "seed": "int"}
 _STEP_KEYS = {"sigma": "float", "scheme": "str", "dt_min": "float", "max_halvings": "int"}
 
-SCHEMAS = {
-    "curvature": {
-        **_INPUT_KEYS,
-        "n_samples": "int",
-        "refine_steps": "int",
-        "snapshots": "bool",
-    },
-    "flow-run": {
-        **_INPUT_KEYS,
-        **_STEP_KEYS,
-        "T": "float",
-        "diag_stride": "int",
-        "sample_times": "floats",
-    },
-    "flow-compare": {**_INPUT_KEYS, **_STEP_KEYS, "T": "float", "dt": "float"},
-    "a2-check": {**_INPUT_KEYS, "S": "float", "theta": "float", "gauge": "str"},
-    "smoothing-probe": {**_INPUT_KEYS, **_STEP_KEYS, "t_samples": "floats"},
-}
 
-
-def _require_positive(cfg: Mapping[str, object], keys: tuple[str, ...]) -> None:
-    for key in keys:
-        if key in cfg and not (float(cfg[key]) > 0):  # type: ignore[arg-type]
-            raise ConfigError(f"config key {key!r} must be positive, got {cfg[key]}")
-
-
-def _build_input(cfg: Mapping[str, object], seed_flag: int | None):
+def _build_input(cfg: Mapping[str, object], seed: int | None):
     """Instantiate the configured metric source: a registry example or a
     potential snapshot.  Returns (PotentialMetric | MetricField, label)."""
     has_example = "example" in cfg
     has_potential = "potential" in cfg
     if has_example == has_potential:
         raise ConfigError("config must set exactly one of 'example' or 'potential'")
-    seed = seed_flag if seed_flag is not None else cfg.get("seed")
     if has_example:
         name = str(cfg["example"])
         try:
@@ -110,22 +100,6 @@ def write_potential_snapshot(path: str, pm: geo.PotentialMetric) -> None:
     write_snapshot(path, pm.grid, pm.psi.values, extra={"background": background})
 
 
-def _step_control(cfg: Mapping[str, object]) -> fl.StepControl:
-    kwargs = {}
-    if "sigma" in cfg:
-        kwargs["sigma"] = float(cfg["sigma"])
-    if "scheme" in cfg:
-        kwargs["scheme"] = str(cfg["scheme"])
-    if "dt_min" in cfg:
-        kwargs["dt_min"] = float(cfg["dt_min"])
-    if "max_halvings" in cfg:
-        kwargs["max_halvings"] = int(cfg["max_halvings"])
-    try:
-        return fl.StepControl(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _parse_probe(probe: str | None, grid: PeriodicGrid):
     if probe is None:
         return None
@@ -136,17 +110,57 @@ def _parse_probe(probe: str | None, grid: PeriodicGrid):
         raise ConfigError(f"bad --probe {probe!r}: {exc}") from exc
 
 
+@dataclass(frozen=True)
+class Run:
+    """The validated input of one verb run."""
+
+    raw: Mapping[str, str]  # the config as written, for the manifest
+    cfg: dict
+    label: str
+    g: geo.MetricField
+    pm: geo.PotentialMetric | None  # None for a non-Hessian input
+    control: fl.StepControl
+    seed: int | None  # --seed, else the config's seed, else None
+    node: tuple[int, ...] | None  # the --probe node
+
+
+@dataclass(frozen=True)
+class Verb:
+    """One file-writing command.
+
+    ``compute(run)`` is the timed computation and may raise FlowBlowup;
+    ``finish(run, result, blowup)`` gets exactly one of the result and the
+    blow-up and returns ``(printed lines, {file name: writer(path)},
+    extra manifest keys)``.
+    """
+
+    help: str
+    schema: Mapping[str, str]
+    compute: Callable[[Run], object]
+    finish: Callable[[Run, object, fl.FlowBlowup | None], tuple[list[str], dict, dict]]
+    required: tuple[str, ...] = ()
+    positive: tuple[str, ...] = ()
+    needs_out: bool = True
+    probe: bool = False
+
+
+def _text(lines: list[str]) -> Callable[[str], None]:
+    def write(path: str) -> None:
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write("\n".join(lines) + "\n")
+    return write
+
+
+# --- curvature ------------------------------------------------------------------
+
 NOT_APPLICABLE = "not applicable (non-Hessian input)"
 
 
-def _curvature_report(built, label, node, n_samples, refine_steps, seed):
-    lines = [f"input: {label}"]
-    if isinstance(built, geo.PotentialMetric):
-        pm, g = built, geo.metric_from_potential(built)
-    else:
-        pm, g = None, built
+def _curvature(run: Run):
+    cfg, pm, g, node = run.cfg, run.pm, run.g, run.node
+    seed = run.seed if run.seed is not None else 0
     grid = g.grid
-    lines.append(f"grid_sizes: {','.join(str(s) for s in grid.sizes)}")
+    lines = [f"input: {run.label}", f"grid_sizes: {','.join(str(s) for s in grid.sizes)}"]
 
     gamma_mixed, gamma_lower = geo.christoffel(g)
     alpha, kappa, beta = geo.koszul(g)
@@ -165,7 +179,9 @@ def _curvature_report(built, label, node, n_samples, refine_steps, seed):
     if pm is not None:
         q = geo.hessian_curvature(pm)
         lines.append(f"sup_q: {format_float(q.sup_norm())}")
-        report = geo.sectional_extremes(q, g, n_samples, refine_steps, seed)
+        report = geo.sectional_extremes(
+            q, g, cfg.get("n_samples", 1000), cfg.get("refine_steps", 50), seed
+        )
         lines.append(f"sectional_max: {format_float(report.max_value)}")
         lines.append(f"sectional_min: {format_float(report.min_value)}")
         lines.append(f"sectional_seed: {seed}")
@@ -189,230 +205,216 @@ def _curvature_report(built, label, node, n_samples, refine_steps, seed):
             lines.append(f"q_0000@probe: {format_float(q.component(0, 0, 0, 0)[node])}")
         else:
             lines.append(f"q_0000@probe: {NOT_APPLICABLE}")
-    return lines, g, beta, pm
+    return lines, beta, seed
 
 
-def cmd_curvature(args) -> int:
-    raw = load_config(args.config)
-    cfg = validate_config(raw, SCHEMAS["curvature"])
-    _require_positive(cfg, ("n_samples", "refine_steps"))
-    built, label = _build_input(cfg, args.seed)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    n_samples = int(cfg.get("n_samples", 1000))
-    refine_steps = int(cfg.get("refine_steps", 50))
-
-    grid = built.grid
-    node = _parse_probe(args.probe, grid)
-    with Stopwatch() as watch:
-        lines, g, beta, pm = _curvature_report(built, label, node, n_samples, refine_steps, seed)
-
-    os.makedirs(args.out, exist_ok=True)
-    report_path = os.path.join(args.out, "report.txt")
-    with open(report_path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
-    written = ["report.txt"]
-    if cfg.get("snapshots", False):
-        write_snapshot(os.path.join(args.out, "metric.hfld"), grid, g.components)
-        write_snapshot(os.path.join(args.out, "beta.hfld"), grid, beta.components)
-        written += ["metric.hfld", "beta.hfld"]
-        if pm is not None:
-            write_potential_snapshot(os.path.join(args.out, "psi.hfld"), pm)
-            written.append("psi.hfld")
-    write_manifest(args.out, {
-        "command": "curvature",
-        "config": dict(raw),
-        "seed": seed,
-        "wall_clock_seconds": watch.seconds,
-        "outcome": "ok",
-        "files": written,
-    })
-    print("\n".join(lines))
-    return EXIT_OK
+def _curvature_files(run: Run, result, blowup):
+    lines, beta, seed = result
+    grid = run.g.grid
+    files = {"report.txt": _text(lines)}
+    if run.cfg.get("snapshots", False):
+        files["metric.hfld"] = partial(write_snapshot, grid=grid, data=run.g.components)
+        files["beta.hfld"] = partial(write_snapshot, grid=grid, data=beta.components)
+        if run.pm is not None:
+            files["psi.hfld"] = partial(write_potential_snapshot, pm=run.pm)
+    return lines, files, {"seed": seed}
 
 
-def _metric_of(built) -> geo.MetricField:
-    if isinstance(built, geo.PotentialMetric):
-        return geo.metric_from_potential(built)
-    return built
+# --- flow-run -------------------------------------------------------------------
+
+def _flow_run(run: Run):
+    cfg = run.cfg
+    return fl.run_flow(
+        run.g, cfg["T"], run.control, cfg.get("sample_times"), cfg.get("diag_stride", 100)
+    )
 
 
-def cmd_flow_run(args) -> int:
-    raw = load_config(args.config)
-    cfg = validate_config(raw, SCHEMAS["flow-run"])
-    if "T" not in cfg:
-        raise ConfigError("flow-run requires T")
-    _require_positive(cfg, ("T", "sigma", "dt_min"))
-    control = _step_control(cfg)
-    built, label = _build_input(cfg, args.seed)
-    g0 = _metric_of(built)
-    t_final = float(cfg["T"])
-    stride = int(cfg.get("diag_stride", 100))
-    samples = cfg.get("sample_times")
-
-    os.makedirs(args.out, exist_ok=True)
-    header = fl.DiagnosticsRow.csv_header(g0.grid.ndim)
-    outcome, last_t, code = "ok", t_final, EXIT_OK
-    with Stopwatch() as watch:
-        try:
-            trajectory, rows = fl.run_flow(g0, t_final, control, samples, stride)
-        except fl.FlowBlowup as blowup:
-            rows = blowup.diagnostics
-            trajectory = blowup.trajectory
-            outcome, last_t, code = "blowup", blowup.t, EXIT_BLOWUP
-    write_csv(os.path.join(args.out, "diagnostics.csv"), header, [r.csv_values() for r in rows])
-    written = ["diagnostics.csv"]
+def _flow_run_files(run: Run, result, blowup):
+    if blowup is None:
+        (trajectory, rows), outcome, last_t = result, "ok", run.cfg["T"]
+    else:
+        trajectory, rows = blowup.trajectory, blowup.diagnostics
+        outcome, last_t = "blowup", blowup.t
+    grid = run.g.grid
+    header = fl.DiagnosticsRow.csv_header(grid.ndim)
+    csv_rows = [r.csv_values() for r in rows]
+    files = {"diagnostics.csv": partial(write_csv, header=header, rows=csv_rows)}
     if trajectory:
         final = trajectory[-1]
-        write_snapshot(os.path.join(args.out, "final_metric.hfld"), g0.grid, final.g.components, final.t)
-        write_snapshot(os.path.join(args.out, "final_phi.hfld"), g0.grid, final.phi.values, final.t)
-        written += ["final_metric.hfld", "final_phi.hfld"]
-    write_manifest(args.out, {
-        "command": "flow-run",
-        "config": dict(raw),
-        "input": label,
-        "wall_clock_seconds": watch.seconds,
-        "outcome": outcome,
-        "last_valid_t": last_t,
-        "files": written,
-    })
-    print(f"flow-run {label}: outcome={outcome} last_t={format_float(last_t)}")
-    return code
+        snapshot = partial(write_snapshot, grid=grid, t=final.t)
+        files["final_metric.hfld"] = partial(snapshot, data=final.g.components)
+        files["final_phi.hfld"] = partial(snapshot, data=final.phi.values)
+    line = f"flow-run {run.label}: outcome={outcome} last_t={format_float(last_t)}"
+    return [line], files, {"last_valid_t": last_t}
 
 
-def cmd_flow_compare(args) -> int:
-    raw = load_config(args.config)
-    cfg = validate_config(raw, SCHEMAS["flow-compare"])
-    for key in ("T", "dt"):
-        if key not in cfg:
-            raise ConfigError(f"flow-compare requires {key}")
-    _require_positive(cfg, ("T", "dt", "sigma", "dt_min"))
-    control = _step_control(cfg)
-    built, label = _build_input(cfg, args.seed)
-    g0 = _metric_of(built)
+# --- flow-compare ---------------------------------------------------------------
 
-    os.makedirs(args.out, exist_ok=True)
-    outcome, code = "ok", EXIT_OK
-    discrepancy = None
-    with Stopwatch() as watch:
-        try:
-            discrepancy = fl.equivalence_check(g0, float(cfg["T"]), control, float(cfg["dt"]))
-        except fl.FlowBlowup as blowup:
-            outcome, code = "blowup", EXIT_BLOWUP
-            last_t = blowup.t
-    lines = [f"input: {label}", f"T: {format_float(float(cfg['T']))}", f"dt: {format_float(float(cfg['dt']))}"]
-    if discrepancy is not None:
-        lines.append(f"discrepancy: {format_float(discrepancy)}")
-    else:
-        lines.append("discrepancy: blowup")
-    with open(os.path.join(args.out, "compare.txt"), "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
-    manifest = {
-        "command": "flow-compare",
-        "config": dict(raw),
-        "input": label,
-        "wall_clock_seconds": watch.seconds,
-        "outcome": outcome,
-        "files": ["compare.txt"],
-    }
-    if outcome == "blowup":
-        manifest["last_valid_t"] = last_t
-    write_manifest(args.out, manifest)
-    print("\n".join(lines))
-    return code
+def _flow_compare(run: Run) -> float:
+    return fl.equivalence_check(run.g, run.cfg["T"], run.control, run.cfg["dt"])
 
 
-def cmd_a2_check(args) -> int:
-    raw = load_config(args.config)
-    cfg = validate_config(raw, SCHEMAS["a2-check"])
-    if "theta" not in cfg:
-        raise ConfigError("a2-check requires theta")
-    _require_positive(cfg, ("theta",))
+def _flow_compare_files(run: Run, discrepancy, blowup):
+    lines = [
+        f"input: {run.label}",
+        f"T: {format_float(run.cfg['T'])}",
+        f"dt: {format_float(run.cfg['dt'])}",
+        f"discrepancy: {'blowup' if blowup else format_float(discrepancy)}",
+    ]
+    return lines, {"compare.txt": _text(lines)}, {}
+
+
+# --- a2-check -------------------------------------------------------------------
+
+def _a2_check(run: Run) -> list[str]:
+    cfg, g0 = run.cfg, run.g
     gauge = str(cfg.get("gauge", "zero"))
     if gauge not in ("zero", "logdet"):
         raise ConfigError(f"gauge must be 'zero' or 'logdet', got {gauge!r}")
-    built, label = _build_input(cfg, args.seed)
-    g0 = _metric_of(built)
-    theta = float(cfg["theta"])
-
-    with Stopwatch() as watch:
-        if gauge == "zero":
-            u = ScalarField.zeros(g0.grid)
-            scale_with_s = False
+    theta = cfg["theta"]
+    scale_with_s = gauge == "logdet"
+    u = cr.log_det_gauge(g0) if scale_with_s else ScalarField.zeros(g0.grid)
+    lines = [f"input: {run.label}", f"gauge: {gauge}", f"theta: {format_float(theta)}"]
+    if "S" in cfg:
+        s_probe = cfg["S"]
+        u_probe = cr.log_det_gauge(g0, scale=s_probe) if gauge == "logdet" else u
+        margin = cr.a2_margin(g0, s_probe, u_probe, theta)
+        lines.append(f"margin_at_S: {format_float(margin)}")
+    try:
+        result = cr.max_s(g0, u, theta, scale_gauge_with_s=scale_with_s)
+    except cr.InfeasibleAtZero:
+        lines.append("S_max: infeasible at S=0")
+    else:
+        if result.unbounded:
+            lines.append("S_max: unbounded")
         else:
-            u = cr.log_det_gauge(g0)
-            scale_with_s = True
-        lines = [f"input: {label}", f"gauge: {gauge}", f"theta: {format_float(theta)}"]
-        if "S" in cfg:
-            s_probe = float(cfg["S"])
-            u_probe = cr.log_det_gauge(g0, scale=s_probe) if gauge == "logdet" else u
-            margin = cr.a2_margin(g0, s_probe, u_probe, theta)
-            lines.append(f"margin_at_S: {format_float(margin)}")
+            lines.append(f"S_max: {format_float(result.s_max)}")
+            lines.append("witness_node: " + ",".join(str(k) for k in result.witness_node))
+    return lines
+
+
+def _a2_check_files(run: Run, lines, blowup):
+    return lines, {"a2.txt": _text(lines)}, {}
+
+
+# --- smoothing-probe ------------------------------------------------------------
+
+def _smoothing_probe(run: Run):
+    return fl.smoothing_probe(run.g, run.cfg["t_samples"], run.control)
+
+
+def _smoothing_probe_files(run: Run, series, blowup):
+    series = series or []
+    lines = [
+        f"t={format_float(t)} sup_q={format_float(sup_q)} t_sup_q={format_float(t_sup_q)}"
+        for t, sup_q, t_sup_q in series
+    ]
+    files = {"probe.csv": partial(write_csv, header=["t", "sup_q", "t_sup_q"], rows=series)}
+    return lines, files, {}
+
+
+VERBS: dict[str, Verb] = {
+    "curvature": Verb(
+        help="curvature/Koszul report for one metric",
+        schema={**_INPUT_KEYS, "n_samples": "int", "refine_steps": "int", "snapshots": "bool"},
+        compute=_curvature,
+        finish=_curvature_files,
+        positive=("n_samples", "refine_steps"),
+        probe=True,
+    ),
+    "flow-run": Verb(
+        help="integrate the flow and write diagnostics",
+        schema={**_INPUT_KEYS, **_STEP_KEYS, "T": "float", "diag_stride": "int",
+                "sample_times": "floats"},
+        compute=_flow_run,
+        finish=_flow_run_files,
+        required=("T",),
+        positive=("T", "sigma", "dt_min"),
+    ),
+    "flow-compare": Verb(
+        help="tensor vs potential flow discrepancy",
+        schema={**_INPUT_KEYS, **_STEP_KEYS, "T": "float", "dt": "float"},
+        compute=_flow_compare,
+        finish=_flow_compare_files,
+        required=("T", "dt"),
+        positive=("T", "dt", "sigma", "dt_min"),
+    ),
+    "a2-check": Verb(
+        help="gauge margin and maximal feasible S",
+        schema={**_INPUT_KEYS, "S": "float", "theta": "float", "gauge": "str"},
+        compute=_a2_check,
+        finish=_a2_check_files,
+        required=("theta",),
+        positive=("theta",),
+        needs_out=False,
+    ),
+    "smoothing-probe": Verb(
+        help="curvature decay series from rough data",
+        schema={**_INPUT_KEYS, **_STEP_KEYS, "t_samples": "floats"},
+        compute=_smoothing_probe,
+        finish=_smoothing_probe_files,
+        required=("t_samples",),
+        positive=("sigma", "dt_min"),
+    ),
+}
+
+
+def _prepare(verb: Verb, name: str, args) -> Run:
+    """Load, validate and instantiate the input of one verb run."""
+    raw = load_config(args.config)
+    cfg = validate_config(raw, verb.schema)
+    for key in verb.required:
+        if key not in cfg:
+            raise ConfigError(f"{name} requires {key}")
+    for key in verb.positive:
+        if key in cfg and not cfg[key] > 0:
+            raise ConfigError(f"config key {key!r} must be positive, got {cfg[key]}")
+    seed = args.seed if args.seed is not None else cfg.get("seed")
+    built, label = _build_input(cfg, seed)
+    pm = built if isinstance(built, geo.PotentialMetric) else None
+    g = geo.metric_from_potential(pm) if pm is not None else built
+    control = fl.StepControl(**{key: cfg[key] for key in _STEP_KEYS if key in cfg})
+    node = _parse_probe(getattr(args, "probe", None), g.grid)
+    return Run(raw, cfg, label, g, pm, control, seed, node)
+
+
+def _run_verb(name: str, args) -> int:
+    """Run one file-writing verb; the only place that maps errors to exit
+    codes and writes outputs and the manifest."""
+    verb = VERBS[name]
+    try:
+        run = _prepare(verb, name, args)
         try:
-            result = cr.max_s(g0, u, theta, scale_gauge_with_s=scale_with_s)
-        except cr.InfeasibleAtZero:
-            lines.append("S_max: infeasible at S=0")
-            result = None
-        if result is not None:
-            if result.unbounded:
-                lines.append("S_max: unbounded")
-            else:
-                lines.append(f"S_max: {format_float(result.s_max)}")
-                lines.append(
-                    "witness_node: " + ",".join(str(k) for k in result.witness_node)
-                )
+            with Stopwatch() as watch:
+                result, blowup = verb.compute(run), None
+        except fl.FlowBlowup as exc:
+            result, blowup = None, exc
+    except (ConfigError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except geo.NotPositiveDefinite as exc:
+        print(f"positivity failure: {exc}", file=sys.stderr)
+        return EXIT_NOT_PD
+
+    lines, files, extra = verb.finish(run, result, blowup)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "a2.txt"), "w", encoding="ascii") as handle:
-            handle.write("\n".join(lines) + "\n")
-        write_manifest(args.out, {
-            "command": "a2-check",
-            "config": dict(raw),
-            "input": label,
+        for file_name, write in files.items():
+            write(os.path.join(args.out, file_name))
+        manifest = {
+            "command": name,
+            "config": dict(run.raw),
+            "input": run.label,
             "wall_clock_seconds": watch.seconds,
-            "outcome": "ok",
-            "files": ["a2.txt"],
-        })
-    print("\n".join(lines))
-    return EXIT_OK
-
-
-def cmd_smoothing_probe(args) -> int:
-    raw = load_config(args.config)
-    cfg = validate_config(raw, SCHEMAS["smoothing-probe"])
-    if "t_samples" not in cfg:
-        raise ConfigError("smoothing-probe requires t_samples")
-    _require_positive(cfg, ("sigma", "dt_min"))
-    control = _step_control(cfg)
-    built, label = _build_input(cfg, args.seed)
-    g0 = _metric_of(built)
-    samples = cfg["t_samples"]
-
-    os.makedirs(args.out, exist_ok=True)
-    outcome, code = "ok", EXIT_OK
-    series = []
-    with Stopwatch() as watch:
-        try:
-            series = fl.smoothing_probe(g0, samples, control)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        except fl.FlowBlowup as blowup:
-            outcome, code = "blowup", EXIT_BLOWUP
-            last_t = blowup.t
-    write_csv(os.path.join(args.out, "probe.csv"), ["t", "sup_q", "t_sup_q"], series)
-    manifest = {
-        "command": "smoothing-probe",
-        "config": dict(raw),
-        "input": label,
-        "wall_clock_seconds": watch.seconds,
-        "outcome": outcome,
-        "files": ["probe.csv"],
-    }
-    if outcome == "blowup":
-        manifest["last_valid_t"] = last_t
-    write_manifest(args.out, manifest)
-    for t, sup_q, t_sup_q in series:
-        print(f"t={format_float(t)} sup_q={format_float(sup_q)} t_sup_q={format_float(t_sup_q)}")
-    return code
+            "outcome": "ok" if blowup is None else "blowup",
+            "files": list(files),
+        }
+        if blowup is not None:
+            manifest["last_valid_t"] = blowup.t
+        write_manifest(args.out, {**manifest, **extra})
+    for line in lines:
+        print(line)
+    return EXIT_OK if blowup is None else EXIT_BLOWUP
 
 
 def cmd_examples(args) -> int:
@@ -432,45 +434,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
     sub.add_parser("examples", help="list the built-in example metrics")
-
-    def io_command(name, help_text, needs_out=True):
-        cmd = sub.add_parser(name, help=help_text)
+    for name, verb in VERBS.items():
+        cmd = sub.add_parser(name, help=verb.help)
         cmd.add_argument("--config", required=True, help="key = value config file")
-        cmd.add_argument("--out", required=needs_out, help="output directory")
+        cmd.add_argument("--out", required=verb.needs_out, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--probe", default=None, help="comma-separated coordinates to probe")
-        return cmd
-
-    io_command("curvature", "curvature/Koszul report for one metric")
-    io_command("flow-run", "integrate the flow and write diagnostics")
-    io_command("flow-compare", "tensor vs potential flow discrepancy")
-    io_command("a2-check", "gauge margin and maximal feasible S", needs_out=False)
-    io_command("smoothing-probe", "curvature decay series from rough data")
+        if verb.probe:
+            cmd.add_argument("--probe", default=None, help="comma-separated coordinates to probe")
     return parser
-
-
-_HANDLERS = {
-    "examples": cmd_examples,
-    "curvature": cmd_curvature,
-    "flow-run": cmd_flow_run,
-    "flow-compare": cmd_flow_compare,
-    "a2-check": cmd_a2_check,
-    "smoothing-probe": cmd_smoothing_probe,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return _HANDLERS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except geo.NotPositiveDefinite as exc:
-        print(f"positivity failure: {exc}", file=sys.stderr)
-        return EXIT_NOT_PD
+    if args.command == "examples":
+        return cmd_examples(args)
+    return _run_verb(args.command, args)
 
 
 if __name__ == "__main__":

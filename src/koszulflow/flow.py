@@ -20,8 +20,8 @@ is exhausted -- the flow has left its window of uniform equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +70,8 @@ class StepControl:
             raise ValueError(f"sigma must be in (0, 1], got {self.sigma}")
         if self.dt_min <= 0.0:
             raise ValueError("dt_min must be positive")
+        if self.max_halvings < 0:
+            raise ValueError(f"max_halvings must be non-negative, got {self.max_halvings}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
 
@@ -142,8 +144,9 @@ def _attempt_tensor_step(state: FlowState, dt: float, scheme: str) -> FlowState:
     return FlowState(t=state.t + dt, g=g_new, phi=phi_new, dt_last=dt, g0=state.g0)
 
 
-def step_tensor(state: FlowState, dt: float, control: StepControl) -> FlowState:
-    """Advance the tensor flow by ``dt``, halving on positivity failures."""
+def _with_halving(attempt: Callable, state, dt: float, control: StepControl):
+    """``attempt(state, dt, scheme)``, retried with half the step on each
+    positivity failure; FlowBlowup once the halving budget or dt_min runs out."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     node = None
@@ -151,18 +154,46 @@ def step_tensor(state: FlowState, dt: float, control: StepControl) -> FlowState:
         if dt < control.dt_min:
             break
         try:
-            return _attempt_tensor_step(state, dt, control.scheme)
+            return attempt(state, dt, control.scheme)
         except NotPositiveDefinite as exc:
             node = exc.node
             dt *= 0.5
     raise FlowBlowup(state.t, node)
 
 
+def step_tensor(state: FlowState, dt: float, control: StepControl) -> FlowState:
+    """Advance the tensor flow by ``dt``, halving on positivity failures."""
+    return _with_halving(_attempt_tensor_step, state, dt, control)
+
+
+def _advance(
+    state: FlowState, targets: Sequence[float], control: StepControl
+) -> Iterator[tuple[FlowState, bool]]:
+    """Step through ascending time targets at the stable step size, yielding
+    ``(state, reached)`` after every accepted step.
+
+    A step that covers all of ``target - t`` lands on ``target`` exactly: the
+    rounded sum can fall one ulp short, and the ulp-long step left over is
+    below ``dt_min``, so it would end the run as a spurious blow-up.
+    """
+    for target in targets:
+        while state.t < target:
+            remaining = target - state.t
+            state = step_tensor(state, min(stable_dt(state.g, control), remaining), control)
+            if state.dt_last == remaining:
+                state = replace(state, t=target)
+            yield state, state.t >= target
+
+
+def _sup_q_gnorm(g: MetricField) -> float:
+    """sup over nodes of |Q|_g, with Q computed from the metric alone."""
+    return float(np.max(curvature_gnorm(hessian_curvature_from_metric(g), g)))
+
+
 def diagnostics_row(state: FlowState, dt_used: float) -> DiagnosticsRow:
     """Monitoring record for one state (curvature norm, pinching, drift)."""
     g, g0 = state.g, state.g0
-    q_full = hessian_curvature_from_metric(g)
-    sup_q = float(np.max(curvature_gnorm(q_full, g)))
+    sup_q = _sup_q_gnorm(g)
     lam, big_lam = pencil_eigenvalue_range(g, g0)
     drift = tuple(
         float(np.mean(g.component(i, j)) - np.mean(g0.component(i, j)))
@@ -190,32 +221,34 @@ def run_flow(
 ) -> tuple[list[FlowState], list[DiagnosticsRow]]:
     """Integrate to ``t_final`` with adaptive steps.
 
-    Returns states at the requested sample times (``t_final`` is always
-    included) and diagnostics rows at t=0, every ``diag_stride``-th accepted
-    step, every sample time, and the end.  On blow-up the partial trajectory
-    and diagnostics ride on the raised :class:`FlowBlowup`.
+    Returns states at the requested sample times, which must lie in
+    ``[0, t_final]`` (``t_final`` is always included), and diagnostics rows
+    at t=0, every ``diag_stride``-th accepted step, every sample time, and
+    the end.  On blow-up the partial trajectory and diagnostics ride on the
+    raised :class:`FlowBlowup`.
     """
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
-    targets = sorted({float(s) for s in (sample_times or []) if 0.0 < s <= t_final} | {t_final})
+    if diag_stride < 0:
+        raise ValueError(f"diag_stride must be non-negative, got {diag_stride}")
+    samples = [float(s) for s in (sample_times or [])]
+    if not all(0.0 <= s <= t_final for s in samples):
+        raise ValueError(f"sample_times must lie in [0, {t_final}], got {samples}")
+    targets = sorted({s for s in samples if s > 0.0} | {t_final})
 
     state = FlowState.initial(g0)
     trajectory: list[FlowState] = []
     rows: list[DiagnosticsRow] = [diagnostics_row(state, 0.0)]
-    if sample_times and any(s == 0.0 for s in sample_times):
+    if 0.0 in samples:
         trajectory.append(state)
 
-    steps = 0
     try:
-        for target in targets:
-            while state.t < target:
-                dt = min(stable_dt(state.g, control), target - state.t)
-                state = step_tensor(state, dt, control)
-                steps += 1
-                if diag_stride > 0 and steps % diag_stride == 0 and state.t < target:
-                    rows.append(diagnostics_row(state, state.dt_last))
-            trajectory.append(state)
-            rows.append(diagnostics_row(state, state.dt_last))
+        for steps, (state, reached) in enumerate(_advance(state, targets, control), start=1):
+            if reached:
+                trajectory.append(state)
+                rows.append(diagnostics_row(state, state.dt_last))
+            elif diag_stride > 0 and steps % diag_stride == 0:
+                rows.append(diagnostics_row(state, state.dt_last))
     except FlowBlowup as exc:
         raise FlowBlowup(exc.t, exc.node, trajectory, rows) from None
     return trajectory, rows
@@ -273,18 +306,7 @@ def _attempt_potential_step(state: PotentialFlowState, dt: float, scheme: str) -
 
 def step_potential(state: PotentialFlowState, dt: float, control: StepControl) -> PotentialFlowState:
     """Advance the scalar flow by ``dt``, halving on reconstruction failures."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    node = None
-    for _ in range(control.max_halvings + 1):
-        if dt < control.dt_min:
-            break
-        try:
-            return _attempt_potential_step(state, dt, control.scheme)
-        except NotPositiveDefinite as exc:
-            node = exc.node
-            dt *= 0.5
-    raise FlowBlowup(state.t, node)
+    return _with_halving(_attempt_potential_step, state, dt, control)
 
 
 def equivalence_check(
@@ -330,13 +352,9 @@ def smoothing_probe(
         b <= a for a, b in zip(times, times[1:])
     ):
         raise ValueError("t_samples must be strictly increasing and positive")
-    state = FlowState.initial(g0_rough)
     series: list[tuple[float, float, float]] = []
-    for target in times:
-        while state.t < target:
-            dt = min(stable_dt(state.g, control), target - state.t)
-            state = step_tensor(state, dt, control)
-        q_full = hessian_curvature_from_metric(state.g)
-        sup_q = float(np.max(curvature_gnorm(q_full, state.g)))
-        series.append((state.t, sup_q, state.t * sup_q))
+    for state, reached in _advance(FlowState.initial(g0_rough), times, control):
+        if reached:
+            sup_q = _sup_q_gnorm(state.g)
+            series.append((state.t, sup_q, state.t * sup_q))
     return series

@@ -60,12 +60,6 @@ def pair_index(n: int, i: int, j: int) -> int:
     return i * n - (i * (i - 1)) // 2 + (j - i)
 
 
-def _tri_index(m: int, a: int, b: int) -> int:
-    if a > b:
-        a, b = b, a
-    return a * m - (a * (a - 1)) // 2 + (b - a)
-
-
 # --- symmetric 2-tensor fields ----------------------------------------------
 
 class Sym2Field:
@@ -93,13 +87,6 @@ class Sym2Field:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def from_matrices(cls, grid: PeriodicGrid, mats: np.ndarray):
-        """Build from a full ``(*shape, n, n)`` array; the upper triangle is used."""
-        n = grid.ndim
-        comps = np.stack([mats[..., i, j] for i, j in sym_pairs(n)], axis=-1)
-        return cls(grid, comps)
 
     @classmethod
     def constant(cls, grid: PeriodicGrid, matrix: np.ndarray):
@@ -415,7 +402,7 @@ class HessianCurvature:
         m = len(sym_pairs(n))
         a = pair_index(n, i, k)
         b = pair_index(n, j, l)
-        return self.components[..., _tri_index(m, a, b)]
+        return self.components[..., pair_index(m, a, b)]
 
     def full(self) -> np.ndarray:
         """Materialize the full ``(*shape, n, n, n, n)`` array."""
@@ -460,7 +447,7 @@ def hessian_curvature(pm: PotentialMetric) -> HessianCurvature:
                 continue
             fourth = partial4(pm.psi, i, j, k, l).values
             quad = np.einsum("...pq,...p,...q->...", ginv, third[..., i, k, :], third[..., j, l, :])
-            comps[..., _tri_index(m, a, b)] = 0.5 * fourth - 0.5 * quad
+            comps[..., pair_index(m, a, b)] = 0.5 * fourth - 0.5 * quad
     return HessianCurvature(grid, comps)
 
 
@@ -555,21 +542,9 @@ def kahler_curvature_pullback(pm: PotentialMetric) -> np.ndarray:
     components only, independent of the potential route, so comparing it
     with ``-Q/2`` is a non-circular check.
     """
-    g = metric_from_potential(pm)
-    n = g.grid.ndim
-    d2 = np.empty((*g.grid.shape, n, n, n, n))
-    for i, j in sym_pairs(n):
-        comp = ScalarField(g.grid, g.component(i, j))
-        for k, l in sym_pairs(n):
-            v = partial2(comp, k, l).values
-            d2[..., i, j, k, l] = v
-            d2[..., i, j, l, k] = v
-            d2[..., j, i, k, l] = v
-            d2[..., j, i, l, k] = v
-    d = metric_partials(g)
-    ginv = g.inverse_matrices()
-    quad = np.einsum("...pq,...kip,...ljq->...ijkl", ginv, d, d)
-    return -0.25 * d2 + 0.25 * quad
+    # the factors are powers of two, so this equals -d2/4 + quad/4 evaluated
+    # term by term bit for bit, except that exact zeros may flip sign
+    return -0.5 * hessian_curvature_from_metric(metric_from_potential(pm))
 
 
 # --- sectional-form extremum search ---------------------------------------------

@@ -9,7 +9,7 @@ from koszulflow import geometry as geo
 from koszulflow import registry as reg
 from koszulflow.cli import main, write_potential_snapshot
 from koszulflow.grid import PeriodicGrid, ScalarField
-from koszulflow.io import read_snapshot
+from koszulflow.io import read_snapshot, write_snapshot
 
 
 def write_config(tmp_path, name, text):
@@ -119,6 +119,19 @@ class TestFlowRun:
         assert manifest["last_valid_t"] == 0.0
         assert (out_dir / "diagnostics.csv").exists()
 
+    def test_float_time_targets_do_not_blow_up(self, tmp_path):
+        # t + (target - t) rounds one ulp short of a target here
+        cfg = write_config(
+            tmp_path,
+            "f.cfg",
+            "example = sin1d\nsizes = 8\nsample_times = 0.014677137037792349\n"
+            "T = 0.05028258882712223\n",
+        )
+        out_dir = tmp_path / "out"
+        assert run("flow-run", "--config", cfg, "--out", str(out_dir)) == 0
+        _, _, t, _ = read_snapshot(str(out_dir / "final_metric.hfld"))
+        assert t == 0.05028258882712223
+
 
 class TestFlowCompare:
     def test_reports_discrepancy(self, tmp_path):
@@ -205,6 +218,65 @@ class TestErrorPaths:
         write_potential_snapshot(str(snap), bad)
         cfg = write_config(tmp_path, "b.cfg", f"potential = {snap}\nT = 1.0\n")
         assert run("flow-run", "--config", cfg, "--out", str(tmp_path / "o")) == 4
+
+    BAD_FLOW_RUN = {
+        "sizes-wrong-dimension": "example = bump2d\nsizes = 64\n",
+        "sizes-below-8": "example = sin1d\nsizes = 4\n",
+        "snapshot-nan": "potential = {nan}\n",
+        "snapshot-background-not-pd": "potential = {not_pd}\n",
+        "max-halvings-negative": "example = sin1d\nsizes = 16\nmax_halvings = -3\n",
+        "diag-stride-negative": "example = sin1d\nsizes = 16\ndiag_stride = -1\n",
+        "sample-time-negative": "example = sin1d\nsizes = 16\nsample_times = -0.5,0.005\n",
+        "sample-time-beyond-T": "example = sin1d\nsizes = 16\nsample_times = 0.02\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_FLOW_RUN))
+    def test_rejected_input_exits_2(self, tmp_path, capsys, case):
+        grid = PeriodicGrid((16,), (2 * np.pi,))
+        with_nan = np.zeros(16)
+        with_nan[3] = np.nan
+        snaps = {"nan": (with_nan, "1.0"), "not_pd": (np.zeros(16), "-1.0")}
+        paths = {}
+        for key, (values, background) in snaps.items():
+            paths[key] = str(tmp_path / f"{key}.hfld")
+            write_snapshot(paths[key], grid, values, extra={"background": background})
+        text = self.BAD_FLOW_RUN[case].format(**paths) + "T = 0.01\n"
+        cfg = write_config(tmp_path, "b.cfg", text)
+        assert run("flow-run", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("verb", ["flow-run", "flow-compare", "a2-check", "smoothing-probe"])
+    def test_probe_is_curvature_only(self, tmp_path, verb):
+        cfg = write_config(tmp_path, "b.cfg", "example = flat\n")
+        with pytest.raises(SystemExit) as info:
+            run(verb, "--config", cfg, "--out", str(tmp_path / "o"), "--probe", "0,0")
+        assert info.value.code == 2
+
+
+class TestManifest:
+    # common keys of every verb's manifest, plus the verb's own
+    COMMON = {"command", "config", "input", "wall_clock_seconds", "outcome", "files", "versions"}
+    CASES = {
+        "curvature": ("example = sin1d\nsizes = 16\nn_samples = 10\n", {"seed"}),
+        "flow-run": ("example = sin1d\nsizes = 16\nT = 0.01\n", {"last_valid_t"}),
+        "flow-compare": ("example = sin1d\nsizes = 16\nT = 0.01\ndt = 1e-3\n", set()),
+        "a2-check": ("example = sin1d\nsizes = 16\ntheta = 0.1\n", set()),
+        "smoothing-probe": ("example = rough1d\nsizes = 16\nt_samples = 0.001\n", set()),
+    }
+
+    @pytest.mark.parametrize("verb", sorted(CASES))
+    def test_keys_and_listed_files(self, tmp_path, verb):
+        text, own = self.CASES[verb]
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path, "m.cfg", text)
+        assert run(verb, "--config", cfg, "--out", str(out_dir)) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert set(manifest) == self.COMMON | own
+        assert manifest["command"] == verb
+        assert manifest["outcome"] == "ok"
+        assert sorted(manifest["files"] + ["manifest.json"]) == sorted(
+            p.name for p in out_dir.iterdir()
+        )
 
 
 class TestPotentialInput:

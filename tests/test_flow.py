@@ -23,6 +23,10 @@ from koszulflow.grid import PeriodicGrid
 CTL = fl.StepControl()
 EULER = fl.StepControl(scheme="euler")
 
+# t + (target - t) rounds one ulp short of the sample time here; the flow
+# must still land on both targets instead of reporting a blow-up
+ULP_SAMPLE, ULP_T = 0.014677137037792349, 0.05028258882712223
+
 
 def metric(name, sizes=None):
     built = reg.build_example(name, sizes=sizes)
@@ -41,6 +45,8 @@ class TestStepControl:
             fl.StepControl(scheme="rk4")
         with pytest.raises(ValueError):
             fl.StepControl(dt_min=0.0)
+        with pytest.raises(ValueError):
+            fl.StepControl(max_halvings=-3)
 
 
 class TestStableDt:
@@ -176,6 +182,20 @@ class TestRunFlow:
         assert len(info.value.diagnostics) == 1  # the t=0 row
         assert info.value.trajectory == []
 
+    def test_float_time_targets_are_landed_exactly(self):
+        traj, rows = fl.run_flow(metric("sin1d", sizes=(8,)), ULP_T, CTL, (ULP_SAMPLE,), 0)
+        assert [s.t for s in traj] == [ULP_SAMPLE, ULP_T]
+        assert [r.t for r in rows] == [0.0, ULP_SAMPLE, ULP_T]
+
+    @pytest.mark.parametrize(
+        "samples, stride",
+        [((-0.5,), 100), ((0.5, 2.0), 100), ((float("nan"),), 100), ((), -1)],
+        ids=["sample-negative", "sample-beyond-T", "sample-nan", "stride-negative"],
+    )
+    def test_rejects_bad_samples_and_stride(self, samples, stride):
+        with pytest.raises(ValueError):
+            fl.run_flow(metric("flat", sizes=(8, 8)), 1.0, CTL, samples, stride)
+
 
 class TestPotentialFlow:
     def test_flat_potential_stays_exactly_zero(self):
@@ -197,6 +217,16 @@ class TestPotentialFlow:
         shifted = geo.MetricField(g0.grid, g0.components - dt * beta0.components)
         expected = dt * (np.log(shifted.det()) - np.log(g0.det()))
         assert np.max(np.abs(state.phi.values - expected)) <= 1e-12
+
+    def test_rejection_halves_then_blows_up(self):
+        # the first Euler step of the scalar leg reconstructs g0 - dt beta(g0),
+        # the tensor leg's Euler update: dt=8 fails positivity, dt=4 passes
+        state = fl.PotentialFlowState.initial(metric("sin1d"))
+        assert fl.step_potential(state, 8.0, EULER).t == 4.0
+        with pytest.raises(fl.FlowBlowup) as info:
+            fl.step_potential(state, 8.0, fl.StepControl(scheme="euler", max_halvings=0))
+        assert info.value.t == 0.0
+        assert info.value.node is not None
 
     def test_bump2d_reconstruction_stays_uniformly_positive(self):
         g0 = metric("bump2d")
@@ -244,3 +274,7 @@ class TestSmoothingProbe:
             fl.smoothing_probe(metric("flat"), (0.01, 0.005), CTL)
         with pytest.raises(ValueError):
             fl.smoothing_probe(metric("flat"), (-0.01,), CTL)
+
+    def test_float_time_targets_are_landed_exactly(self):
+        series = fl.smoothing_probe(metric("sin1d", sizes=(8,)), (ULP_SAMPLE, ULP_T), CTL)
+        assert [t for t, _, _ in series] == [ULP_SAMPLE, ULP_T]
