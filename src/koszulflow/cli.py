@@ -14,9 +14,11 @@ Exit codes:
 * 0 success;
 * 2 invalid input: an unreadable config, an unknown key or a value of the
   wrong type, a missing or non-positive required key, a malformed
-  ``--probe``, ``sizes`` of the wrong dimension or below 8 nodes, an
-  unreadable or malformed potential snapshot (non-finite values, a
-  background that is not positive definite), or a step control or sample
+  ``--probe``, an ``--out`` that names an existing file, ``sizes`` of the
+  wrong dimension or below 8 nodes, an unreadable or malformed potential
+  snapshot (an unknown layout, ``n`` disagreeing with ``sizes``, a payload
+  of the wrong length, non-finite values, a background that is not
+  positive definite), or a step control or sample
   times the integrators reject (``max_halvings < 0``, ``diag_stride < 0``,
   ``sample_times`` outside ``[0, T]``);
 * 3 flow blow-up: positivity failed beyond the halving budget; the outputs
@@ -106,7 +108,7 @@ def _parse_probe(probe: str | None, grid: PeriodicGrid):
     try:
         coords = tuple(float(v) for v in probe.split(","))
         return grid.nearest_node(coords)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad --probe {probe!r}: {exc}") from exc
 
 
@@ -160,24 +162,22 @@ def _curvature(run: Run):
     cfg, pm, g, node = run.cfg, run.pm, run.g, run.node
     seed = run.seed if run.seed is not None else 0
     grid = g.grid
-    lines = [f"input: {run.label}", f"grid_sizes: {','.join(str(s) for s in grid.sizes)}"]
+    bundle = geo.curvature_bundle(g, pm)
+    alpha, kappa, beta, q = bundle.alpha, bundle.kappa, bundle.beta, bundle.q
+    lines = [
+        f"input: {run.label}",
+        f"grid_sizes: {','.join(str(s) for s in grid.sizes)}",
+        f"hessian_defect: {format_float(bundle.hessian_defect)}",
+        f"torsion_norm: {format_float(bundle.torsion_norm)}",
+        f"sup_gamma_mixed: {format_float(float(np.max(np.abs(bundle.gamma_mixed))))}",
+        f"sup_gamma_lower: {format_float(float(np.max(np.abs(bundle.gamma_lower))))}",
+        f"sup_alpha: {format_float(float(np.max(np.abs(alpha))))}",
+        f"sup_kappa: {format_float(kappa.sup_norm())}",
+        f"sup_beta: {format_float(beta.sup_norm())}",
+        f"sup_riemann: {format_float(bundle.sup_riemann)}",
+    ]
 
-    gamma_mixed, gamma_lower = geo.christoffel(g)
-    alpha, kappa, beta = geo.koszul(g)
-    lines.append(f"hessian_defect: {format_float(geo.hessian_defect(g))}")
-    _, torsion_norm = geo.pullback_chern_torsion(g)
-    lines.append(f"torsion_norm: {format_float(torsion_norm)}")
-    lines.append(f"sup_gamma_mixed: {format_float(float(np.max(np.abs(gamma_mixed))))}")
-    lines.append(f"sup_gamma_lower: {format_float(float(np.max(np.abs(gamma_lower))))}")
-    lines.append(f"sup_alpha: {format_float(float(np.max(np.abs(alpha))))}")
-    lines.append(f"sup_kappa: {format_float(kappa.sup_norm())}")
-    lines.append(f"sup_beta: {format_float(beta.sup_norm())}")
-    lines.append(
-        f"sup_riemann: {format_float(float(np.max(np.abs(geo.riemann_from_gamma(g)))))}"
-    )
-
-    if pm is not None:
-        q = geo.hessian_curvature(pm)
+    if q is not None:
         lines.append(f"sup_q: {format_float(q.sup_norm())}")
         report = geo.sectional_extremes(
             q, g, cfg.get("n_samples", 1000), cfg.get("refine_steps", 50), seed
@@ -187,7 +187,6 @@ def _curvature(run: Run):
         lines.append(f"sectional_seed: {seed}")
         lines.append(f"sectional_samples: {report.samples_used}")
     else:
-        q = None
         for key in ("sup_q", "sectional_max", "sectional_min"):
             lines.append(f"{key}: {NOT_APPLICABLE}")
 
@@ -199,7 +198,7 @@ def _curvature(run: Run):
         for i in range(grid.ndim):
             lines.append(f"alpha_{i}@probe: {format_float(alpha[(*node, i)])}")
         lines.append(
-            f"gamma_mixed_000@probe: {format_float(gamma_mixed[(*node, 0, 0, 0)])}"
+            f"gamma_mixed_000@probe: {format_float(bundle.gamma_mixed[(*node, 0, 0, 0)])}"
         )
         if q is not None:
             lines.append(f"q_0000@probe: {format_float(q.component(0, 0, 0, 0)[node])}")
@@ -361,6 +360,8 @@ VERBS: dict[str, Verb] = {
 
 def _prepare(verb: Verb, name: str, args) -> Run:
     """Load, validate and instantiate the input of one verb run."""
+    if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} exists and is not a directory")
     raw = load_config(args.config)
     cfg = validate_config(raw, verb.schema)
     for key in verb.required:
@@ -411,6 +412,9 @@ def _run_verb(name: str, args) -> int:
         }
         if blowup is not None:
             manifest["last_valid_t"] = blowup.t
+            # FlowBlowup.node holds np.int64, which json cannot encode
+            node = blowup.node
+            manifest["blowup_node"] = None if node is None else [int(k) for k in node]
         write_manifest(args.out, {**manifest, **extra})
     for line in lines:
         print(line)

@@ -26,9 +26,9 @@ from .geometry import (
     beta_form,
     pencil_eigenvalue_range,
     sym_min_eigenvalues,
-    sym_pairs,
 )
-from .grid import ScalarField, partial2
+from .geometry import pair_hessian as gauge_hessian  # dd(u), on beta's stencil path
+from .grid import ScalarField
 
 BISECTION_TOL = 1e-9
 
@@ -62,14 +62,6 @@ class PencilResult:
     @property
     def unbounded(self) -> bool:
         return math.isinf(self.s_max)
-
-
-def gauge_hessian(u: ScalarField) -> np.ndarray:
-    """Pair-stored dd(u) via partial2 (the stencil path shared with beta)."""
-    grid = u.grid
-    return np.stack(
-        [partial2(u, i, j).values for i, j in sym_pairs(grid.ndim)], axis=-1
-    )
 
 
 def _pencil_parts(

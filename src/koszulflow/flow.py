@@ -32,11 +32,12 @@ from .geometry import (
     beta_form,
     curvature_gnorm,
     hessian_curvature_from_metric,
+    pair_hessian,
     pencil_eigenvalue_range,
     sym_min_eigenvalues,
     sym_pairs,
 )
-from .grid import ScalarField, partial2
+from .grid import ScalarField
 
 _SCHEMES = ("euler", "rk2")
 
@@ -272,12 +273,7 @@ class PotentialFlowState:
 
 
 def _reconstruct(g0: MetricField, beta0: Sym2Field, phi: ScalarField, t: float) -> MetricField:
-    grid = g0.grid
-    comps = g0.components - t * beta0.components
-    hess = np.stack(
-        [partial2(phi, i, j).values for i, j in sym_pairs(grid.ndim)], axis=-1
-    )
-    return MetricField(grid, comps + hess)
+    return MetricField(g0.grid, g0.components - t * beta0.components + pair_hessian(phi))
 
 
 def _attempt_potential_step(state: PotentialFlowState, dt: float, scheme: str) -> PotentialFlowState:

@@ -100,9 +100,6 @@ class Sym2Field:
     def component(self, i: int, j: int) -> np.ndarray:
         return self.components[..., pair_index(self.grid.ndim, i, j)]
 
-    def component_field(self, i: int, j: int) -> ScalarField:
-        return ScalarField(self.grid, self.component(i, j))
-
     def matrices(self) -> np.ndarray:
         """Full ``(*shape, n, n)`` array (materialized)."""
         n = self.grid.ndim
@@ -114,20 +111,6 @@ class Sym2Field:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.components)))
-
-    def __add__(self, other: "Sym2Field") -> "Sym2Field":
-        return Sym2Field(self.grid, self.components + other.components)
-
-    def __sub__(self, other: "Sym2Field") -> "Sym2Field":
-        return Sym2Field(self.grid, self.components - other.components)
-
-    def __mul__(self, scalar: float) -> "Sym2Field":
-        return Sym2Field(self.grid, self.components * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Sym2Field":
-        return Sym2Field(self.grid, -self.components)
 
 
 def sym_det(comps: np.ndarray, n: int) -> np.ndarray:
@@ -194,10 +177,6 @@ class MetricField(Sym2Field):
         if eigs.flat[worst] < MIN_EIGENVALUE:
             node = tuple(np.unravel_index(worst, grid.shape))
             raise NotPositiveDefinite(node, float(eigs.flat[worst]))
-
-    @classmethod
-    def from_sym2(cls, t: Sym2Field) -> "MetricField":
-        return cls(t.grid, t.components)
 
     def det(self) -> np.ndarray:
         return sym_det(self.components, self.grid.ndim)
@@ -313,7 +292,10 @@ def hessian_defect(g: Sym2Field) -> float:
 
     Zero (to truncation) exactly when g is a Hessian metric.
     """
-    d = metric_partials(g)
+    return _hessian_defect(metric_partials(g))
+
+
+def _hessian_defect(d: np.ndarray) -> float:
     return float(np.max(np.abs(d - np.swapaxes(d, -3, -2))))
 
 
@@ -327,24 +309,27 @@ def christoffel(g: MetricField) -> tuple[np.ndarray, np.ndarray]:
     and ``gamma_mixed = g^{-1} gamma_lower`` in the first slot.  Both are
     symmetric in the last two slots by construction.
     """
-    d = metric_partials(g)
+    return _christoffel(metric_partials(g), g.inverse_matrices())
+
+
+def _christoffel(d: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # gamma_lower[i, j, k] = 0.5 * (d[j, i, k] + d[k, i, j] - d[i, j, k])
     term1 = np.swapaxes(d, -3, -2)                       # [..., i, j, k] <- d[j, i, k]
     term2 = np.moveaxis(d, (-3, -2, -1), (-1, -3, -2))   # [..., i, j, k] <- d[k, i, j]
     gamma_lower = 0.5 * (term1 + term2 - d)
-    ginv = g.inverse_matrices()
     gamma_mixed = np.einsum("...il,...ljk->...ijk", ginv, gamma_lower)
     return gamma_mixed, gamma_lower
 
 
-def log_det_hessian(g: MetricField) -> np.ndarray:
-    """Pair-stored second derivatives of log det g (shared stencil path)."""
-    ldg = g.log_det()
-    n = g.grid.ndim
-    pairs = sym_pairs(n)
-    comps = np.empty((*g.grid.shape, len(pairs)))
+def pair_hessian(f: ScalarField) -> np.ndarray:
+    """Pair-stored ``partial2(f, i, j)`` in :func:`sym_pairs` order: the one
+    stencil path of ``beta``, the a2 gauge ``dd(u)`` and the potential leg's
+    ``dd(phi)``, which makes ``kappa = -beta/2`` and the log-det gauge's
+    cancellation of ``beta`` exact."""
+    pairs = sym_pairs(f.grid.ndim)
+    comps = np.empty((*f.grid.shape, len(pairs)))
     for p, (i, j) in enumerate(pairs):
-        comps[..., p] = partial2(ldg, i, j).values
+        comps[..., p] = partial2(f, i, j).values
     return comps
 
 
@@ -360,7 +345,7 @@ def koszul(g: MetricField) -> tuple[np.ndarray, Sym2Field, Sym2Field]:
     alpha = np.empty((*g.grid.shape, n))
     for i in range(n):
         alpha[..., i] = 0.5 * partial(ldg, i).values
-    dd = log_det_hessian(g)
+    dd = pair_hessian(ldg)
     kappa = Sym2Field(g.grid, 0.5 * dd)
     beta = Sym2Field(g.grid, -dd)
     return alpha, kappa, beta
@@ -368,7 +353,7 @@ def koszul(g: MetricField) -> tuple[np.ndarray, Sym2Field, Sym2Field]:
 
 def beta_form(g: MetricField) -> Sym2Field:
     """Flow tensor ``beta_ij = -partial_i partial_j log det g``."""
-    return Sym2Field(g.grid, -log_det_hessian(g))
+    return Sym2Field(g.grid, -pair_hessian(g.log_det()))
 
 
 # --- Hessian curvature tensor --------------------------------------------------
@@ -426,10 +411,11 @@ def hessian_curvature(pm: PotentialMetric) -> HessianCurvature:
     background drops out of third and higher derivatives, so only psi is
     differentiated.
     """
-    g = metric_from_potential(pm)
-    ginv = g.inverse_matrices()
-    grid, n = pm.grid, pm.grid.ndim
+    return _hessian_curvature(pm, metric_from_potential(pm).inverse_matrices())
 
+
+def _hessian_curvature(pm: PotentialMetric, ginv: np.ndarray) -> HessianCurvature:
+    grid, n = pm.grid, pm.grid.ndim
     third = np.empty((*grid.shape, n, n, n))
     for i in range(n):
         for j in range(i, n):
@@ -491,10 +477,14 @@ def curvature_gnorm(q_full: np.ndarray, g: MetricField) -> np.ndarray:
 def riemann_from_gamma(g: MetricField) -> np.ndarray:
     """Lowered curvature tensor from quadratic products of the difference tensor."""
     gamma_mixed, _ = christoffel(g)
+    return _riemann_from_gamma(gamma_mixed, g.matrices())
+
+
+def _riemann_from_gamma(gamma_mixed: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     r_up = np.einsum("...ilm,...mjk->...ijkl", gamma_mixed, gamma_mixed) - np.einsum(
         "...ikm,...mjl->...ijkl", gamma_mixed, gamma_mixed
     )
-    return np.einsum("...ip,...pjkl->...ijkl", g.matrices(), r_up)
+    return np.einsum("...ip,...pjkl->...ijkl", gmat, r_up)
 
 
 def riemann_from_q(q: HessianCurvature) -> np.ndarray:
@@ -521,12 +511,13 @@ def pullback_chern_torsion(g: MetricField) -> tuple[np.ndarray, float]:
     g-contracted norm.  The norm vanishes (to truncation) exactly when g is
     Hessian.
     """
-    d = metric_partials(g)
+    return _chern_torsion(metric_partials(g), g.inverse_matrices(), g.matrices())
+
+
+def _chern_torsion(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, float]:
     # anti[..., i, j, l] = partial_i g_jl - partial_j g_il
     anti = d - np.swapaxes(d, -3, -2)
-    ginv = g.inverse_matrices()
     torsion = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, anti)
-    gmat = g.matrices()
     sq = np.einsum(
         "...kij,...pqr,...kp,...iq,...jr->...", torsion, torsion, gmat, ginv, ginv
     )
@@ -645,30 +636,40 @@ def sectional_extremes(
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Every curvature/Koszul quantity of a potential metric, in one record."""
+    """Every curvature/Koszul quantity of one metric, in one record; ``q`` is
+    None for a non-Hessian input.  Of the Riemann tensor, the largest array
+    of the pipeline, only the sup norm is kept."""
 
-    metric: MetricField
     gamma_mixed: np.ndarray
     gamma_lower: np.ndarray
-    q: HessianCurvature
-    riemann: np.ndarray
     alpha: np.ndarray
     kappa: Sym2Field
     beta: Sym2Field
+    hessian_defect: float
+    torsion_norm: float
+    sup_riemann: float
+    q: HessianCurvature | None
 
 
-def curvature_bundle(pm: PotentialMetric) -> CurvatureBundle:
-    g = metric_from_potential(pm)
-    gamma_mixed, gamma_lower = christoffel(g)
+def curvature_bundle(g: MetricField, pm: PotentialMetric | None) -> CurvatureBundle:
+    """The curvature record of ``g = metric_from_potential(pm)``, or of a
+    non-Hessian ``g`` with ``pm = None``; the metric derivatives, ``g^-1``
+    and the full matrices are computed once and shared by every formula."""
+    ginv, gmat = g.inverse_matrices(), g.matrices()
+    d = metric_partials(g)
+    defect = _hessian_defect(d)
+    torsion_norm = _chern_torsion(d, ginv, gmat)[1]
+    gamma_mixed, gamma_lower = _christoffel(d, ginv)
+    del d  # not needed past the Christoffel pair; freeing it lowers peak memory
     alpha, kappa, beta = koszul(g)
-    q = hessian_curvature(pm)
     return CurvatureBundle(
-        metric=g,
         gamma_mixed=gamma_mixed,
         gamma_lower=gamma_lower,
-        q=q,
-        riemann=riemann_from_gamma(g),
         alpha=alpha,
         kappa=kappa,
         beta=beta,
+        hessian_defect=defect,
+        torsion_norm=torsion_norm,
+        sup_riemann=float(np.max(np.abs(_riemann_from_gamma(gamma_mixed, gmat)))),
+        q=None if pm is None else _hessian_curvature(pm, ginv),
     )

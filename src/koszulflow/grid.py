@@ -76,10 +76,6 @@ class PeriodicGrid:
             for c, h, n in zip(coords, self.spacings, self.sizes)
         )
 
-    def refined(self, factor: int = 2) -> "PeriodicGrid":
-        """Same chart with every axis node count multiplied by ``factor``."""
-        return PeriodicGrid(tuple(s * factor for s in self.sizes), self.lengths)
-
     def _check_axis(self, axis: int) -> None:
         if not 0 <= axis < self.ndim:
             raise ValueError(f"axis {axis} out of range for dimension {self.ndim}")

@@ -25,6 +25,7 @@ import numpy as np
 from .grid import PeriodicGrid
 
 SNAPSHOT_MAGIC = b"HFLD1\n"
+SNAPSHOT_LAYOUT = "row-major-components-innermost"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -73,7 +74,7 @@ def write_snapshot(
         "lengths": ",".join(format_float(length) for length in grid.lengths),
         "components": str(arr.shape[-1]),
         "t": format_float(t),
-        "layout": "row-major-components-innermost",
+        "layout": SNAPSHOT_LAYOUT,
     }
     for key, value in (extra or {}).items():
         if key in fields:
@@ -103,10 +104,17 @@ def read_snapshot(path: str) -> tuple[PeriodicGrid, np.ndarray, float, dict[str,
     for token in header_bytes.decode("ascii").split():
         key, _, value = token.partition("=")
         fields[key] = value
+    if fields.get("layout") != SNAPSHOT_LAYOUT:
+        raise ValueError(f"{path}: unsupported layout {fields.get('layout')!r}")
     sizes = tuple(int(s) for s in fields["sizes"].split(","))
+    if int(fields["n"]) != len(sizes):
+        raise ValueError(f"{path}: n={fields['n']} disagrees with sizes {fields['sizes']}")
     lengths = tuple(float(length) for length in fields["lengths"].split(","))
     grid = PeriodicGrid(sizes, lengths)
     ncomp = int(fields["components"])
+    if len(raw) != 8 * grid.num_nodes * ncomp:
+        raise ValueError(f"{path}: payload has {len(raw)} bytes, not 8 x {grid.num_nodes} "
+                         f"nodes x {ncomp} components")
     data = np.frombuffer(raw, dtype="<f8").reshape(*grid.shape, ncomp).astype(np.float64)
     return grid, data, float(fields["t"]), fields
 

@@ -74,6 +74,22 @@ class TestCurvature:
         g = geo.metric_from_potential(reg.build_example("sin1d", sizes=(128,)))
         assert np.array_equal(comps[..., 0], g.component(0, 0))
 
+    def test_differentiates_the_metric_once(self, tmp_path, monkeypatch):
+        counts = {}
+
+        def counted(name, original):
+            def wrapper(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args)
+            return wrapper
+
+        names = ("metric_partials", "sym_inverse_matrices", "metric_from_potential", "_christoffel")
+        for name in names:
+            monkeypatch.setattr(geo, name, counted(name, getattr(geo, name)))
+        cfg = write_config(tmp_path, "c.cfg", "example = bump2d\nsizes = 16,16\nn_samples = 20\n")
+        assert run("curvature", "--config", cfg, "--out", str(tmp_path / "out")) == 0
+        assert counts == dict.fromkeys(names, 1)
+
 
 class TestFlowRun:
     def test_writes_outputs_and_is_byte_identical(self, tmp_path):
@@ -117,6 +133,7 @@ class TestFlowRun:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["outcome"] == "blowup"
         assert manifest["last_valid_t"] == 0.0
+        assert manifest["blowup_node"] is None  # no step was attempted
         assert (out_dir / "diagnostics.csv").exists()
 
     def test_float_time_targets_do_not_blow_up(self, tmp_path):
@@ -145,6 +162,14 @@ class TestFlowCompare:
             for line in (out_dir / "compare.txt").read_text().splitlines()
         )
         assert float(report["discrepancy"]) <= 1e-4
+
+    def test_blowup_manifest_names_the_node(self, tmp_path):
+        cfg = write_config(tmp_path, "c.cfg", "example = sin1d\nsizes = 32\nT = 8.0\ndt = 8.0\n")
+        out_dir = tmp_path / "out"
+        assert run("flow-compare", "--config", cfg, "--out", str(out_dir)) == 3
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["last_valid_t"] == 0.0
+        assert manifest["blowup_node"] == [24]
 
 
 class TestA2Check:
@@ -224,6 +249,7 @@ class TestErrorPaths:
         "sizes-below-8": "example = sin1d\nsizes = 4\n",
         "snapshot-nan": "potential = {nan}\n",
         "snapshot-background-not-pd": "potential = {not_pd}\n",
+        "snapshot-short-payload": "potential = {short}\n",
         "max-halvings-negative": "example = sin1d\nsizes = 16\nmax_halvings = -3\n",
         "diag-stride-negative": "example = sin1d\nsizes = 16\ndiag_stride = -1\n",
         "sample-time-negative": "example = sin1d\nsizes = 16\nsample_times = -0.5,0.005\n",
@@ -240,9 +266,25 @@ class TestErrorPaths:
         for key, (values, background) in snaps.items():
             paths[key] = str(tmp_path / f"{key}.hfld")
             write_snapshot(paths[key], grid, values, extra={"background": background})
+        paths["short"] = str(tmp_path / "short.hfld")
+        with open(paths["nan"], "rb") as src, open(paths["short"], "wb") as dst:
+            dst.write(src.read()[:-8])
         text = self.BAD_FLOW_RUN[case].format(**paths) + "T = 0.01\n"
         cfg = write_config(tmp_path, "b.cfg", text)
         assert run("flow-run", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("probe", ["0,0,0", "x,0", "nan,0", "inf,0"])
+    def test_bad_probe_exits_2(self, tmp_path, capsys, probe):
+        cfg = write_config(tmp_path, "b.cfg", "example = bump2d\nsizes = 16,16\n")
+        assert run("curvature", "--config", cfg, "--out", str(tmp_path / "o"), "--probe", probe) == 2
+        assert capsys.readouterr().err.startswith("config error: bad --probe")
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.cfg", "example = sin1d\nsizes = 16\nT = 0.01\n")
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run("flow-run", "--config", cfg, "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("verb", ["flow-run", "flow-compare", "a2-check", "smoothing-probe"])

@@ -374,9 +374,33 @@ class TestSectionalExtremes:
 
 class TestCurvatureBundle:
     def test_bundle_is_internally_consistent(self):
-        bundle = geo.curvature_bundle(sin1d(256))
+        pm = sin1d(256)
+        bundle = geo.curvature_bundle(geo.metric_from_potential(pm), pm)
         assert np.max(np.abs(bundle.kappa.components + 0.5 * bundle.beta.components)) == 0.0
         assert bundle.q.component(0, 0, 0, 0)[0] == pytest.approx(-0.25, abs=1e-3)
+
+    @pytest.mark.parametrize("case", ["sin1d", "twist2d", "potential3d"])
+    def test_fields_equal_the_public_functions(self, case):
+        if case == "twist2d":
+            g, pm = twist2d(32), None
+        else:
+            pm = sin1d(64) if case == "sin1d" else TestThreeDimensions.potential3d(8)
+            g = geo.metric_from_potential(pm)
+        bundle = geo.curvature_bundle(g, pm)
+        gamma_mixed, gamma_lower = geo.christoffel(g)
+        alpha, kappa, beta = geo.koszul(g)
+        assert np.array_equal(bundle.gamma_mixed, gamma_mixed)
+        assert np.array_equal(bundle.gamma_lower, gamma_lower)
+        assert np.array_equal(bundle.alpha, alpha)
+        assert np.array_equal(bundle.kappa.components, kappa.components)
+        assert np.array_equal(bundle.beta.components, beta.components)
+        assert bundle.hessian_defect == geo.hessian_defect(g)
+        assert bundle.torsion_norm == geo.pullback_chern_torsion(g)[1]
+        assert bundle.sup_riemann == float(np.max(np.abs(geo.riemann_from_gamma(g))))
+        if pm is None:
+            assert bundle.q is None
+        else:
+            assert np.array_equal(bundle.q.components, geo.hessian_curvature(pm).components)
 
 
 class TestThreeDimensions:

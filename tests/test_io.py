@@ -47,6 +47,26 @@ def test_snapshot_magic_and_scalar_shape(tmp_path):
         read_snapshot(str(bad))
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda b: b.replace(b"layout=row-major-components-innermost", b"layout=column-major"),
+         "unsupported layout"),
+        (lambda b: b.replace(b"n=2 ", b"n=3 "), "disagrees with sizes"),
+        (lambda b: b[:-8], "payload has"),
+        (lambda b: b + b"\0" * 8, "payload has"),
+    ],
+    ids=["layout", "n-vs-sizes", "short-payload", "long-payload"],
+)
+def test_malformed_snapshot_is_named(tmp_path, edit, message):
+    grid = PeriodicGrid((8, 8), (1.0, 1.0))
+    path = tmp_path / "s.hfld"
+    write_snapshot(str(path), grid, np.zeros((*grid.shape, 3)))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        read_snapshot(str(path))
+
+
 def test_float_formatting_round_trips():
     for value in (0.1, 2.0 / 3.0, 1e-300, 6.283185307179586, -0.0):
         assert float(format_float(value)) == value
