@@ -14,11 +14,11 @@ Exit codes:
 * 0 success;
 * 2 invalid input: an unreadable config, an unknown key or a value of the
   wrong type, a missing or non-positive required key, a malformed
-  ``--probe``, an ``--out`` that names an existing file, ``sizes`` of the
-  wrong dimension or below 8 nodes, an unreadable or malformed potential
-  snapshot (an unknown layout, ``n`` disagreeing with ``sizes``, a payload
-  of the wrong length, non-finite values, a background that is not
-  positive definite), or a step control or sample
+  ``--probe``, an ``--out`` that names an existing file or lies below one,
+  ``sizes`` of the wrong dimension or below 8 nodes, an unreadable or
+  malformed potential snapshot (an unknown layout, ``n`` disagreeing with
+  ``sizes``, a payload of the wrong length, non-finite values, a background
+  that is not positive definite), or a step control or sample
   times the integrators reject (``max_halvings < 0``, ``diag_stride < 0``,
   ``sample_times`` outside ``[0, T]``);
 * 3 flow blow-up: positivity failed beyond the halving budget; the outputs
@@ -360,8 +360,13 @@ VERBS: dict[str, Verb] = {
 
 def _prepare(verb: Verb, name: str, args) -> Run:
     """Load, validate and instantiate the input of one verb run."""
-    if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ConfigError(f"--out {args.out} exists and is not a directory")
+    if args.out:
+        # os.makedirs can only create --out below an existing directory
+        ancestor = os.path.abspath(args.out)
+        while not os.path.lexists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise ConfigError(f"--out {args.out}: {ancestor} exists and is not a directory")
     raw = load_config(args.config)
     cfg = validate_config(raw, verb.schema)
     for key in verb.required:

@@ -30,14 +30,15 @@ from .geometry import (
     NotPositiveDefinite,
     Sym2Field,
     beta_form,
+    check_metric,
     curvature_gnorm,
     hessian_curvature_from_metric,
     pair_hessian,
     pencil_eigenvalue_range,
-    sym_min_eigenvalues,
+    sym_det,
     sym_pairs,
 )
-from .grid import ScalarField
+from .grid import PeriodicGrid, ScalarField
 
 _SCHEMES = ("euler", "rk2")
 
@@ -77,19 +78,40 @@ class StepControl:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowState:
-    """Snapshot of the tensor flow: metric, accumulated potential, step info."""
+    """Snapshot of the tensor flow on raw arrays, with what the next step reuses.
+
+    ``g_comps`` (pair-stored metric) and ``phi_values`` (accumulated
+    potential) are read-only; :attr:`g` and :attr:`phi` wrap them on access.
+    ``log_det`` is ``log det g``, ``ratio`` is ``log det g - log det g0`` and
+    ``min_eig`` the smallest eigenvalue of ``g`` over the nodes.
+    """
 
     t: float
-    g: MetricField
-    phi: ScalarField
+    g_comps: np.ndarray
+    phi_values: np.ndarray
     dt_last: float
     g0: MetricField
+    log_det_g0: np.ndarray
+    log_det: np.ndarray
+    ratio: np.ndarray
+    min_eig: float
 
     @classmethod
     def initial(cls, g0: MetricField) -> "FlowState":
-        return cls(t=0.0, g=g0, phi=ScalarField.zeros(g0.grid), dt_last=0.0, g0=g0)
+        log_det_g0 = np.log(g0.det())
+        return cls(t=0.0, g_comps=g0.components, phi_values=_read_only(np.zeros(g0.grid.shape)),
+                   dt_last=0.0, g0=g0, log_det_g0=log_det_g0, log_det=log_det_g0,
+                   ratio=log_det_g0 - log_det_g0, min_eig=g0.min_eigenvalue())
+
+    @property
+    def g(self) -> MetricField:
+        return MetricField._wrap(self.g0.grid, self.g_comps, self.min_eig)
+
+    @property
+    def phi(self) -> ScalarField:
+        return ScalarField(self.g0.grid, self.phi_values)
 
 
 @dataclass(frozen=True)
@@ -118,31 +140,48 @@ class DiagnosticsRow:
 
 
 def stable_dt(g: MetricField, control: StepControl) -> float:
-    """Explicit stability bound sigma * min(h^2) / (2 n max lambda(g^-1))."""
+    """Explicit stability bound sigma * min(h^2) / (2 n max lambda(g^-1)),
+    from the smallest eigenvalue that the metric's check already found."""
     n = g.grid.ndim
-    min_eig = float(np.min(sym_min_eigenvalues(g.components, n)))
-    lam_max_inv = 1.0 / min_eig
+    lam_max_inv = 1.0 / g.min_eigenvalue()
     return control.sigma * min(h * h for h in g.grid.spacings) / (2.0 * n * lam_max_inv)
 
 
-def _log_det_ratio(g: MetricField, g0: MetricField) -> np.ndarray:
-    return np.log(g.det()) - np.log(g0.det())
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _beta(grid: PeriodicGrid, log_det: np.ndarray) -> np.ndarray:
+    """:func:`beta_form` of the metric with this ``log det g``, pair-stored."""
+    return -pair_hessian(ScalarField(grid, log_det))
 
 
 def _attempt_tensor_step(state: FlowState, dt: float, scheme: str) -> FlowState:
-    """One explicit step of the given size; raises NotPositiveDefinite on failure."""
-    g = state.g
+    """One explicit step of the given size on raw arrays.
+
+    Each candidate metric passes :func:`check_metric`, which raises
+    ValueError or NotPositiveDefinite.  The arithmetic is that of
+    :func:`beta_form` on :class:`MetricField` operands, in the same order.
+    """
+    grid, n = state.g0.grid, state.g0.grid.ndim
+    g = state.g_comps
     if scheme == "euler":
-        update = beta_form(g)
+        update = _beta(grid, state.log_det)
     else:  # midpoint RK2
-        b1 = beta_form(g)
-        g_half = MetricField(g.grid, g.components - (0.5 * dt) * b1.components)
-        update = beta_form(g_half)
-    g_new = MetricField(g.grid, g.components - dt * update.components)
-    ratio_old = _log_det_ratio(g, state.g0)
-    ratio_new = _log_det_ratio(g_new, state.g0)
-    phi_new = ScalarField(g.grid, state.phi.values + (0.5 * dt) * (ratio_old + ratio_new))
-    return FlowState(t=state.t + dt, g=g_new, phi=phi_new, dt_last=dt, g0=state.g0)
+        g_half = g - (0.5 * dt) * _beta(grid, state.log_det)
+        check_metric(g_half, n)
+        update = _beta(grid, np.log(sym_det(g_half, n)))
+    g_new = g - dt * update
+    min_eig = check_metric(g_new, n)
+    log_det = np.log(sym_det(g_new, n))
+    ratio = log_det - state.log_det_g0
+    phi_new = state.phi_values + (0.5 * dt) * (state.ratio + ratio)
+    if not np.isfinite(phi_new).all():
+        raise ValueError("field contains non-finite values")
+    return FlowState(t=state.t + dt, g_comps=_read_only(g_new), phi_values=_read_only(phi_new),
+                     dt_last=dt, g0=state.g0, log_det_g0=state.log_det_g0, log_det=log_det,
+                     ratio=ratio, min_eig=min_eig)
 
 
 def _with_halving(attempt: Callable, state, dt: float, control: StepControl):
@@ -208,7 +247,7 @@ def diagnostics_row(state: FlowState, dt_used: float) -> DiagnosticsRow:
         lambda_max=big_lam,
         var_det=float(np.var(g.det())),
         mean_drift=drift,
-        sup_phi=float(np.max(np.abs(state.phi.values))),
+        sup_phi=float(np.max(np.abs(state.phi_values))),
         dt=dt_used,
     )
 
@@ -257,7 +296,7 @@ def run_flow(
 
 # --- potential (scalar) leg ---------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialFlowState:
     """Scalar-leg snapshot: potential, its reconstruction, and frozen data."""
 
@@ -266,10 +305,12 @@ class PotentialFlowState:
     g0: MetricField
     beta0: Sym2Field
     g: MetricField  # reconstruction g0 - t beta0 + dd(phi)
+    log_det_g0: np.ndarray
 
     @classmethod
     def initial(cls, g0: MetricField) -> "PotentialFlowState":
-        return cls(t=0.0, phi=ScalarField.zeros(g0.grid), g0=g0, beta0=beta_form(g0), g=g0)
+        return cls(t=0.0, phi=ScalarField.zeros(g0.grid), g0=g0, beta0=beta_form(g0), g=g0,
+                   log_det_g0=np.log(g0.det()))
 
 
 def _reconstruct(g0: MetricField, beta0: Sym2Field, phi: ScalarField, t: float) -> MetricField:
@@ -281,8 +322,7 @@ def _attempt_potential_step(state: PotentialFlowState, dt: float, scheme: str) -
     # with matching schemes the two legs are algebraically the same discrete
     # map (the stencils are linear and telescoping is exact), and the
     # equivalence check would only ever measure rounding noise.
-    g0, beta0 = state.g0, state.beta0
-    log_det_g0 = np.log(g0.det())
+    g0, beta0, log_det_g0 = state.g0, state.beta0, state.log_det_g0
 
     def rhs_from(g_rec: MetricField) -> np.ndarray:
         return np.log(g_rec.det()) - log_det_g0
@@ -297,7 +337,8 @@ def _attempt_potential_step(state: PotentialFlowState, dt: float, scheme: str) -
         k2 = rhs_from(g_pred)
         phi_new = ScalarField(g0.grid, state.phi.values + (0.5 * dt) * (k1 + k2))
     g_new = _reconstruct(g0, beta0, phi_new, state.t + dt)
-    return PotentialFlowState(t=state.t + dt, phi=phi_new, g0=g0, beta0=beta0, g=g_new)
+    return PotentialFlowState(t=state.t + dt, phi=phi_new, g0=g0, beta0=beta0, g=g_new,
+                              log_det_g0=log_det_g0)
 
 
 def step_potential(state: PotentialFlowState, dt: float, control: StepControl) -> PotentialFlowState:
@@ -329,7 +370,7 @@ def equivalence_check(
             scalar = _attempt_potential_step(scalar, step, control.scheme)
         except NotPositiveDefinite as exc:
             raise FlowBlowup(tensor.t, exc.node) from None
-        worst = max(worst, float(np.max(np.abs(tensor.g.components - scalar.g.components))))
+        worst = max(worst, float(np.max(np.abs(tensor.g_comps - scalar.g.components))))
     return worst
 
 

@@ -78,7 +78,7 @@ class Sym2Field:
             raise ValueError(
                 f"component shape {comps.shape} does not match {(*grid.shape, npairs)}"
             )
-        if not np.all(np.isfinite(comps)):
+        if not np.isfinite(comps).all():
             raise ValueError("tensor field contains non-finite values")
         comps = np.array(comps)
         comps.flags.writeable = False
@@ -165,18 +165,41 @@ def sym_min_eigenvalues(comps: np.ndarray, n: int) -> np.ndarray:
     return np.linalg.eigvalsh(mats)[..., 0]
 
 
+def check_metric(comps: np.ndarray, n: int) -> float:
+    """Nodewise check of pair-stored metric components; returns the smallest
+    eigenvalue over the nodes.
+
+    Raises ValueError for a non-finite entry and :class:`NotPositiveDefinite`,
+    naming the worst node, for an eigenvalue below ``MIN_EIGENVALUE``.
+    """
+    if not np.isfinite(comps).all():
+        raise ValueError("tensor field contains non-finite values")
+    eigs = sym_min_eigenvalues(comps, n)
+    worst = np.argmin(eigs)
+    if eigs.flat[worst] < MIN_EIGENVALUE:
+        node = tuple(np.unravel_index(worst, comps.shape[:-1]))
+        raise NotPositiveDefinite(node, float(eigs.flat[worst]))
+    return float(eigs.flat[worst])
+
+
 class MetricField(Sym2Field):
     """A :class:`Sym2Field` that is positive definite at every node."""
 
-    __slots__ = ()
+    __slots__ = ("_min_eig",)
 
     def __init__(self, grid: PeriodicGrid, components):
         super().__init__(grid, components)
-        eigs = sym_min_eigenvalues(self.components, grid.ndim)
-        worst = np.argmin(eigs)
-        if eigs.flat[worst] < MIN_EIGENVALUE:
-            node = tuple(np.unravel_index(worst, grid.shape))
-            raise NotPositiveDefinite(node, float(eigs.flat[worst]))
+        object.__setattr__(self, "_min_eig", check_metric(self.components, grid.ndim))
+
+    @classmethod
+    def _wrap(cls, grid: PeriodicGrid, comps: np.ndarray, min_eig: float) -> "MetricField":
+        """A metric over a read-only array that already passed
+        :func:`check_metric` with result ``min_eig``; no copy, no recheck."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "grid", grid)
+        object.__setattr__(g, "components", comps)
+        object.__setattr__(g, "_min_eig", min_eig)
+        return g
 
     def det(self) -> np.ndarray:
         return sym_det(self.components, self.grid.ndim)
@@ -188,7 +211,7 @@ class MetricField(Sym2Field):
         return sym_inverse_matrices(self.components, self.grid.ndim)
 
     def min_eigenvalue(self) -> float:
-        return float(np.min(sym_min_eigenvalues(self.components, self.grid.ndim)))
+        return self._min_eig
 
 
 def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, float]:

@@ -90,7 +90,7 @@ class ScalarField:
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != grid.shape:
             raise ValueError(f"field shape {arr.shape} does not match grid {grid.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("field contains non-finite values")
         arr = np.array(arr)  # private copy
         arr.flags.writeable = False
@@ -143,14 +143,26 @@ class ScalarField:
 
 # --- stencil kernels (periodic, second order) -------------------------------
 
+def _neighbours(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(f(x+h), f(x-h))`` along ``axis``: two slices of one copy of
+    ``values`` wrapped periodically by one node at each end."""
+    head = (slice(None),) * axis
+    wrapped = np.concatenate(
+        (values[head + (slice(-1, None),)], values, values[head + (slice(0, 1),)]), axis=axis
+    )
+    return wrapped[head + (slice(2, None),)], wrapped[head + (slice(0, -2),)]
+
+
 def _diff1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Centered first difference (f(x+h) - f(x-h)) / (2h)."""
-    return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * h)
+    fwd, bwd = _neighbours(values, axis)
+    return (fwd - bwd) / (2.0 * h)
 
 
 def _diff2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """3-point second difference (f(x+h) - 2 f(x) + f(x-h)) / h^2."""
-    return (np.roll(values, -1, axis) - 2.0 * values + np.roll(values, 1, axis)) / (h * h)
+    fwd, bwd = _neighbours(values, axis)
+    return (fwd - 2.0 * values + bwd) / (h * h)
 
 
 def _composed_stencil(values: np.ndarray, axes: Sequence[int], spacings: Sequence[float]) -> np.ndarray:

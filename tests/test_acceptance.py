@@ -13,6 +13,7 @@ surrounding clauses and the decay law itself are verified.
 import time
 
 import numpy as np
+import pytest
 
 from koszulflow import criteria as cr
 from koszulflow import flow as fl
@@ -170,6 +171,7 @@ def test_criterion_3_point_probes():
            if not failures else "; ".join(failures))
 
 
+@pytest.mark.slow
 def test_criterion_4_flow_correctness():
     clauses = {}
 

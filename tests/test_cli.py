@@ -287,6 +287,17 @@ class TestErrorPaths:
         assert run("flow-run", "--config", cfg, "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_out_below_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.cfg", "example = sin1d\nsizes = 16\nT = 0.01\n")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run("flow-run", "--config", cfg, "--out", str(taken / "sub" / "dir")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{taken} exists and is not a directory" in err
+        dangling = tmp_path / "dangling"
+        dangling.symlink_to(tmp_path / "nowhere")
+        assert run("flow-run", "--config", cfg, "--out", str(dangling / "sub")) == 2
+
     @pytest.mark.parametrize("verb", ["flow-run", "flow-compare", "a2-check", "smoothing-probe"])
     def test_probe_is_curvature_only(self, tmp_path, verb):
         cfg = write_config(tmp_path, "b.cfg", "example = flat\n")

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulflow.grid import (
     PeriodicGrid,
     ScalarField,
+    _diff1,
+    _diff2,
     mean,
     partial,
     partial2,
@@ -232,6 +236,39 @@ class TestStencilProperties:
             exact = -np.cos(x) * np.sin(y)
             errors[n_nodes] = np.max(np.abs(d.values - exact))
         assert 3.5 <= errors[32] / errors[64] <= 4.5
+
+
+@st.composite
+def grid_fields(draw):
+    """A random field on a 1-3-D grid of 8-20 nodes per axis with random spacings."""
+    sizes = draw(st.lists(st.integers(8, 20), min_size=1, max_size=3))
+    spacings = draw(st.lists(st.floats(1e-3, 10.0), min_size=len(sizes), max_size=len(sizes)))
+    grid = PeriodicGrid(tuple(sizes), tuple(h * n for h, n in zip(spacings, sizes)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_field(grid, seed)
+
+
+HYPOTHESIS = settings(max_examples=60, deadline=None, database=None)
+
+
+class TestStencilHypothesis:
+    @HYPOTHESIS
+    @given(f=grid_fields(), data=st.data())
+    def test_kernels_equal_the_roll_formulas(self, f, data):
+        axis = data.draw(st.integers(0, f.grid.ndim - 1))
+        v, h = f.values, f.grid.spacings[axis]
+        fwd, bwd = np.roll(v, -1, axis), np.roll(v, 1, axis)
+        assert _diff1(v, axis, h).tobytes() == ((fwd - bwd) / (2.0 * h)).tobytes()
+        assert _diff2(v, axis, h).tobytes() == ((fwd - 2.0 * v + bwd) / (h * h)).tobytes()
+
+    @HYPOTHESIS
+    @given(f=grid_fields(), data=st.data())
+    def test_argument_order_is_bit_exact(self, f, data):
+        axis = st.integers(0, f.grid.ndim - 1)
+        for op, order in ((partial2, 2), (partial3, 3), (partial4, 4)):
+            axes = data.draw(st.lists(axis, min_size=order, max_size=order))
+            permuted = data.draw(st.permutations(axes))
+            assert op(f, *axes).values.tobytes() == op(f, *permuted).values.tobytes()
 
 
 class TestReductions:
