@@ -13,12 +13,13 @@ Exit codes:
 
 * 0 success;
 * 2 invalid input: an unreadable config, an unknown key or a value of the
-  wrong type, a missing or non-positive required key, a malformed
-  ``--probe``, an ``--out`` that names an existing file or lies below one,
-  ``sizes`` of the wrong dimension or below 8 nodes, an unreadable or
-  malformed potential snapshot (an unknown layout, ``n`` disagreeing with
-  ``sizes``, a payload of the wrong length, non-finite values, a background
-  that is not positive definite), or a step control or sample
+  wrong type, a non-finite float, a missing or non-positive required key,
+  a malformed ``--probe``, an ``--out`` that names an existing file or lies
+  below one, ``sizes`` of the wrong dimension or below 8 nodes, an
+  unreadable or malformed potential snapshot (an unknown layout, ``n``
+  disagreeing with ``sizes``, a payload of the wrong length, non-finite
+  values, a background that is not positive definite), a metric whose
+  ``log det`` or a2 margin overflows, or a step control or sample
   times the integrators reject (``max_halvings < 0``, ``diag_stride < 0``,
   ``sample_times`` outside ``[0, T]``);
 * 3 flow blow-up: positivity failed beyond the halving budget; the outputs

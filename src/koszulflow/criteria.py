@@ -22,13 +22,14 @@ import numpy as np
 
 from .geometry import (
     MetricField,
-    Sym2Field,
     beta_form,
+    pair_hessian,
     pencil_eigenvalue_range,
+    sym_matrices,
     sym_min_eigenvalues,
 )
-from .geometry import pair_hessian as gauge_hessian  # dd(u), on beta's stencil path
 from .grid import ScalarField
+from .io import ConfigError
 
 BISECTION_TOL = 1e-9
 
@@ -64,6 +65,20 @@ class PencilResult:
         return math.isinf(self.s_max)
 
 
+def gauge_hessian(u: ScalarField) -> np.ndarray:
+    """Pair-stored ``dd(u)``, on the stencil path of ``beta``."""
+    return pair_hessian(u.values, u.grid.spacings)
+
+
+def _margin(m: np.ndarray, n: int) -> float:
+    """Min over nodes of the smallest eigenvalue of the pencil value ``m``;
+    ConfigError when it is not finite (inputs that overflow the pencil)."""
+    margin = float(np.min(sym_min_eigenvalues(m, n)))
+    if not math.isfinite(margin):
+        raise ConfigError(f"the pencil margin is {margin}: the inputs overflow it")
+    return margin
+
+
 def _pencil_parts(
     g0: MetricField,
     u: ScalarField,
@@ -89,7 +104,7 @@ def _pencil_parts(
 def a2_margin(g0: MetricField, s: float, u: ScalarField, theta: float) -> float:
     """Min over nodes of the smallest eigenvalue of g0 - S beta0 + dd(u) - theta g0."""
     m0, m1 = _pencil_parts(g0, u, theta, scale_gauge_with_s=False)
-    return float(np.min(sym_min_eigenvalues(m0 + s * m1, g0.grid.ndim)))
+    return _margin(m0 + s * m1, g0.grid.ndim)
 
 
 def a2_certificate(g0: MetricField, s: float, u: ScalarField, theta: float) -> A2Certificate:
@@ -114,11 +129,11 @@ def max_s(
     m0, m1 = _pencil_parts(g0, u, theta, scale_gauge_with_s)
 
     def margin(s: float) -> float:
-        return float(np.min(sym_min_eigenvalues(m0 + s * m1, n)))
+        return _margin(m0 + s * m1, n)
 
     if margin(0.0) <= 0.0:
         raise InfeasibleAtZero(f"margin at S=0 is {margin(0.0):.3e}")
-    if float(np.min(sym_min_eigenvalues(m1, n))) >= 0.0:
+    if _margin(m1, n) >= 0.0:
         return PencilResult(s_max=math.inf, witness_node=None, witness_direction=None)
 
     s_hi = 1.0
@@ -139,19 +154,15 @@ def max_s(
     eigs = sym_min_eigenvalues(m0 + s_lo * m1, n)
     worst = int(np.argmin(eigs))
     node = tuple(np.unravel_index(worst, g0.grid.shape))
-    binding = Sym2Field(g0.grid, m0 + s_lo * m1).matrices()[node]
-    if n == 1:
-        direction = np.array([1.0])
-    else:
-        _, vecs = np.linalg.eigh(binding)
-        direction = vecs[:, 0]
+    _, vecs = np.linalg.eigh(sym_matrices(m0 + s_lo * m1, n)[node])  # [[1.0]] for n = 1
+    direction = vecs[:, 0]
     return PencilResult(s_max=s_lo, witness_node=node, witness_direction=direction)
 
 
 def log_det_gauge(g0: MetricField, scale: float = 1.0) -> ScalarField:
     """The gauge ``scale * (-log det g0)``; with scale tied to S it cancels
     the beta term of the pencil exactly (shared stencil path)."""
-    return ScalarField(g0.grid, -scale * np.log(g0.det()))
+    return ScalarField(g0.grid, -scale * g0.log_det())
 
 
 def uniform_equivalence(g: MetricField, g0: MetricField) -> tuple[float, float]:

@@ -28,11 +28,10 @@ import numpy as np
 from .geometry import (
     MetricField,
     NotPositiveDefinite,
-    Sym2Field,
-    beta_form,
     check_metric,
     curvature_gnorm,
     hessian_curvature_from_metric,
+    log_det,
     pair_hessian,
     pencil_eigenvalue_range,
     sym_det,
@@ -80,12 +79,12 @@ class StepControl:
 
 @dataclass(frozen=True, eq=False)
 class FlowState:
-    """Snapshot of the tensor flow on raw arrays, with what the next step reuses.
+    """Snapshot of a flow leg on raw arrays, with what the next step reuses.
 
-    ``g_comps`` (pair-stored metric) and ``phi_values`` (accumulated
-    potential) are read-only; :attr:`g` and :attr:`phi` wrap them on access.
-    ``log_det`` is ``log det g``, ``ratio`` is ``log det g - log det g0`` and
-    ``min_eig`` the smallest eigenvalue of ``g`` over the nodes.
+    ``g_comps`` (pair-stored metric) and ``phi_values`` (potential) are
+    read-only; :attr:`g` and :attr:`phi` wrap them on access.  ``log_det`` is
+    ``log det g``, ``ratio`` is ``log det g - log det g0`` and ``min_eig`` the
+    smallest eigenvalue of ``g`` over the nodes.
     """
 
     t: float
@@ -100,7 +99,7 @@ class FlowState:
 
     @classmethod
     def initial(cls, g0: MetricField) -> "FlowState":
-        log_det_g0 = np.log(g0.det())
+        log_det_g0 = g0.log_det()
         return cls(t=0.0, g_comps=g0.components, phi_values=_read_only(np.zeros(g0.grid.shape)),
                    dt_last=0.0, g0=g0, log_det_g0=log_det_g0, log_det=log_det_g0,
                    ratio=log_det_g0 - log_det_g0, min_eig=g0.min_eigenvalue())
@@ -152,17 +151,32 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _beta(grid: PeriodicGrid, log_det: np.ndarray) -> np.ndarray:
-    """:func:`beta_form` of the metric with this ``log det g``, pair-stored."""
-    return -pair_hessian(ScalarField(grid, log_det))
+def _beta(grid: PeriodicGrid, log_det_g: np.ndarray) -> np.ndarray:
+    """``beta`` of the metric with this ``log det g``, pair-stored: the
+    arithmetic of ``geometry.beta_form``, in the same order."""
+    return -pair_hessian(log_det_g, grid.spacings)
+
+
+def _next_state(state: FlowState, dt: float, g_new: np.ndarray, min_eig: float,
+                phi_of_ratio: Callable[[np.ndarray], np.ndarray]) -> FlowState:
+    """The state of either leg after a step of ``dt`` to the checked metric
+    ``g_new``; its ``ratio`` is the next step's, ``phi_of_ratio`` gives the
+    new potential from it."""
+    log_det_new = log_det(sym_det(g_new, state.g0.grid.ndim))
+    ratio = log_det_new - state.log_det_g0
+    phi_new = phi_of_ratio(ratio)
+    if not np.isfinite(phi_new).all():
+        raise ValueError("field contains non-finite values")
+    return replace(state, t=state.t + dt, g_comps=_read_only(g_new),
+                   phi_values=_read_only(phi_new), dt_last=dt, log_det=log_det_new,
+                   ratio=ratio, min_eig=min_eig)
 
 
 def _attempt_tensor_step(state: FlowState, dt: float, scheme: str) -> FlowState:
     """One explicit step of the given size on raw arrays.
 
     Each candidate metric passes :func:`check_metric`, which raises
-    ValueError or NotPositiveDefinite.  The arithmetic is that of
-    :func:`beta_form` on :class:`MetricField` operands, in the same order.
+    ValueError or NotPositiveDefinite; ``phi`` takes the trapezoid rule.
     """
     grid, n = state.g0.grid, state.g0.grid.ndim
     g = state.g_comps
@@ -171,17 +185,10 @@ def _attempt_tensor_step(state: FlowState, dt: float, scheme: str) -> FlowState:
     else:  # midpoint RK2
         g_half = g - (0.5 * dt) * _beta(grid, state.log_det)
         check_metric(g_half, n)
-        update = _beta(grid, np.log(sym_det(g_half, n)))
+        update = _beta(grid, log_det(sym_det(g_half, n)))
     g_new = g - dt * update
-    min_eig = check_metric(g_new, n)
-    log_det = np.log(sym_det(g_new, n))
-    ratio = log_det - state.log_det_g0
-    phi_new = state.phi_values + (0.5 * dt) * (state.ratio + ratio)
-    if not np.isfinite(phi_new).all():
-        raise ValueError("field contains non-finite values")
-    return FlowState(t=state.t + dt, g_comps=_read_only(g_new), phi_values=_read_only(phi_new),
-                     dt_last=dt, g0=state.g0, log_det_g0=state.log_det_g0, log_det=log_det,
-                     ratio=ratio, min_eig=min_eig)
+    return _next_state(state, dt, g_new, check_metric(g_new, n),
+                       lambda ratio: state.phi_values + (0.5 * dt) * (state.ratio + ratio))
 
 
 def _with_halving(attempt: Callable, state, dt: float, control: StepControl):
@@ -297,24 +304,23 @@ def run_flow(
 # --- potential (scalar) leg ---------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class PotentialFlowState:
-    """Scalar-leg snapshot: potential, its reconstruction, and frozen data."""
+class PotentialFlowState(FlowState):
+    """Scalar-leg snapshot: ``g_comps`` is the reconstruction
+    ``g0 - t beta0 + dd(phi)`` with the frozen pair-stored ``beta0 = beta(g0)``."""
 
-    t: float
-    phi: ScalarField
-    g0: MetricField
-    beta0: Sym2Field
-    g: MetricField  # reconstruction g0 - t beta0 + dd(phi)
-    log_det_g0: np.ndarray
+    beta0: np.ndarray
 
     @classmethod
     def initial(cls, g0: MetricField) -> "PotentialFlowState":
-        return cls(t=0.0, phi=ScalarField.zeros(g0.grid), g0=g0, beta0=beta_form(g0), g=g0,
-                   log_det_g0=np.log(g0.det()))
+        state = vars(FlowState.initial(g0))
+        return cls(**state, beta0=_read_only(_beta(g0.grid, state["log_det_g0"])))
 
 
-def _reconstruct(g0: MetricField, beta0: Sym2Field, phi: ScalarField, t: float) -> MetricField:
-    return MetricField(g0.grid, g0.components - t * beta0.components + pair_hessian(phi))
+def _reconstruct(state: PotentialFlowState, phi: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """``g0 - t beta0 + dd(phi)``, and its smallest eigenvalue from :func:`check_metric`."""
+    grid = state.g0.grid
+    comps = state.g0.components - t * state.beta0 + pair_hessian(phi, grid.spacings)
+    return comps, check_metric(comps, grid.ndim)
 
 
 def _attempt_potential_step(state: PotentialFlowState, dt: float, scheme: str) -> PotentialFlowState:
@@ -322,23 +328,15 @@ def _attempt_potential_step(state: PotentialFlowState, dt: float, scheme: str) -
     # with matching schemes the two legs are algebraically the same discrete
     # map (the stencils are linear and telescoping is exact), and the
     # equivalence check would only ever measure rounding noise.
-    g0, beta0, log_det_g0 = state.g0, state.beta0, state.log_det_g0
-
-    def rhs_from(g_rec: MetricField) -> np.ndarray:
-        return np.log(g_rec.det()) - log_det_g0
-
+    k1 = state.ratio  # log det g - log det g0 of the current reconstruction
     if scheme == "euler":
-        k = rhs_from(state.g)
-        phi_new = ScalarField(g0.grid, state.phi.values + dt * k)
+        phi_new = state.phi_values + dt * k1
     else:
-        k1 = rhs_from(state.g)
-        phi_pred = ScalarField(g0.grid, state.phi.values + dt * k1)
-        g_pred = _reconstruct(g0, beta0, phi_pred, state.t + dt)
-        k2 = rhs_from(g_pred)
-        phi_new = ScalarField(g0.grid, state.phi.values + (0.5 * dt) * (k1 + k2))
-    g_new = _reconstruct(g0, beta0, phi_new, state.t + dt)
-    return PotentialFlowState(t=state.t + dt, phi=phi_new, g0=g0, beta0=beta0, g=g_new,
-                              log_det_g0=log_det_g0)
+        g_pred, _ = _reconstruct(state, state.phi_values + dt * k1, state.t + dt)
+        k2 = log_det(sym_det(g_pred, state.g0.grid.ndim)) - state.log_det_g0
+        phi_new = state.phi_values + (0.5 * dt) * (k1 + k2)
+    g_new, min_eig = _reconstruct(state, phi_new, state.t + dt)
+    return _next_state(state, dt, g_new, min_eig, lambda ratio: phi_new)
 
 
 def step_potential(state: PotentialFlowState, dt: float, control: StepControl) -> PotentialFlowState:
@@ -370,7 +368,7 @@ def equivalence_check(
             scalar = _attempt_potential_step(scalar, step, control.scheme)
         except NotPositiveDefinite as exc:
             raise FlowBlowup(tensor.t, exc.node) from None
-        worst = max(worst, float(np.max(np.abs(tensor.g_comps - scalar.g.components))))
+        worst = max(worst, float(np.max(np.abs(tensor.g_comps - scalar.g_comps))))
     return worst
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PeriodicGrid, ScalarField, partial, partial2, partial3, partial4
+from .grid import PeriodicGrid, ScalarField, stencil
 
 MIN_EIGENVALUE = 1e-10
 
@@ -88,29 +88,23 @@ class Sym2Field:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def constant(cls, grid: PeriodicGrid, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        n = grid.ndim
-        comps = np.empty((*grid.shape, len(sym_pairs(n))))
-        for p, (i, j) in enumerate(sym_pairs(n)):
-            comps[..., p] = matrix[i, j]
-        return cls(grid, comps)
-
     def component(self, i: int, j: int) -> np.ndarray:
         return self.components[..., pair_index(self.grid.ndim, i, j)]
 
     def matrices(self) -> np.ndarray:
         """Full ``(*shape, n, n)`` array (materialized)."""
-        n = self.grid.ndim
-        mats = np.empty((*self.grid.shape, n, n))
-        for i, j in sym_pairs(n):
-            mats[..., i, j] = self.component(i, j)
-            mats[..., j, i] = self.component(i, j)
-        return mats
+        return sym_matrices(self.components, self.grid.ndim)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.components)))
+
+
+def sym_matrices(comps: np.ndarray, n: int) -> np.ndarray:
+    """Full ``(..., n, n)`` matrices of a pair-stored symmetric field."""
+    mats = np.empty((*comps.shape[:-1], n, n))
+    for p, (i, j) in enumerate(sym_pairs(n)):
+        mats[..., i, j] = mats[..., j, i] = comps[..., p]
+    return mats
 
 
 def sym_det(comps: np.ndarray, n: int) -> np.ndarray:
@@ -123,6 +117,16 @@ def sym_det(comps: np.ndarray, n: int) -> np.ndarray:
     a, b, c, d, e, f = (comps[..., p] for p in range(6))
     # rows: [a b c; b d e; c e f]
     return a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
+
+
+def log_det(det: np.ndarray) -> np.ndarray:
+    """``log det g`` from a determinant field: the one place the package takes
+    that logarithm.  ValueError where it is not finite (a determinant that
+    overflows, underflows to zero or is negative)."""
+    out = np.log(det)
+    if not np.isfinite(out).all():
+        raise ValueError("log det g is not finite (the determinant overflows or is not positive)")
+    return out
 
 
 def sym_inverse_matrices(comps: np.ndarray, n: int) -> np.ndarray:
@@ -157,12 +161,7 @@ def sym_min_eigenvalues(comps: np.ndarray, n: int) -> np.ndarray:
         half_trace = 0.5 * (a + c)
         radius = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
         return half_trace - radius
-    mats = np.empty((*comps.shape[:-1], n, n))
-    for i, j in sym_pairs(n):
-        p = pair_index(n, i, j)
-        mats[..., i, j] = comps[..., p]
-        mats[..., j, i] = comps[..., p]
-    return np.linalg.eigvalsh(mats)[..., 0]
+    return np.linalg.eigvalsh(sym_matrices(comps, n))[..., 0]
 
 
 def check_metric(comps: np.ndarray, n: int) -> float:
@@ -204,8 +203,8 @@ class MetricField(Sym2Field):
     def det(self) -> np.ndarray:
         return sym_det(self.components, self.grid.ndim)
 
-    def log_det(self) -> ScalarField:
-        return ScalarField(self.grid, np.log(self.det()))
+    def log_det(self) -> np.ndarray:
+        return log_det(self.det())
 
     def inverse_matrices(self) -> np.ndarray:
         return sym_inverse_matrices(self.components, self.grid.ndim)
@@ -276,12 +275,12 @@ def potential_hessian(psi: ScalarField) -> Sym2Field:
     first differences at rounding level, which is what makes the discrete
     Hessian-ness and torsion identities exact for constructed metrics.
     """
-    grid = psi.grid
-    n = grid.ndim
-    pairs = sym_pairs(n)
+    grid, spacings = psi.grid, psi.grid.spacings
+    first = [stencil(psi.values, (i,), spacings) for i in range(grid.ndim)]
+    pairs = sym_pairs(grid.ndim)
     comps = np.empty((*grid.shape, len(pairs)))
     for p, (i, j) in enumerate(pairs):
-        comps[..., p] = partial(partial(psi, i), j).values
+        comps[..., p] = stencil(first[i], (j,), spacings)
     return Sym2Field(grid, comps)
 
 
@@ -299,12 +298,11 @@ def metric_from_potential(pm: PotentialMetric) -> MetricField:
 
 def metric_partials(g: Sym2Field) -> np.ndarray:
     """Array ``D[..., k, i, j] = partial_k g_ij``."""
-    n = g.grid.ndim
+    n, spacings = g.grid.ndim, g.grid.spacings
     out = np.empty((*g.grid.shape, n, n, n))
     for i, j in sym_pairs(n):
-        comp = ScalarField(g.grid, g.component(i, j))
         for k in range(n):
-            d = partial(comp, k).values
+            d = stencil(g.component(i, j), (k,), spacings)
             out[..., k, i, j] = d
             out[..., k, j, i] = d
     return out
@@ -344,15 +342,15 @@ def _christoffel(d: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return gamma_mixed, gamma_lower
 
 
-def pair_hessian(f: ScalarField) -> np.ndarray:
-    """Pair-stored ``partial2(f, i, j)`` in :func:`sym_pairs` order: the one
-    stencil path of ``beta``, the a2 gauge ``dd(u)`` and the potential leg's
-    ``dd(phi)``, which makes ``kappa = -beta/2`` and the log-det gauge's
+def pair_hessian(values: np.ndarray, spacings: tuple[float, ...]) -> np.ndarray:
+    """Pair-stored ``partial2`` of a node array in :func:`sym_pairs` order: the
+    one stencil path of ``beta``, the a2 gauge ``dd(u)`` and the potential
+    leg's ``dd(phi)``, which makes ``kappa = -beta/2`` and the log-det gauge's
     cancellation of ``beta`` exact."""
-    pairs = sym_pairs(f.grid.ndim)
-    comps = np.empty((*f.grid.shape, len(pairs)))
+    pairs = sym_pairs(len(spacings))
+    comps = np.empty((*values.shape, len(pairs)))
     for p, (i, j) in enumerate(pairs):
-        comps[..., p] = partial2(f, i, j).values
+        comps[..., p] = stencil(values, (i, j), spacings)
     return comps
 
 
@@ -363,12 +361,11 @@ def koszul(g: MetricField) -> tuple[np.ndarray, Sym2Field, Sym2Field]:
     ``kappa = dd(log det g)/2`` and ``beta = -dd(log det g)``; the three share
     one stencil evaluation, so ``kappa = -beta/2`` holds exactly.
     """
-    ldg = g.log_det()
-    n = g.grid.ndim
-    alpha = np.empty((*g.grid.shape, n))
-    for i in range(n):
-        alpha[..., i] = 0.5 * partial(ldg, i).values
-    dd = pair_hessian(ldg)
+    ldg, spacings = g.log_det(), g.grid.spacings
+    alpha = np.empty((*g.grid.shape, g.grid.ndim))
+    for i in range(g.grid.ndim):
+        alpha[..., i] = 0.5 * stencil(ldg, (i,), spacings)
+    dd = pair_hessian(ldg, spacings)
     kappa = Sym2Field(g.grid, 0.5 * dd)
     beta = Sym2Field(g.grid, -dd)
     return alpha, kappa, beta
@@ -376,7 +373,7 @@ def koszul(g: MetricField) -> tuple[np.ndarray, Sym2Field, Sym2Field]:
 
 def beta_form(g: MetricField) -> Sym2Field:
     """Flow tensor ``beta_ij = -partial_i partial_j log det g``."""
-    return Sym2Field(g.grid, -pair_hessian(g.log_det()))
+    return Sym2Field(g.grid, -pair_hessian(g.log_det(), g.grid.spacings))
 
 
 # --- Hessian curvature tensor --------------------------------------------------
@@ -438,12 +435,12 @@ def hessian_curvature(pm: PotentialMetric) -> HessianCurvature:
 
 
 def _hessian_curvature(pm: PotentialMetric, ginv: np.ndarray) -> HessianCurvature:
-    grid, n = pm.grid, pm.grid.ndim
+    grid, n, psi = pm.grid, pm.grid.ndim, pm.psi.values
     third = np.empty((*grid.shape, n, n, n))
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
-                d = partial3(pm.psi, i, j, k).values
+                d = stencil(psi, (i, j, k), grid.spacings)
                 for perm in set(itertools.permutations((i, j, k))):
                     third[(..., *perm)] = d
 
@@ -454,7 +451,7 @@ def _hessian_curvature(pm: PotentialMetric, ginv: np.ndarray) -> HessianCurvatur
         for b, (j, l) in enumerate(pairs):
             if a > b:
                 continue
-            fourth = partial4(pm.psi, i, j, k, l).values
+            fourth = stencil(psi, (i, j, k, l), grid.spacings)
             quad = np.einsum("...pq,...p,...q->...", ginv, third[..., i, k, :], third[..., j, l, :])
             comps[..., pair_index(m, a, b)] = 0.5 * fourth - 0.5 * quad
     return HessianCurvature(grid, comps)
@@ -473,9 +470,8 @@ def hessian_curvature_from_metric(g: MetricField) -> np.ndarray:
     d = metric_partials(g)
     d2 = np.empty((*g.grid.shape, n, n, n, n))
     for i, j in sym_pairs(n):
-        comp = ScalarField(g.grid, g.component(i, j))
         for k, l in sym_pairs(n):
-            v = partial2(comp, k, l).values
+            v = stencil(g.component(i, j), (k, l), g.grid.spacings)
             d2[..., i, j, k, l] = v
             d2[..., i, j, l, k] = v
             d2[..., j, i, k, l] = v

@@ -12,6 +12,7 @@ permutation of the axis arguments returns a bit-identical field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,7 +50,7 @@ class PeriodicGrid:
     def shape(self) -> tuple[int, ...]:
         return self.sizes
 
-    @property
+    @cached_property
     def spacings(self) -> tuple[float, ...]:
         return tuple(length / n for length, n in zip(self.lengths, self.sizes))
 
@@ -118,27 +119,14 @@ class ScalarField:
 
     # Linear-space operations; scalars only on the multiplicative side.
     def __add__(self, other: "ScalarField") -> "ScalarField":
-        self._check_same_grid(other)
+        if other.grid != self.grid:
+            raise ValueError("fields live on different grids")
         return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        self._check_same_grid(other)
-        return ScalarField(self.grid, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "ScalarField":
         return ScalarField(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "ScalarField":
-        return ScalarField(self.grid, self.values / float(scalar))
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
-
-    def _check_same_grid(self, other: "ScalarField") -> None:
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
 
 
 # --- stencil kernels (periodic, second order) -------------------------------
@@ -165,8 +153,9 @@ def _diff2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (fwd - 2.0 * values + bwd) / (h * h)
 
 
-def _composed_stencil(values: np.ndarray, axes: Sequence[int], spacings: Sequence[float]) -> np.ndarray:
-    """Apply the canonical stencil composition for the axis multiset ``axes``.
+def stencil(values: np.ndarray, axes: Sequence[int], spacings: Sequence[float]) -> np.ndarray:
+    """The canonical stencil composition for the axis multiset ``axes`` on a
+    raw node array; the one derivative path of the package.
 
     Distinct axes are processed in increasing order; a repeated axis
     contributes 3-point second-difference blocks, with one centered first
@@ -187,7 +176,7 @@ def _composed_stencil(values: np.ndarray, axes: Sequence[int], spacings: Sequenc
 def _stencil_field(f: ScalarField, axes: Sequence[int]) -> ScalarField:
     for axis in axes:
         f.grid._check_axis(axis)
-    return ScalarField(f.grid, _composed_stencil(f.values, axes, f.grid.spacings))
+    return ScalarField(f.grid, stencil(f.values, axes, f.grid.spacings))
 
 
 def partial(f: ScalarField, i: int) -> ScalarField:

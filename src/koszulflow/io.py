@@ -14,6 +14,7 @@ directory which is then renamed over the destination.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -165,10 +166,11 @@ def typed_value(raw: str, kind: str, key: str):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "floats":
-            return tuple(float(v) for v in raw.split(","))
+        if kind in ("float", "floats"):
+            values = tuple(float(v) for v in (raw.split(",") if kind == "floats" else [raw]))
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"config key {key!r}: {raw!r} is not finite")
+            return values if kind == "floats" else values[0]
         if kind == "ints":
             return tuple(int(v) for v in raw.split(","))
         if kind == "bool":

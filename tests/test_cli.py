@@ -244,19 +244,32 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, "b.cfg", f"potential = {snap}\nT = 1.0\n")
         assert run("flow-run", "--config", cfg, "--out", str(tmp_path / "o")) == 4
 
-    BAD_FLOW_RUN = {
-        "sizes-wrong-dimension": "example = bump2d\nsizes = 64\n",
-        "sizes-below-8": "example = sin1d\nsizes = 4\n",
-        "snapshot-nan": "potential = {nan}\n",
-        "snapshot-background-not-pd": "potential = {not_pd}\n",
-        "snapshot-short-payload": "potential = {short}\n",
-        "max-halvings-negative": "example = sin1d\nsizes = 16\nmax_halvings = -3\n",
-        "diag-stride-negative": "example = sin1d\nsizes = 16\ndiag_stride = -1\n",
-        "sample-time-negative": "example = sin1d\nsizes = 16\nsample_times = -0.5,0.005\n",
-        "sample-time-beyond-T": "example = sin1d\nsizes = 16\nsample_times = 0.02\n",
+    T = "T = 0.01\n"
+    # case -> (verb, config text); the snapshot paths are filled in per run
+    BAD_INPUT = {
+        "sizes-wrong-dimension": ("flow-run", "example = bump2d\nsizes = 64\n" + T),
+        "sizes-below-8": ("flow-run", "example = sin1d\nsizes = 4\n" + T),
+        "snapshot-nan": ("flow-run", "potential = {nan}\n" + T),
+        "snapshot-background-not-pd": ("flow-run", "potential = {not_pd}\n" + T),
+        "snapshot-short-payload": ("flow-run", "potential = {short}\n" + T),
+        "max-halvings-negative": ("flow-run", "example = sin1d\nsizes = 16\nmax_halvings = -3\n" + T),
+        "diag-stride-negative": ("flow-run", "example = sin1d\nsizes = 16\ndiag_stride = -1\n" + T),
+        "sample-time-negative": ("flow-run",
+                                 "example = sin1d\nsizes = 16\nsample_times = -0.5,0.005\n" + T),
+        "sample-time-beyond-T": ("flow-run", "example = sin1d\nsizes = 16\nsample_times = 0.02\n" + T),
+        "flow-run-T-inf": ("flow-run", "example = sin1d\nsizes = 16\nT = inf\n"),
+        "smoothing-probe-t-samples-inf": ("smoothing-probe",
+                                          "example = sin1d\nsizes = 16\nt_samples = 0.01,inf\n"),
+        "smoothing-probe-t-samples-nan": ("smoothing-probe",
+                                          "example = sin1d\nsizes = 16\nt_samples = nan\n"),
+        "a2-check-S-nan": ("a2-check", "example = sin1d\nsizes = 16\ntheta = 0.5\nS = nan\n"),
+        "a2-check-S-inf": ("a2-check", "example = sin1d\nsizes = 16\ntheta = 0.5\nS = inf\n"),
+        "a2-check-theta-inf": ("a2-check", "example = sin1d\nsizes = 16\ntheta = inf\n"),
+        "a2-check-theta-overflows-the-margin": ("a2-check",
+                                                "example = sin1d\nsizes = 16\ntheta = 1e308\n"),
     }
 
-    @pytest.mark.parametrize("case", sorted(BAD_FLOW_RUN))
+    @pytest.mark.parametrize("case", sorted(BAD_INPUT))
     def test_rejected_input_exits_2(self, tmp_path, capsys, case):
         grid = PeriodicGrid((16,), (2 * np.pi,))
         with_nan = np.zeros(16)
@@ -269,9 +282,23 @@ class TestErrorPaths:
         paths["short"] = str(tmp_path / "short.hfld")
         with open(paths["nan"], "rb") as src, open(paths["short"], "wb") as dst:
             dst.write(src.read()[:-8])
-        text = self.BAD_FLOW_RUN[case].format(**paths) + "T = 0.01\n"
-        cfg = write_config(tmp_path, "b.cfg", text)
-        assert run("flow-run", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        verb, text = self.BAD_INPUT[case]
+        cfg = write_config(tmp_path, "b.cfg", text.format(**paths))
+        assert run(verb, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    OVERFLOW = {"curvature": "", "flow-run": T, "a2-check": "theta = 0.5\n",
+                "flow-compare": T + "dt = 1e-3\n"}
+
+    @pytest.mark.parametrize("verb", sorted(OVERFLOW))
+    def test_overflowing_determinant_exits_2(self, tmp_path, capsys, verb):
+        # det g = 1e330 overflows, so log det g is not finite
+        grid = PeriodicGrid((8, 8, 8), (2 * np.pi,) * 3)
+        psi = ScalarField.from_function(grid, lambda x, y, z: np.cos(x) * np.sin(y + z))
+        snap = tmp_path / "huge.hfld"
+        write_potential_snapshot(str(snap), geo.PotentialMetric(grid, 1e110 * np.eye(3), psi))
+        cfg = write_config(tmp_path, "h.cfg", f"potential = {snap}\n{self.OVERFLOW[verb]}")
+        assert run(verb, "--config", cfg, "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("probe", ["0,0,0", "x,0", "nan,0", "inf,0"])

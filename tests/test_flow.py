@@ -18,7 +18,7 @@ import pytest
 from koszulflow import flow as fl
 from koszulflow import geometry as geo
 from koszulflow import registry as reg
-from koszulflow.grid import PeriodicGrid, ScalarField
+from koszulflow.grid import PeriodicGrid, ScalarField, partial2
 
 CTL = fl.StepControl()
 EULER = fl.StepControl(scheme="euler")
@@ -55,6 +55,27 @@ def reference_step(g, phi, g0, dt, scheme):
     ratio_old = np.log(g.det()) - np.log(g0.det())
     ratio_new = np.log(g_new.det()) - np.log(g0.det())
     return g_new, phi + (0.5 * dt) * (ratio_old + ratio_new)
+
+
+def reference_potential_step(phi, g, g0, t, dt, scheme):
+    """One potential-leg step through ScalarField, MetricField, beta_form and
+    partial2, in the operation order the raw-array step must reproduce."""
+    grid, beta0 = g0.grid, geo.beta_form(g0)
+
+    def reconstruct(phi_f, t_new):
+        dd = np.stack([partial2(phi_f, i, j).values for i, j in geo.sym_pairs(grid.ndim)], -1)
+        return geo.MetricField(grid, g0.components - t_new * beta0.components + dd)
+
+    def rhs(g_rec):
+        return np.log(g_rec.det()) - np.log(g0.det())
+
+    k1 = rhs(g)
+    if scheme == "euler":
+        phi_new = ScalarField(grid, phi.values + dt * k1)
+    else:
+        k2 = rhs(reconstruct(ScalarField(grid, phi.values + dt * k1), t + dt))
+        phi_new = ScalarField(grid, phi.values + (0.5 * dt) * (k1 + k2))
+    return phi_new, reconstruct(phi_new, t + dt)
 
 
 class TestStepControl:
@@ -307,6 +328,29 @@ class TestPotentialFlow:
         assert info.value.t == 0.0
         assert info.value.node is not None
 
+    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_exact_against_the_wrapper_step(self, n, scheme):
+        g0 = {1: lambda: metric("sin1d", sizes=(64,)),
+              2: lambda: metric("bump2d", sizes=(16, 16)),
+              3: metric3d}[n]()
+        control = fl.StepControl(scheme=scheme)
+        state = fl.PotentialFlowState.initial(g0)
+        phi, g = ScalarField.zeros(g0.grid), g0
+        for _ in range(4):  # later steps reuse the cached ratio as k1
+            dt = fl.stable_dt(state.g, control)
+            phi, g = reference_potential_step(phi, g, g0, state.t, dt, scheme)
+            state = fl.step_potential(state, dt, control)
+            assert np.array_equal(state.g.components, g.components)
+            assert np.array_equal(state.phi.values, phi.values)
+            assert state.g.min_eigenvalue() == g.min_eigenvalue()
+        # an oversized step is rejected and halved until it passes
+        halved = fl.step_potential(state, 64.0, control)
+        assert halved.dt_last < 64.0
+        phi, g = reference_potential_step(phi, g, g0, state.t, halved.dt_last, scheme)
+        assert np.array_equal(halved.g.components, g.components)
+        assert np.array_equal(halved.phi.values, phi.values)
+
     def test_bump2d_reconstruction_stays_uniformly_positive(self):
         g0 = metric("bump2d")
         state = fl.PotentialFlowState.initial(g0)
@@ -333,6 +377,34 @@ class TestEquivalence:
         fine = fl.equivalence_check(metric("sin1d", sizes=(512,)), 0.1, CTL, 5e-5)
         assert coarse <= 1e-4  # measured 2.63e-10
         assert coarse / fine >= 3.0  # measured 4.00
+
+
+    def test_steps_build_no_field_wrappers(self, monkeypatch):
+        # both legs step on raw arrays; every grid computes its spacings once
+        counts = {"ScalarField": 0, "MetricField": 0}
+        spacings_per_grid = {}
+
+        def counted(key, original):
+            def wrapper(self, *args):
+                counts[key] += 1
+                return original(self, *args)
+            return wrapper
+
+        spacings = PeriodicGrid.__dict__["spacings"]
+        compute = spacings.func
+
+        def counted_spacings(grid):
+            spacings_per_grid[id(grid)] = spacings_per_grid.get(id(grid), 0) + 1
+            return compute(grid)
+
+        monkeypatch.setattr(spacings, "func", counted_spacings)
+        g0 = metric("sin1d", sizes=(32,))
+        monkeypatch.setattr(ScalarField, "__init__", counted("ScalarField", ScalarField.__init__))
+        monkeypatch.setattr(geo.MetricField, "__init__",
+                            counted("MetricField", geo.MetricField.__init__))
+        assert fl.equivalence_check(g0, 0.02, CTL, 1e-3) > 0.0
+        assert counts == {"ScalarField": 0, "MetricField": 0}
+        assert set(spacings_per_grid.values()) == {1}
 
 
 class TestSmoothingProbe:

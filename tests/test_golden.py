@@ -2,8 +2,10 @@
 (which records wall-clock time), must keep its exact bytes.
 
 The hashes below were recorded before the CLI handlers were folded into
-one table-driven runner and the flow core's loops were merged; any later
-refactor that changes one output bit fails here.  Re-record them only for
+one table-driven runner and the flow core's loops were merged, and the two
+``flow-compare`` entries on ``pot3d`` and ``bump2d`` before the potential
+leg moved onto raw arrays; any later refactor that changes one output bit
+fails here.  Re-record them only for
 a deliberate change of results, and give the reason in CHANGES.md.
 """
 
@@ -64,6 +66,18 @@ CASES = {
         [],
         0,
     ),
+    "flow-compare-pot3d": (
+        "flow-compare",
+        f"potential = {POT3D}\nT = 0.02\ndt = 2e-3\n",
+        [],
+        0,
+    ),
+    "flow-compare-bump2d-euler": (
+        "flow-compare",
+        "example = bump2d\nsizes = 16,16\nT = 0.02\ndt = 1e-3\nscheme = euler\n",
+        [],
+        0,
+    ),
     "a2-check-sin1d": (
         "a2-check",
         "example = sin1d\nsizes = 32\ntheta = 0.1\ngauge = zero\nS = 1.0\n",
@@ -110,6 +124,12 @@ GOLDEN = {
     },
     "flow-compare-sin1d": {
         "compare.txt": "3a74f11bca399df250e23204a2d18076c7b3aae2ffcec698c25d07ab2b01701b",
+    },
+    "flow-compare-bump2d-euler": {
+        "compare.txt": "5baf64314c63809bf1010e2fa87ce98fbd92f8b422362fe9402df0e79f7766b6",
+    },
+    "flow-compare-pot3d": {
+        "compare.txt": "c775f8008e1e8e73307f8d1feb782cf748dc9d58d36abd82212fffa0e1b9a3f7",
     },
     "flow-run-blowup": {
         "diagnostics.csv": "a2fef745888b7a348e2ad2ec5840814abb2c8232179091bd21a68b1ce8302dc7",
