@@ -390,12 +390,16 @@ def _run_verb(name: str, args) -> int:
     codes and writes outputs and the manifest."""
     verb = VERBS[name]
     try:
-        run = _prepare(verb, name, args)
-        try:
-            with Stopwatch() as watch:
-                result, blowup = verb.compute(run), None
-        except fl.FlowBlowup as exc:
-            result, blowup = None, exc
+        # inputs that overflow end in a non-finite value, which log_det,
+        # check_metric and the a2 margin report as exit 2; numpy's own
+        # warnings about them would only precede that line on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            run = _prepare(verb, name, args)
+            try:
+                with Stopwatch() as watch:
+                    result, blowup = verb.compute(run), None
+            except fl.FlowBlowup as exc:
+                result, blowup = None, exc
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

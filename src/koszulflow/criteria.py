@@ -25,8 +25,9 @@ from .geometry import (
     beta_form,
     pair_hessian,
     pencil_eigenvalue_range,
+    smallest_eigenvalue,
     sym_matrices,
-    sym_min_eigenvalues,
+    sym_min_eigenvalues,  # noqa: F401  (part of this module's namespace, read by the tests)
 )
 from .grid import ScalarField
 from .io import ConfigError
@@ -70,13 +71,14 @@ def gauge_hessian(u: ScalarField) -> np.ndarray:
     return pair_hessian(u.values, u.grid.spacings)
 
 
-def _margin(m: np.ndarray, n: int) -> float:
-    """Min over nodes of the smallest eigenvalue of the pencil value ``m``;
-    ConfigError when it is not finite (inputs that overflow the pencil)."""
-    margin = float(np.min(sym_min_eigenvalues(m, n)))
+def _margin(m: np.ndarray, n: int) -> tuple[float, int]:
+    """Min over nodes of the smallest eigenvalue of the pencil value ``m``, and
+    the flat index of its first node; ConfigError when it is not finite
+    (inputs that overflow the pencil)."""
+    margin, worst = smallest_eigenvalue(m, n)
     if not math.isfinite(margin):
         raise ConfigError(f"the pencil margin is {margin}: the inputs overflow it")
-    return margin
+    return margin, worst
 
 
 def _pencil_parts(
@@ -104,7 +106,7 @@ def _pencil_parts(
 def a2_margin(g0: MetricField, s: float, u: ScalarField, theta: float) -> float:
     """Min over nodes of the smallest eigenvalue of g0 - S beta0 + dd(u) - theta g0."""
     m0, m1 = _pencil_parts(g0, u, theta, scale_gauge_with_s=False)
-    return _margin(m0 + s * m1, g0.grid.ndim)
+    return _margin(m0 + s * m1, g0.grid.ndim)[0]
 
 
 def a2_certificate(g0: MetricField, s: float, u: ScalarField, theta: float) -> A2Certificate:
@@ -129,11 +131,11 @@ def max_s(
     m0, m1 = _pencil_parts(g0, u, theta, scale_gauge_with_s)
 
     def margin(s: float) -> float:
-        return _margin(m0 + s * m1, n)
+        return _margin(m0 + s * m1, n)[0]
 
     if margin(0.0) <= 0.0:
         raise InfeasibleAtZero(f"margin at S=0 is {margin(0.0):.3e}")
-    if _margin(m1, n) >= 0.0:
+    if _margin(m1, n)[0] >= 0.0:
         return PencilResult(s_max=math.inf, witness_node=None, witness_direction=None)
 
     s_hi = 1.0
@@ -151,10 +153,9 @@ def max_s(
         else:
             s_hi = mid
 
-    eigs = sym_min_eigenvalues(m0 + s_lo * m1, n)
-    worst = int(np.argmin(eigs))
-    node = tuple(np.unravel_index(worst, g0.grid.shape))
-    _, vecs = np.linalg.eigh(sym_matrices(m0 + s_lo * m1, n)[node])  # [[1.0]] for n = 1
+    m = m0 + s_lo * m1
+    node = tuple(np.unravel_index(_margin(m, n)[1], g0.grid.shape))
+    _, vecs = np.linalg.eigh(sym_matrices(m[node], n))  # [[1.0]] for n = 1
     direction = vecs[:, 0]
     return PencilResult(s_max=s_lo, witness_node=node, witness_direction=direction)
 

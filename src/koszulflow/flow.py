@@ -29,11 +29,11 @@ from .geometry import (
     MetricField,
     NotPositiveDefinite,
     check_metric,
-    curvature_gnorm,
     hessian_curvature_from_metric,
     log_det,
     pair_hessian,
     pencil_eigenvalue_range,
+    sup_curvature_gnorm,
     sym_det,
     sym_pairs,
 )
@@ -234,7 +234,7 @@ def _advance(
 
 def _sup_q_gnorm(g: MetricField) -> float:
     """sup over nodes of |Q|_g, with Q computed from the metric alone."""
-    return float(np.max(curvature_gnorm(hessian_curvature_from_metric(g), g)))
+    return sup_curvature_gnorm(hessian_curvature_from_metric(g), g.inverse_matrices())
 
 
 def diagnostics_row(state: FlowState, dt_used: float) -> DiagnosticsRow:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -164,6 +165,85 @@ def sym_min_eigenvalues(comps: np.ndarray, n: int) -> np.ndarray:
     return np.linalg.eigvalsh(sym_matrices(comps, n))[..., 0]
 
 
+# --- screened extremes over the nodes ---------------------------------------------
+#
+# The bands below are derived in docs/conventions.md, "Screened extremes".
+
+SYM_SCREEN_BAND = 1e-6   # closed-form eigenvalues, relative to |q| + 2p
+PENCIL_SCREEN_BAND = 1e-10  # whitening, relative to tr(H) tr(H^-1) tr(W)
+GNORM_SCREEN_BAND = 1e-11  # |Q|_g^2 by another contraction order, relative to |g^-1|^4 |Q|^2
+SCREEN_FLOOR = 1e-150    # absolute part of every band: covers underflow
+
+
+def screened_extreme(values: np.ndarray, band: np.ndarray, kernel: Callable[..., np.ndarray],
+                     operands: tuple[np.ndarray, ...], largest: bool = False) -> tuple[float, int]:
+    """``(value, flat index)`` of the minimum (``largest``: the maximum) over
+    the nodes of ``kernel(*operands)``, an exact kernel that runs on a few
+    nodes only.
+
+    The operands' first axis runs over the flat nodes, and the kernel gives
+    the same bits on any subset of them as on all.  ``values`` screens the
+    kernel at every node and ``band`` bounds ``|values - kernel|`` there.
+    The kernel runs on the nodes whose band reaches the best screened
+    bound, which include every node attaining the extreme, so the result
+    equals the full call's, ties going to the lowest flat index as with
+    ``np.argmin`` and ``np.argmax``.  The full call is made when a screen
+    or band is not finite or every node is a candidate.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper = values - band, values + band
+        candidates = None
+        if np.isfinite(lower).all() and np.isfinite(upper).all():
+            if largest:
+                candidates = np.flatnonzero(upper >= lower.max())
+            else:
+                candidates = np.flatnonzero(lower <= upper.min())
+    full = candidates is None or candidates.size == values.size
+    found = kernel(*operands) if full else kernel(*(op[candidates] for op in operands))
+    k = int(np.argmax(found) if largest else np.argmin(found))
+    return float(found[k]), k if full else int(candidates[k])
+
+
+_PAIR_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0])  # 3x3 identity, pair-stored
+_PAIR_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])   # Frobenius weights of the pairs
+
+
+def _sym_eigen_screen(comps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form ``(smallest, largest, band)`` eigenvalues of pair-stored
+    symmetric 2x2 or 3x3 matrices ``(N, pairs)``: half-trace and radius for
+    n = 2, the trigonometric form (Smith, Commun. ACM 4, 1961) for n = 3."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 2:
+            a, b, c = comps[:, 0], comps[:, 1], comps[:, 2]
+            q = 0.5 * (a + c)
+            p = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
+            smallest, largest, scale = q - p, q + p, np.abs(q) + p
+        else:
+            q = (comps[:, 0] + comps[:, 3] + comps[:, 5]) / 3.0
+            dev = comps - q[:, None] * _PAIR_IDENTITY
+            p = np.sqrt((dev * dev) @ _PAIR_WEIGHTS / 6.0)
+            inv_p = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)
+            r = 0.5 * sym_det(dev * inv_p[:, None], 3)
+            phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+            smallest = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+            largest = q + 2.0 * p * np.cos(phi)
+            scale = np.abs(q) + 2.0 * p
+    return smallest, largest, SYM_SCREEN_BAND * scale + SCREEN_FLOOR
+
+
+def smallest_eigenvalue(comps: np.ndarray, n: int) -> tuple[float, int]:
+    """Smallest eigenvalue over the nodes of a pair-stored symmetric field and
+    its flat node index (the first on ties): ``sym_min_eigenvalues`` and its
+    ``argmin``, screened for n = 3, where the kernel is LAPACK."""
+    if n < 3:
+        eigs = sym_min_eigenvalues(comps, n)
+        worst = int(np.argmin(eigs))
+        return float(eigs.flat[worst]), worst
+    flat = comps.reshape(-1, 6)
+    smallest, _, band = _sym_eigen_screen(flat, 3)
+    return screened_extreme(smallest, band, lambda c: sym_min_eigenvalues(c, 3), (flat,))
+
+
 def check_metric(comps: np.ndarray, n: int) -> float:
     """Nodewise check of pair-stored metric components; returns the smallest
     eigenvalue over the nodes.
@@ -173,12 +253,10 @@ def check_metric(comps: np.ndarray, n: int) -> float:
     """
     if not np.isfinite(comps).all():
         raise ValueError("tensor field contains non-finite values")
-    eigs = sym_min_eigenvalues(comps, n)
-    worst = np.argmin(eigs)
-    if eigs.flat[worst] < MIN_EIGENVALUE:
-        node = tuple(np.unravel_index(worst, comps.shape[:-1]))
-        raise NotPositiveDefinite(node, float(eigs.flat[worst]))
-    return float(eigs.flat[worst])
+    value, worst = smallest_eigenvalue(comps, n)
+    if value < MIN_EIGENVALUE:
+        raise NotPositiveDefinite(tuple(np.unravel_index(worst, comps.shape[:-1])), value)
+    return value
 
 
 class MetricField(Sym2Field):
@@ -217,7 +295,8 @@ def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, flo
     """Tight constants (lam, Lam) with lam*g0 <= g <= Lam*g0 over all nodes.
 
     Generalized eigenvalues of (g, g0) per node, computed as the ordinary
-    eigenvalues of L^-1 g L^-T with L the Cholesky factor of g0.
+    eigenvalues of L^-1 g L^-T with L the Cholesky factor of g0; for n >= 2
+    only at the nodes that the closed-form screen leaves as candidates.
     """
     if g.grid != g0.grid:
         raise ValueError("metrics live on different grids")
@@ -225,11 +304,52 @@ def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, flo
     if n == 1:
         ratio = g.components[..., 0] / g0.components[..., 0]
         return float(ratio.min()), float(ratio.max())
-    chol = np.linalg.cholesky(g0.matrices())
-    linv = np.linalg.inv(chol)
-    mid = linv @ g.matrices() @ np.swapaxes(linv, -1, -2)
-    eigs = np.linalg.eigvalsh(mid)
-    return float(eigs[..., 0].min()), float(eigs[..., -1].max())
+    npairs = len(sym_pairs(n))
+    flat = (g.components.reshape(-1, npairs), g0.components.reshape(-1, npairs))
+    smallest, largest, band = _pencil_screen(*flat, n)
+    lam, _ = screened_extreme(smallest, band,
+                              lambda gc, hc: _pencil_eigenvalues(gc, hc, n)[:, 0], flat)
+    big_lam, _ = screened_extreme(largest, band,
+                                  lambda gc, hc: _pencil_eigenvalues(gc, hc, n)[:, -1], flat,
+                                  largest=True)
+    return lam, big_lam
+
+
+def _pencil_eigenvalues(g_comps: np.ndarray, h_comps: np.ndarray, n: int) -> np.ndarray:
+    """Ascending generalized eigenvalues of pair-stored (G, H) per node: the
+    ordinary eigenvalues of L^-1 G L^-T, with L the Cholesky factor of H."""
+    linv = np.linalg.inv(np.linalg.cholesky(sym_matrices(h_comps, n)))
+    return np.linalg.eigvalsh(linv @ sym_matrices(g_comps, n) @ np.swapaxes(linv, -1, -2))
+
+
+def _pencil_screen(g_flat: np.ndarray, h_flat: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form ``(smallest, largest, band)`` generalized eigenvalues of the
+    pair-stored SPD pairs (G, H): the symmetric screen of W = X G X^T, with
+    X = L^-1 and L the Cholesky factor of H by explicit formulas."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = [[h_flat[:, pair_index(n, i, j)] for j in range(n)] for i in range(n)]
+        low = [[None] * n for _ in range(n)]
+        for j in range(n):
+            low[j][j] = np.sqrt(h[j][j] - sum(low[j][k] ** 2 for k in range(j)))
+            for i in range(j + 1, n):
+                low[i][j] = (h[i][j] - sum(low[i][k] * low[j][k] for k in range(j))) / low[j][j]
+        x = [[None] * n for _ in range(n)]  # lower triangular
+        for i in range(n):
+            x[i][i] = 1.0 / low[i][i]
+            for j in range(i):
+                x[i][j] = -sum(low[i][k] * x[k][j] for k in range(j, i)) * x[i][i]
+        xg = [[sum(x[i][k] * g_flat[:, pair_index(n, k, l)] for k in range(i + 1))
+               for l in range(n)] for i in range(n)]
+        w = np.empty_like(g_flat)
+        for p, (i, j) in enumerate(sym_pairs(n)):
+            w[:, p] = sum(xg[i][l] * x[j][l] for l in range(j + 1))
+        smallest, largest, band = _sym_eigen_screen(w, n)
+        tr_h = sum(h[i][i] for i in range(n))
+        tr_h_inv = sum(x[i][j] ** 2 for i in range(n) for j in range(i + 1))
+        tr_w = sum(w[:, pair_index(n, i, i)] for i in range(n))
+        band = band + PENCIL_SCREEN_BAND * tr_h * tr_h_inv * np.abs(tr_w)
+    return smallest, largest, band
 
 
 # --- potentials ---------------------------------------------------------------
@@ -480,15 +600,45 @@ def hessian_curvature_from_metric(g: MetricField) -> np.ndarray:
     return 0.5 * d2 - 0.5 * quad
 
 
-def curvature_gnorm(q_full: np.ndarray, g: MetricField) -> np.ndarray:
-    """Nodewise g-contraction norm |Q|_g (all four slots raised against Q)."""
-    ginv = g.inverse_matrices()
+def curvature_gnorm(q_full: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """Nodewise g-contraction norm |Q|_g (all four slots raised against Q),
+    from the inverse metric ``ginv``."""
     raised = np.einsum("...ijkl,...ip->...pjkl", q_full, ginv)
     raised = np.einsum("...pjkl,...jq->...pqkl", raised, ginv)
     raised = np.einsum("...pqkl,...kr->...pqrl", raised, ginv)
     raised = np.einsum("...pqrl,...ls->...pqrs", raised, ginv)
     sq = np.einsum("...pqrs,...pqrs->...", raised, q_full)
     return np.sqrt(np.maximum(sq, 0.0))
+
+
+_GNORM_SQUARED = "...ijkl,...ip,...jq,...kr,...ls,...pqrs->..."
+# np.einsum_path's greedy order for n = 2 and 3, whatever the number of nodes
+_GNORM_PATH = ["einsum_path", (0, 1), (0, 3), (2, 3), (0, 2), (0, 1)]
+_SCREEN_CHUNK = 2048  # nodes per optimized contraction; bounds its intermediates' memory
+
+
+def sup_curvature_gnorm(q_full: np.ndarray, ginv: np.ndarray) -> float:
+    """Sup over the nodes of :func:`curvature_gnorm`; for n >= 2 it runs only
+    at the nodes that one optimized contraction of |Q|_g leaves as
+    candidates (at n = 1 the chain is as cheap as any screen)."""
+    n = ginv.shape[-1]
+    if n == 1:
+        return float(np.max(curvature_gnorm(q_full, ginv)))
+    q_flat, ginv_flat = q_full.reshape(-1, n, n, n, n), ginv.reshape(-1, n, n)
+    sq = np.empty(len(q_flat))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(q_flat), _SCREEN_CHUNK):
+            part = slice(start, start + _SCREEN_CHUNK)
+            q, gi = q_flat[part], ginv_flat[part]
+            sq[part] = np.einsum(_GNORM_SQUARED, q, gi, gi, gi, gi, q, optimize=_GNORM_PATH)
+        values = np.sqrt(np.maximum(sq, 0.0))
+        ginv_sq = np.einsum("...ij,...ij->...", ginv_flat, ginv_flat)
+        q_sq = np.einsum("...ijkl,...ijkl->...", q_flat, q_flat)
+        delta = GNORM_SCREEN_BAND * ginv_sq * ginv_sq * q_sq + SCREEN_FLOOR
+        # |sqrt(a) - sqrt(b)| <= delta / max(sqrt(b), sqrt(delta)), plus the
+        # rounding of both square roots
+        band = delta / np.maximum(values, np.sqrt(delta)) + 4.0 * np.finfo(float).eps * values
+    return screened_extreme(values, band, curvature_gnorm, (q_flat, ginv_flat), largest=True)[0]
 
 
 # --- Riemann tensor, two routes -----------------------------------------------

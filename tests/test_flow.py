@@ -14,6 +14,8 @@ Reference-run constants (this grid family, this package, numpy 2.x):
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulflow import flow as fl
 from koszulflow import geometry as geo
@@ -286,6 +288,17 @@ class TestRunFlow:
         traj, rows = fl.run_flow(metric("sin1d", sizes=(8,)), ULP_T, CTL, (ULP_SAMPLE,), 0)
         assert [s.t for s in traj] == [ULP_SAMPLE, ULP_T]
         assert [r.t for r in rows] == [0.0, ULP_SAMPLE, ULP_T]
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(targets=st.lists(st.floats(1e-9, 0.05), min_size=1, max_size=4, unique=True),
+           name=st.sampled_from(("sin1d", "bump2d")))
+    def test_advance_lands_on_random_float_targets(self, targets, name):
+        targets = sorted(targets)
+        g0 = metric(name, sizes=(16,) if name == "sin1d" else (8, 8))
+        landed = [state for state, reached in fl._advance(fl.FlowState.initial(g0), targets, CTL)
+                  if reached]
+        assert [state.t for state in landed] == targets
+        assert all(state.min_eig > 0.5 for state in landed)
 
     @pytest.mark.parametrize(
         "samples, stride",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulflow.grid import PeriodicGrid
 from koszulflow.io import (
@@ -29,6 +31,28 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path):
     assert data2.shape == data.shape
     assert np.array_equal(data2, data)
     assert data.tobytes() == data2.tobytes()
+
+
+# extreme doubles the payload must carry unchanged: signed zero, the smallest
+# subnormal, the largest finite value and the smallest normal
+SPECIAL = np.array([-0.0, 5e-324, -1.7976931348623157e308, 2.2250738585072014e-308])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(sizes=st.lists(st.integers(8, 10), min_size=1, max_size=3),
+       lengths=st.lists(st.floats(1e-6, 1e6), min_size=3, max_size=3),
+       ncomp=st.integers(1, 10), t=st.floats(0.0, 1e6), seed=st.integers(0, 2**32 - 1))
+def test_snapshot_round_trip_hypothesis(tmp_path_factory, sizes, lengths, ncomp, t, seed):
+    grid = PeriodicGrid(tuple(sizes), tuple(lengths[:len(sizes)]))
+    rng = np.random.default_rng(seed)
+    shape = (*grid.shape, ncomp)
+    data = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    data.flat[rng.choice(data.size, len(SPECIAL), replace=False)] = SPECIAL
+    path = tmp_path_factory.mktemp("snap") / "field.hfld"
+    write_snapshot(str(path), grid, data, t=t)
+    grid2, data2, t2, _ = read_snapshot(str(path))
+    assert grid2 == grid and t2 == t
+    assert data2.shape == data.shape and data2.tobytes() == data.tobytes()
 
 
 def test_snapshot_magic_and_scalar_shape(tmp_path):
