@@ -221,12 +221,16 @@ def _advance(
 
     A step that covers all of ``target - t`` lands on ``target`` exactly: the
     rounded sum can fall one ulp short, and the ulp-long step left over is
-    below ``dt_min``, so it would end the run as a spurious blow-up.
+    below ``dt_min``, so it would end the run as a spurious blow-up.  For the
+    same reason ``dt_min`` bounds only the stability steps: a step cut short
+    by a target (two targets may lie closer than ``dt_min``) is attempted.
     """
     for target in targets:
         while state.t < target:
             remaining = target - state.t
-            state = step_tensor(state, min(stable_dt(state.g, control), remaining), control)
+            dt = min(stable_dt(state.g, control), remaining)
+            step_control = replace(control, dt_min=dt) if dt == remaining < control.dt_min else control
+            state = step_tensor(state, dt, step_control)
             if state.dt_last == remaining:
                 state = replace(state, t=target)
             yield state, state.t >= target

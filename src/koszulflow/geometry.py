@@ -171,7 +171,8 @@ def sym_min_eigenvalues(comps: np.ndarray, n: int) -> np.ndarray:
 
 SYM_SCREEN_BAND = 1e-6   # closed-form eigenvalues, relative to |q| + 2p
 PENCIL_SCREEN_BAND = 1e-10  # whitening, relative to tr(H) tr(H^-1) tr(W)
-GNORM_SCREEN_BAND = 1e-11  # |Q|_g^2 by another contraction order, relative to |g^-1|^4 |Q|^2
+CONTRACTION_SCREEN_BAND = 1e-11  # a norm squared by another contraction order, relative to
+                                 # the product of the contracted operands' Frobenius norms
 SCREEN_FLOOR = 1e-150    # absolute part of every band: covers underflow
 
 
@@ -611,34 +612,51 @@ def curvature_gnorm(q_full: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-_GNORM_SQUARED = "...ijkl,...ip,...jq,...kr,...ls,...pqrs->..."
-# np.einsum_path's greedy order for n = 2 and 3, whatever the number of nodes
-_GNORM_PATH = ["einsum_path", (0, 1), (0, 3), (2, 3), (0, 2), (0, 1)]
 _SCREEN_CHUNK = 2048  # nodes per optimized contraction; bounds its intermediates' memory
 
 
-def sup_curvature_gnorm(q_full: np.ndarray, ginv: np.ndarray) -> float:
-    """Sup over the nodes of :func:`curvature_gnorm`; for n >= 2 it runs only
-    at the nodes that one optimized contraction of |Q|_g leaves as
-    candidates (at n = 1 the chain is as cheap as any screen)."""
-    n = ginv.shape[-1]
+def _sup_screened_norm(norm: Callable[..., np.ndarray], operands: tuple[np.ndarray, ...],
+                       squared: str, slots: tuple[int, ...], path: list) -> float:
+    """Sup over the nodes of ``norm(*operands)``, the square root of a sum of
+    products of operand entries, for flat operands (first axis over nodes).
+
+    For n >= 2 the norm runs only at the nodes that the screen leaves as
+    candidates: the einsum ``squared`` of ``operands[s] for s in slots``,
+    contracted along the fixed ``path`` in chunks of nodes, which sums the
+    same products in another order (at n = 1 the norm is as cheap as any
+    screen).  The band is ``CONTRACTION_SCREEN_BAND`` times the product of
+    the contracted operands' Frobenius norms, through the square root.
+    """
+    n = operands[0].shape[-1]
     if n == 1:
-        return float(np.max(curvature_gnorm(q_full, ginv)))
-    q_flat, ginv_flat = q_full.reshape(-1, n, n, n, n), ginv.reshape(-1, n, n)
-    sq = np.empty(len(q_flat))
+        return float(np.max(norm(*operands)))
+    nodes = len(operands[0])
+    sq = np.empty(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(q_flat), _SCREEN_CHUNK):
-            part = slice(start, start + _SCREEN_CHUNK)
-            q, gi = q_flat[part], ginv_flat[part]
-            sq[part] = np.einsum(_GNORM_SQUARED, q, gi, gi, gi, gi, q, optimize=_GNORM_PATH)
+        for start in range(0, nodes, _SCREEN_CHUNK):
+            chunk = [operands[s][start:start + _SCREEN_CHUNK] for s in slots]
+            sq[start:start + _SCREEN_CHUNK] = np.einsum(squared, *chunk, optimize=path)
         values = np.sqrt(np.maximum(sq, 0.0))
-        ginv_sq = np.einsum("...ij,...ij->...", ginv_flat, ginv_flat)
-        q_sq = np.einsum("...ijkl,...ijkl->...", q_flat, q_flat)
-        delta = GNORM_SCREEN_BAND * ginv_sq * ginv_sq * q_sq + SCREEN_FLOOR
+        frobenius = [np.sqrt(np.einsum("ij,ij->i", a, a)) for a in
+                     (op.reshape(nodes, -1) for op in operands)]
+        delta = CONTRACTION_SCREEN_BAND * np.prod([frobenius[s] for s in slots], axis=0) + SCREEN_FLOOR
         # |sqrt(a) - sqrt(b)| <= delta / max(sqrt(b), sqrt(delta)), plus the
         # rounding of both square roots
         band = delta / np.maximum(values, np.sqrt(delta)) + 4.0 * np.finfo(float).eps * values
-    return screened_extreme(values, band, curvature_gnorm, (q_flat, ginv_flat), largest=True)[0]
+    return screened_extreme(values, band, norm, operands, largest=True)[0]
+
+
+_GNORM_SQUARED = "...ijkl,...ip,...jq,...kr,...ls,...pqrs->..."
+# np.einsum_path's greedy order for n = 2 and 3, whatever the number of nodes
+_GNORM_PATH = ["einsum_path", (0, 1), (0, 3), (2, 3), (0, 2), (0, 1)]
+
+
+def sup_curvature_gnorm(q_full: np.ndarray, ginv: np.ndarray) -> float:
+    """Sup over the nodes of :func:`curvature_gnorm`, screened by one
+    optimized contraction of |Q|_g^2."""
+    n = ginv.shape[-1]
+    return _sup_screened_norm(curvature_gnorm, (q_full.reshape(-1, n, n, n, n), ginv.reshape(-1, n, n)),
+                              _GNORM_SQUARED, (0, 1, 1, 1, 1, 0), _GNORM_PATH)
 
 
 # --- Riemann tensor, two routes -----------------------------------------------
@@ -683,15 +701,26 @@ def pullback_chern_torsion(g: MetricField) -> tuple[np.ndarray, float]:
     return _chern_torsion(metric_partials(g), g.inverse_matrices(), g.matrices())
 
 
+_TORSION_SQUARED = "...kij,...pqr,...kp,...iq,...jr->..."
+# np.einsum_path's greedy order for n = 2 and 3, whatever the number of nodes
+_TORSION_PATH = ["einsum_path", (0, 2), (0, 1), (1, 2), (0, 1)]
+
+
+def _torsion_gnorm(torsion: np.ndarray, gmat: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """Nodewise g-norm of the torsion ``T[..., k, i, j]`` (upper slot lowered
+    by g, lower slots raised by g^-1), by one unoptimized contraction."""
+    sq = np.einsum(_TORSION_SQUARED, torsion, torsion, gmat, ginv, ginv)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
 def _chern_torsion(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, float]:
     # anti[..., i, j, l] = partial_i g_jl - partial_j g_il
     anti = d - np.swapaxes(d, -3, -2)
     torsion = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, anti)
-    sq = np.einsum(
-        "...kij,...pqr,...kp,...iq,...jr->...", torsion, torsion, gmat, ginv, ginv
-    )
-    norm = float(np.sqrt(np.max(np.maximum(sq, 0.0))))
-    return torsion, norm
+    n = ginv.shape[-1]
+    flat = (torsion.reshape(-1, n, n, n), gmat.reshape(-1, n, n), ginv.reshape(-1, n, n))
+    return torsion, _sup_screened_norm(_torsion_gnorm, flat, _TORSION_SQUARED, (0, 0, 1, 2, 2),
+                                       _TORSION_PATH)
 
 
 def kahler_curvature_pullback(pm: PotentialMetric) -> np.ndarray:

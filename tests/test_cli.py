@@ -156,6 +156,19 @@ class TestFlowRun:
         assert t == 0.05028258882712223
 
 
+    def test_targets_closer_than_dt_min_do_not_blow_up(self, tmp_path):
+        # the sample time and T lie 1.7e-18 apart, below the default dt_min
+        cfg = write_config(
+            tmp_path,
+            "f.cfg",
+            "example = sin1d\nsizes = 16\nT = 0.010000000000000002\nsample_times = 0.01\n",
+        )
+        out_dir = tmp_path / "out"
+        assert run("flow-run", "--config", cfg, "--out", str(out_dir)) == 0
+        _, _, t, _ = read_snapshot(str(out_dir / "final_metric.hfld"))
+        assert t == 0.010000000000000002
+
+
 class TestFlowCompare:
     def test_reports_discrepancy(self, tmp_path):
         cfg = write_config(
@@ -215,6 +228,15 @@ class TestSmoothingProbe:
         lines = (out1 / "probe.csv").read_text().splitlines()
         assert lines[0] == "t,sup_q,t_sup_q"
         assert len(lines) == 4
+
+    def test_samples_closer_than_dt_min_do_not_blow_up(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "p.cfg", "example = sin1d\nsizes = 16\nt_samples = 0.01,0.010000000000000002\n"
+        )
+        out_dir = tmp_path / "out"
+        assert run("smoothing-probe", "--config", cfg, "--out", str(out_dir)) == 0
+        times = [line.split(",")[0] for line in (out_dir / "probe.csv").read_text().splitlines()]
+        assert times == ["t", "0.01", "0.010000000000000002"]
 
 
 class TestErrorPaths:

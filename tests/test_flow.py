@@ -14,7 +14,7 @@ Reference-run constants (this grid family, this package, numpy 2.x):
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszulflow import flow as fl
@@ -292,6 +292,9 @@ class TestRunFlow:
     @settings(max_examples=40, deadline=None, database=None)
     @given(targets=st.lists(st.floats(1e-9, 0.05), min_size=1, max_size=4, unique=True),
            name=st.sampled_from(("sin1d", "bump2d")))
+    # two targets closer than dt_min (1e-15)
+    @example(targets=[1e-09, 1.0000000000000003e-09], name="sin1d")
+    @example(targets=[1e-09, 1.0000000000000003e-09], name="bump2d")
     def test_advance_lands_on_random_float_targets(self, targets, name):
         targets = sorted(targets)
         g0 = metric(name, sizes=(16,) if name == "sin1d" else (8, 8))

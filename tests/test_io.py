@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koszulflow.cli import VERBS
 from koszulflow.grid import PeriodicGrid
 from koszulflow.io import (
     ConfigError,
@@ -130,3 +131,81 @@ def test_validate_config_rejects_unknown_and_bad_types():
         validate_config({"bogus": "1"}, schema)
     with pytest.raises(ConfigError):
         validate_config({"T": "abc"}, schema)
+
+
+# --- config round trips over every verb's schema ---------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+BOOL_SPELLINGS = {True: ["true", "1", "yes", "TRUE", "Yes"], False: ["false", "0", "no", "FALSE", "No"]}
+# printable ASCII without "#" (a comment); inner spaces only, as the parser strips
+STR_VALUE = st.text(st.sampled_from([chr(c) for c in range(32, 127) if chr(c) != "#"]),
+                    min_size=1, max_size=12).filter(lambda v: v.strip() == v)
+
+
+@st.composite
+def typed_entry(draw, kind):
+    """``(value, text)``: a typed config value and a rendering of it, floats by repr."""
+    if kind == "int":
+        value = draw(st.integers(-10**6, 10**6))
+        return value, str(value)
+    if kind == "ints":
+        value = tuple(draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4)))
+        return value, ",".join(map(str, value))
+    if kind == "float":
+        value = draw(FINITE)
+        return value, repr(value)
+    if kind == "floats":
+        value = tuple(draw(st.lists(FINITE, min_size=1, max_size=4)))
+        return value, ",".join(map(repr, value))
+    if kind == "bool":
+        value = draw(st.booleans())
+        return value, draw(st.sampled_from(BOOL_SPELLINGS[value]))
+    value = draw(STR_VALUE)
+    return value, value
+
+
+@st.composite
+def config_sets(draw):
+    """A verb's schema, a random set of its keys with typed values, and the
+    config text that renders them, with random spacing and comments."""
+    schema = VERBS[draw(st.sampled_from(sorted(VERBS)))].schema
+    keys = draw(st.lists(st.sampled_from(sorted(schema)), unique=True, max_size=len(schema)))
+    expected, lines = {}, []
+    for key in keys:
+        expected[key], text = draw(typed_entry(schema[key]))
+        pad = draw(st.sampled_from(["", " ", "  "]))
+        comment = draw(st.sampled_from(["", "  # note", "#"]))
+        lines.append(f"{pad}{key}{pad}={pad}{text}{comment}")
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# comment", "   "])))
+    return schema, expected, "\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(config=config_sets())
+def test_config_round_trip_hypothesis(config):
+    schema, expected, text = config
+    typed = validate_config(parse_config_text(text), schema)
+    assert typed == expected
+    assert repr(typed) == repr(expected)  # also tells -0.0 from 0.0
+
+
+NON_FINITE = st.sampled_from(["inf", "-inf", "nan", "-nan", "Infinity", "NaN", "1e999", "-1e400"])
+FLOAT_KEYS = sorted({(verb, key) for verb, spec in VERBS.items()
+                     for key, kind in spec.schema.items() if kind in ("float", "floats")})
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(verb_key=st.sampled_from(FLOAT_KEYS), bad=NON_FINITE, finite=st.lists(FINITE, max_size=3),
+       data=st.data())
+def test_non_finite_float_entries_are_rejected(verb_key, bad, finite, data):
+    verb, key = verb_key
+    schema = VERBS[verb].schema
+    if schema[key] == "float":
+        text = bad
+    else:
+        entries = [repr(v) for v in finite]
+        entries.insert(data.draw(st.integers(0, len(entries))), bad)
+        text = ",".join(entries)
+    with pytest.raises(ConfigError, match="not finite"):
+        validate_config(parse_config_text(f"{key} = {text}"), schema)

@@ -3,8 +3,9 @@ closed-form screen equal, bit for bit and with the same node, those of the
 exact kernels run over every node.
 
 The exact kernels are ``sym_min_eigenvalues`` (LAPACK at n = 3), the
-Cholesky/inverse/eigvalsh chain of the metric pencil and the four-step
-``curvature_gnorm`` chain.  The design rests on each kernel giving the same
+Cholesky/inverse/eigvalsh chain of the metric pencil, the four-step
+``curvature_gnorm`` chain and the five-operand contraction of the torsion
+norm.  The design rests on each kernel giving the same
 bits on any subset of nodes as on the full grid; the first class checks
 that on the grid sizes of the benchmark.
 """
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from koszulflow import criteria as cr
 from koszulflow import geometry as geo
+from koszulflow import registry as reg
 from koszulflow.grid import PeriodicGrid, ScalarField
 
 TWO_PI = 2.0 * np.pi
@@ -39,14 +41,21 @@ def smooth_pair(n):
     return metric(0.3, 0.1), metric(1.1, 0.05)
 
 
+def unscreened_torsion_gnorm(torsion, gmat, ginv):
+    """The torsion norm at every node, as the unscreened code computed it."""
+    sq = np.einsum("...kij,...pqr,...kp,...iq,...jr->...", torsion, torsion, gmat, ginv, ginv)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
 @functools.cache
 def full_kernels(n):
-    """Flat operands and the full-grid outputs of the three exact kernels,
+    """Flat operands and the full-grid outputs of the four exact kernels,
     computed on the grid-shaped arrays as the unscreened code did."""
     g, g0 = smooth_pair(n)
     npairs = len(geo.sym_pairs(n))
     q_full = geo.hessian_curvature_from_metric(g)
-    ginv = g.inverse_matrices()
+    ginv, gmat = g.inverse_matrices(), g.matrices()
+    torsion = geo._chern_torsion(geo.metric_partials(g), ginv, gmat)[0]
     chol = np.linalg.cholesky(g0.matrices())
     linv = np.linalg.inv(chol)
     pencil = np.linalg.eigvalsh(linv @ g.matrices() @ np.swapaxes(linv, -1, -2))
@@ -58,6 +67,9 @@ def full_kernels(n):
                    pencil.reshape(-1, n)),
         "gnorm": (geo.curvature_gnorm, (q_full.reshape(-1, *(n,) * 4), ginv.reshape(-1, n, n)),
                   geo.curvature_gnorm(q_full, ginv).ravel()),
+        "torsion": (geo._torsion_gnorm, (torsion.reshape(-1, n, n, n), gmat.reshape(-1, n, n),
+                                         ginv.reshape(-1, n, n)),
+                    unscreened_torsion_gnorm(torsion, gmat, ginv).ravel()),
     }
 
 
@@ -97,7 +109,7 @@ def tied_spectra(draw):
 
 class TestKernelsOnSubsets:
     @HYPOTHESIS
-    @given(n=st.sampled_from((2, 3)), kernel=st.sampled_from(("min_eig", "pencil", "gnorm")),
+    @given(n=st.sampled_from((2, 3)), kernel=st.sampled_from(("min_eig", "pencil", "gnorm", "torsion")),
            data=st.data())
     def test_subset_gives_the_full_grid_bits(self, n, kernel, data):
         compute, operands, full = full_kernels(n)[kernel]
@@ -210,6 +222,57 @@ class TestGnormScreen:
         assert geo.sup_curvature_gnorm(q_full, g.inverse_matrices()) == full.max()
 
 
+def screen_records(monkeypatch, call):
+    """``(values, band, kernel, operands)`` of every ``screened_extreme`` call
+    made by ``call()``."""
+    records = []
+    original = geo.screened_extreme
+
+    def recorded(values, band, kernel, operands, largest=False):
+        records.append((values, band, kernel, operands))
+        return original(values, band, kernel, operands, largest)
+
+    monkeypatch.setattr(geo, "screened_extreme", recorded)
+    call()
+    return records
+
+
+class TestTorsionScreen:
+    @pytest.mark.parametrize("name", ["smooth2", "smooth3", "twist2d"])
+    def test_band_bounds_the_screen(self, monkeypatch, name):
+        # on the potentials T is rounding noise; on twist2d it is not
+        g = reg.build_example("twist2d") if name == "twist2d" else smooth_pair(int(name[-1]))[0]
+        (values, band, kernel, operands), = screen_records(monkeypatch,
+                                                           lambda: geo.pullback_chern_torsion(g))
+        assert kernel is geo._torsion_gnorm
+        exact = kernel(*operands)
+        assert np.all(np.abs(values - exact) <= band)
+        assert exact.max() >= 0.01 if name == "twist2d" else exact.max() < 1e-12
+
+    @HYPOTHESIS
+    @given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1), copies=st.integers(1, 5),
+           log_cond=st.floats(0.0, 4.0))
+    def test_sup_equals_the_full_chain(self, n, seed, copies, log_cond):
+        # random metric derivatives on a 4^n grid; the node with the largest
+        # torsion norm is repeated at `copies` random nodes
+        rng = np.random.default_rng(seed)
+        nodes = 4**n
+        d = rng.standard_normal((nodes, n, n, n)) * 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1, 1))
+        gmat = rotated(10.0 ** rng.uniform(0.0, log_cond, (nodes, n)), rng)
+        ginv = np.linalg.inv(gmat)
+        top = int(np.argmax(geo._torsion_gnorm(geo._chern_torsion(d, ginv, gmat)[0], gmat, ginv)))
+        for k in rng.choice(nodes, copies, replace=False):
+            d[k], gmat[k], ginv[k] = d[top], gmat[top], ginv[top]
+        d, gmat, ginv = (a.reshape(*(4,) * n, *a.shape[1:]) for a in (d, gmat, ginv))
+        torsion, norm = geo._chern_torsion(d, ginv, gmat)
+        assert np.array_equal(norm, unscreened_torsion_gnorm(torsion, gmat, ginv).max())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_smooth_sup_equals_the_full_chain(self, n):
+        g, _ = smooth_pair(n)
+        assert geo.pullback_chern_torsion(g)[1] == full_kernels(n)["torsion"][2].max()
+
+
 class TestCandidates:
     """The exact kernel runs on under 2% of the nodes of a smooth field (1 or 2
     on the benchmark's inputs) and on every node of a field where every node
@@ -245,3 +308,9 @@ class TestCandidates:
         sizes = self.kernel_sizes(monkeypatch, lambda: (geo.pencil_eigenvalue_range(g, g0),
                                                         geo.sup_curvature_gnorm(q_full, ginv)))
         assert sizes == [g.grid.num_nodes] * 3 if flat else max(sizes) < 0.02 * g.grid.num_nodes
+
+    @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
+    def test_torsion(self, monkeypatch, flat):
+        g = geo.metric_from_potential(reg.build_example("flat")) if flat else smooth_pair(3)[0]
+        sizes = self.kernel_sizes(monkeypatch, lambda: geo.pullback_chern_torsion(g))
+        assert sizes == [g.grid.num_nodes] if flat else sizes[0] < 0.02 * g.grid.num_nodes
