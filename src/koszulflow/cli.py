@@ -18,10 +18,10 @@ Exit codes:
   below one, ``sizes`` of the wrong dimension or below 8 nodes, an
   unreadable or malformed potential snapshot (an unknown layout, ``n``
   disagreeing with ``sizes``, a payload of the wrong length, non-finite
-  values, a background that is not positive definite), a metric whose
-  ``log det`` or a2 margin overflows, or a step control or sample
-  times the integrators reject (``max_halvings < 0``, ``diag_stride < 0``,
-  ``sample_times`` outside ``[0, T]``);
+  values, a background that is not n*n finite numbers or not positive
+  definite), a metric whose ``log det`` or a2 margin overflows, or a step
+  control or sample times the integrators reject (``max_halvings < 0``,
+  ``diag_stride < 0``, ``sample_times`` outside ``[0, T]``);
 * 3 flow blow-up: positivity failed beyond the halving budget; the outputs
   hold the partial results and the manifest records the last valid time;
 * 4 positivity failure in the input metric itself.
@@ -85,14 +85,16 @@ def _build_input(cfg: Mapping[str, object], seed: int | None):
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot read potential snapshot {path}: {exc}") from exc
     if data.shape[-1] != 1:
-        raise ConfigError(f"potential snapshot must have one component, got {data.shape[-1]}")
+        raise ConfigError(f"potential snapshot {path}: must have one component, got {data.shape[-1]}")
     if "background" not in fields:
-        raise ConfigError("potential snapshot header lacks the 'background' key")
-    n = grid.ndim
-    entries = [float(v) for v in fields["background"].split(",")]
-    if len(entries) != n * n:
-        raise ConfigError(f"background must have {n * n} entries, got {len(entries)}")
-    background = np.array(entries).reshape(n, n)
+        raise ConfigError(f"potential snapshot {path}: header lacks the 'background' key")
+    n, text = grid.ndim, fields["background"]
+    try:
+        background = np.array(text.split(","), dtype=np.float64).reshape(n, n)
+        if not np.isfinite(background).all():
+            raise ValueError("an entry is not finite")
+    except ValueError as exc:
+        raise ConfigError(f"potential snapshot {path}: bad background {text!r}: {exc}") from exc
     pm = geo.PotentialMetric(grid, background, ScalarField(grid, data[..., 0]))
     return pm, os.path.basename(path)
 

@@ -25,6 +25,7 @@ identities checked by the test suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -48,17 +49,29 @@ class NotPositiveDefinite(Exception):
         )
 
 
-# --- symmetric-pair index bookkeeping ---------------------------------------
+# --- symmetric storage ---------------------------------------------------------
+
+def sym_indices(n: int, order: int) -> list[tuple[int, ...]]:
+    """Sorted index tuples of a symmetric tensor of ``order`` slots over ``n``
+    indices, in lexicographic order: the one storage order of symmetric
+    derivatives and of Q's pairs of pairs."""
+    return list(itertools.combinations_with_replacement(range(n), order))
+
 
 def sym_pairs(n: int) -> list[tuple[int, int]]:
     """Upper-triangle index pairs (i, j), i <= j, in row-major order."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
+    return sym_indices(n, 2)
 
 
-def pair_index(n: int, i: int, j: int) -> int:
-    if i > j:
-        i, j = j, i
-    return i * n - (i * (i - 1)) // 2 + (j - i)
+@functools.cache
+def sym_table(n: int, order: int) -> np.ndarray:
+    """Read-only ``(n,) * order`` array of storage slots: entry ``[i, j, ...]``
+    is the position of the sorted tuple in :func:`sym_indices`.  Full arrays
+    are gathered by ``np.take(stored, table, axis=-1)``, which returns C order."""
+    indices = sym_indices(n, order)
+    table = np.reshape([indices.index(tuple(sorted(t))) for t in np.ndindex((n,) * order)], (n,) * order)
+    table.flags.writeable = False
+    return table
 
 
 # --- symmetric 2-tensor fields ----------------------------------------------
@@ -90,7 +103,7 @@ class Sym2Field:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def component(self, i: int, j: int) -> np.ndarray:
-        return self.components[..., pair_index(self.grid.ndim, i, j)]
+        return self.components[..., sym_table(self.grid.ndim, 2)[i, j]]
 
     def matrices(self) -> np.ndarray:
         """Full ``(*shape, n, n)`` array (materialized)."""
@@ -102,10 +115,7 @@ class Sym2Field:
 
 def sym_matrices(comps: np.ndarray, n: int) -> np.ndarray:
     """Full ``(..., n, n)`` matrices of a pair-stored symmetric field."""
-    mats = np.empty((*comps.shape[:-1], n, n))
-    for p, (i, j) in enumerate(sym_pairs(n)):
-        mats[..., i, j] = mats[..., j, i] = comps[..., p]
-    return mats
+    return np.take(comps, sym_table(n, 2), axis=-1)
 
 
 def sym_det(comps: np.ndarray, n: int) -> np.ndarray:
@@ -329,7 +339,8 @@ def _pencil_screen(g_flat: np.ndarray, h_flat: np.ndarray,
     pair-stored SPD pairs (G, H): the symmetric screen of W = X G X^T, with
     X = L^-1 and L the Cholesky factor of H by explicit formulas."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        h = [[h_flat[:, pair_index(n, i, j)] for j in range(n)] for i in range(n)]
+        slot = sym_table(n, 2)
+        h = [[h_flat[:, slot[i, j]] for j in range(n)] for i in range(n)]
         low = [[None] * n for _ in range(n)]
         for j in range(n):
             low[j][j] = np.sqrt(h[j][j] - sum(low[j][k] ** 2 for k in range(j)))
@@ -340,7 +351,7 @@ def _pencil_screen(g_flat: np.ndarray, h_flat: np.ndarray,
             x[i][i] = 1.0 / low[i][i]
             for j in range(i):
                 x[i][j] = -sum(low[i][k] * x[k][j] for k in range(j, i)) * x[i][i]
-        xg = [[sum(x[i][k] * g_flat[:, pair_index(n, k, l)] for k in range(i + 1))
+        xg = [[sum(x[i][k] * g_flat[:, slot[k, l]] for k in range(i + 1))
                for l in range(n)] for i in range(n)]
         w = np.empty_like(g_flat)
         for p, (i, j) in enumerate(sym_pairs(n)):
@@ -348,7 +359,7 @@ def _pencil_screen(g_flat: np.ndarray, h_flat: np.ndarray,
         smallest, largest, band = _sym_eigen_screen(w, n)
         tr_h = sum(h[i][i] for i in range(n))
         tr_h_inv = sum(x[i][j] ** 2 for i in range(n) for j in range(i + 1))
-        tr_w = sum(w[:, pair_index(n, i, i)] for i in range(n))
+        tr_w = sum(w[:, slot[i, i]] for i in range(n))
         band = band + PENCIL_SCREEN_BAND * tr_h * tr_h_inv * np.abs(tr_w)
     return smallest, largest, band
 
@@ -408,24 +419,18 @@ def potential_hessian(psi: ScalarField) -> Sym2Field:
 def metric_from_potential(pm: PotentialMetric) -> MetricField:
     """Assemble ``g = A + dd(psi)``; raises NotPositiveDefinite if the
     potential is not uniformly convex at grid resolution."""
-    hess = potential_hessian(pm.psi)
-    comps = hess.components.copy()
-    for p, (i, j) in enumerate(sym_pairs(pm.grid.ndim)):
-        comps[..., p] += pm.background[i, j]
-    return MetricField(pm.grid, comps)
+    background = np.array([pm.background[pair] for pair in sym_pairs(pm.grid.ndim)])
+    return MetricField(pm.grid, potential_hessian(pm.psi).components + background)
 
 
 # --- first derivatives of a metric, shared by several operations -------------
 
 def metric_partials(g: Sym2Field) -> np.ndarray:
     """Array ``D[..., k, i, j] = partial_k g_ij``."""
-    n, spacings = g.grid.ndim, g.grid.spacings
+    n = g.grid.ndim
     out = np.empty((*g.grid.shape, n, n, n))
-    for i, j in sym_pairs(n):
-        for k in range(n):
-            d = stencil(g.component(i, j), (k,), spacings)
-            out[..., k, i, j] = d
-            out[..., k, j, i] = d
+    for k in range(n):
+        out[..., k, :, :] = sym_matrices(stencil(g.components, (k,), g.grid.spacings), n)
     return out
 
 
@@ -499,6 +504,13 @@ def beta_form(g: MetricField) -> Sym2Field:
 
 # --- Hessian curvature tensor --------------------------------------------------
 
+def _q_table(n: int) -> np.ndarray:
+    """Storage slot of ``Q[..., i, j, k, l]``: that of the pair of pairs
+    ``((i, k), (j, l))`` in :func:`sym_table` of the pair slots."""
+    pair = sym_table(n, 2)
+    return sym_table(len(sym_pairs(n)), 2)[pair[:, None, :, None], pair[None, :, None, :]]
+
+
 class HessianCurvature:
     """The 4-tensor Q, stored on its symmetry group.
 
@@ -510,8 +522,7 @@ class HessianCurvature:
     __slots__ = ("grid", "components")
 
     def __init__(self, grid: PeriodicGrid, components):
-        m = len(sym_pairs(grid.ndim))
-        ncomp = m * (m + 1) // 2
+        ncomp = len(sym_indices(len(sym_pairs(grid.ndim)), 2))
         comps = np.asarray(components, dtype=np.float64)
         if comps.shape != (*grid.shape, ncomp):
             raise ValueError(f"expected {(*grid.shape, ncomp)}, got {comps.shape}")
@@ -524,22 +535,11 @@ class HessianCurvature:
         raise AttributeError("HessianCurvature is immutable")
 
     def component(self, i: int, j: int, k: int, l: int) -> np.ndarray:
-        n = self.grid.ndim
-        m = len(sym_pairs(n))
-        a = pair_index(n, i, k)
-        b = pair_index(n, j, l)
-        return self.components[..., pair_index(m, a, b)]
+        return self.components[..., _q_table(self.grid.ndim)[i, j, k, l]]
 
     def full(self) -> np.ndarray:
         """Materialize the full ``(*shape, n, n, n, n)`` array."""
-        n = self.grid.ndim
-        out = np.empty((*self.grid.shape, n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        out[..., i, j, k, l] = self.component(i, j, k, l)
-        return out
+        return np.take(self.components, _q_table(self.grid.ndim), axis=-1)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.components)))
@@ -557,24 +557,21 @@ def hessian_curvature(pm: PotentialMetric) -> HessianCurvature:
 
 def _hessian_curvature(pm: PotentialMetric, ginv: np.ndarray) -> HessianCurvature:
     grid, n, psi = pm.grid, pm.grid.ndim, pm.psi.values
-    third = np.empty((*grid.shape, n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                d = stencil(psi, (i, j, k), grid.spacings)
-                for perm in set(itertools.permutations((i, j, k))):
-                    third[(..., *perm)] = d
+    stored = np.empty((*grid.shape, len(sym_indices(n, 3))))
+    for s, axes in enumerate(sym_indices(n, 3)):
+        stored[..., s] = stencil(psi, axes, grid.spacings)
+    third = np.take(stored, sym_table(n, 3), axis=-1)
 
-    m = len(sym_pairs(n))
-    comps = np.empty((*grid.shape, m * (m + 1) // 2))
     pairs = sym_pairs(n)
-    for a, (i, k) in enumerate(pairs):
-        for b, (j, l) in enumerate(pairs):
-            if a > b:
-                continue
-            fourth = stencil(psi, (i, j, k, l), grid.spacings)
-            quad = np.einsum("...pq,...p,...q->...", ginv, third[..., i, k, :], third[..., j, l, :])
-            comps[..., pair_index(m, a, b)] = 0.5 * fourth - 0.5 * quad
+    slots = sym_indices(len(pairs), 2)
+    comps = np.empty((*grid.shape, len(slots)))
+    for axes in sym_indices(n, 4):
+        fourth = stencil(psi, axes, grid.spacings)
+        for s, (a, b) in enumerate(slots):
+            (i, k), (j, l) = pairs[a], pairs[b]
+            if tuple(sorted((i, j, k, l))) == axes:
+                quad = np.einsum("...pq,...p,...q->...", ginv, third[..., i, k, :], third[..., j, l, :])
+                comps[..., s] = 0.5 * fourth - 0.5 * quad
     return HessianCurvature(grid, comps)
 
 
@@ -590,15 +587,14 @@ def hessian_curvature_from_metric(g: MetricField) -> np.ndarray:
     ginv = g.inverse_matrices()
     d = metric_partials(g)
     d2 = np.empty((*g.grid.shape, n, n, n, n))
-    for i, j in sym_pairs(n):
-        for k, l in sym_pairs(n):
-            v = stencil(g.component(i, j), (k, l), g.grid.spacings)
-            d2[..., i, j, k, l] = v
-            d2[..., i, j, l, k] = v
-            d2[..., j, i, k, l] = v
-            d2[..., j, i, l, k] = v
+    for k, l in sym_pairs(n):
+        d2[..., k, l] = d2[..., l, k] = sym_matrices(stencil(g.components, (k, l), g.grid.spacings), n)
     quad = np.einsum("...pq,...kip,...ljq->...ijkl", ginv, d, d)
-    return 0.5 * d2 - 0.5 * quad
+    # 0.5 * d2 - 0.5 * quad, in place: the same operations, without two temporaries
+    d2 *= 0.5
+    quad *= 0.5
+    d2 -= quad
+    return d2
 
 
 def curvature_gnorm(q_full: np.ndarray, ginv: np.ndarray) -> np.ndarray:

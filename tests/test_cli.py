@@ -280,6 +280,10 @@ class TestErrorPaths:
         "snapshot-nan": ("flow-run", "potential = {nan}\n" + T),
         "snapshot-background-not-pd": ("flow-run", "potential = {not_pd}\n" + T),
         "snapshot-short-payload": ("flow-run", "potential = {short}\n" + T),
+        "snapshot-background-nan": ("curvature", "potential = {background_nan}\n"),
+        "snapshot-background-inf": ("curvature", "potential = {background_inf}\n"),
+        "snapshot-background-text": ("curvature", "potential = {background_text}\n"),
+        "snapshot-background-empty": ("curvature", "potential = {background_empty}\n"),
         "max-halvings-negative": ("flow-run", "example = sin1d\nsizes = 16\nmax_halvings = -3\n" + T),
         "diag-stride-negative": ("flow-run", "example = sin1d\nsizes = 16\ndiag_stride = -1\n" + T),
         "sample-time-negative": ("flow-run",
@@ -302,7 +306,9 @@ class TestErrorPaths:
         grid = PeriodicGrid((16,), (2 * np.pi,))
         with_nan = np.zeros(16)
         with_nan[3] = np.nan
-        snaps = {"nan": (with_nan, "1.0"), "not_pd": (np.zeros(16), "-1.0")}
+        snaps = {"nan": (with_nan, "1.0"), "not_pd": (np.zeros(16), "-1.0"),
+                 "background_nan": (np.zeros(16), "nan"), "background_inf": (np.zeros(16), "inf"),
+                 "background_text": (np.zeros(16), "a"), "background_empty": (np.zeros(16), "")}
         paths = {}
         for key, (values, background) in snaps.items():
             paths[key] = str(tmp_path / f"{key}.hfld")
@@ -313,7 +319,10 @@ class TestErrorPaths:
         verb, text = self.BAD_INPUT[case]
         cfg = write_config(tmp_path, "b.cfg", text.format(**paths))
         assert run(verb, "--config", cfg, "--out", str(tmp_path / "o")) == 2
-        assert_one_config_error(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert_one_config_error(err)
+        if "{background_" in text:  # a malformed header entry names itself and the file
+            assert "background" in err and str(tmp_path) in err, err
 
     OVERFLOW = {"curvature": "", "flow-run": T, "a2-check": "theta = 0.5\n",
                 "flow-compare": T + "dt = 1e-3\n"}

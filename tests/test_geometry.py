@@ -13,11 +13,14 @@ Mutual-consistency pairs (two independent discrete routes to one tensor)
 are checked at truncation level with an order-2 refinement ratio.
 """
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from koszulflow import geometry as geo
-from koszulflow.grid import PeriodicGrid, ScalarField, partial3, partial4
+from koszulflow.grid import PeriodicGrid, ScalarField, partial3, partial4, stencil
 
 TWO_PI = 2.0 * np.pi
 
@@ -462,3 +465,158 @@ class TestThreeDimensions:
         lam, big_lam = geo.pencil_eigenvalue_range(doubled, g0)
         assert lam == pytest.approx(2.0, abs=1e-10)
         assert big_lam == pytest.approx(2.0, abs=1e-10)
+
+
+# --- per-component references of the symmetric storage ------------------------------
+
+def closed_form_pair_index(n, i, j):
+    i, j = min(i, j), max(i, j)
+    return i * n - (i * (i - 1)) // 2 + (j - i)
+
+
+def reference_matrices(comps, n):
+    mats = np.empty((*comps.shape[:-1], n, n))
+    for p, (i, j) in enumerate(geo.sym_pairs(n)):
+        mats[..., i, j] = mats[..., j, i] = comps[..., p]
+    return mats
+
+
+def reference_partials(g):
+    n = g.grid.ndim
+    out = np.empty((*g.grid.shape, n, n, n))
+    for i, j in geo.sym_pairs(n):
+        for k in range(n):
+            out[..., k, i, j] = out[..., k, j, i] = stencil(g.component(i, j), (k,), g.grid.spacings)
+    return out
+
+
+def reference_q_metric(g):
+    n = g.grid.ndim
+    d2 = np.empty((*g.grid.shape, n, n, n, n))
+    for i, j in geo.sym_pairs(n):
+        for k, l in geo.sym_pairs(n):
+            v = stencil(g.component(i, j), (k, l), g.grid.spacings)
+            d2[..., i, j, k, l] = d2[..., i, j, l, k] = d2[..., j, i, k, l] = d2[..., j, i, l, k] = v
+    d = reference_partials(g)
+    quad = np.einsum("...pq,...kip,...ljq->...ijkl", g.inverse_matrices(), d, d)
+    return 0.5 * d2 - 0.5 * quad
+
+
+def reference_q_component(q, i, j, k, l):
+    n = q.grid.ndim
+    m = len(geo.sym_pairs(n))
+    slot = closed_form_pair_index(m, closed_form_pair_index(n, i, k), closed_form_pair_index(n, j, l))
+    return q.components[..., slot]
+
+
+def reference_q_full(q):
+    n = q.grid.ndim
+    out = np.empty((*q.grid.shape, n, n, n, n))
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        out[..., i, j, k, l] = reference_q_component(q, i, j, k, l)
+    return out
+
+
+def reference_potential_q(pm, ginv):
+    grid, n, psi = pm.grid, pm.grid.ndim, pm.psi.values
+    third = np.empty((*grid.shape, n, n, n))
+    for axes in itertools.product(range(n), repeat=3):
+        third[(..., *axes)] = stencil(psi, axes, grid.spacings)
+    pairs = geo.sym_pairs(n)
+    comps = np.empty((*grid.shape, len(pairs) * (len(pairs) + 1) // 2))
+    for a, (i, k) in enumerate(pairs):
+        for b, (j, l) in enumerate(pairs[a:], start=a):
+            fourth = stencil(psi, (i, j, k, l), grid.spacings)
+            quad = np.einsum("...pq,...p,...q->...", ginv, third[..., i, k, :], third[..., j, l, :])
+            comps[..., closed_form_pair_index(len(pairs), a, b)] = 0.5 * fourth - 0.5 * quad
+    return comps
+
+
+def random_metric(n, seed, size=8):
+    """A non-Hessian metric field: the identity plus small random entries."""
+    grid = PeriodicGrid((size,) * n, (TWO_PI,) * n)
+    rng = np.random.default_rng(seed)
+    comps = 0.05 * rng.standard_normal((*grid.shape, len(geo.sym_pairs(n))))
+    comps[..., [p for p, (i, j) in enumerate(geo.sym_pairs(n)) if i == j]] += 1.0
+    return geo.MetricField(grid, comps)
+
+
+def random_potential(n, seed, size=8):
+    grid = PeriodicGrid((size,) * n, (TWO_PI,) * n)
+    psi = 1e-3 * np.random.default_rng(seed).standard_normal(grid.shape)
+    return geo.PotentialMetric(grid, np.eye(n), ScalarField(grid, psi))
+
+
+def assert_same_bytes(array, reference):
+    assert array.flags.c_contiguous
+    assert array.shape == reference.shape and array.tobytes() == reference.tobytes()
+
+
+class TestSymmetricStorage:
+    """Symmetric tensors are stored by sorted index tuples and gathered into
+    full C-order arrays; every gathered array equals the per-component loop
+    byte for byte, as the screens' kernels need the same operand layout."""
+
+    def test_pair_slots_keep_the_closed_form_and_order(self):
+        for n in (1, 2, 3):
+            assert geo.sym_pairs(n) == [(i, j) for i in range(n) for j in range(i, n)]
+            table = geo.sym_table(n, 2)
+            assert not table.flags.writeable
+            for i, j in itertools.product(range(n), repeat=2):
+                assert table[i, j] == closed_form_pair_index(n, i, j)
+
+    def test_tables_index_sorted_tuples(self):
+        for n, order in itertools.product((1, 2, 3), (2, 3, 4)):
+            indices, table = geo.sym_indices(n, order), geo.sym_table(n, order)
+            assert indices == sorted(set(tuple(sorted(t)) for t in itertools.product(range(n), repeat=order)))
+            for index in itertools.product(range(n), repeat=order):
+                assert indices[table[index]] == tuple(sorted(index))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_metric_arrays_match_component_loops(self, n):
+        g = random_metric(n, seed=n)
+        assert_same_bytes(geo.sym_matrices(g.components, n), reference_matrices(g.components, n))
+        assert_same_bytes(g.matrices(), reference_matrices(g.components, n))
+        assert_same_bytes(geo.metric_partials(g), reference_partials(g))
+        assert_same_bytes(geo.hessian_curvature_from_metric(g), reference_q_metric(g))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_hessian_curvature_matches_component_loops(self, n):
+        pm = random_potential(n, seed=n)
+        ginv = geo.metric_from_potential(pm).inverse_matrices()
+        q = geo._hessian_curvature(pm, ginv)
+        assert_same_bytes(q.components, reference_potential_q(pm, ginv))
+        assert_same_bytes(q.full(), reference_q_full(q))
+        for index in itertools.product(range(n), repeat=4):
+            assert np.array_equal(q.component(*index), reference_q_component(q, *index))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_stencil_per_derivative_index_set(self, monkeypatch, n):
+        g, pm = random_metric(n, seed=0), random_potential(n, seed=0)
+        ginv = geo.metric_from_potential(pm).inverse_matrices()
+        calls = []
+
+        def counted(values, axes, spacings):
+            calls.append(tuple(sorted(axes)))
+            return stencil(values, axes, spacings)
+
+        monkeypatch.setattr(geo, "stencil", counted)
+        m = n * (n + 1) // 2
+        for run, expected in ((lambda: geo.metric_partials(g), n),
+                              (lambda: geo.hessian_curvature_from_metric(g), n + m),
+                              (lambda: geo._hessian_curvature(pm, ginv), {2: 4 + 5, 3: 10 + 15}[n])):
+            calls.clear()
+            run()
+            assert len(calls) == len(set(calls)) == expected
+
+    def test_q_metric_peak_memory(self):
+        grid = PeriodicGrid((32,) * 3, (TWO_PI,) * 3)
+        psi = ScalarField.from_function(grid, lambda x, y, z: 0.05 * np.cos(x) * np.sin(y + z))
+        g = geo.metric_from_potential(geo.PotentialMetric(grid, np.eye(3), psi))
+        tracemalloc.start()
+        try:
+            q = geo.hessian_curvature_from_metric(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * q.nbytes  # measured 2.45x; the component loops took 4.5x
