@@ -29,11 +29,10 @@ from .geometry import (
     MetricField,
     NotPositiveDefinite,
     check_metric,
-    hessian_curvature_from_metric,
     log_det,
     pair_hessian,
     pencil_eigenvalue_range,
-    sup_curvature_gnorm,
+    sup_q_gnorm,
     sym_det,
     sym_pairs,
 )
@@ -236,15 +235,10 @@ def _advance(
             yield state, state.t >= target
 
 
-def _sup_q_gnorm(g: MetricField) -> float:
-    """sup over nodes of |Q|_g, with Q computed from the metric alone."""
-    return sup_curvature_gnorm(hessian_curvature_from_metric(g), g.inverse_matrices())
-
-
 def diagnostics_row(state: FlowState, dt_used: float) -> DiagnosticsRow:
     """Monitoring record for one state (curvature norm, pinching, drift)."""
     g, g0 = state.g, state.g0
-    sup_q = _sup_q_gnorm(g)
+    sup_q = sup_q_gnorm(g)
     lam, big_lam = pencil_eigenvalue_range(g, g0)
     drift = tuple(
         float(np.mean(g.component(i, j)) - np.mean(g0.component(i, j)))
@@ -394,6 +388,6 @@ def smoothing_probe(
     series: list[tuple[float, float, float]] = []
     for state, reached in _advance(FlowState.initial(g0_rough), times, control):
         if reached:
-            sup_q = _sup_q_gnorm(state.g)
+            sup_q = sup_q_gnorm(state.g)
             series.append((state.t, sup_q, state.t * sup_q))
     return series

@@ -181,8 +181,8 @@ def sym_min_eigenvalues(comps: np.ndarray, n: int) -> np.ndarray:
 
 SYM_SCREEN_BAND = 1e-6   # closed-form eigenvalues, relative to |q| + 2p
 PENCIL_SCREEN_BAND = 1e-10  # whitening, relative to tr(H) tr(H^-1) tr(W)
-CONTRACTION_SCREEN_BAND = 1e-11  # a norm squared by another contraction order, relative to
-                                 # the product of the contracted operands' Frobenius norms
+CONTRACTION_SCREEN_BAND = 1e-11  # a squared norm's rounding, relative to the product of
+                                 # the contracted operands' Frobenius norms
 SCREEN_FLOOR = 1e-150    # absolute part of every band: covers underflow
 
 
@@ -201,18 +201,22 @@ def screened_extreme(values: np.ndarray, band: np.ndarray, kernel: Callable[...,
     ``np.argmin`` and ``np.argmax``.  The full call is made when a screen
     or band is not finite or every node is a candidate.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        lower, upper = values - band, values + band
-        candidates = None
-        if np.isfinite(lower).all() and np.isfinite(upper).all():
-            if largest:
-                candidates = np.flatnonzero(upper >= lower.max())
-            else:
-                candidates = np.flatnonzero(lower <= upper.min())
-    full = candidates is None or candidates.size == values.size
+    candidates = _candidates(values, band, largest)
+    full = candidates is None
     found = kernel(*operands) if full else kernel(*(op[candidates] for op in operands))
     k = int(np.argmax(found) if largest else np.argmin(found))
     return float(found[k]), k if full else int(candidates[k])
+
+
+def _candidates(values: np.ndarray, band: np.ndarray, largest: bool) -> np.ndarray | None:
+    """Ascending flat nodes whose band reaches the best screened bound, or
+    None where :func:`screened_extreme` falls back to the full call."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper = values - band, values + band
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            return None
+        candidates = np.flatnonzero(upper >= lower.max() if largest else lower <= upper.min())
+    return None if candidates.size == values.size else candidates
 
 
 _PAIR_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0])  # 3x3 identity, pair-stored
@@ -318,6 +322,11 @@ def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, flo
     npairs = len(sym_pairs(n))
     flat = (g.components.reshape(-1, npairs), g0.components.reshape(-1, npairs))
     smallest, largest, band = _pencil_screen(*flat, n)
+    if _candidates(smallest, band, False) is None and _candidates(largest, band, True) is None:
+        # both extremes fall back, as when every node ties (g = g0 at t = 0):
+        # one full chain serves both
+        eigs = _pencil_eigenvalues(*flat, n)
+        return float(eigs[:, 0].min()), float(eigs[:, -1].max())
     lam, _ = screened_extreme(smallest, band,
                               lambda gc, hc: _pencil_eigenvalues(gc, hc, n)[:, 0], flat)
     big_lam, _ = screened_extreme(largest, band,
@@ -580,15 +589,43 @@ def hessian_curvature_from_metric(g: MetricField) -> np.ndarray:
 
     ``Q_ijkl = partial_k partial_l g_ij / 2 - g^pq (partial_k g_ip)(partial_l g_jq) / 2``;
     agrees with :func:`hessian_curvature` at second order for Hessian
-    metrics, and is the route used for diagnostics along a flow, where only
-    the metric is carried.
+    metrics.  Along a flow, where only the metric is carried, the
+    diagnostics need only its norm's sup, :func:`sup_q_gnorm`.
     """
+    d2 = _full_second_partials(_second_partials(g), g.grid.ndim)
+    return _q_metric(g.inverse_matrices(), metric_partials(g), d2)
+
+
+def _second_partials(g: Sym2Field) -> np.ndarray:
+    """Stacked second derivatives ``S[..., s, p] = partial_k partial_l g_ij``
+    with ``s`` the slot of the pair ``(k, l)`` and ``p`` that of ``(i, j)``:
+    one stencil call per pair ``(k, l)`` on the whole component stack."""
     n = g.grid.ndim
-    ginv = g.inverse_matrices()
-    d = metric_partials(g)
-    d2 = np.empty((*g.grid.shape, n, n, n, n))
-    for k, l in sym_pairs(n):
-        d2[..., k, l] = d2[..., l, k] = sym_matrices(stencil(g.components, (k, l), g.grid.spacings), n)
+    out = np.empty((*g.grid.shape, len(sym_pairs(n)), g.components.shape[-1]))
+    for s, kl in enumerate(sym_pairs(n)):
+        out[..., s, :] = stencil(g.components, kl, g.grid.spacings)
+    return out
+
+
+@functools.cache
+def _second_partials_table(n: int) -> np.ndarray:
+    """Slot of ``partial_k partial_l g_ij`` in the flattened last two axes of
+    :func:`_second_partials`, as an ``[i, j, k, l]`` array."""
+    pair = sym_table(n, 2)
+    table = pair[None, None, :, :] * len(sym_pairs(n)) + pair[:, :, None, None]
+    table.flags.writeable = False
+    return table
+
+
+def _full_second_partials(stacked: np.ndarray, n: int) -> np.ndarray:
+    """Full ``d2[..., i, j, k, l] = partial_k partial_l g_ij``, in C order."""
+    return np.take(stacked.reshape(*stacked.shape[:-2], -1), _second_partials_table(n), axis=-1)
+
+
+def _q_metric(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """``Q = d2/2 - g^pq d_kip d_ljq / 2`` from ``g^-1``, the first derivatives
+    ``d[..., k, i, p]`` and the full second derivatives ``d2[..., i, j, k, l]``,
+    which it overwrites: the one evaluation of the metric route to Q."""
     quad = np.einsum("...pq,...kip,...ljq->...ijkl", ginv, d, d)
     # 0.5 * d2 - 0.5 * quad, in place: the same operations, without two temporaries
     d2 *= 0.5
@@ -608,51 +645,95 @@ def curvature_gnorm(q_full: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-_SCREEN_CHUNK = 2048  # nodes per optimized contraction; bounds its intermediates' memory
+_SCREEN_CHUNK = 2048  # nodes per screened chunk; bounds its intermediates' memory
 
 
 def _sup_screened_norm(norm: Callable[..., np.ndarray], operands: tuple[np.ndarray, ...],
-                       squared: str, slots: tuple[int, ...], path: list) -> float:
+                       screen: Callable[..., tuple]) -> float:
     """Sup over the nodes of ``norm(*operands)``, the square root of a sum of
-    products of operand entries, for flat operands (first axis over nodes).
+    products, for flat operands (first axis over nodes).
 
     For n >= 2 the norm runs only at the nodes that the screen leaves as
-    candidates: the einsum ``squared`` of ``operands[s] for s in slots``,
-    contracted along the fixed ``path`` in chunks of nodes, which sums the
-    same products in another order (at n = 1 the norm is as cheap as any
-    screen).  The band is ``CONTRACTION_SCREEN_BAND`` times the product of
-    the contracted operands' Frobenius norms, through the square root.
+    candidates (at n = 1 the norm is as cheap as any screen).  On a chunk of
+    nodes ``screen(*chunk)`` returns ``(sq, delta, shift)``: the screened
+    squared norm of a tensor computed in another order; ``delta``, which
+    bounds the rounding of each side's squared norm, the screen's and the
+    kernel's, against the exact squared norm of the tensor it contracts;
+    and ``shift``, which bounds the difference of the exact norms of the
+    two tensors.  The band carries both through the square root.
     """
     n = operands[0].shape[-1]
     if n == 1:
         return float(np.max(norm(*operands)))
     nodes = len(operands[0])
-    sq = np.empty(nodes)
+    sq, delta, shift = np.empty(nodes), np.empty(nodes), np.empty(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, nodes, _SCREEN_CHUNK):
-            chunk = [operands[s][start:start + _SCREEN_CHUNK] for s in slots]
-            sq[start:start + _SCREEN_CHUNK] = np.einsum(squared, *chunk, optimize=path)
+            chunk = slice(start, start + _SCREEN_CHUNK)
+            sq[chunk], delta[chunk], shift[chunk] = screen(*(op[chunk] for op in operands))
         values = np.sqrt(np.maximum(sq, 0.0))
-        frobenius = [np.sqrt(np.einsum("ij,ij->i", a, a)) for a in
-                     (op.reshape(nodes, -1) for op in operands)]
-        delta = CONTRACTION_SCREEN_BAND * np.prod([frobenius[s] for s in slots], axis=0) + SCREEN_FLOOR
-        # |sqrt(a) - sqrt(b)| <= delta / max(sqrt(b), sqrt(delta)), plus the
-        # rounding of both square roots
-        band = delta / np.maximum(values, np.sqrt(delta)) + 4.0 * np.finfo(float).eps * values
+        delta += SCREEN_FLOOR
+        root = np.sqrt(delta)
+        # |sqrt(a) - sqrt(b)| <= delta / max(sqrt(a), sqrt(delta)) for |a - b| <= delta,
+        # and as well with sqrt(b) in place of sqrt(a): the screen's side, then the
+        # kernel's, whose exact norm is at least values - screen_side - shift
+        screen_side = delta / np.maximum(values, root)
+        kernel_side = delta / np.maximum(values - screen_side - shift, root)
+        # plus the rounding of both square roots
+        band = screen_side + shift + kernel_side + 4.0 * np.finfo(float).eps * values
     return screened_extreme(values, band, norm, operands, largest=True)[0]
 
 
-_GNORM_SQUARED = "...ijkl,...ip,...jq,...kr,...ls,...pqrs->..."
-# np.einsum_path's greedy order for n = 2 and 3, whatever the number of nodes
-_GNORM_PATH = ["einsum_path", (0, 1), (0, 3), (2, 3), (0, 2), (0, 1)]
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Per-node Frobenius norms of a flat operand (first axis over nodes)."""
+    flat = a.reshape(len(a), -1)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
-def sup_curvature_gnorm(q_full: np.ndarray, ginv: np.ndarray) -> float:
-    """Sup over the nodes of :func:`curvature_gnorm`, screened by one
-    optimized contraction of |Q|_g^2."""
-    n = ginv.shape[-1]
-    return _sup_screened_norm(curvature_gnorm, (q_full.reshape(-1, n, n, n, n), ginv.reshape(-1, n, n)),
-                              _GNORM_SQUARED, (0, 1, 1, 1, 1, 0), _GNORM_PATH)
+def sup_q_gnorm(g: MetricField) -> float:
+    """Sup over the nodes of |Q|_g with Q from the metric alone: the value of
+    ``curvature_gnorm(hessian_curvature_from_metric(g), g^-1).max()``, bit
+    for bit, with the exact Q formed only at the nodes a screen leaves as
+    candidates (see "Screened extremes" in docs/conventions.md)."""
+    n, nodes = g.grid.ndim, g.grid.num_nodes
+    npairs = g.components.shape[-1]
+    operands = (g.inverse_matrices().reshape(nodes, n, n), metric_partials(g).reshape(nodes, n, n, n),
+                _second_partials(g).reshape(nodes, npairs, npairs))
+    return _sup_screened_norm(_q_gnorm, operands, _q_screen)
+
+
+def _q_gnorm(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """The exact kernel of :func:`sup_q_gnorm`: :func:`curvature_gnorm` of
+    :func:`_q_metric`, from stacked second derivatives."""
+    return curvature_gnorm(_q_metric(ginv, d, _full_second_partials(d2, ginv.shape[-1])), ginv)
+
+
+QUAD_SCREEN_BAND = 1e-13  # quad by matmul, relative to |D|_F^2 |G|_F + |Q'|_F
+
+
+def _q_screen(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> tuple:
+    """``(|Q'|_g^2, delta, shift)`` for :func:`_sup_screened_norm` on a chunk.
+
+    In the layout ``M[(k, i), (l, j)] = Q_ijkl`` (symmetric), with
+    ``D[(k, i), p] = partial_k g_ip`` and ``G = g^-1``, the quadratic term is
+    ``(D G) D^T`` and ``|Q|_g^2 = tr((GG M)^2)`` with ``GG = G (x) G``: batched
+    ``matmul`` in place of the kernel's unoptimized ``einsum``.
+    """
+    nodes, n = ginv.shape[:2]
+    m = n * n
+    dm = d.reshape(nodes, m, n)
+    q = np.take(d2.reshape(nodes, -1), _second_partials_table(n).transpose(2, 0, 3, 1).ravel(),
+                axis=-1).reshape(nodes, m, m)
+    quad = dm @ ginv @ dm.transpose(0, 2, 1)
+    q *= 0.5
+    quad *= 0.5
+    q -= quad
+    raised = (ginv[:, :, None, :, None] * ginv[:, None, :, None, :]).reshape(nodes, m, m) @ q
+    sq = np.einsum("nab,nba->n", raised, raised)
+    g_norm, q_norm = _frobenius(ginv), _frobenius(q)
+    quad_error = QUAD_SCREEN_BAND * (_frobenius(d) ** 2 * g_norm + q_norm)  # >= |Q - Q'|_F
+    delta = CONTRACTION_SCREEN_BAND * g_norm**4 * (q_norm + quad_error) ** 2
+    return sq, delta, g_norm**2 * quad_error
 
 
 # --- Riemann tensor, two routes -----------------------------------------------
@@ -702,6 +783,14 @@ _TORSION_SQUARED = "...kij,...pqr,...kp,...iq,...jr->..."
 _TORSION_PATH = ["einsum_path", (0, 2), (0, 1), (1, 2), (0, 1)]
 
 
+def _torsion_screen(torsion: np.ndarray, gmat: np.ndarray, ginv: np.ndarray) -> tuple:
+    """``(|T|_g^2, delta, 0)`` for :func:`_sup_screened_norm` on a chunk: the
+    kernel's sum by one optimized ``einsum``; the tensor is the same."""
+    sq = np.einsum(_TORSION_SQUARED, torsion, torsion, gmat, ginv, ginv, optimize=_TORSION_PATH)
+    delta = CONTRACTION_SCREEN_BAND * _frobenius(gmat) * _frobenius(ginv) ** 2 * _frobenius(torsion) ** 2
+    return sq, delta, 0.0
+
+
 def _torsion_gnorm(torsion: np.ndarray, gmat: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """Nodewise g-norm of the torsion ``T[..., k, i, j]`` (upper slot lowered
     by g, lower slots raised by g^-1), by one unoptimized contraction."""
@@ -715,8 +804,7 @@ def _chern_torsion(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple[n
     torsion = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, anti)
     n = ginv.shape[-1]
     flat = (torsion.reshape(-1, n, n, n), gmat.reshape(-1, n, n), ginv.reshape(-1, n, n))
-    return torsion, _sup_screened_norm(_torsion_gnorm, flat, _TORSION_SQUARED, (0, 0, 1, 2, 2),
-                                       _TORSION_PATH)
+    return torsion, _sup_screened_norm(_torsion_gnorm, flat, _torsion_screen)
 
 
 def kahler_curvature_pullback(pm: PotentialMetric) -> np.ndarray:
@@ -802,7 +890,8 @@ def sectional_extremes(
     w = rng.standard_normal((n_samples, n))
 
     gmats = g.matrices().reshape(-1, n, n)[nodes]
-    q_nodes = q.full().reshape(-1, n, n, n, n)[nodes]
+    ncomp = q.components.shape[-1]
+    q_nodes = np.take(q.components.reshape(-1, ncomp)[nodes], _q_table(n), axis=-1)
     v = _g_normalize(v, gmats)
     w = _g_normalize(w, gmats)
     values = np.einsum("sijkl,si,sj,sk,sl->s", q_nodes, v, v, w, w)

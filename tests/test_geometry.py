@@ -374,6 +374,22 @@ class TestSectionalExtremes:
         assert abs(2.0 * r2.max_value - r1.max_value) <= 1e-12
         assert abs(2.0 * r2.min_value - r1.min_value) <= 1e-12
 
+    def test_gathers_only_the_sampled_nodes(self):
+        # the full Q of a 32^3 grid (20 MiB) is never built for 1000 samples
+        grid = PeriodicGrid((32,) * 3, (TWO_PI,) * 3)
+        psi = ScalarField.from_function(grid, lambda x, y, z: 0.05 * np.cos(x) * np.sin(y + z))
+        pm = geo.PotentialMetric(grid, np.eye(3), psi)
+        q, g = geo.hessian_curvature(pm), geo.metric_from_potential(pm)
+        full_bytes = grid.num_nodes * 3**4 * 8
+        tracemalloc.start()
+        try:
+            rep = geo.sectional_extremes(q, g, n_samples=1000, refine_steps=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * full_bytes  # measured 0.15x; gathering q.full() took 1.07x
+        assert rep.samples_used == 1000
+
 
 class TestCurvatureBundle:
     def test_bundle_is_internally_consistent(self):

@@ -3,14 +3,15 @@ closed-form screen equal, bit for bit and with the same node, those of the
 exact kernels run over every node.
 
 The exact kernels are ``sym_min_eigenvalues`` (LAPACK at n = 3), the
-Cholesky/inverse/eigvalsh chain of the metric pencil, the four-step
-``curvature_gnorm`` chain and the five-operand contraction of the torsion
-norm.  The design rests on each kernel giving the same
+Cholesky/inverse/eigvalsh chain of the metric pencil, the metric route to
+Q followed by the four-step ``curvature_gnorm`` chain, and the five-operand
+contraction of the torsion norm.  The design rests on each kernel giving the same
 bits on any subset of nodes as on the full grid; the first class checks
 that on the grid sizes of the benchmark.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszulflow import criteria as cr
+from koszulflow import flow as fl
 from koszulflow import geometry as geo
 from koszulflow import registry as reg
 from koszulflow.grid import PeriodicGrid, ScalarField
@@ -55,6 +57,9 @@ def full_kernels(n):
     npairs = len(geo.sym_pairs(n))
     q_full = geo.hessian_curvature_from_metric(g)
     ginv, gmat = g.inverse_matrices(), g.matrices()
+    flat_ginv = ginv.reshape(-1, n, n)
+    q_operands = (flat_ginv, geo.metric_partials(g).reshape(-1, n, n, n),
+                  geo._second_partials(g).reshape(-1, npairs, npairs))
     torsion = geo._chern_torsion(geo.metric_partials(g), ginv, gmat)[0]
     chol = np.linalg.cholesky(g0.matrices())
     linv = np.linalg.inv(chol)
@@ -65,8 +70,9 @@ def full_kernels(n):
                     geo.sym_min_eigenvalues(g.components, n).ravel()),
         "pencil": (lambda a, b: geo._pencil_eigenvalues(a, b, n), (flat_g, flat_g0),
                    pencil.reshape(-1, n)),
-        "gnorm": (geo.curvature_gnorm, (q_full.reshape(-1, *(n,) * 4), ginv.reshape(-1, n, n)),
+        "gnorm": (geo.curvature_gnorm, (q_full.reshape(-1, *(n,) * 4), flat_ginv),
                   geo.curvature_gnorm(q_full, ginv).ravel()),
+        "q_gnorm": (geo._q_gnorm, q_operands, geo.curvature_gnorm(q_full, ginv).ravel()),
         "torsion": (geo._torsion_gnorm, (torsion.reshape(-1, n, n, n), gmat.reshape(-1, n, n),
                                          ginv.reshape(-1, n, n)),
                     unscreened_torsion_gnorm(torsion, gmat, ginv).ravel()),
@@ -109,8 +115,8 @@ def tied_spectra(draw):
 
 class TestKernelsOnSubsets:
     @HYPOTHESIS
-    @given(n=st.sampled_from((2, 3)), kernel=st.sampled_from(("min_eig", "pencil", "gnorm", "torsion")),
-           data=st.data())
+    @given(n=st.sampled_from((2, 3)),
+           kernel=st.sampled_from(("min_eig", "pencil", "gnorm", "q_gnorm", "torsion")), data=st.data())
     def test_subset_gives_the_full_grid_bits(self, n, kernel, data):
         compute, operands, full = full_kernels(n)[kernel]
         nodes = data.draw(st.lists(st.integers(0, len(full) - 1), min_size=1, max_size=17,
@@ -199,29 +205,6 @@ class TestPencilScreen:
         assert geo.pencil_eigenvalue_range(g, g0) == (pencil[:, 0].min(), pencil[:, -1].max())
 
 
-class TestGnormScreen:
-    @HYPOTHESIS
-    @given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1), copies=st.integers(1, 5),
-           log_cond=st.floats(0.0, 4.0))
-    def test_sup_equals_the_full_chain(self, n, seed, copies, log_cond):
-        # the node with the largest |Q|_g is repeated at `copies` random nodes
-        rng = np.random.default_rng(seed)
-        nodes = 64
-        q = rng.standard_normal((nodes, *(n,) * 4)) * 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1, 1, 1))
-        ginv = rotated(10.0 ** rng.uniform(0.0, log_cond, (nodes, n)), rng)
-        top = int(np.argmax(geo.curvature_gnorm(q, ginv)))
-        for k in rng.choice(nodes, copies, replace=False):
-            q[k], ginv[k] = q[top], ginv[top]
-        assert np.array_equal(geo.sup_curvature_gnorm(q, ginv), geo.curvature_gnorm(q, ginv).max())
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_smooth_sup_equals_the_full_chain(self, n):
-        g, _ = smooth_pair(n)
-        full = full_kernels(n)["gnorm"][2]
-        q_full = geo.hessian_curvature_from_metric(g)
-        assert geo.sup_curvature_gnorm(q_full, g.inverse_matrices()) == full.max()
-
-
 def screen_records(monkeypatch, call):
     """``(values, band, kernel, operands)`` of every ``screened_extreme`` call
     made by ``call()``."""
@@ -235,6 +218,107 @@ def screen_records(monkeypatch, call):
     monkeypatch.setattr(geo, "screened_extreme", recorded)
     call()
     return records
+
+
+class TestGnormScreen:
+    """``sup_q_gnorm``: the sup of |Q|_g with Q from the metric, screened by
+    batched ``matmul``, equals the full chain's, and never forms Q at every
+    node of a smooth field."""
+
+    @pytest.mark.parametrize("name", ["smooth2", "smooth3", "twist2d"])
+    def test_band_bounds_the_screen(self, monkeypatch, name):
+        g = reg.build_example("twist2d") if name == "twist2d" else smooth_pair(int(name[-1]))[0]
+        (values, band, kernel, operands), = screen_records(monkeypatch, lambda: geo.sup_q_gnorm(g))
+        assert kernel is geo._q_gnorm
+        assert np.all(np.abs(values - kernel(*operands)) <= band)
+        q = geo.hessian_curvature_from_metric(g)
+        pair_asymmetry = np.abs(q - np.swapaxes(q, -4, -2)).max()  # swapping slots 1 and 3
+        assert pair_asymmetry >= 0.01 if name == "twist2d" else pair_asymmetry < 1e-3
+
+    @HYPOTHESIS
+    @given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1), copies=st.integers(1, 5),
+           log_cond=st.floats(0.0, 4.0), cancel=st.booleans())
+    def test_sup_equals_the_full_chain(self, n, seed, copies, log_cond, cancel):
+        # random metric derivatives on an 8^n grid, those of no metric, so Q
+        # keeps no symmetry but the swap of its pairs; the node with the
+        # largest |Q|_g is repeated at `copies` random nodes.  With `cancel`,
+        # d[k, i, p] = a_k b_i b_p and the second derivatives equal the
+        # quadratic term to 1e-9, so Q is 1e-9 of its two terms and the
+        # rounding of the quadratic term, not the contraction's, fills the band
+        rng = np.random.default_rng(seed)
+        grid = PeriodicGrid((8,) * n, (TWO_PI,) * n)
+        nodes, npairs = grid.num_nodes, len(geo.sym_pairs(n))
+        scale = 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1))
+        first = rng.standard_normal((nodes, n, npairs)) * scale
+        second = rng.standard_normal((nodes, npairs, npairs)) * scale
+        gmat = rotated(10.0 ** rng.uniform(0.0, log_cond, (nodes, n)), rng)
+        if cancel:
+            a, b = rng.standard_normal((2, nodes, n)) * scale[..., 0]
+            bb = pair_stored(b[:, :, None] * b[:, None, :])
+            first = a[:, :, None] * bb[:, None, :]
+            b_ginv_b = np.einsum("ni,nij,nj->n", b, np.linalg.inv(gmat), b)
+            second = (b_ginv_b[:, None, None] * pair_stored(a[:, :, None] * a[:, None, :])[:, :, None]
+                      * bb[:, None, :] * (1.0 + 1e-9 * rng.standard_normal(second.shape)))
+        slot = geo.sym_table(n, 2)
+
+        def metric():
+            return geo.MetricField(grid, pair_stored(0.5 * (gmat + np.swapaxes(gmat, -1, -2)))
+                                   .reshape(*grid.shape, npairs))
+
+        def derivatives(patch):
+            patch.setattr(geo, "metric_partials",
+                          lambda g: geo.sym_matrices(first, n).reshape(*grid.shape, n, n, n))
+            patch.setattr(geo, "stencil",
+                          lambda values, axes, spacings: second[:, slot[axes]].reshape(*grid.shape, npairs))
+
+        def full_chain(g):
+            return geo.curvature_gnorm(geo.hessian_curvature_from_metric(g), g.inverse_matrices())
+
+        with pytest.MonkeyPatch.context() as patch:
+            derivatives(patch)
+            top = int(np.argmax(full_chain(metric())))
+            for k in rng.choice(nodes, copies, replace=False):
+                first[k], second[k], gmat[k] = first[top], second[top], gmat[top]
+            g = metric()
+            want = full_chain(g).max()
+            (values, band, kernel, operands), = screen_records(patch, lambda: geo.sup_q_gnorm(g))
+            assert np.all(np.abs(values - kernel(*operands)) <= band)
+            assert np.array_equal(geo.sup_q_gnorm(g), want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_smooth_sup_equals_the_full_chain(self, n):
+        g, _ = smooth_pair(n)
+        assert geo.sup_q_gnorm(g) == full_kernels(n)["gnorm"][2].max()
+
+    def test_diagnostics_row_never_builds_q_at_every_node(self, monkeypatch):
+        g, _ = smooth_pair(2)
+        monkeypatch.setattr(geo, "hessian_curvature_from_metric", None)  # a call would raise
+        sizes = []
+        original = geo._q_metric
+
+        def recorded(ginv, d, d2):
+            sizes.append(ginv[..., 0, 0].size)
+            return original(ginv, d, d2)
+
+        monkeypatch.setattr(geo, "_q_metric", recorded)
+        control = fl.StepControl()
+        state = fl.FlowState.initial(g)
+        fl.diagnostics_row(state, 0.0)
+        state = fl.step_tensor(state, fl.stable_dt(state.g, control), control)
+        fl.diagnostics_row(state, state.dt_last)
+        assert len(sizes) == 2 and max(sizes) < 0.02 * g.grid.num_nodes
+
+    # building Q at every node peaked at 5.56 MiB at 128^2 and 49.6 MiB at 32^3
+    @pytest.mark.parametrize("n, limit_mib", [(2, 5.56), (3, 49.6)])
+    def test_peak_memory(self, n, limit_mib):
+        g, _ = smooth_pair(n)
+        tracemalloc.start()
+        try:
+            geo.sup_q_gnorm(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20  # measured 4.0 and 23.8 MiB
 
 
 class TestTorsionScreen:
@@ -274,21 +358,18 @@ class TestTorsionScreen:
 
 
 class TestCandidates:
-    """The exact kernel runs on under 2% of the nodes of a smooth field (1 or 2
-    on the benchmark's inputs) and on every node of a field where every node
-    ties, the fallback."""
+    """The exact kernel runs on under 2% of the nodes of a smooth field (1 to
+    4 on the fields here) and once on every node of a field where every
+    node ties, the fallback."""
 
-    def kernel_sizes(self, monkeypatch, call):
-        sizes = []
-        original = geo.screened_extreme
-
-        def recorded(values, band, kernel, operands, largest=False):
-            def counted(*ops):
-                sizes.append(len(ops[0]))
-                return kernel(*ops)
-            return original(values, band, counted, operands, largest)
-
-        monkeypatch.setattr(geo, "screened_extreme", recorded)
+    def kernel_sizes(self, monkeypatch, names, call):
+        """Node counts of every call ``call()`` makes to the named kernels."""
+        sizes = {name: [] for name in names}
+        for name in names:
+            def counted(*ops, _name=name, _kernel=getattr(geo, name)):
+                sizes[_name].append(len(ops[0]))
+                return _kernel(*ops)
+            monkeypatch.setattr(geo, name, counted)
         call()
         return sizes
 
@@ -296,21 +377,29 @@ class TestCandidates:
     def test_min_eigenvalue(self, monkeypatch, flat):
         g, _ = smooth_pair(3)
         comps = np.broadcast_to(g.components[0, 0, 0], g.components.shape) if flat else g.components
-        sizes = self.kernel_sizes(monkeypatch, lambda: geo.check_metric(comps, 3))
+        sizes, = self.kernel_sizes(monkeypatch, ["sym_min_eigenvalues"],
+                                   lambda: geo.check_metric(comps, 3)).values()
         assert sizes == [g.grid.num_nodes] if flat else sizes[0] < 0.02 * g.grid.num_nodes
 
     @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
     def test_pencil_and_gnorm(self, monkeypatch, flat):
+        # on a flat metric with g = g0, as at t = 0, one pencil chain serves
+        # both extremes
         g, g0 = smooth_pair(2)
         if flat:
             g = g0 = geo.MetricField(g.grid, np.broadcast_to([1.5, 0.1, 1.0], g.components.shape))
-        q_full, ginv = geo.hessian_curvature_from_metric(g), g.inverse_matrices()
-        sizes = self.kernel_sizes(monkeypatch, lambda: (geo.pencil_eigenvalue_range(g, g0),
-                                                        geo.sup_curvature_gnorm(q_full, ginv)))
-        assert sizes == [g.grid.num_nodes] * 3 if flat else max(sizes) < 0.02 * g.grid.num_nodes
+        sizes = self.kernel_sizes(monkeypatch, ["_pencil_eigenvalues", "_q_gnorm"],
+                                  lambda: (geo.pencil_eigenvalue_range(g, g0), geo.sup_q_gnorm(g)))
+        nodes = g.grid.num_nodes
+        if flat:
+            assert sizes == {"_pencil_eigenvalues": [nodes], "_q_gnorm": [nodes]}
+        else:
+            assert [len(s) for s in sizes.values()] == [2, 1]
+            assert max(max(s) for s in sizes.values()) < 0.02 * nodes
 
     @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
     def test_torsion(self, monkeypatch, flat):
         g = geo.metric_from_potential(reg.build_example("flat")) if flat else smooth_pair(3)[0]
-        sizes = self.kernel_sizes(monkeypatch, lambda: geo.pullback_chern_torsion(g))
+        sizes, = self.kernel_sizes(monkeypatch, ["_torsion_gnorm"],
+                                   lambda: geo.pullback_chern_torsion(g)).values()
         assert sizes == [g.grid.num_nodes] if flat else sizes[0] < 0.02 * g.grid.num_nodes
