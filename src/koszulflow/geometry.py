@@ -179,10 +179,8 @@ def sym_min_eigenvalues(comps: np.ndarray, n: int) -> np.ndarray:
 #
 # The bands below are derived in docs/conventions.md, "Screened extremes".
 
-SYM_SCREEN_BAND = 1e-6   # closed-form eigenvalues, relative to |q| + 2p
-PENCIL_SCREEN_BAND = 1e-10  # whitening, relative to tr(H) tr(H^-1) tr(W)
-CONTRACTION_SCREEN_BAND = 1e-11  # a squared norm's rounding, relative to the product of
-                                 # the contracted operands' Frobenius norms
+SYM_SCREEN_BAND = 1e-6   # 3x3 trigonometric eigenvalues, relative to |q| + 2p
+WHITENING_BAND = 1e-13   # every rounding of a whitened screen, relative to its size
 SCREEN_FLOOR = 1e-150    # absolute part of every band: covers underflow
 
 
@@ -232,7 +230,7 @@ def _sym_eigen_screen(comps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
             a, b, c = comps[:, 0], comps[:, 1], comps[:, 2]
             q = 0.5 * (a + c)
             p = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
-            smallest, largest, scale = q - p, q + p, np.abs(q) + p
+            smallest, largest, band = q - p, q + p, WHITENING_BAND * (np.abs(q) + p)
         else:
             q = (comps[:, 0] + comps[:, 3] + comps[:, 5]) / 3.0
             dev = comps - q[:, None] * _PAIR_IDENTITY
@@ -242,8 +240,21 @@ def _sym_eigen_screen(comps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
             phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
             smallest = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
             largest = q + 2.0 * p * np.cos(phi)
-            scale = np.abs(q) + 2.0 * p
-    return smallest, largest, SYM_SCREEN_BAND * scale + SCREEN_FLOOR
+            band = SYM_SCREEN_BAND * (np.abs(q) + 2.0 * p)
+    return smallest, largest, band + SCREEN_FLOOR
+
+
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Lower-triangular ``L`` with ``L L^T = M`` by explicit formulas, for
+    symmetric positive definite ``m[i, j]`` with the node axis last: the
+    one factor behind every whitened screen (zeros above the diagonal)."""
+    n = len(m)
+    low = np.zeros(m.shape)
+    for j in range(n):
+        low[j, j] = np.sqrt(m[j, j] - sum(low[j, k] ** 2 for k in range(j)))
+        for i in range(j + 1, n):
+            low[i, j] = (m[i, j] - sum(low[i, k] * low[j, k] for k in range(j))) / low[j, j]
+    return low
 
 
 def smallest_eigenvalue(comps: np.ndarray, n: int) -> tuple[float, int]:
@@ -346,30 +357,21 @@ def _pencil_screen(g_flat: np.ndarray, h_flat: np.ndarray,
                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form ``(smallest, largest, band)`` generalized eigenvalues of the
     pair-stored SPD pairs (G, H): the symmetric screen of W = X G X^T, with
-    X = L^-1 and L the Cholesky factor of H by explicit formulas."""
+    X = L^-1 and L the explicit Cholesky factor of H."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         slot = sym_table(n, 2)
-        h = [[h_flat[:, slot[i, j]] for j in range(n)] for i in range(n)]
-        low = [[None] * n for _ in range(n)]
-        for j in range(n):
-            low[j][j] = np.sqrt(h[j][j] - sum(low[j][k] ** 2 for k in range(j)))
-            for i in range(j + 1, n):
-                low[i][j] = (h[i][j] - sum(low[i][k] * low[j][k] for k in range(j))) / low[j][j]
-        x = [[None] * n for _ in range(n)]  # lower triangular
+        low = _cholesky(h_flat.T[slot])
+        x = np.zeros_like(low)  # lower triangular
         for i in range(n):
-            x[i][i] = 1.0 / low[i][i]
+            x[i, i] = 1.0 / low[i, i]
             for j in range(i):
-                x[i][j] = -sum(low[i][k] * x[k][j] for k in range(j, i)) * x[i][i]
-        xg = [[sum(x[i][k] * g_flat[:, slot[k, l]] for k in range(i + 1))
+                x[i, j] = -sum(low[i, k] * x[k, j] for k in range(j, i)) * x[i, i]
+        xg = [[sum(x[i, k] * g_flat[:, slot[k, l]] for k in range(i + 1))
                for l in range(n)] for i in range(n)]
-        w = np.empty_like(g_flat)
-        for p, (i, j) in enumerate(sym_pairs(n)):
-            w[:, p] = sum(xg[i][l] * x[j][l] for l in range(j + 1))
+        w = np.stack([sum(xg[i][l] * x[j, l] for l in range(j + 1)) for i, j in sym_pairs(n)], axis=1)
         smallest, largest, band = _sym_eigen_screen(w, n)
-        tr_h = sum(h[i][i] for i in range(n))
-        tr_h_inv = sum(x[i][j] ** 2 for i in range(n) for j in range(i + 1))
-        tr_w = sum(w[:, slot[i, i]] for i in range(n))
-        band = band + PENCIL_SCREEN_BAND * tr_h * tr_h_inv * np.abs(tr_w)
+        tr_w = w[:, slot.diagonal()].sum(axis=1)
+        band = band + WHITENING_BAND * _squares(low) * _squares(x) * np.abs(tr_w)
     return smallest, largest, band
 
 
@@ -655,19 +657,19 @@ def _sup_screened_norm(norm: Callable[..., np.ndarray], operands: tuple[np.ndarr
 
     For n >= 2 the norm runs only at the nodes that the screen leaves as
     candidates (at n = 1 the norm is as cheap as any screen).  On a chunk of
-    nodes ``screen(*chunk)`` returns ``(sq, delta, shift)``: the screened
-    squared norm of a tensor computed in another order; ``delta``, which
-    bounds the rounding of each side's squared norm, the screen's and the
-    kernel's, against the exact squared norm of the tensor it contracts;
-    and ``shift``, which bounds the difference of the exact norms of the
-    two tensors.  The band carries both through the square root.
+    nodes ``screen(*chunk)`` returns ``(sq, delta, shift)``: the squared
+    norm of a tensor computed in a whitened frame; ``delta``, which bounds
+    the rounding of each side's squared norm, the screen's and the kernel's,
+    against the exact squared norm of the tensor it contracts; and
+    ``shift``, which bounds the difference of the exact norms of the two
+    tensors.  The band carries both through the square root.
     """
     n = operands[0].shape[-1]
     if n == 1:
         return float(np.max(norm(*operands)))
     nodes = len(operands[0])
     sq, delta, shift = np.empty(nodes), np.empty(nodes), np.empty(nodes)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, nodes, _SCREEN_CHUNK):
             chunk = slice(start, start + _SCREEN_CHUNK)
             sq[chunk], delta[chunk], shift[chunk] = screen(*(op[chunk] for op in operands))
@@ -684,10 +686,24 @@ def _sup_screened_norm(norm: Callable[..., np.ndarray], operands: tuple[np.ndarr
     return screened_extreme(values, band, norm, operands, largest=True)[0]
 
 
-def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Per-node Frobenius norms of a flat operand (first axis over nodes)."""
-    flat = a.reshape(len(a), -1)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+def _whitened(t: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``t[i, j, ...]`` (node axis last) with each slot ``s`` contracted with
+    ``L^T``, ``L = factors[s]`` from :func:`_cholesky`: its components in an
+    orthonormal frame of ``M = L L^T``, whose sum of squares is ``t M t``."""
+    n = len(t)
+    for s, low in enumerate(factors):
+        ts = np.moveaxis(t, s, 0)
+        out = np.empty(ts.shape)
+        for a in range(n):
+            out[a] = sum(low[i, a] * ts[i] for i in range(a, n))
+        t = np.moveaxis(out, 0, s)
+    return t
+
+
+def _squares(t: np.ndarray) -> np.ndarray:
+    """Per-node sum of the squared components of ``t`` (node axis last)."""
+    flat = t.reshape(-1, t.shape[-1])
+    return np.einsum("ij,ij->j", flat, flat)
 
 
 def sup_q_gnorm(g: MetricField) -> float:
@@ -708,32 +724,19 @@ def _q_gnorm(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return curvature_gnorm(_q_metric(ginv, d, _full_second_partials(d2, ginv.shape[-1])), ginv)
 
 
-QUAD_SCREEN_BAND = 1e-13  # quad by matmul, relative to |D|_F^2 |G|_F + |Q'|_F
-
-
 def _q_screen(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> tuple:
-    """``(|Q'|_g^2, delta, shift)`` for :func:`_sup_screened_norm` on a chunk.
-
-    In the layout ``M[(k, i), (l, j)] = Q_ijkl`` (symmetric), with
-    ``D[(k, i), p] = partial_k g_ip`` and ``G = g^-1``, the quadratic term is
-    ``(D G) D^T`` and ``|Q|_g^2 = tr((GG M)^2)`` with ``GG = G (x) G``: batched
-    ``matmul`` in place of the kernel's unoptimized ``einsum``.
-    """
-    nodes, n = ginv.shape[:2]
-    m = n * n
-    dm = d.reshape(nodes, m, n)
-    q = np.take(d2.reshape(nodes, -1), _second_partials_table(n).transpose(2, 0, 3, 1).ravel(),
-                axis=-1).reshape(nodes, m, m)
-    quad = dm @ ginv @ dm.transpose(0, 2, 1)
-    q *= 0.5
-    quad *= 0.5
-    q -= quad
-    raised = (ginv[:, :, None, :, None] * ginv[:, None, :, None, :]).reshape(nodes, m, m) @ q
-    sq = np.einsum("nab,nba->n", raised, raised)
-    g_norm, q_norm = _frobenius(ginv), _frobenius(q)
-    quad_error = QUAD_SCREEN_BAND * (_frobenius(d) ** 2 * g_norm + q_norm)  # >= |Q - Q'|_F
-    delta = CONTRACTION_SCREEN_BAND * g_norm**4 * (q_norm + quad_error) ** 2
-    return sq, delta, g_norm**2 * quad_error
+    """``(|Q'|_g^2, delta, shift)`` for :func:`_sup_screened_norm` on a chunk,
+    in the frame of the kernel's ``g^-1 = R R^T``: the quadratic term is
+    ``E E^T`` for the whitened ``E = d R``, then every slot of Q' is whitened."""
+    n = ginv.shape[-1]
+    r = _cholesky(np.moveaxis(ginv, 0, -1))
+    e = _whitened(d.T, (r,))  # e[a, i, k] = sum_p d[k, i, p] R[p, a]
+    quad = sum(e[a][:, None, :, None] * e[a][None, :, None, :] for a in range(n))
+    q = 0.5 * d2.reshape(len(d2), -1).T[_second_partials_table(n)] - 0.5 * quad  # d2[i, j, k, l]
+    tr_ginv, q_norm = _squares(r), np.sqrt(_squares(q))  # tr(g^-1) = |R|_F^2
+    quad_error = WHITENING_BAND * (_squares(d.T) * tr_ginv + q_norm)  # >= |Q - Q'|_F
+    delta = WHITENING_BAND * tr_ginv**4 * (q_norm + quad_error) ** 2
+    return _squares(_whitened(q, (r,) * 4)), delta, tr_ginv**2 * quad_error
 
 
 # --- Riemann tensor, two routes -----------------------------------------------
@@ -778,23 +781,19 @@ def pullback_chern_torsion(g: MetricField) -> tuple[np.ndarray, float]:
     return _chern_torsion(metric_partials(g), g.inverse_matrices(), g.matrices())
 
 
-_TORSION_SQUARED = "...kij,...pqr,...kp,...iq,...jr->..."
-# np.einsum_path's greedy order for n = 2 and 3, whatever the number of nodes
-_TORSION_PATH = ["einsum_path", (0, 2), (0, 1), (1, 2), (0, 1)]
-
-
 def _torsion_screen(torsion: np.ndarray, gmat: np.ndarray, ginv: np.ndarray) -> tuple:
     """``(|T|_g^2, delta, 0)`` for :func:`_sup_screened_norm` on a chunk: the
-    kernel's sum by one optimized ``einsum``; the tensor is the same."""
-    sq = np.einsum(_TORSION_SQUARED, torsion, torsion, gmat, ginv, ginv, optimize=_TORSION_PATH)
-    delta = CONTRACTION_SCREEN_BAND * _frobenius(gmat) * _frobenius(ginv) ** 2 * _frobenius(torsion) ** 2
-    return sq, delta, 0.0
+    sum of squares of ``T`` with its upper slot in the frame of the kernel's
+    ``g`` and its lower slots in that of its ``g^-1``; the tensor is the same."""
+    frames = (_cholesky(np.moveaxis(gmat, 0, -1)),) + (_cholesky(np.moveaxis(ginv, 0, -1)),) * 2
+    delta = WHITENING_BAND * _squares(frames[0]) * _squares(frames[1]) ** 2 * _squares(torsion.T)
+    return _squares(_whitened(np.moveaxis(torsion, 0, -1), frames)), delta, 0.0
 
 
 def _torsion_gnorm(torsion: np.ndarray, gmat: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """Nodewise g-norm of the torsion ``T[..., k, i, j]`` (upper slot lowered
     by g, lower slots raised by g^-1), by one unoptimized contraction."""
-    sq = np.einsum(_TORSION_SQUARED, torsion, torsion, gmat, ginv, ginv)
+    sq = np.einsum("...kij,...pqr,...kp,...iq,...jr->...", torsion, torsion, gmat, ginv, ginv)
     return np.sqrt(np.maximum(sq, 0.0))
 
 

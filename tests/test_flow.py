@@ -289,7 +289,7 @@ class TestRunFlow:
         assert [s.t for s in traj] == [ULP_SAMPLE, ULP_T]
         assert [r.t for r in rows] == [0.0, ULP_SAMPLE, ULP_T]
 
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(targets=st.lists(st.floats(1e-9, 0.05), min_size=1, max_size=4, unique=True),
            name=st.sampled_from(("sin1d", "bump2d")))
     # two targets closer than dt_min (1e-15)
@@ -393,6 +393,18 @@ class TestEquivalence:
         fine = fl.equivalence_check(metric("sin1d", sizes=(512,)), 0.1, CTL, 5e-5)
         assert coarse <= 1e-4  # measured 2.63e-10
         assert coarse / fine >= 3.0  # measured 4.00
+
+    def test_no_ulp_long_step_pair_at_the_end(self, monkeypatch):
+        # ten steps of 0.01 sum to one ulp short of 0.1: that gap is the
+        # rounding of t, not an eleventh pair of steps
+        sizes = {"tensor": [], "potential": []}
+        for leg in sizes:
+            def counted(state, dt, scheme, _leg=leg, _attempt=getattr(fl, f"_attempt_{leg}_step")):
+                sizes[_leg].append(dt)
+                return _attempt(state, dt, scheme)
+            monkeypatch.setattr(fl, f"_attempt_{leg}_step", counted)
+        fl.equivalence_check(metric("sin1d", sizes=(32,)), 0.1, CTL, 0.01)
+        assert sizes == {"tensor": [0.01] * 10, "potential": [0.01] * 10}
 
 
     def test_steps_build_no_field_wrappers(self, monkeypatch):

@@ -248,7 +248,7 @@ def grid_fields(draw):
     return random_field(grid, seed)
 
 
-HYPOTHESIS = settings(max_examples=60, deadline=None, database=None)
+HYPOTHESIS = settings(max_examples=60)
 
 
 class TestStencilHypothesis:

@@ -39,7 +39,7 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path):
 SPECIAL = np.array([-0.0, 5e-324, -1.7976931348623157e308, 2.2250738585072014e-308])
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(sizes=st.lists(st.integers(8, 10), min_size=1, max_size=3),
        lengths=st.lists(st.floats(1e-6, 1e6), min_size=3, max_size=3),
        ncomp=st.integers(1, 10), t=st.floats(0.0, 1e6), seed=st.integers(0, 2**32 - 1))
@@ -181,7 +181,7 @@ def config_sets(draw):
     return schema, expected, "\n".join(lines)
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(config=config_sets())
 def test_config_round_trip_hypothesis(config):
     schema, expected, text = config
@@ -195,7 +195,7 @@ FLOAT_KEYS = sorted({(verb, key) for verb, spec in VERBS.items()
                      for key, kind in spec.schema.items() if kind in ("float", "floats")})
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(verb_key=st.sampled_from(FLOAT_KEYS), bad=NON_FINITE, finite=st.lists(FINITE, max_size=3),
        data=st.data())
 def test_non_finite_float_entries_are_rejected(verb_key, bad, finite, data):

@@ -25,7 +25,7 @@ from koszulflow import registry as reg
 from koszulflow.grid import PeriodicGrid, ScalarField
 
 TWO_PI = 2.0 * np.pi
-HYPOTHESIS = settings(max_examples=40, deadline=None, database=None)
+HYPOTHESIS = settings(max_examples=40)
 
 
 @functools.cache
@@ -221,8 +221,8 @@ def screen_records(monkeypatch, call):
 
 
 class TestGnormScreen:
-    """``sup_q_gnorm``: the sup of |Q|_g with Q from the metric, screened by
-    batched ``matmul``, equals the full chain's, and never forms Q at every
+    """``sup_q_gnorm``: the sup of |Q|_g with Q from the metric, screened in
+    a whitened frame, equals the full chain's, and never forms Q at every
     node of a smooth field."""
 
     @pytest.mark.parametrize("name", ["smooth2", "smooth3", "twist2d"])
@@ -237,7 +237,7 @@ class TestGnormScreen:
 
     @HYPOTHESIS
     @given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1), copies=st.integers(1, 5),
-           log_cond=st.floats(0.0, 4.0), cancel=st.booleans())
+           log_cond=st.floats(0.0, 8.0), cancel=st.booleans())
     def test_sup_equals_the_full_chain(self, n, seed, copies, log_cond, cancel):
         # random metric derivatives on an 8^n grid, those of no metric, so Q
         # keeps no symmetry but the swap of its pairs; the node with the
@@ -335,7 +335,7 @@ class TestTorsionScreen:
 
     @HYPOTHESIS
     @given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1), copies=st.integers(1, 5),
-           log_cond=st.floats(0.0, 4.0))
+           log_cond=st.floats(0.0, 8.0))
     def test_sup_equals_the_full_chain(self, n, seed, copies, log_cond):
         # random metric derivatives on a 4^n grid; the node with the largest
         # torsion norm is repeated at `copies` random nodes
@@ -355,6 +355,46 @@ class TestTorsionScreen:
     def test_smooth_sup_equals_the_full_chain(self, n):
         g, _ = smooth_pair(n)
         assert geo.pullback_chern_torsion(g)[1] == full_kernels(n)["torsion"][2].max()
+
+
+class TestWhitening:
+    """The one Cholesky factor of every whitened screen, and the pencil's
+    O(u) band at n = 2, where the closed form of W = X G X^T is half-trace
+    and radius."""
+
+    @HYPOTHESIS
+    @given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1), log_cond=st.floats(0.0, 12.0))
+    def test_factor_whitens_its_matrix(self, n, seed, log_cond):
+        # H conditioned up to 1e12, as in TestPencilScreen: L L^T = H within
+        # the Cholesky step of the band, and X H X^T = I (the pencil of (H, H),
+        # whose eigenvalues are all 1) within the pencil's band
+        rng = np.random.default_rng(seed)
+        h = rotated(10.0 ** rng.uniform(0.0, log_cond, (64, n)), rng)
+        h = 0.5 * (h + np.swapaxes(h, -1, -2))
+        low = geo._cholesky(np.moveaxis(h, 0, -1))
+        residual = np.einsum("ik...,jk...->ij...", low, low) - np.moveaxis(h, 0, -1)
+        assert np.all(np.sqrt(geo._squares(residual)) <= geo.WHITENING_BAND * geo._squares(low))
+        smallest, largest, band = geo._pencil_screen(pair_stored(h), pair_stored(h), n)
+        assert np.all(np.abs(smallest - 1.0) <= band) and np.all(np.abs(largest - 1.0) <= band)
+
+    def test_flow_rows_run_the_pencil_on_few_nodes(self, monkeypatch):
+        # rows every 10 steps, as in the benchmark's 2-D flow: at t = 0, where
+        # g = g0 and every node ties, one full chain; after it each extreme of
+        # the range leaves at most 2 candidates (the 3x3 band at n = 2 left
+        # thousands here)
+        g, _ = smooth_pair(2)
+        sizes = []
+        original = geo._pencil_eigenvalues
+
+        def recorded(g_comps, h_comps, n):
+            sizes.append(len(g_comps))
+            return original(g_comps, h_comps, n)
+
+        monkeypatch.setattr(geo, "_pencil_eigenvalues", recorded)
+        control = fl.StepControl()
+        _, rows = fl.run_flow(g, 30.5 * fl.stable_dt(g, control), control, diag_stride=10)
+        assert [r.t > 0.0 for r in rows] == [False, True, True, True, True]
+        assert sizes[0] == g.grid.num_nodes and len(sizes) == 9 and max(sizes[1:]) <= 2
 
 
 class TestCandidates:
