@@ -165,15 +165,15 @@ def _curvature(run: Run):
     cfg, pm, g, node = run.cfg, run.pm, run.g, run.node
     seed = run.seed if run.seed is not None else 0
     grid = g.grid
-    bundle = geo.curvature_bundle(g, pm)
+    bundle = geo.curvature_bundle(g, pm, node)
     alpha, kappa, beta, q = bundle.alpha, bundle.kappa, bundle.beta, bundle.q
     lines = [
         f"input: {run.label}",
         f"grid_sizes: {','.join(str(s) for s in grid.sizes)}",
         f"hessian_defect: {format_float(bundle.hessian_defect)}",
         f"torsion_norm: {format_float(bundle.torsion_norm)}",
-        f"sup_gamma_mixed: {format_float(float(np.max(np.abs(bundle.gamma_mixed))))}",
-        f"sup_gamma_lower: {format_float(float(np.max(np.abs(bundle.gamma_lower))))}",
+        f"sup_gamma_mixed: {format_float(bundle.sup_gamma_mixed)}",
+        f"sup_gamma_lower: {format_float(bundle.sup_gamma_lower)}",
         f"sup_alpha: {format_float(float(np.max(np.abs(alpha))))}",
         f"sup_kappa: {format_float(kappa.sup_norm())}",
         f"sup_beta: {format_float(beta.sup_norm())}",
@@ -200,9 +200,7 @@ def _curvature(run: Run):
             lines.append(f"kappa_{i}{j}@probe: {format_float(kappa.component(i, j)[node])}")
         for i in range(grid.ndim):
             lines.append(f"alpha_{i}@probe: {format_float(alpha[(*node, i)])}")
-        lines.append(
-            f"gamma_mixed_000@probe: {format_float(bundle.gamma_mixed[(*node, 0, 0, 0)])}"
-        )
+        lines.append(f"gamma_mixed_000@probe: {format_float(bundle.gamma_mixed_000)}")
         if q is not None:
             lines.append(f"q_0000@probe: {format_float(q.component(0, 0, 0, 0)[node])}")
         else:

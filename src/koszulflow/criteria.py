@@ -130,17 +130,20 @@ def max_s(
     n = g0.grid.ndim
     m0, m1 = _pencil_parts(g0, u, theta, scale_gauge_with_s)
 
-    def margin(s: float) -> float:
-        return _margin(m0 + s * m1, n)[0]
+    def margin(s: float) -> tuple[float, int]:
+        return _margin(m0 + s * m1, n)
 
-    if margin(0.0) <= 0.0:
-        raise InfeasibleAtZero(f"margin at S=0 is {margin(0.0):.3e}")
+    # every margin is one full-grid evaluation: each is taken once, and the
+    # one that set s_lo also gives the witness node
+    lo = margin(0.0)
+    if lo[0] <= 0.0:
+        raise InfeasibleAtZero(f"margin at S=0 is {lo[0]:.3e}")
     if _margin(m1, n)[0] >= 0.0:
         return PencilResult(s_max=math.inf, witness_node=None, witness_direction=None)
 
     s_hi = 1.0
     for _ in range(80):
-        if margin(s_hi) < 0.0:
+        if margin(s_hi)[0] < 0.0:
             break
         s_hi *= 2.0
     else:
@@ -148,14 +151,14 @@ def max_s(
     s_lo = 0.0
     while s_hi - s_lo > BISECTION_TOL:
         mid = 0.5 * (s_lo + s_hi)
-        if margin(mid) >= 0.0:
-            s_lo = mid
+        found = margin(mid)
+        if found[0] >= 0.0:
+            s_lo, lo = mid, found
         else:
             s_hi = mid
 
-    m = m0 + s_lo * m1
-    node = tuple(np.unravel_index(_margin(m, n)[1], g0.grid.shape))
-    _, vecs = np.linalg.eigh(sym_matrices(m[node], n))  # [[1.0]] for n = 1
+    node = tuple(np.unravel_index(lo[1], g0.grid.shape))
+    _, vecs = np.linalg.eigh(sym_matrices(m0[node] + s_lo * m1[node], n))  # [[1.0]] for n = 1
     direction = vecs[:, 0]
     return PencilResult(s_max=s_lo, witness_node=node, witness_direction=direction)
 

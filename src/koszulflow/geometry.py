@@ -183,6 +183,13 @@ SYM_SCREEN_BAND = 1e-6   # 3x3 trigonometric eigenvalues, relative to |q| + 2p
 WHITENING_BAND = 1e-13   # every rounding of a whitened screen, relative to its size
 SCREEN_FLOOR = 1e-150    # absolute part of every band: covers underflow
 
+_SCREEN_CHUNK = 2048  # nodes per chunk of a node-local kernel; bounds its intermediates' memory
+
+
+def _chunks(nodes: int):
+    """Slices of ``_SCREEN_CHUNK`` flat nodes covering ``range(nodes)``."""
+    return (slice(start, start + _SCREEN_CHUNK) for start in range(0, nodes, _SCREEN_CHUNK))
+
 
 def screened_extreme(values: np.ndarray, band: np.ndarray, kernel: Callable[..., np.ndarray],
                      operands: tuple[np.ndarray, ...], largest: bool = False) -> tuple[float, int]:
@@ -479,16 +486,22 @@ def _christoffel(d: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return gamma_mixed, gamma_lower
 
 
+def sym_derivatives(values: np.ndarray, order: int, spacings: tuple[float, ...]) -> np.ndarray:
+    """``(*values.shape, k)`` derivatives of ``order`` of a node array, one
+    stencil call per sorted index tuple, in :func:`sym_indices` order."""
+    indices = sym_indices(len(spacings), order)
+    out = np.empty((*values.shape, len(indices)))
+    for s, axes in enumerate(indices):
+        out[..., s] = stencil(values, axes, spacings)
+    return out
+
+
 def pair_hessian(values: np.ndarray, spacings: tuple[float, ...]) -> np.ndarray:
     """Pair-stored ``partial2`` of a node array in :func:`sym_pairs` order: the
     one stencil path of ``beta``, the a2 gauge ``dd(u)`` and the potential
     leg's ``dd(phi)``, which makes ``kappa = -beta/2`` and the log-det gauge's
     cancellation of ``beta`` exact."""
-    pairs = sym_pairs(len(spacings))
-    comps = np.empty((*values.shape, len(pairs)))
-    for p, (i, j) in enumerate(pairs):
-        comps[..., p] = stencil(values, (i, j), spacings)
-    return comps
+    return sym_derivatives(values, 2, spacings)
 
 
 def koszul(g: MetricField) -> tuple[np.ndarray, Sym2Field, Sym2Field]:
@@ -567,23 +580,30 @@ def hessian_curvature(pm: PotentialMetric) -> HessianCurvature:
 
 
 def _hessian_curvature(pm: PotentialMetric, ginv: np.ndarray) -> HessianCurvature:
-    grid, n, psi = pm.grid, pm.grid.ndim, pm.psi.values
-    stored = np.empty((*grid.shape, len(sym_indices(n, 3))))
-    for s, axes in enumerate(sym_indices(n, 3)):
-        stored[..., s] = stencil(psi, axes, grid.spacings)
-    third = np.take(stored, sym_table(n, 3), axis=-1)
+    grid, n, psi, nodes = pm.grid, pm.grid.ndim, pm.psi.values, pm.grid.num_nodes
+    thirds, fourths = (sym_derivatives(psi, order, grid.spacings).reshape(nodes, -1) for order in (3, 4))
+    flat_ginv = ginv.reshape(nodes, n, n)
+    comps = np.empty((nodes, len(sym_indices(len(sym_pairs(n)), 2))))
+    for chunk in _chunks(nodes):
+        comps[chunk] = _q_potential(flat_ginv[chunk], thirds[chunk], fourths[chunk])
+    return HessianCurvature(grid, comps.reshape(*grid.shape, -1))
 
+
+def _q_potential(ginv: np.ndarray, thirds: np.ndarray, fourths: np.ndarray) -> np.ndarray:
+    """Stored components of ``Q = phi_ijkl/2 - g^pq phi_ikp phi_jlq/2`` on flat
+    nodes, from ``g^-1`` and the stored third and fourth potential
+    derivatives (:func:`sym_indices` order): node-local, so a chunk of
+    nodes gives the bits of the whole grid."""
+    n = ginv.shape[-1]
+    third, fourth = np.take(thirds, sym_table(n, 3), axis=-1), sym_table(n, 4)
     pairs = sym_pairs(n)
     slots = sym_indices(len(pairs), 2)
-    comps = np.empty((*grid.shape, len(slots)))
-    for axes in sym_indices(n, 4):
-        fourth = stencil(psi, axes, grid.spacings)
-        for s, (a, b) in enumerate(slots):
-            (i, k), (j, l) = pairs[a], pairs[b]
-            if tuple(sorted((i, j, k, l))) == axes:
-                quad = np.einsum("...pq,...p,...q->...", ginv, third[..., i, k, :], third[..., j, l, :])
-                comps[..., s] = 0.5 * fourth - 0.5 * quad
-    return HessianCurvature(grid, comps)
+    comps = np.empty((len(ginv), len(slots)))
+    for s, (a, b) in enumerate(slots):
+        (i, k), (j, l) = pairs[a], pairs[b]
+        quad = np.einsum("...pq,...p,...q->...", ginv, third[:, i, k], third[:, j, l])
+        comps[:, s] = 0.5 * fourths[:, fourth[i, j, k, l]] - 0.5 * quad
+    return comps
 
 
 def hessian_curvature_from_metric(g: MetricField) -> np.ndarray:
@@ -647,9 +667,6 @@ def curvature_gnorm(q_full: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-_SCREEN_CHUNK = 2048  # nodes per screened chunk; bounds its intermediates' memory
-
-
 def _sup_screened_norm(norm: Callable[..., np.ndarray], operands: tuple[np.ndarray, ...],
                        screen: Callable[..., tuple]) -> float:
     """Sup over the nodes of ``norm(*operands)``, the square root of a sum of
@@ -670,8 +687,7 @@ def _sup_screened_norm(norm: Callable[..., np.ndarray], operands: tuple[np.ndarr
     nodes = len(operands[0])
     sq, delta, shift = np.empty(nodes), np.empty(nodes), np.empty(nodes)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, nodes, _SCREEN_CHUNK):
-            chunk = slice(start, start + _SCREEN_CHUNK)
+        for chunk in _chunks(nodes):
             sq[chunk], delta[chunk], shift[chunk] = screen(*(op[chunk] for op in operands))
         values = np.sqrt(np.maximum(sq, 0.0))
         delta += SCREEN_FLOOR
@@ -778,32 +794,42 @@ def pullback_chern_torsion(g: MetricField) -> tuple[np.ndarray, float]:
     g-contracted norm.  The norm vanishes (to truncation) exactly when g is
     Hessian.
     """
-    return _chern_torsion(metric_partials(g), g.inverse_matrices(), g.matrices())
+    d, ginv = metric_partials(g), g.inverse_matrices()
+    return _torsion(d, ginv), _sup_torsion_gnorm(d, ginv, g.matrices())
 
 
-def _torsion_screen(torsion: np.ndarray, gmat: np.ndarray, ginv: np.ndarray) -> tuple:
+def _torsion(d: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """``T[..., k, i, j]`` from the metric derivatives ``d[..., k, i, j]`` and ``g^-1``."""
+    # anti[..., i, j, l] = partial_i g_jl - partial_j g_il
+    anti = d - np.swapaxes(d, -3, -2)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, anti)
+
+
+def _sup_torsion_gnorm(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> float:
+    """Sup over the nodes of the torsion's g-norm, with ``T`` formed per
+    chunk of the screen and at the candidate nodes only."""
+    n = ginv.shape[-1]
+    flat = (d.reshape(-1, n, n, n), ginv.reshape(-1, n, n), gmat.reshape(-1, n, n))
+    return _sup_screened_norm(_torsion_gnorm, flat, _torsion_screen)
+
+
+def _torsion_screen(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple:
     """``(|T|_g^2, delta, 0)`` for :func:`_sup_screened_norm` on a chunk: the
     sum of squares of ``T`` with its upper slot in the frame of the kernel's
     ``g`` and its lower slots in that of its ``g^-1``; the tensor is the same."""
+    torsion = _torsion(d, ginv)
     frames = (_cholesky(np.moveaxis(gmat, 0, -1)),) + (_cholesky(np.moveaxis(ginv, 0, -1)),) * 2
     delta = WHITENING_BAND * _squares(frames[0]) * _squares(frames[1]) ** 2 * _squares(torsion.T)
     return _squares(_whitened(np.moveaxis(torsion, 0, -1), frames)), delta, 0.0
 
 
-def _torsion_gnorm(torsion: np.ndarray, gmat: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """Nodewise g-norm of the torsion ``T[..., k, i, j]`` (upper slot lowered
-    by g, lower slots raised by g^-1), by one unoptimized contraction."""
+def _torsion_gnorm(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> np.ndarray:
+    """Nodewise g-norm of the torsion of the metric derivatives ``d`` (upper
+    slot lowered by g, lower slots raised by g^-1), by one unoptimized
+    contraction."""
+    torsion = _torsion(d, ginv)
     sq = np.einsum("...kij,...pqr,...kp,...iq,...jr->...", torsion, torsion, gmat, ginv, ginv)
     return np.sqrt(np.maximum(sq, 0.0))
-
-
-def _chern_torsion(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, float]:
-    # anti[..., i, j, l] = partial_i g_jl - partial_j g_il
-    anti = d - np.swapaxes(d, -3, -2)
-    torsion = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, anti)
-    n = ginv.shape[-1]
-    flat = (torsion.reshape(-1, n, n, n), gmat.reshape(-1, n, n), ginv.reshape(-1, n, n))
-    return torsion, _sup_screened_norm(_torsion_gnorm, flat, _torsion_screen)
 
 
 def kahler_curvature_pullback(pm: PotentialMetric) -> np.ndarray:
@@ -918,40 +944,57 @@ def sectional_extremes(
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Every curvature/Koszul quantity of one metric, in one record; ``q`` is
-    None for a non-Hessian input.  Of the Riemann tensor, the largest array
-    of the pipeline, only the sup norm is kept."""
+    """The curvature report of one metric: the Koszul forms, ``Q`` (None for
+    a non-Hessian input), and of the difference tensor, its Riemann tensor
+    and the Chern torsion only the sups and the probe's ``gamma^0_00``
+    (None without a probe node)."""
 
-    gamma_mixed: np.ndarray
-    gamma_lower: np.ndarray
     alpha: np.ndarray
     kappa: Sym2Field
     beta: Sym2Field
     hessian_defect: float
     torsion_norm: float
+    sup_gamma_mixed: float
+    sup_gamma_lower: float
     sup_riemann: float
+    gamma_mixed_000: float | None
     q: HessianCurvature | None
 
 
-def curvature_bundle(g: MetricField, pm: PotentialMetric | None) -> CurvatureBundle:
+def curvature_bundle(g: MetricField, pm: PotentialMetric | None,
+                     node: tuple[int, ...] | None = None) -> CurvatureBundle:
     """The curvature record of ``g = metric_from_potential(pm)``, or of a
-    non-Hessian ``g`` with ``pm = None``; the metric derivatives, ``g^-1``
-    and the full matrices are computed once and shared by every formula."""
-    ginv, gmat = g.inverse_matrices(), g.matrices()
-    d = metric_partials(g)
-    defect = _hessian_defect(d)
-    torsion_norm = _chern_torsion(d, ginv, gmat)[1]
-    gamma_mixed, gamma_lower = _christoffel(d, ginv)
-    del d  # not needed past the Christoffel pair; freeing it lowers peak memory
+    non-Hessian ``g`` with ``pm = None``, probed at ``node``.  The metric
+    derivatives, ``g^-1`` and the full matrices are computed once and shared
+    by every formula; past the stencils every formula is node-local and
+    runs chunk by chunk, so no array of the difference tensor, its Riemann
+    tensor or the torsion is formed on the whole grid."""
+    n, nodes = g.grid.ndim, g.grid.num_nodes
+    ginv = g.inverse_matrices().reshape(nodes, n, n)
+    gmat = g.matrices().reshape(nodes, n, n)
+    d = metric_partials(g).reshape(nodes, n, n, n)
+    probe = None if node is None else int(np.ravel_multi_index(node, g.grid.shape))
+    sups, gamma_mixed_000 = [], None
+    for chunk in _chunks(nodes):
+        gamma_mixed, gamma_lower = _christoffel(d[chunk], ginv[chunk])
+        riemann = _riemann_from_gamma(gamma_mixed, gmat[chunk])
+        sups.append([_hessian_defect(d[chunk]),
+                     *(np.max(np.abs(t)) for t in (gamma_mixed, gamma_lower, riemann))])
+        if probe is not None and chunk.start <= probe < chunk.stop:
+            gamma_mixed_000 = float(gamma_mixed[probe - chunk.start, 0, 0, 0])
+    defect, sup_gamma_mixed, sup_gamma_lower, sup_riemann = (float(v) for v in np.max(sups, axis=0))
+    torsion_norm = _sup_torsion_gnorm(d, ginv, gmat)
+    del d  # freed before the Koszul forms and Q; lowers peak memory
     alpha, kappa, beta = koszul(g)
     return CurvatureBundle(
-        gamma_mixed=gamma_mixed,
-        gamma_lower=gamma_lower,
         alpha=alpha,
         kappa=kappa,
         beta=beta,
         hessian_defect=defect,
         torsion_norm=torsion_norm,
-        sup_riemann=float(np.max(np.abs(_riemann_from_gamma(gamma_mixed, gmat)))),
+        sup_gamma_mixed=sup_gamma_mixed,
+        sup_gamma_lower=sup_gamma_lower,
+        sup_riemann=sup_riemann,
+        gamma_mixed_000=gamma_mixed_000,
         q=None if pm is None else _hessian_curvature(pm, ginv),
     )

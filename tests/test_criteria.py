@@ -14,7 +14,7 @@ import pytest
 from koszulflow import criteria as cr
 from koszulflow import geometry as geo
 from koszulflow import registry as reg
-from koszulflow.grid import ScalarField
+from koszulflow.grid import PeriodicGrid, ScalarField
 
 
 def sin1d_metric(n_nodes=512):
@@ -125,6 +125,47 @@ class TestMaxS:
         g = flat_metric()
         with pytest.raises(cr.InfeasibleAtZero):
             cr.max_s(g, zero_gauge(g), 1.5)
+
+    @staticmethod
+    def count_margins(monkeypatch):
+        """A list that grows by one at each full-grid margin evaluation, that
+        is each call of ``smallest_eigenvalue``."""
+        calls = []
+        original = cr.smallest_eigenvalue
+        monkeypatch.setattr(cr, "smallest_eigenvalue", lambda comps, n: calls.append(n) or original(comps, n))
+        return calls
+
+    def test_infeasible_input_evaluates_one_margin(self, monkeypatch):
+        g = flat_metric()
+        calls = self.count_margins(monkeypatch)
+        with pytest.raises(cr.InfeasibleAtZero):
+            cr.max_s(g, zero_gauge(g), 1.5)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", ["sin1d", "report3d"])
+    def test_each_margin_is_evaluated_once(self, monkeypatch, case):
+        # one margin at S = 0, one of the slope M1, one per bracket step and
+        # one per bisection step; the witness reuses the margin that set s_lo
+        if case == "sin1d":
+            g = sin1d_metric()
+        else:  # the shape of the benchmark's 3-D report: 32^3, theta = 0.5, zero gauge
+            grid = PeriodicGrid((32,) * 3, (2.0 * math.pi,) * 3)
+            psi = ScalarField.from_function(grid, lambda x, y, z: 0.1 * np.cos(x) * np.cos(y) * np.cos(z))
+            g = geo.metric_from_potential(geo.PotentialMetric(grid, np.eye(3), psi))
+        theta = 0.1 if case == "sin1d" else 0.5
+        calls = self.count_margins(monkeypatch)
+        s_max = cr.max_s(g, zero_gauge(g), theta).s_max
+        count = len(calls)
+        s_hi = 1.0
+        while s_hi <= s_max:
+            s_hi *= 2.0
+        bracket = int(math.log2(s_hi)) + 1
+        width, bisection = s_hi, 0
+        while width > cr.BISECTION_TOL:
+            width, bisection = 0.5 * width, bisection + 1
+        assert count == 2 + bracket + bisection
+        if case == "report3d":
+            assert (bracket, count) == (2, 35)
 
     def test_concavity_of_nodewise_minimum_eigenvalue(self):
         g = geo.metric_from_potential(reg.build_example("bump2d", sizes=(64, 64)))

@@ -398,28 +398,76 @@ class TestCurvatureBundle:
         assert np.max(np.abs(bundle.kappa.components + 0.5 * bundle.beta.components)) == 0.0
         assert bundle.q.component(0, 0, 0, 0)[0] == pytest.approx(-0.25, abs=1e-3)
 
-    @pytest.mark.parametrize("case", ["sin1d", "twist2d", "potential3d"])
+    # the last three cases have more than 2048 nodes, so the node-local
+    # kernels of the bundle run in several chunks.  Each case is also checked
+    # translated along the first axis so that the node of the largest entry
+    # of each whole-grid array lies in the last row, hence in the last chunk
+    @pytest.mark.parametrize("case", ["sin1d", "twist2d", "potential3d",
+                                      "sin1d_3000", "twist2d_48", "potential3d_14"])
     def test_fields_equal_the_public_functions(self, case):
-        if case == "twist2d":
-            g, pm = twist2d(32), None
+        name, _, size = case.partition("_")
+        if name == "twist2d":
+            g, pm = twist2d(int(size or 32)), None
         else:
-            pm = sin1d(64) if case == "sin1d" else TestThreeDimensions.potential3d(8)
+            size = int(size or (64 if name == "sin1d" else 8))
+            pm = sin1d(size) if name == "sin1d" else TestThreeDimensions.potential3d(size)
             g = geo.metric_from_potential(pm)
+        self.check_fields(g, pm)
+        shape = g.grid.shape
+        for array in (*geo.christoffel(g), geo.riemann_from_gamma(g)):
+            row = np.unravel_index(np.argmax(np.abs(array).reshape(*shape, -1).max(axis=-1)), shape)[0]
+            self.check_fields(*self.translated(g, pm, shape[0] - 1 - row))
+
+    @staticmethod
+    def translated(g, pm, rows):
+        """The inputs rolled by ``rows`` nodes along the first axis."""
+        if pm is None:
+            return geo.MetricField(g.grid, np.roll(g.components, rows, axis=0)), None
+        psi = ScalarField(pm.grid, np.roll(pm.psi.values, rows, axis=0))
+        pm = geo.PotentialMetric(pm.grid, pm.background, psi)
+        return geo.metric_from_potential(pm), pm
+
+    @staticmethod
+    def check_fields(g, pm):
+        """Every field of the bundle against the public functions on the whole
+        grid, bit for bit; probes at the first node, the first node of the
+        second chunk and the last node."""
         bundle = geo.curvature_bundle(g, pm)
         gamma_mixed, gamma_lower = geo.christoffel(g)
         alpha, kappa, beta = geo.koszul(g)
-        assert np.array_equal(bundle.gamma_mixed, gamma_mixed)
-        assert np.array_equal(bundle.gamma_lower, gamma_lower)
+        assert bundle.sup_gamma_mixed == float(np.max(np.abs(gamma_mixed)))
+        assert bundle.sup_gamma_lower == float(np.max(np.abs(gamma_lower)))
+        assert bundle.gamma_mixed_000 is None
         assert np.array_equal(bundle.alpha, alpha)
         assert np.array_equal(bundle.kappa.components, kappa.components)
         assert np.array_equal(bundle.beta.components, beta.components)
         assert bundle.hessian_defect == geo.hessian_defect(g)
         assert bundle.torsion_norm == geo.pullback_chern_torsion(g)[1]
         assert bundle.sup_riemann == float(np.max(np.abs(geo.riemann_from_gamma(g))))
+        for flat in {0, min(2048, g.grid.num_nodes - 1), g.grid.num_nodes - 1}:
+            node = tuple(int(k) for k in np.unravel_index(flat, g.grid.shape))
+            probed = geo.curvature_bundle(g, pm, node)
+            assert probed.gamma_mixed_000 == gamma_mixed[(*node, 0, 0, 0)]
         if pm is None:
             assert bundle.q is None
         else:
             assert np.array_equal(bundle.q.components, geo.hessian_curvature(pm).components)
+            # the component loops form the quadratic term on the whole grid at once
+            assert_same_bytes(bundle.q.components, reference_potential_q(pm, g.inverse_matrices()))
+
+    # building the whole difference tensor and Riemann array peaked at 62.5 MiB
+    def test_peak_memory(self):
+        grid = PeriodicGrid((32,) * 3, (TWO_PI,) * 3)
+        psi = ScalarField.from_function(grid, lambda x, y, z: 0.05 * np.cos(x) * np.sin(y + z))
+        pm = geo.PotentialMetric(grid, np.eye(3), psi)
+        g = geo.metric_from_potential(pm)
+        tracemalloc.start()
+        try:
+            geo.curvature_bundle(g, pm, (1, 2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20  # measured 27.1 MiB
 
 
 class TestThreeDimensions:

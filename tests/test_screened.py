@@ -7,7 +7,9 @@ Cholesky/inverse/eigvalsh chain of the metric pencil, the metric route to
 Q followed by the four-step ``curvature_gnorm`` chain, and the five-operand
 contraction of the torsion norm.  The design rests on each kernel giving the same
 bits on any subset of nodes as on the full grid; the first class checks
-that on the grid sizes of the benchmark.
+that on the grid sizes of the benchmark, for these kernels and for the
+node-local kernels that the curvature report runs chunk by chunk (the
+Christoffel pair, its Riemann tensor, the torsion and Q from the potential).
 """
 
 import functools
@@ -29,18 +31,24 @@ HYPOTHESIS = settings(max_examples=40)
 
 
 @functools.cache
-def smooth_pair(n):
-    """Two different smooth potential metrics (g, g0) at 128^2 or 32^3."""
+def smooth_potentials(n):
+    """Two different smooth potential metrics at 128^2 or 32^3."""
     grid = PeriodicGrid((128, 128) if n == 2 else (32, 32, 32), (TWO_PI,) * n)
     x = grid.coordinate_arrays()
 
-    def metric(shift, amplitude):
+    def potential(shift, amplitude):
         psi = amplitude * np.prod([np.cos(xi - shift * (i + 1)) for i, xi in enumerate(x)], axis=0)
         psi = psi + 0.02 * np.sin(sum(x) - shift)
         background = np.eye(n) + 0.1 * (np.ones((n, n)) - np.eye(n))
-        return geo.metric_from_potential(geo.PotentialMetric(grid, background, ScalarField(grid, psi)))
+        return geo.PotentialMetric(grid, background, ScalarField(grid, psi))
 
-    return metric(0.3, 0.1), metric(1.1, 0.05)
+    return potential(0.3, 0.1), potential(1.1, 0.05)
+
+
+@functools.cache
+def smooth_pair(n):
+    """The metrics (g, g0) of :func:`smooth_potentials`."""
+    return tuple(geo.metric_from_potential(pm) for pm in smooth_potentials(n))
 
 
 def unscreened_torsion_gnorm(torsion, gmat, ginv):
@@ -51,20 +59,26 @@ def unscreened_torsion_gnorm(torsion, gmat, ginv):
 
 @functools.cache
 def full_kernels(n):
-    """Flat operands and the full-grid outputs of the four exact kernels,
-    computed on the grid-shaped arrays as the unscreened code did."""
+    """Flat operands and the full-grid outputs of the exact kernels,
+    computed on the grid-shaped arrays as the unscreened code did (Q from
+    the potential: by one call on every node)."""
     g, g0 = smooth_pair(n)
     npairs = len(geo.sym_pairs(n))
     q_full = geo.hessian_curvature_from_metric(g)
     ginv, gmat = g.inverse_matrices(), g.matrices()
-    flat_ginv = ginv.reshape(-1, n, n)
-    q_operands = (flat_ginv, geo.metric_partials(g).reshape(-1, n, n, n),
-                  geo._second_partials(g).reshape(-1, npairs, npairs))
-    torsion = geo._chern_torsion(geo.metric_partials(g), ginv, gmat)[0]
+    flat_ginv, flat_gmat = ginv.reshape(-1, n, n), gmat.reshape(-1, n, n)
+    flat_d = geo.metric_partials(g).reshape(-1, n, n, n)
+    q_operands = (flat_ginv, flat_d, geo._second_partials(g).reshape(-1, npairs, npairs))
+    torsion = geo._torsion(geo.metric_partials(g), ginv)
     chol = np.linalg.cholesky(g0.matrices())
     linv = np.linalg.inv(chol)
     pencil = np.linalg.eigvalsh(linv @ g.matrices() @ np.swapaxes(linv, -1, -2))
     flat_g, flat_g0 = g.components.reshape(-1, npairs), g0.components.reshape(-1, npairs)
+    gamma_pair = geo.christoffel(g)
+    pm = smooth_potentials(n)[0]
+    psi, spacings = pm.psi.values, pm.grid.spacings
+    potential_operands = (flat_ginv, *(geo.sym_derivatives(psi, order, spacings).reshape(len(flat_d), -1)
+                                       for order in (3, 4)))
     return {
         "min_eig": (lambda c: geo.sym_min_eigenvalues(c, n), (flat_g,),
                     geo.sym_min_eigenvalues(g.components, n).ravel()),
@@ -73,10 +87,20 @@ def full_kernels(n):
         "gnorm": (geo.curvature_gnorm, (q_full.reshape(-1, *(n,) * 4), flat_ginv),
                   geo.curvature_gnorm(q_full, ginv).ravel()),
         "q_gnorm": (geo._q_gnorm, q_operands, geo.curvature_gnorm(q_full, ginv).ravel()),
-        "torsion": (geo._torsion_gnorm, (torsion.reshape(-1, n, n, n), gmat.reshape(-1, n, n),
-                                         ginv.reshape(-1, n, n)),
+        "torsion": (geo._torsion_gnorm, (flat_d, flat_ginv, flat_gmat),
                     unscreened_torsion_gnorm(torsion, gmat, ginv).ravel()),
+        "christoffel": (lambda d, gi: flat_pair(geo._christoffel(d, gi)), (flat_d, flat_ginv),
+                        flat_pair(gamma_pair)),
+        "riemann": (geo._riemann_from_gamma, (gamma_pair[0].reshape(-1, n, n, n), flat_gmat),
+                    geo.riemann_from_gamma(g).reshape(-1, *(n,) * 4)),
+        "torsion_tensor": (geo._torsion, (flat_d, flat_ginv), torsion.reshape(-1, n, n, n)),
+        "q_potential": (geo._q_potential, potential_operands, geo._q_potential(*potential_operands)),
     }
+
+
+def flat_pair(gammas):
+    """The Christoffel pair ``(gamma_mixed, gamma_lower)`` as one ``(nodes, 2 n^3)`` array."""
+    return np.concatenate([gamma.reshape(-1, gamma.shape[-1] ** 3) for gamma in gammas], axis=1)
 
 
 def pair_stored(mats):
@@ -113,10 +137,13 @@ def tied_spectra(draw):
     return pair_stored(rotated(spectrum, rng, rotate=draw(st.booleans())))
 
 
+KERNELS = ("min_eig", "pencil", "gnorm", "q_gnorm", "torsion",
+           "christoffel", "riemann", "torsion_tensor", "q_potential")
+
+
 class TestKernelsOnSubsets:
-    @HYPOTHESIS
-    @given(n=st.sampled_from((2, 3)),
-           kernel=st.sampled_from(("min_eig", "pencil", "gnorm", "q_gnorm", "torsion")), data=st.data())
+    @settings(max_examples=20 * len(KERNELS))
+    @given(n=st.sampled_from((2, 3)), kernel=st.sampled_from(KERNELS), data=st.data())
     def test_subset_gives_the_full_grid_bits(self, n, kernel, data):
         compute, operands, full = full_kernels(n)[kernel]
         nodes = data.draw(st.lists(st.integers(0, len(full) - 1), min_size=1, max_size=17,
@@ -344,11 +371,11 @@ class TestTorsionScreen:
         d = rng.standard_normal((nodes, n, n, n)) * 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1, 1))
         gmat = rotated(10.0 ** rng.uniform(0.0, log_cond, (nodes, n)), rng)
         ginv = np.linalg.inv(gmat)
-        top = int(np.argmax(geo._torsion_gnorm(geo._chern_torsion(d, ginv, gmat)[0], gmat, ginv)))
+        top = int(np.argmax(geo._torsion_gnorm(d, ginv, gmat)))
         for k in rng.choice(nodes, copies, replace=False):
             d[k], gmat[k], ginv[k] = d[top], gmat[top], ginv[top]
         d, gmat, ginv = (a.reshape(*(4,) * n, *a.shape[1:]) for a in (d, gmat, ginv))
-        torsion, norm = geo._chern_torsion(d, ginv, gmat)
+        torsion, norm = geo._torsion(d, ginv), geo._sup_torsion_gnorm(d, ginv, gmat)
         assert np.array_equal(norm, unscreened_torsion_gnorm(torsion, gmat, ginv).max())
 
     @pytest.mark.parametrize("n", [2, 3])
