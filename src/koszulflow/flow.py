@@ -105,7 +105,7 @@ class FlowState:
 
     @property
     def g(self) -> MetricField:
-        return MetricField._wrap(self.g0.grid, self.g_comps, self.min_eig)
+        return MetricField._wrap(self.g0.grid, self.g_comps, _min_eig=self.min_eig)
 
     @property
     def phi(self) -> ScalarField:

@@ -74,43 +74,102 @@ def sym_table(n: int, order: int) -> np.ndarray:
     return table
 
 
-# --- symmetric 2-tensor fields ----------------------------------------------
+def sym_derivatives(values: np.ndarray, order: int, spacings: tuple[float, ...]) -> np.ndarray:
+    """``(*values.shape, k)`` derivatives of ``order`` of a node array, one
+    stencil call per sorted index tuple, in :func:`sym_indices` order: the
+    one loop over derivative index sets.  ``values`` may carry trailing
+    component axes, so a tensor's derivatives are stored ``[components, K]``."""
+    indices = sym_indices(len(spacings), order)
+    out = np.empty((*values.shape, len(indices)))
+    for s, axes in enumerate(indices):
+        out[..., s] = stencil(values, axes, spacings)
+    return out
 
-class Sym2Field:
-    """Node-indexed symmetric n x n matrices, stored as upper triangles.
 
-    Component storage has shape ``(*grid.shape, n(n+1)/2)`` with the pair
-    order of :func:`sym_pairs`; symmetry is structural.
+@functools.cache
+def _partials_table(n: int, order: int) -> np.ndarray:
+    """Slot of ``partial_K g_ij`` in the flattened last two axes of
+    ``sym_derivatives(g.components, order, spacings)``, as an ``[i, j, *K]`` array."""
+    pair = sym_table(n, 2)
+    table = pair.reshape(n, n, *(1,) * order) * len(sym_indices(n, order)) + sym_table(n, order)
+    table.flags.writeable = False
+    return table
+
+
+def _full_partials(stacked: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Gather of the ``[ij, K]`` derivatives of a pair-stored field through a
+    (possibly transposed) :func:`_partials_table`, in C order."""
+    return np.take(stacked.reshape(*stacked.shape[:-2], -1), table, axis=-1)
+
+
+# --- stored symmetric tensor fields -------------------------------------------
+
+class _StoredTensor:
+    """Node-indexed components of a symmetric tensor, one per slot of the
+    storage table ``_table(n)``, in an array of shape ``(*grid.shape, slots)``.
+
+    Immutable: the public constructor keeps a private read-only copy, and
+    :meth:`_wrap` keeps, without a copy or a check, an array the library
+    has just built and hands over.
     """
 
     __slots__ = ("grid", "components")
 
     def __init__(self, grid: PeriodicGrid, components):
         comps = np.asarray(components, dtype=np.float64)
-        npairs = len(sym_pairs(grid.ndim))
-        if comps.shape != (*grid.shape, npairs):
-            raise ValueError(
-                f"component shape {comps.shape} does not match {(*grid.shape, npairs)}"
-            )
-        if not np.isfinite(comps).all():
-            raise ValueError("tensor field contains non-finite values")
-        comps = np.array(comps)
+        shape = (*grid.shape, int(self._table(grid.ndim).max()) + 1)
+        if comps.shape != shape:
+            raise ValueError(f"component shape {comps.shape} does not match {shape}")
+        self._fill(grid, np.array(comps))
+
+    @classmethod
+    def _wrap(cls, grid: PeriodicGrid, comps: np.ndarray, **slots):
+        """A field over ``comps``, which no one writes afterwards; ``slots``
+        sets a subclass's own slots."""
+        field = object.__new__(cls)
+        field._fill(grid, comps, **slots)
+        return field
+
+    def _fill(self, grid: PeriodicGrid, comps: np.ndarray, **slots) -> None:
         comps.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "components", comps)
+        for name, value in {"grid": grid, "components": comps, **slots}.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def component(self, i: int, j: int) -> np.ndarray:
-        return self.components[..., sym_table(self.grid.ndim, 2)[i, j]]
+    def component(self, *index: int) -> np.ndarray:
+        table = self._table(self.grid.ndim)
+        if len(index) != table.ndim:
+            raise TypeError(f"{type(self).__name__}.component takes {table.ndim} indices, got {len(index)}")
+        return self.components[..., table[index]]
 
-    def matrices(self) -> np.ndarray:
-        """Full ``(*shape, n, n)`` array (materialized)."""
-        return sym_matrices(self.components, self.grid.ndim)
+    def _gather(self) -> np.ndarray:
+        """The full array, one axis of length n per slot, in C order."""
+        return np.take(self.components, self._table(self.grid.ndim), axis=-1)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.components)))
+
+
+class Sym2Field(_StoredTensor):
+    """Node-indexed symmetric n x n matrices, stored as upper triangles.
+
+    Component storage has shape ``(*grid.shape, n(n+1)/2)`` with the pair
+    order of :func:`sym_pairs`; symmetry is structural.
+    """
+
+    __slots__ = ()
+    _table = staticmethod(functools.partial(sym_table, order=2))
+
+    def __init__(self, grid: PeriodicGrid, components):
+        super().__init__(grid, components)
+        if not np.isfinite(self.components).all():
+            raise ValueError("tensor field contains non-finite values")
+
+    def matrices(self) -> np.ndarray:
+        """Full ``(*shape, n, n)`` array (materialized)."""
+        return self._gather()
 
 
 def sym_matrices(comps: np.ndarray, n: int) -> np.ndarray:
@@ -301,16 +360,6 @@ class MetricField(Sym2Field):
         super().__init__(grid, components)
         object.__setattr__(self, "_min_eig", check_metric(self.components, grid.ndim))
 
-    @classmethod
-    def _wrap(cls, grid: PeriodicGrid, comps: np.ndarray, min_eig: float) -> "MetricField":
-        """A metric over a read-only array that already passed
-        :func:`check_metric` with result ``min_eig``; no copy, no recheck."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "grid", grid)
-        object.__setattr__(g, "components", comps)
-        object.__setattr__(g, "_min_eig", min_eig)
-        return g
-
     def det(self) -> np.ndarray:
         return sym_det(self.components, self.grid.ndim)
 
@@ -425,13 +474,11 @@ def potential_hessian(psi: ScalarField) -> Sym2Field:
     first differences at rounding level, which is what makes the discrete
     Hessian-ness and torsion identities exact for constructed metrics.
     """
-    grid, spacings = psi.grid, psi.grid.spacings
-    first = [stencil(psi.values, (i,), spacings) for i in range(grid.ndim)]
-    pairs = sym_pairs(grid.ndim)
-    comps = np.empty((*grid.shape, len(pairs)))
-    for p, (i, j) in enumerate(pairs):
-        comps[..., p] = stencil(first[i], (j,), spacings)
-    return Sym2Field(grid, comps)
+    grid, n, spacings = psi.grid, psi.grid.ndim, psi.grid.spacings
+    # second[..., i * n + j] = first difference along j of that along i
+    second = sym_derivatives(sym_derivatives(psi.values, 1, spacings), 1, spacings)
+    upper = [i * n + j for i, j in sym_pairs(n)]
+    return Sym2Field(grid, np.take(second.reshape(*grid.shape, -1), upper, axis=-1))
 
 
 def metric_from_potential(pm: PotentialMetric) -> MetricField:
@@ -445,11 +492,8 @@ def metric_from_potential(pm: PotentialMetric) -> MetricField:
 
 def metric_partials(g: Sym2Field) -> np.ndarray:
     """Array ``D[..., k, i, j] = partial_k g_ij``."""
-    n = g.grid.ndim
-    out = np.empty((*g.grid.shape, n, n, n))
-    for k in range(n):
-        out[..., k, :, :] = sym_matrices(stencil(g.components, (k,), g.grid.spacings), n)
-    return out
+    first = sym_derivatives(g.components, 1, g.grid.spacings)
+    return _full_partials(first, np.moveaxis(_partials_table(g.grid.ndim, 1), -1, 0))
 
 
 def hessian_defect(g: Sym2Field) -> float:
@@ -486,16 +530,6 @@ def _christoffel(d: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return gamma_mixed, gamma_lower
 
 
-def sym_derivatives(values: np.ndarray, order: int, spacings: tuple[float, ...]) -> np.ndarray:
-    """``(*values.shape, k)`` derivatives of ``order`` of a node array, one
-    stencil call per sorted index tuple, in :func:`sym_indices` order."""
-    indices = sym_indices(len(spacings), order)
-    out = np.empty((*values.shape, len(indices)))
-    for s, axes in enumerate(indices):
-        out[..., s] = stencil(values, axes, spacings)
-    return out
-
-
 def pair_hessian(values: np.ndarray, spacings: tuple[float, ...]) -> np.ndarray:
     """Pair-stored ``partial2`` of a node array in :func:`sym_pairs` order: the
     one stencil path of ``beta``, the a2 gauge ``dd(u)`` and the potential
@@ -512,9 +546,8 @@ def koszul(g: MetricField) -> tuple[np.ndarray, Sym2Field, Sym2Field]:
     one stencil evaluation, so ``kappa = -beta/2`` holds exactly.
     """
     ldg, spacings = g.log_det(), g.grid.spacings
-    alpha = np.empty((*g.grid.shape, g.grid.ndim))
-    for i in range(g.grid.ndim):
-        alpha[..., i] = 0.5 * stencil(ldg, (i,), spacings)
+    alpha = sym_derivatives(ldg, 1, spacings)
+    alpha *= 0.5
     dd = pair_hessian(ldg, spacings)
     kappa = Sym2Field(g.grid, 0.5 * dd)
     beta = Sym2Field(g.grid, -dd)
@@ -535,7 +568,7 @@ def _q_table(n: int) -> np.ndarray:
     return sym_table(len(sym_pairs(n)), 2)[pair[:, None, :, None], pair[None, :, None, :]]
 
 
-class HessianCurvature:
+class HessianCurvature(_StoredTensor):
     """The 4-tensor Q, stored on its symmetry group.
 
     Q is invariant under swapping slots (1,3), swapping slots (2,4), and
@@ -543,30 +576,12 @@ class HessianCurvature:
     index pairs, ``m(m+1)/2`` components with ``m = n(n+1)/2``.
     """
 
-    __slots__ = ("grid", "components")
-
-    def __init__(self, grid: PeriodicGrid, components):
-        ncomp = len(sym_indices(len(sym_pairs(grid.ndim)), 2))
-        comps = np.asarray(components, dtype=np.float64)
-        if comps.shape != (*grid.shape, ncomp):
-            raise ValueError(f"expected {(*grid.shape, ncomp)}, got {comps.shape}")
-        comps = np.array(comps)
-        comps.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HessianCurvature is immutable")
-
-    def component(self, i: int, j: int, k: int, l: int) -> np.ndarray:
-        return self.components[..., _q_table(self.grid.ndim)[i, j, k, l]]
+    __slots__ = ()
+    _table = staticmethod(_q_table)
 
     def full(self) -> np.ndarray:
         """Materialize the full ``(*shape, n, n, n, n)`` array."""
-        return np.take(self.components, _q_table(self.grid.ndim), axis=-1)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.components)))
+        return self._gather()
 
 
 def hessian_curvature(pm: PotentialMetric) -> HessianCurvature:
@@ -586,7 +601,7 @@ def _hessian_curvature(pm: PotentialMetric, ginv: np.ndarray) -> HessianCurvatur
     comps = np.empty((nodes, len(sym_indices(len(sym_pairs(n)), 2))))
     for chunk in _chunks(nodes):
         comps[chunk] = _q_potential(flat_ginv[chunk], thirds[chunk], fourths[chunk])
-    return HessianCurvature(grid, comps.reshape(*grid.shape, -1))
+    return HessianCurvature._wrap(grid, comps.reshape(*grid.shape, -1))
 
 
 def _q_potential(ginv: np.ndarray, thirds: np.ndarray, fourths: np.ndarray) -> np.ndarray:
@@ -601,7 +616,9 @@ def _q_potential(ginv: np.ndarray, thirds: np.ndarray, fourths: np.ndarray) -> n
     comps = np.empty((len(ginv), len(slots)))
     for s, (a, b) in enumerate(slots):
         (i, k), (j, l) = pairs[a], pairs[b]
-        quad = np.einsum("...pq,...p,...q->...", ginv, third[:, i, k], third[:, j, l])
+        # summed in C order of (p, q): a full einsum reduction may sum in an
+        # order that depends on the number of nodes (see docs/conventions.md)
+        quad = sum(ginv[:, p, q] * third[:, i, k, p] * third[:, j, l, q] for p, q in np.ndindex(n, n))
         comps[:, s] = 0.5 * fourths[:, fourth[i, j, k, l]] - 0.5 * quad
     return comps
 
@@ -614,34 +631,8 @@ def hessian_curvature_from_metric(g: MetricField) -> np.ndarray:
     metrics.  Along a flow, where only the metric is carried, the
     diagnostics need only its norm's sup, :func:`sup_q_gnorm`.
     """
-    d2 = _full_second_partials(_second_partials(g), g.grid.ndim)
+    d2 = _full_partials(sym_derivatives(g.components, 2, g.grid.spacings), _partials_table(g.grid.ndim, 2))
     return _q_metric(g.inverse_matrices(), metric_partials(g), d2)
-
-
-def _second_partials(g: Sym2Field) -> np.ndarray:
-    """Stacked second derivatives ``S[..., s, p] = partial_k partial_l g_ij``
-    with ``s`` the slot of the pair ``(k, l)`` and ``p`` that of ``(i, j)``:
-    one stencil call per pair ``(k, l)`` on the whole component stack."""
-    n = g.grid.ndim
-    out = np.empty((*g.grid.shape, len(sym_pairs(n)), g.components.shape[-1]))
-    for s, kl in enumerate(sym_pairs(n)):
-        out[..., s, :] = stencil(g.components, kl, g.grid.spacings)
-    return out
-
-
-@functools.cache
-def _second_partials_table(n: int) -> np.ndarray:
-    """Slot of ``partial_k partial_l g_ij`` in the flattened last two axes of
-    :func:`_second_partials`, as an ``[i, j, k, l]`` array."""
-    pair = sym_table(n, 2)
-    table = pair[None, None, :, :] * len(sym_pairs(n)) + pair[:, :, None, None]
-    table.flags.writeable = False
-    return table
-
-
-def _full_second_partials(stacked: np.ndarray, n: int) -> np.ndarray:
-    """Full ``d2[..., i, j, k, l] = partial_k partial_l g_ij``, in C order."""
-    return np.take(stacked.reshape(*stacked.shape[:-2], -1), _second_partials_table(n), axis=-1)
 
 
 def _q_metric(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -730,14 +721,14 @@ def sup_q_gnorm(g: MetricField) -> float:
     n, nodes = g.grid.ndim, g.grid.num_nodes
     npairs = g.components.shape[-1]
     operands = (g.inverse_matrices().reshape(nodes, n, n), metric_partials(g).reshape(nodes, n, n, n),
-                _second_partials(g).reshape(nodes, npairs, npairs))
+                sym_derivatives(g.components, 2, g.grid.spacings).reshape(nodes, npairs, npairs))
     return _sup_screened_norm(_q_gnorm, operands, _q_screen)
 
 
 def _q_gnorm(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """The exact kernel of :func:`sup_q_gnorm`: :func:`curvature_gnorm` of
-    :func:`_q_metric`, from stacked second derivatives."""
-    return curvature_gnorm(_q_metric(ginv, d, _full_second_partials(d2, ginv.shape[-1])), ginv)
+    :func:`_q_metric`, from the ``[ij, kl]`` second derivatives."""
+    return curvature_gnorm(_q_metric(ginv, d, _full_partials(d2, _partials_table(ginv.shape[-1], 2))), ginv)
 
 
 def _q_screen(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> tuple:
@@ -748,7 +739,7 @@ def _q_screen(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> tuple:
     r = _cholesky(np.moveaxis(ginv, 0, -1))
     e = _whitened(d.T, (r,))  # e[a, i, k] = sum_p d[k, i, p] R[p, a]
     quad = sum(e[a][:, None, :, None] * e[a][None, :, None, :] for a in range(n))
-    q = 0.5 * d2.reshape(len(d2), -1).T[_second_partials_table(n)] - 0.5 * quad  # d2[i, j, k, l]
+    q = 0.5 * d2.reshape(len(d2), -1).T[_partials_table(n, 2)] - 0.5 * quad  # d2[i, j, k, l]
     tr_ginv, q_norm = _squares(r), np.sqrt(_squares(q))  # tr(g^-1) = |R|_F^2
     quad_error = WHITENING_BAND * (_squares(d.T) * tr_ginv + q_norm)  # >= |Q - Q'|_F
     delta = WHITENING_BAND * tr_ginv**4 * (q_norm + quad_error) ** 2
@@ -914,7 +905,7 @@ def sectional_extremes(
     v = rng.standard_normal((n_samples, n))
     w = rng.standard_normal((n_samples, n))
 
-    gmats = g.matrices().reshape(-1, n, n)[nodes]
+    gmats = sym_matrices(g.components.reshape(-1, g.components.shape[-1])[nodes], n)
     ncomp = q.components.shape[-1]
     q_nodes = np.take(q.components.reshape(-1, ncomp)[nodes], _q_table(n), axis=-1)
     v = _g_normalize(v, gmats)

@@ -196,12 +196,10 @@ def validate_config(raw: Mapping[str, str], schema: Mapping[str, str]) -> dict:
 
 def write_manifest(out_dir: str, payload: Mapping[str, object]) -> None:
     body = dict(payload)
-    body.setdefault("versions", {})
     body["versions"] = {
         "koszulflow": _package_version(),
         "numpy": np.__version__,
         "python": sys.version.split()[0],
-        **body["versions"],
     }
     text = json.dumps(body, indent=2, sort_keys=True) + "\n"
     _atomic_write_bytes(os.path.join(out_dir, MANIFEST_NAME), text.encode("ascii"))

@@ -467,7 +467,7 @@ class TestCurvatureBundle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2**20  # measured 27.1 MiB
+        assert peak <= 25 * 2**20  # measured 22.7 MiB; 27.1 with Q copied
 
 
 class TestThreeDimensions:
@@ -596,6 +596,13 @@ def reference_potential_q(pm, ginv):
     return comps
 
 
+def cos_sin_potential3d():
+    """The 32^3 potential of the memory bounds."""
+    grid = PeriodicGrid((32,) * 3, (TWO_PI,) * 3)
+    psi = ScalarField.from_function(grid, lambda x, y, z: 0.05 * np.cos(x) * np.sin(y + z))
+    return geo.PotentialMetric(grid, np.eye(3), psi)
+
+
 def random_metric(n, seed, size=8):
     """A non-Hessian metric field: the identity plus small random entries."""
     grid = PeriodicGrid((size,) * n, (TWO_PI,) * n)
@@ -661,14 +668,17 @@ class TestSymmetricStorage:
         calls = []
 
         def counted(values, axes, spacings):
-            calls.append(tuple(sorted(axes)))
+            calls.append((values.ndim, tuple(sorted(axes))))
             return stencil(values, axes, spacings)
 
         monkeypatch.setattr(geo, "stencil", counted)
         m = n * (n + 1) // 2
         for run, expected in ((lambda: geo.metric_partials(g), n),
                               (lambda: geo.hessian_curvature_from_metric(g), n + m),
-                              (lambda: geo._hessian_curvature(pm, ginv), {2: 4 + 5, 3: 10 + 15}[n])):
+                              (lambda: geo._hessian_curvature(pm, ginv), {2: 4 + 5, 3: 10 + 15}[n]),
+                              (lambda: geo.koszul(g), n + m),
+                              # first differences of the stacked first differences
+                              (lambda: geo.potential_hessian(pm.psi), 2 * n)):
             calls.clear()
             run()
             assert len(calls) == len(set(calls)) == expected
@@ -684,3 +694,37 @@ class TestSymmetricStorage:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * q.nbytes  # measured 2.45x; the component loops took 4.5x
+
+    # measured 12.3 and 11.25 MiB; copying the fresh Q took _hessian_curvature
+    # to 16.8 MiB, and a swapaxes gather metric_partials to 15.8 MiB
+    @pytest.mark.parametrize("name, limit_mib", [("hessian_curvature", 14.0), ("metric_partials", 11.5)])
+    def test_peak_memory(self, name, limit_mib):
+        pm = cos_sin_potential3d()
+        g = geo.metric_from_potential(pm)
+        ginv = g.inverse_matrices()
+        run = {"hessian_curvature": lambda: geo._hessian_curvature(pm, ginv),
+               "metric_partials": lambda: geo.metric_partials(g)}[name]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
+
+    def test_public_constructors_keep_a_private_copy(self):
+        pm = random_potential(2, seed=1)
+        comps = np.array(geo.potential_hessian(pm.psi).components)
+        q_comps = np.array(geo.hessian_curvature(pm).components)
+        fields = (geo.Sym2Field(pm.grid, comps), geo.HessianCurvature(pm.grid, q_comps))
+        stored = [np.array(field.components) for field in fields]
+        comps += 1.0
+        q_comps += 1.0
+        for field, before in zip(fields, stored):
+            assert np.array_equal(field.components, before)
+            assert not field.components.flags.writeable
+        # the library's own arrays are kept without a copy, read-only as well
+        assert not geo.hessian_curvature(pm).components.flags.writeable
+        for field, wrong in itertools.product(fields, ((0,), (0, 0, 0))):
+            with pytest.raises(TypeError):
+                field.component(*wrong)

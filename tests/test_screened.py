@@ -68,7 +68,8 @@ def full_kernels(n):
     ginv, gmat = g.inverse_matrices(), g.matrices()
     flat_ginv, flat_gmat = ginv.reshape(-1, n, n), gmat.reshape(-1, n, n)
     flat_d = geo.metric_partials(g).reshape(-1, n, n, n)
-    q_operands = (flat_ginv, flat_d, geo._second_partials(g).reshape(-1, npairs, npairs))
+    second = geo.sym_derivatives(g.components, 2, g.grid.spacings)
+    q_operands = (flat_ginv, flat_d, second.reshape(-1, npairs, npairs))
     torsion = geo._torsion(geo.metric_partials(g), ginv)
     chol = np.linalg.cholesky(g0.matrices())
     linv = np.linalg.inv(chol)
@@ -150,6 +151,14 @@ class TestKernelsOnSubsets:
                                    unique=True))
         subset = compute(*(op[nodes] for op in operands))
         assert subset.tobytes() == full[nodes].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_q_potential_on_single_nodes(self, n):
+        # a full einsum reduction summed the quadratic term in another order
+        # on one node than on many: at n = 2 first at nodes 21, 29, 32 and 101
+        compute, operands, full = full_kernels(n)["q_potential"]
+        for node in range(128):
+            assert compute(*(op[[node]] for op in operands)).tobytes() == full[node].tobytes(), node
 
 
 class TestSymmetricScreen:
