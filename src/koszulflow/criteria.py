@@ -8,9 +8,12 @@ The feasibility quantity is the nodewise minimum eigenvalue of
 for a fixed smooth periodic gauge u and fixed theta > 0.  At each node
 ``lambda_min(M0 + S M1)`` is an infimum of functions affine in S, hence
 concave, and so is the global margin; the feasible set is therefore an
-interval [0, S_max], found by bracketed bisection.  On a periodic chart
-the gauge u = -S log det g0 cancels the beta term exactly (dd and beta
-share one stencil path), which is why S_max is unbounded there.
+interval [0, S_max], found by bracketed bisection.  Concavity also bounds
+each node over the whole bracket by its values at the two ends, so the
+bisection evaluates the margin only at the nodes not yet proven
+nonnegative there (see "Screened extremes" in docs/conventions.md).  On a
+periodic chart the gauge u = -S log det g0 cancels the beta term exactly
+(dd and beta share one stencil path), which is why S_max is unbounded there.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    SCREEN_FLOOR,
+    WHITENING_BAND,
     MetricField,
     beta_form,
     pair_hessian,
@@ -28,6 +33,7 @@ from .geometry import (
     smallest_eigenvalue,
     sym_matrices,
     sym_min_eigenvalues,  # noqa: F401  (part of this module's namespace, read by the tests)
+    sym_pairs,
 )
 from .grid import ScalarField
 from .io import ConfigError
@@ -71,14 +77,21 @@ def gauge_hessian(u: ScalarField) -> np.ndarray:
     return pair_hessian(u.values, u.grid.spacings)
 
 
-def _margin(m: np.ndarray, n: int) -> tuple[float, int]:
-    """Min over nodes of the smallest eigenvalue of the pencil value ``m``, and
-    the flat index of its first node; ConfigError when it is not finite
-    (inputs that overflow the pencil)."""
-    margin, worst = smallest_eigenvalue(m, n)
-    if not math.isfinite(margin):
-        raise ConfigError(f"the pencil margin is {margin}: the inputs overflow it")
-    return margin, worst
+def _margin(m: np.ndarray, n: int) -> tuple[float, int, np.ndarray, np.ndarray | float]:
+    """Min over nodes of the smallest eigenvalue of the pencil value ``m``, the
+    flat index of its first node and the flat per-node ``(smallest, band)`` of
+    :func:`~koszulflow.geometry.smallest_eigenvalue`; ConfigError when the
+    min is not finite (inputs that overflow the pencil)."""
+    found = smallest_eigenvalue(m, n)
+    if not math.isfinite(found[0]):
+        raise ConfigError(f"the pencil margin is {found[0]}: the inputs overflow it")
+    return found
+
+
+def _entry_sum(flat: np.ndarray, n: int) -> np.ndarray:
+    """Sum of the absolute entries of each full matrix of ``flat``, a bound on
+    its 2-norm."""
+    return np.abs(flat) @ np.array([1.0 if i == j else 2.0 for i, j in sym_pairs(n)])
 
 
 def _pencil_parts(
@@ -125,40 +138,56 @@ def max_s(
     gauge family indexed by S itself, e.g. u = -log det g0 per unit S).
     Unbounded is reported when the S-slope part of the pencil is positive
     semidefinite at every node; otherwise bracketed bisection to absolute
-    tolerance 1e-9.
+    tolerance 1e-9.  The margin runs over every node at S = 0, for the
+    slope, at each bracket step and once at the final S_max, which gives
+    the witness; each bisection step runs only on the active nodes, those
+    not proven nonnegative over the whole bracket, and so takes the sign,
+    hence S_max, of the margin over every node.
     """
     n = g0.grid.ndim
-    m0, m1 = _pencil_parts(g0, u, theta, scale_gauge_with_s)
+    m0, m1 = (m.reshape(-1, m.shape[-1]) for m in _pencil_parts(g0, u, theta, scale_gauge_with_s))
 
-    def margin(s: float) -> tuple[float, int]:
+    def margin(s: float) -> tuple[float, int, np.ndarray, np.ndarray | float]:
         return _margin(m0 + s * m1, n)
 
-    # every margin is one full-grid evaluation: each is taken once, and the
-    # one that set s_lo also gives the witness node
-    lo = margin(0.0)
-    if lo[0] <= 0.0:
-        raise InfeasibleAtZero(f"margin at S=0 is {lo[0]:.3e}")
+    at_zero = margin(0.0)
+    if at_zero[0] <= 0.0:
+        raise InfeasibleAtZero(f"margin at S=0 is {at_zero[0]:.3e}")
     if _margin(m1, n)[0] >= 0.0:
         return PencilResult(s_max=math.inf, witness_node=None, witness_direction=None)
 
     s_hi = 1.0
     for _ in range(80):
-        if margin(s_hi)[0] < 0.0:
+        at_hi = margin(s_hi)
+        if at_hi[0] < 0.0:
             break
         s_hi *= 2.0
     else:
         raise RuntimeError("failed to bracket the infeasible region")
+    # e(s) = e0 + s*e1 bounds at each node the rounding of m0 + s*m1 plus the
+    # kernel's error; a node is active until its lower bounds smallest - band
+    # at both ends of the bracket exceed 2 e(s_hi): by concavity it then stays
+    # above e(s_hi) >= e(mid) on the whole bracket, so its margin at any mid
+    # is >= 0
+    e0 = WHITENING_BAND * _entry_sum(m0, n) + SCREEN_FLOOR
+    e1 = WHITENING_BAND * _entry_sum(m1, n)
+    nodes = np.arange(len(m0))
+    lower_lo, lower_hi = at_zero[2] - at_zero[3], at_hi[2] - at_hi[3]
     s_lo = 0.0
     while s_hi - s_lo > BISECTION_TOL:
+        bound = 2.0 * (e0[nodes] + s_hi * e1[nodes])
+        active = ~((lower_lo > bound) & (lower_hi > bound))
+        nodes, lower_lo, lower_hi = nodes[active], lower_lo[active], lower_hi[active]
         mid = 0.5 * (s_lo + s_hi)
-        found = margin(mid)
-        if found[0] >= 0.0:
-            s_lo, lo = mid, found
+        found, _, smallest, band = _margin(m0[nodes] + mid * m1[nodes], n)
+        if found >= 0.0:
+            s_lo, lower_lo = mid, smallest - band
         else:
-            s_hi = mid
+            s_hi, lower_hi = mid, smallest - band
 
-    node = tuple(np.unravel_index(lo[1], g0.grid.shape))
-    _, vecs = np.linalg.eigh(sym_matrices(m0[node] + s_lo * m1[node], n))  # [[1.0]] for n = 1
+    worst = margin(s_lo)[1]
+    node = tuple(np.unravel_index(worst, g0.grid.shape))
+    _, vecs = np.linalg.eigh(sym_matrices(m0[worst] + s_lo * m1[worst], n))  # [[1.0]] for n = 1
     direction = vecs[:, 0]
     return PencilResult(s_max=s_lo, witness_node=node, witness_direction=direction)
 

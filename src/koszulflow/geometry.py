@@ -164,12 +164,18 @@ class Sym2Field(_StoredTensor):
 
     def __init__(self, grid: PeriodicGrid, components):
         super().__init__(grid, components)
-        if not np.isfinite(self.components).all():
-            raise ValueError("tensor field contains non-finite values")
+        _check_finite(self.components)
 
     def matrices(self) -> np.ndarray:
         """Full ``(*shape, n, n)`` array (materialized)."""
         return self._gather()
+
+
+def _check_finite(comps: np.ndarray) -> np.ndarray:
+    """``comps``, or ValueError where an entry is not finite."""
+    if not np.isfinite(comps).all():
+        raise ValueError("tensor field contains non-finite values")
+    return comps
 
 
 def sym_matrices(comps: np.ndarray, n: int) -> np.ndarray:
@@ -283,10 +289,6 @@ def _candidates(values: np.ndarray, band: np.ndarray, largest: bool) -> np.ndarr
     return None if candidates.size == values.size else candidates
 
 
-_PAIR_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0])  # 3x3 identity, pair-stored
-_PAIR_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])   # Frobenius weights of the pairs
-
-
 def _sym_eigen_screen(comps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form ``(smallest, largest, band)`` eigenvalues of pair-stored
     symmetric 2x2 or 3x3 matrices ``(N, pairs)``: half-trace and radius for
@@ -298,11 +300,14 @@ def _sym_eigen_screen(comps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
             p = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
             smallest, largest, band = q - p, q + p, WHITENING_BAND * (np.abs(q) + p)
         else:
-            q = (comps[:, 0] + comps[:, 3] + comps[:, 5]) / 3.0
-            dev = comps - q[:, None] * _PAIR_IDENTITY
-            p = np.sqrt((dev * dev) @ _PAIR_WEIGHTS / 6.0)
+            # rows [a b c; b d e; c e f], each a contiguous (N,) array
+            a, b, c, d, e, f = np.ascontiguousarray(comps.T)
+            q = (a + d + f) / 3.0
+            a, d, f = a - q, d - q, f - q  # the deviator A - qI
+            p = np.sqrt((a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)) / 6.0)
             inv_p = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)
-            r = 0.5 * sym_det(dev * inv_p[:, None], 3)
+            a, b, c, d, e, f = (x * inv_p for x in (a, b, c, d, e, f))  # B = (A - qI) / p
+            r = 0.5 * (a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c))
             phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
             smallest = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
             largest = q + 2.0 * p * np.cos(phi)
@@ -323,17 +328,24 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
     return low
 
 
-def smallest_eigenvalue(comps: np.ndarray, n: int) -> tuple[float, int]:
-    """Smallest eigenvalue over the nodes of a pair-stored symmetric field and
-    its flat node index (the first on ties): ``sym_min_eigenvalues`` and its
-    ``argmin``, screened for n = 3, where the kernel is LAPACK."""
+def smallest_eigenvalue(
+    comps: np.ndarray, n: int
+) -> tuple[float, int, np.ndarray, np.ndarray | float]:
+    """Smallest eigenvalue over the nodes of a pair-stored symmetric field, its
+    flat node index (the first on ties), and the flat per-node ``(smallest,
+    band)`` behind them: ``sym_min_eigenvalues`` and its ``argmin``, screened
+    for n = 3, where the kernel is LAPACK.  At each node ``smallest - band``
+    is below both the exact smallest eigenvalue and the kernel's; for n <= 2,
+    where the kernel is a closed form, ``smallest`` is the kernel's values and
+    ``band`` is 0: they are within the kernel's rounding of the exact ones."""
+    flat = comps.reshape(-1, comps.shape[-1])
     if n < 3:
-        eigs = sym_min_eigenvalues(comps, n)
+        eigs = sym_min_eigenvalues(flat, n)
         worst = int(np.argmin(eigs))
-        return float(eigs.flat[worst]), worst
-    flat = comps.reshape(-1, 6)
+        return float(eigs[worst]), worst, eigs, 0.0
     smallest, _, band = _sym_eigen_screen(flat, 3)
-    return screened_extreme(smallest, band, lambda c: sym_min_eigenvalues(c, 3), (flat,))
+    value, worst = screened_extreme(smallest, band, lambda c: sym_min_eigenvalues(c, 3), (flat,))
+    return value, worst, smallest, band
 
 
 def check_metric(comps: np.ndarray, n: int) -> float:
@@ -343,9 +355,7 @@ def check_metric(comps: np.ndarray, n: int) -> float:
     Raises ValueError for a non-finite entry and :class:`NotPositiveDefinite`,
     naming the worst node, for an eigenvalue below ``MIN_EIGENVALUE``.
     """
-    if not np.isfinite(comps).all():
-        raise ValueError("tensor field contains non-finite values")
-    value, worst = smallest_eigenvalue(comps, n)
+    value, worst = smallest_eigenvalue(_check_finite(comps), n)[:2]
     if value < MIN_EIGENVALUE:
         raise NotPositiveDefinite(tuple(np.unravel_index(worst, comps.shape[:-1])), value)
     return value
@@ -548,15 +558,15 @@ def koszul(g: MetricField) -> tuple[np.ndarray, Sym2Field, Sym2Field]:
     ldg, spacings = g.log_det(), g.grid.spacings
     alpha = sym_derivatives(ldg, 1, spacings)
     alpha *= 0.5
-    dd = pair_hessian(ldg, spacings)
-    kappa = Sym2Field(g.grid, 0.5 * dd)
-    beta = Sym2Field(g.grid, -dd)
+    dd = _check_finite(pair_hessian(ldg, spacings))
+    kappa = Sym2Field._wrap(g.grid, 0.5 * dd)
+    beta = Sym2Field._wrap(g.grid, -dd)
     return alpha, kappa, beta
 
 
 def beta_form(g: MetricField) -> Sym2Field:
     """Flow tensor ``beta_ij = -partial_i partial_j log det g``."""
-    return Sym2Field(g.grid, -pair_hessian(g.log_det(), g.grid.spacings))
+    return Sym2Field._wrap(g.grid, _check_finite(-pair_hessian(g.log_det(), g.grid.spacings)))
 
 
 # --- Hessian curvature tensor --------------------------------------------------

@@ -7,14 +7,18 @@ min_x 0.9 (2 + sin x)^3 / (2 sin x + 1) = 6.834375 at sin x = 1/4.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulflow import criteria as cr
 from koszulflow import geometry as geo
 from koszulflow import registry as reg
 from koszulflow.grid import PeriodicGrid, ScalarField
+from koszulflow.io import ConfigError
 
 
 def sin1d_metric(n_nodes=512):
@@ -128,11 +132,12 @@ class TestMaxS:
 
     @staticmethod
     def count_margins(monkeypatch):
-        """A list that grows by one at each full-grid margin evaluation, that
-        is each call of ``smallest_eigenvalue``."""
+        """A list that grows at each margin evaluation, that is each call of
+        ``smallest_eigenvalue``, by the number of nodes it runs on."""
         calls = []
         original = cr.smallest_eigenvalue
-        monkeypatch.setattr(cr, "smallest_eigenvalue", lambda comps, n: calls.append(n) or original(comps, n))
+        monkeypatch.setattr(cr, "smallest_eigenvalue",
+                            lambda flat, n: calls.append(len(flat)) or original(flat, n))
         return calls
 
     def test_infeasible_input_evaluates_one_margin(self, monkeypatch):
@@ -144,8 +149,9 @@ class TestMaxS:
 
     @pytest.mark.parametrize("case", ["sin1d", "report3d"])
     def test_each_margin_is_evaluated_once(self, monkeypatch, case):
-        # one margin at S = 0, one of the slope M1, one per bracket step and
-        # one per bisection step; the witness reuses the margin that set s_lo
+        # over every node: one margin at S = 0, one of the slope M1, one per
+        # bracket step and the final one at s_lo, which gives the witness;
+        # each bisection step runs on the active nodes only, fewer than all
         if case == "sin1d":
             g = sin1d_metric()
         else:  # the shape of the benchmark's 3-D report: 32^3, theta = 0.5, zero gauge
@@ -155,7 +161,6 @@ class TestMaxS:
         theta = 0.1 if case == "sin1d" else 0.5
         calls = self.count_margins(monkeypatch)
         s_max = cr.max_s(g, zero_gauge(g), theta).s_max
-        count = len(calls)
         s_hi = 1.0
         while s_hi <= s_max:
             s_hi *= 2.0
@@ -163,9 +168,12 @@ class TestMaxS:
         width, bisection = s_hi, 0
         while width > cr.BISECTION_TOL:
             width, bisection = 0.5 * width, bisection + 1
-        assert count == 2 + bracket + bisection
+        nodes = g.grid.num_nodes
+        full, steps = calls[: 2 + bracket] + calls[-1:], calls[2 + bracket : -1]
+        assert full == [nodes] * (3 + bracket)
+        assert len(steps) == bisection and max(steps) < nodes
         if case == "report3d":
-            assert (bracket, count) == (2, 35)
+            assert (bracket, len(full)) == (2, 5)
 
     def test_concavity_of_nodewise_minimum_eigenvalue(self):
         g = geo.metric_from_potential(reg.build_example("bump2d", sizes=(64, 64)))
@@ -194,6 +202,151 @@ class TestMaxS:
         for node, v in zip(nodes, dirs):
             f = lambda s: float(v @ (mats0[node] + s * mats1[node]) @ v)
             assert f(0.5 * s_star) == pytest.approx(0.5 * (f(0.0) + f(s_star)), abs=1e-10)
+
+
+def reference_margin(m, n):
+    """``criteria._margin`` of the full bisection, verbatim but for the
+    ``[:2]`` on ``smallest_eigenvalue``, which also returns its screen."""
+    margin, worst = geo.smallest_eigenvalue(m, n)[:2]
+    if not math.isfinite(margin):
+        raise ConfigError(f"the pencil margin is {margin}: the inputs overflow it")
+    return margin, worst
+
+
+def reference_max_s(g0, u, theta, scale_gauge_with_s=False):
+    """``criteria.max_s`` as the full bisection, verbatim: every margin runs
+    over every node."""
+    n = g0.grid.ndim
+    m0, m1 = cr._pencil_parts(g0, u, theta, scale_gauge_with_s)
+
+    def margin(s: float) -> tuple[float, int]:
+        return reference_margin(m0 + s * m1, n)
+
+    # every margin is one full-grid evaluation: each is taken once, and the
+    # one that set s_lo also gives the witness node
+    lo = margin(0.0)
+    if lo[0] <= 0.0:
+        raise cr.InfeasibleAtZero(f"margin at S=0 is {lo[0]:.3e}")
+    if reference_margin(m1, n)[0] >= 0.0:
+        return cr.PencilResult(s_max=math.inf, witness_node=None, witness_direction=None)
+
+    s_hi = 1.0
+    for _ in range(80):
+        if margin(s_hi)[0] < 0.0:
+            break
+        s_hi *= 2.0
+    else:
+        raise RuntimeError("failed to bracket the infeasible region")
+    s_lo = 0.0
+    while s_hi - s_lo > cr.BISECTION_TOL:
+        mid = 0.5 * (s_lo + s_hi)
+        found = margin(mid)
+        if found[0] >= 0.0:
+            s_lo, lo = mid, found
+        else:
+            s_hi = mid
+
+    node = tuple(np.unravel_index(lo[1], g0.grid.shape))
+    _, vecs = np.linalg.eigh(geo.sym_matrices(m0[node] + s_lo * m1[node], n))  # [[1.0]] for n = 1
+    direction = vecs[:, 0]
+    return cr.PencilResult(s_max=s_lo, witness_node=node, witness_direction=direction)
+
+
+def pair_stored(mats):
+    """Pair-stored components of full symmetric matrices ``(..., n, n)``."""
+    return np.stack([mats[..., i, j] for i, j in geo.sym_pairs(mats.shape[-1])], axis=-1)
+
+
+@st.composite
+def random_pencils(draw):
+    """``(shape, M0, M1)``: M0 positive definite at every node and M1
+    indefinite or a small shift below positive semidefinite; optionally
+    the pencils of nodes 0 and 1 commute and share their eigenvectors, with
+    roots (the S where lambda_min reaches 0) that agree to 1e-12."""
+    n = draw(st.sampled_from((1, 2, 3)))
+    shape = (draw(st.integers(8, 24)),) + (8,) * (n - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("indefinite", "near_psd", "near_tie")))
+    frames = np.linalg.qr(rng.standard_normal((*shape, n, n)))[0]
+    spectra = rng.uniform(0.5, 2.0, (*shape, n))
+    m0 = frames @ (spectra[..., None] * np.swapaxes(frames, -1, -2))
+    if kind == "indefinite":
+        m1 = rng.standard_normal((*shape, n, n))
+        m1 = 0.5 * (m1 + np.swapaxes(m1, -1, -2))
+    else:
+        slopes = rng.uniform(0.0, 1.0, (*shape, n)) - draw(st.sampled_from((1e-6, 1e-3, 0.1)))
+        m1 = frames @ (slopes[..., None] * np.swapaxes(frames, -1, -2))
+    if kind == "near_tie":  # node 1 is node 0 with M0 scaled by 1 + 1e-12
+        first, second = (np.unravel_index(k, shape) for k in (0, 1))
+        m1[first] = -frames[first] @ np.diag(rng.uniform(0.5, 1.0, n)) @ frames[first].T
+        m0[second], m1[second] = (1.0 + 1e-12) * m0[first], m1[first]
+    return shape, pair_stored(m0), pair_stored(m1)
+
+
+def assert_same_result(got, want):
+    assert got.s_max.hex() == want.s_max.hex()
+    assert got.witness_node == want.witness_node
+    if want.witness_direction is None:
+        assert got.witness_direction is None
+    else:
+        assert got.witness_direction.tobytes() == want.witness_direction.tobytes()
+
+
+def same_outcome(run):
+    """``run(max_s)`` for the active-set and the full bisection: the same
+    result bit for bit, or the same exception and message."""
+    outcomes = []
+    for solver in (cr.max_s, reference_max_s):
+        try:
+            outcomes.append(run(solver))
+        except (cr.InfeasibleAtZero, ConfigError) as error:
+            outcomes.append((type(error), str(error)))
+    got, want = outcomes
+    if isinstance(want, cr.PencilResult):
+        assert_same_result(got, want)
+    else:
+        assert got == want
+    return want
+
+
+class TestMaxSAgainstFullBisection:
+    """The bisection that runs on the active nodes returns the bits of the
+    one that evaluates every margin over every node."""
+
+    @settings(max_examples=60)
+    @given(pencil=random_pencils())
+    def test_random_pencils(self, pencil):
+        shape, m0, m1 = pencil
+        n = len(shape)
+        grid = PeriodicGrid(shape, (2.0 * math.pi,) * n)
+        g0 = geo.MetricField(grid, np.broadcast_to(pair_stored(np.eye(n)), (*shape, m0.shape[-1])))
+        with mock.patch.object(cr, "_pencil_parts", return_value=(m0, m1)):
+            same_outcome(lambda solver: solver(g0, ScalarField.zeros(grid), 0.0))
+
+    @settings(max_examples=30)
+    @given(example=st.sampled_from(("sin1d", "bump2d", "potential3d")),
+           theta=st.floats(0.0, 1.2), gauge_scale=st.floats(-1.0, 1.0),
+           scale_gauge_with_s=st.booleans())
+    def test_gauge_families(self, example, theta, gauge_scale, scale_gauge_with_s):
+        # theta >= 1 is infeasible at zero; with scale_gauge_with_s the gauge
+        # c (-log det g0) leaves the slope -(1 - c) beta0, unbounded at c = 1
+        g0 = small_metric(example)
+        u = cr.log_det_gauge(g0, scale=gauge_scale)
+        same_outcome(lambda solver: solver(g0, u, theta, scale_gauge_with_s=scale_gauge_with_s))
+
+    def test_infeasible_at_zero(self):
+        g0 = small_metric("potential3d")
+        want = same_outcome(lambda solver: solver(g0, zero_gauge(g0), 1.0))
+        assert want[0] is cr.InfeasibleAtZero
+
+
+def small_metric(example):
+    if example == "potential3d":
+        grid = PeriodicGrid((8,) * 3, (2.0 * math.pi,) * 3)
+        psi = ScalarField.from_function(grid, lambda x, y, z: 0.1 * np.cos(x) * np.sin(y + 0.3) * np.cos(z - 1.0))
+        return geo.metric_from_potential(geo.PotentialMetric(grid, np.eye(3), psi))
+    sizes = (64,) if example == "sin1d" else (16, 16)
+    return geo.metric_from_potential(reg.build_example(example, sizes=sizes))
 
 
 class TestUniformEquivalence:

@@ -157,6 +157,15 @@ class TestKoszul:
             _, kappa, beta = geo.koszul(geo.metric_from_potential(pm))
             assert np.max(np.abs(kappa.components + 0.5 * beta.components)) == 0.0
 
+    def test_non_finite_forms_raise(self):
+        # log det g is finite, but its second differences over a period of
+        # 1e-160 overflow; kappa and beta are kept without a copy, still checked
+        x = np.arange(8) * (2.0 * np.pi / 8)
+        g = geo.MetricField(PeriodicGrid((8,), (1e-160,)), (2.0 + np.sin(x))[:, None])
+        for forms in (geo.koszul, geo.beta_form):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+                forms(g)
+
     def test_alpha_equals_christoffel_trace_at_second_order(self):
         errors = {}
         for n_nodes in (128, 256):
@@ -695,15 +704,20 @@ class TestSymmetricStorage:
             tracemalloc.stop()
         assert peak <= 3 * q.nbytes  # measured 2.45x; the component loops took 4.5x
 
-    # measured 12.3 and 11.25 MiB; copying the fresh Q took _hessian_curvature
-    # to 16.8 MiB, and a swapaxes gather metric_partials to 15.8 MiB
-    @pytest.mark.parametrize("name, limit_mib", [("hessian_curvature", 14.0), ("metric_partials", 11.5)])
+    # measured 12.3, 11.25, 5.5 and 2.64 MiB; copying the fresh Q took
+    # _hessian_curvature to 16.8 MiB, a swapaxes gather metric_partials to
+    # 15.8 MiB, and copying the fresh kappa and beta koszul to 7.2 MiB and
+    # beta_form to 3.2 MiB
+    @pytest.mark.parametrize("name, limit_mib", [("hessian_curvature", 14.0), ("metric_partials", 11.5),
+                                                 ("koszul", 6.0), ("beta_form", 2.9)])
     def test_peak_memory(self, name, limit_mib):
         pm = cos_sin_potential3d()
         g = geo.metric_from_potential(pm)
         ginv = g.inverse_matrices()
         run = {"hessian_curvature": lambda: geo._hessian_curvature(pm, ginv),
-               "metric_partials": lambda: geo.metric_partials(g)}[name]
+               "metric_partials": lambda: geo.metric_partials(g),
+               "koszul": lambda: geo.koszul(g),
+               "beta_form": lambda: geo.beta_form(g)}[name]
         tracemalloc.start()
         try:
             run()
