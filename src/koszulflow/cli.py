@@ -149,6 +149,12 @@ class Verb:
     probe: bool = False
 
 
+def _given(cfg: Mapping[str, object], keys) -> dict:
+    """The entries of ``cfg`` among ``keys``: the keyword arguments a verb
+    passes on, so every default lives in the library alone."""
+    return {key: cfg[key] for key in keys if key in cfg}
+
+
 def _text(lines: list[str]) -> Callable[[str], None]:
     def write(path: str) -> None:
         with open(path, "w", encoding="ascii") as handle:
@@ -182,9 +188,7 @@ def _curvature(run: Run):
 
     if q is not None:
         lines.append(f"sup_q: {format_float(q.sup_norm())}")
-        report = geo.sectional_extremes(
-            q, g, cfg.get("n_samples", 1000), cfg.get("refine_steps", 50), seed
-        )
+        report = geo.sectional_extremes(q, g, seed=seed, **_given(cfg, ("n_samples", "refine_steps")))
         lines.append(f"sectional_max: {format_float(report.max_value)}")
         lines.append(f"sectional_min: {format_float(report.min_value)}")
         lines.append(f"sectional_seed: {seed}")
@@ -224,9 +228,7 @@ def _curvature_files(run: Run, result, blowup):
 
 def _flow_run(run: Run):
     cfg = run.cfg
-    return fl.run_flow(
-        run.g, cfg["T"], run.control, cfg.get("sample_times"), cfg.get("diag_stride", 100)
-    )
+    return fl.run_flow(run.g, cfg["T"], run.control, **_given(cfg, ("sample_times", "diag_stride")))
 
 
 def _flow_run_files(run: Run, result, blowup):
@@ -380,7 +382,7 @@ def _prepare(verb: Verb, name: str, args) -> Run:
     built, label = _build_input(cfg, seed)
     pm = built if isinstance(built, geo.PotentialMetric) else None
     g = geo.metric_from_potential(pm) if pm is not None else built
-    control = fl.StepControl(**{key: cfg[key] for key in _STEP_KEYS if key in cfg})
+    control = fl.StepControl(**_given(cfg, _STEP_KEYS))
     node = _parse_probe(getattr(args, "probe", None), g.grid)
     return Run(raw, cfg, label, g, pm, control, seed, node)
 

@@ -8,7 +8,9 @@ The feasibility quantity is the nodewise minimum eigenvalue of
 for a fixed smooth periodic gauge u and fixed theta > 0.  At each node
 ``lambda_min(M0 + S M1)`` is an infimum of functions affine in S, hence
 concave, and so is the global margin; the feasible set is therefore an
-interval [0, S_max], found by bracketed bisection.  Concavity also bounds
+interval [0, S_max], found by bracketed bisection: the bracket doubles
+until the margin is negative, and bisection stops at width 1e-9 or at one
+ulp of S, whichever is wider.  Concavity also bounds
 each node over the whole bracket by its values at the two ends, so the
 bisection evaluates the margin only at the nodes not yet proven
 nonnegative there (see "Screened extremes" in docs/conventions.md).  On a
@@ -77,9 +79,9 @@ def gauge_hessian(u: ScalarField) -> np.ndarray:
     return pair_hessian(u.values, u.grid.spacings)
 
 
-def _margin(m: np.ndarray, n: int) -> tuple[float, int, np.ndarray, np.ndarray | float]:
+def _margin(m: np.ndarray, n: int) -> tuple[float, int, np.ndarray]:
     """Min over nodes of the smallest eigenvalue of the pencil value ``m``, the
-    flat index of its first node and the flat per-node ``(smallest, band)`` of
+    flat index of its first node and the flat per-node lower bound of
     :func:`~koszulflow.geometry.smallest_eigenvalue`; ConfigError when the
     min is not finite (inputs that overflow the pencil)."""
     found = smallest_eigenvalue(m, n)
@@ -137,17 +139,21 @@ def max_s(
     With ``scale_gauge_with_s`` the gauge enters as S*u instead of u (the
     gauge family indexed by S itself, e.g. u = -log det g0 per unit S).
     Unbounded is reported when the S-slope part of the pencil is positive
-    semidefinite at every node; otherwise bracketed bisection to absolute
-    tolerance 1e-9.  The margin runs over every node at S = 0, for the
-    slope, at each bracket step and once at the final S_max, which gives
-    the witness; each bisection step runs only on the active nodes, those
-    not proven nonnegative over the whole bracket, and so takes the sign,
-    hence S_max, of the margin over every node.
+    semidefinite at every node.  Otherwise the bracket doubles from S = 1
+    until the margin is negative, which ends: the slope is negative at some
+    node, and a pencil that overflows raises ConfigError.  Bisection then
+    halves the bracket to absolute width 1e-9, or until its midpoint rounds
+    to an end (above 2^23 one ulp of S exceeds 1e-9).  The margin runs
+    over every node at S = 0, for the slope, at each bracket step and once
+    at the final S_max, which gives the witness; each bisection step runs
+    only on the active nodes, those not proven nonnegative over the whole
+    bracket, and so takes the sign, hence S_max, of the margin over every
+    node.
     """
     n = g0.grid.ndim
     m0, m1 = (m.reshape(-1, m.shape[-1]) for m in _pencil_parts(g0, u, theta, scale_gauge_with_s))
 
-    def margin(s: float) -> tuple[float, int, np.ndarray, np.ndarray | float]:
+    def margin(s: float) -> tuple[float, int, np.ndarray]:
         return _margin(m0 + s * m1, n)
 
     at_zero = margin(0.0)
@@ -157,33 +163,26 @@ def max_s(
         return PencilResult(s_max=math.inf, witness_node=None, witness_direction=None)
 
     s_hi = 1.0
-    for _ in range(80):
-        at_hi = margin(s_hi)
-        if at_hi[0] < 0.0:
-            break
+    while (at_hi := margin(s_hi))[0] >= 0.0:
         s_hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the infeasible region")
     # e(s) = e0 + s*e1 bounds at each node the rounding of m0 + s*m1 plus the
-    # kernel's error; a node is active until its lower bounds smallest - band
-    # at both ends of the bracket exceed 2 e(s_hi): by concavity it then stays
-    # above e(s_hi) >= e(mid) on the whole bracket, so its margin at any mid
-    # is >= 0
+    # kernel's error; a node is active until its lower bounds at both ends of
+    # the bracket exceed 2 e(s_hi): by concavity it then stays above
+    # e(s_hi) >= e(mid) on the whole bracket, so its margin at any mid is >= 0
     e0 = WHITENING_BAND * _entry_sum(m0, n) + SCREEN_FLOOR
     e1 = WHITENING_BAND * _entry_sum(m1, n)
     nodes = np.arange(len(m0))
-    lower_lo, lower_hi = at_zero[2] - at_zero[3], at_hi[2] - at_hi[3]
+    lower_lo, lower_hi = at_zero[2], at_hi[2]
     s_lo = 0.0
-    while s_hi - s_lo > BISECTION_TOL:
+    while s_hi - s_lo > BISECTION_TOL and s_lo < (mid := 0.5 * (s_lo + s_hi)) < s_hi:
         bound = 2.0 * (e0[nodes] + s_hi * e1[nodes])
         active = ~((lower_lo > bound) & (lower_hi > bound))
         nodes, lower_lo, lower_hi = nodes[active], lower_lo[active], lower_hi[active]
-        mid = 0.5 * (s_lo + s_hi)
-        found, _, smallest, band = _margin(m0[nodes] + mid * m1[nodes], n)
+        found, _, lower = _margin(m0[nodes] + mid * m1[nodes], n)
         if found >= 0.0:
-            s_lo, lower_lo = mid, smallest - band
+            s_lo, lower_lo = mid, lower
         else:
-            s_hi, lower_hi = mid, smallest - band
+            s_hi, lower_hi = mid, lower
 
     worst = margin(s_lo)[1]
     node = tuple(np.unravel_index(worst, g0.grid.shape))

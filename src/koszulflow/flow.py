@@ -28,6 +28,7 @@ import numpy as np
 from .geometry import (
     MetricField,
     NotPositiveDefinite,
+    _beta,
     check_metric,
     log_det,
     pair_hessian,
@@ -36,7 +37,7 @@ from .geometry import (
     sym_det,
     sym_pairs,
 )
-from .grid import PeriodicGrid, ScalarField
+from .grid import ScalarField
 
 _SCHEMES = ("euler", "rk2")
 
@@ -150,12 +151,6 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _beta(grid: PeriodicGrid, log_det_g: np.ndarray) -> np.ndarray:
-    """``beta`` of the metric with this ``log det g``, pair-stored: the
-    arithmetic of ``geometry.beta_form``, in the same order."""
-    return -pair_hessian(log_det_g, grid.spacings)
-
-
 def _next_state(state: FlowState, dt: float, g_new: np.ndarray, min_eig: float,
                 phi_of_ratio: Callable[[np.ndarray], np.ndarray]) -> FlowState:
     """The state of either leg after a step of ``dt`` to the checked metric
@@ -177,14 +172,14 @@ def _attempt_tensor_step(state: FlowState, dt: float, scheme: str) -> FlowState:
     Each candidate metric passes :func:`check_metric`, which raises
     ValueError or NotPositiveDefinite; ``phi`` takes the trapezoid rule.
     """
-    grid, n = state.g0.grid, state.g0.grid.ndim
+    spacings, n = state.g0.grid.spacings, state.g0.grid.ndim
     g = state.g_comps
     if scheme == "euler":
-        update = _beta(grid, state.log_det)
+        update = _beta(state.log_det, spacings)
     else:  # midpoint RK2
-        g_half = g - (0.5 * dt) * _beta(grid, state.log_det)
+        g_half = g - (0.5 * dt) * _beta(state.log_det, spacings)
         check_metric(g_half, n)
-        update = _beta(grid, log_det(sym_det(g_half, n)))
+        update = _beta(log_det(sym_det(g_half, n)), spacings)
     g_new = g - dt * update
     return _next_state(state, dt, g_new, check_metric(g_new, n),
                        lambda ratio: state.phi_values + (0.5 * dt) * (state.ratio + ratio))
@@ -311,7 +306,7 @@ class PotentialFlowState(FlowState):
     @classmethod
     def initial(cls, g0: MetricField) -> "PotentialFlowState":
         state = vars(FlowState.initial(g0))
-        return cls(**state, beta0=_read_only(_beta(g0.grid, state["log_det_g0"])))
+        return cls(**state, beta0=_read_only(_beta(state["log_det_g0"], g0.grid.spacings)))
 
 
 def _reconstruct(state: PotentialFlowState, phi: np.ndarray, t: float) -> tuple[np.ndarray, float]:
@@ -366,8 +361,10 @@ def equivalence_check(
         steps += 1
         step = min(dt, t_final - tensor.t)
         try:
-            tensor = _attempt_tensor_step(tensor, step, control.scheme)
-            scalar = _attempt_potential_step(scalar, step, control.scheme)
+            # both legs move only once both steps succeed, so a blow-up
+            # reports the last time at which both were valid
+            tensor, scalar = (_attempt_tensor_step(tensor, step, control.scheme),
+                              _attempt_potential_step(scalar, step, control.scheme))
         except NotPositiveDefinite as exc:
             raise FlowBlowup(tensor.t, exc.node) from None
         worst = max(worst, float(np.max(np.abs(tensor.g_comps - scalar.g_comps))))
@@ -379,7 +376,8 @@ def smoothing_probe(
     t_samples: Sequence[float],
     control: StepControl,
 ) -> list[tuple[float, float, float]]:
-    """Curvature-decay series (t, sup|Q|_g, t*sup|Q|_g) along the tensor flow.
+    """Curvature-decay series (t, sup|Q|_g, t*sup|Q|_g) along the tensor flow:
+    the sample rows of :func:`run_flow`, which are its only diagnostics rows.
 
     A reporting operation: it records the decay of the g-norm of the
     curvature tensor from low-regularity initial data and asserts nothing.
@@ -389,9 +387,5 @@ def smoothing_probe(
         b <= a for a, b in zip(times, times[1:])
     ):
         raise ValueError("t_samples must be strictly increasing and positive")
-    series: list[tuple[float, float, float]] = []
-    for state, reached in _advance(FlowState.initial(g0_rough), times, control):
-        if reached:
-            sup_q = sup_q_gnorm(state.g)
-            series.append((state.t, sup_q, state.t * sup_q))
-    return series
+    _, rows = run_flow(g0_rough, times[-1], control, times, diag_stride=0)
+    return [(r.t, r.sup_q, r.t_sup_q) for r in rows[1:]]

@@ -328,24 +328,23 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
     return low
 
 
-def smallest_eigenvalue(
-    comps: np.ndarray, n: int
-) -> tuple[float, int, np.ndarray, np.ndarray | float]:
+def smallest_eigenvalue(comps: np.ndarray, n: int) -> tuple[float, int, np.ndarray]:
     """Smallest eigenvalue over the nodes of a pair-stored symmetric field, its
-    flat node index (the first on ties), and the flat per-node ``(smallest,
-    band)`` behind them: ``sym_min_eigenvalues`` and its ``argmin``, screened
-    for n = 3, where the kernel is LAPACK.  At each node ``smallest - band``
-    is below both the exact smallest eigenvalue and the kernel's; for n <= 2,
-    where the kernel is a closed form, ``smallest`` is the kernel's values and
-    ``band`` is 0: they are within the kernel's rounding of the exact ones."""
+    flat node index (the first on ties), and a flat per-node lower bound:
+    ``sym_min_eigenvalues`` and its ``argmin``, screened for n = 3, where the
+    kernel is LAPACK.  There the bound is the screen's ``smallest - band``,
+    below both the exact smallest eigenvalue and the kernel's; for n <= 2,
+    where the kernel is a closed form, it is the kernel's values, within the
+    kernel's rounding of the exact ones."""
     flat = comps.reshape(-1, comps.shape[-1])
     if n < 3:
         eigs = sym_min_eigenvalues(flat, n)
         worst = int(np.argmin(eigs))
-        return float(eigs[worst]), worst, eigs, 0.0
+        return float(eigs[worst]), worst, eigs
     smallest, _, band = _sym_eigen_screen(flat, 3)
     value, worst = screened_extreme(smallest, band, lambda c: sym_min_eigenvalues(c, 3), (flat,))
-    return value, worst, smallest, band
+    with np.errstate(over="ignore", invalid="ignore"):
+        return value, worst, smallest - band
 
 
 def check_metric(comps: np.ndarray, n: int) -> float:
@@ -388,7 +387,10 @@ def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, flo
 
     Generalized eigenvalues of (g, g0) per node, computed as the ordinary
     eigenvalues of L^-1 g L^-T with L the Cholesky factor of g0; for n >= 2
-    only at the nodes that the closed-form screen leaves as candidates.
+    by one call on the candidates of both extremes of the closed-form
+    screen, or on every node where either extreme falls back.  A node that
+    is a candidate of both extremes is passed twice, which changes neither
+    the min nor the max.
     """
     if g.grid != g0.grid:
         raise ValueError("metrics live on different grids")
@@ -399,17 +401,12 @@ def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, flo
     npairs = len(sym_pairs(n))
     flat = (g.components.reshape(-1, npairs), g0.components.reshape(-1, npairs))
     smallest, largest, band = _pencil_screen(*flat, n)
-    if _candidates(smallest, band, False) is None and _candidates(largest, band, True) is None:
-        # both extremes fall back, as when every node ties (g = g0 at t = 0):
-        # one full chain serves both
-        eigs = _pencil_eigenvalues(*flat, n)
-        return float(eigs[:, 0].min()), float(eigs[:, -1].max())
-    lam, _ = screened_extreme(smallest, band,
-                              lambda gc, hc: _pencil_eigenvalues(gc, hc, n)[:, 0], flat)
-    big_lam, _ = screened_extreme(largest, band,
-                                  lambda gc, hc: _pencil_eigenvalues(gc, hc, n)[:, -1], flat,
-                                  largest=True)
-    return lam, big_lam
+    low, high = _candidates(smallest, band, False), _candidates(largest, band, True)
+    if low is not None and high is not None:
+        nodes = np.concatenate((low, high))
+        flat = tuple(op[nodes] for op in flat)
+    eigs = _pencil_eigenvalues(*flat, n)
+    return float(eigs[:, 0].min()), float(eigs[:, -1].max())
 
 
 def _pencil_eigenvalues(g_comps: np.ndarray, h_comps: np.ndarray, n: int) -> np.ndarray:
@@ -558,15 +555,20 @@ def koszul(g: MetricField) -> tuple[np.ndarray, Sym2Field, Sym2Field]:
     ldg, spacings = g.log_det(), g.grid.spacings
     alpha = sym_derivatives(ldg, 1, spacings)
     alpha *= 0.5
-    dd = _check_finite(pair_hessian(ldg, spacings))
-    kappa = Sym2Field._wrap(g.grid, 0.5 * dd)
-    beta = Sym2Field._wrap(g.grid, -dd)
-    return alpha, kappa, beta
+    beta = _check_finite(_beta(ldg, spacings))
+    # kappa = -beta/2 bit for bit, signed zeros included
+    return alpha, Sym2Field._wrap(g.grid, -0.5 * beta), Sym2Field._wrap(g.grid, beta)
 
 
 def beta_form(g: MetricField) -> Sym2Field:
     """Flow tensor ``beta_ij = -partial_i partial_j log det g``."""
-    return Sym2Field._wrap(g.grid, _check_finite(-pair_hessian(g.log_det(), g.grid.spacings)))
+    return Sym2Field._wrap(g.grid, _check_finite(_beta(g.log_det(), g.grid.spacings)))
+
+
+def _beta(log_det_g: np.ndarray, spacings: tuple[float, ...]) -> np.ndarray:
+    """Pair-stored ``beta`` of the metric with this ``log det g``: the one
+    formula behind :func:`beta_form`, :func:`koszul` and both flow legs."""
+    return -pair_hessian(log_det_g, spacings)
 
 
 # --- Hessian curvature tensor --------------------------------------------------

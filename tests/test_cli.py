@@ -215,6 +215,19 @@ class TestA2Check:
         assert run("a2-check", "--config", cfg) == 0
         assert "S_max: unbounded" in capsys.readouterr().out
 
+    def test_s_max_beyond_2_80(self, tmp_path, capsys):
+        # the bracket takes more than 80 doublings (test_criteria.py checks
+        # this input, and one beyond 2^23, with a cap on the margins)
+        grid = PeriodicGrid((8,), (2 * np.pi,))
+        psi = ScalarField.from_function(grid, lambda x: 3e-3 * np.cos(x))
+        snap = tmp_path / "near_flat.hfld"
+        write_potential_snapshot(str(snap), geo.PotentialMetric(grid, 1e12 * np.eye(1), psi))
+        cfg = write_config(tmp_path, "a.cfg", f"potential = {snap}\ntheta = 0.5\n")
+        assert run("a2-check", "--config", cfg) == 0
+        out, err = capsys.readouterr()
+        report = dict(line.split(": ", 1) for line in out.splitlines())
+        assert float(report["S_max"]) == pytest.approx(8.68e25, rel=1e-3) and err == ""
+
 
 class TestSmoothingProbe:
     def test_probe_csv_is_reproducible(self, tmp_path):
@@ -336,6 +349,17 @@ class TestErrorPaths:
         write_potential_snapshot(str(snap), geo.PotentialMetric(grid, 1e110 * np.eye(3), psi))
         cfg = write_config(tmp_path, "h.cfg", f"potential = {snap}\n{self.OVERFLOW[verb]}")
         assert run(verb, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert_one_config_error(capsys.readouterr().err)
+
+    def test_s_max_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        # the margin stays positive up to S = 2^1023, and the next doubling
+        # overflows the pencil
+        grid = PeriodicGrid((8,), (2 * np.pi,))
+        psi = ScalarField.from_function(grid, lambda x: 1e288 * np.cos(x))
+        snap = tmp_path / "huge.hfld"
+        write_potential_snapshot(str(snap), geo.PotentialMetric(grid, 1e300 * np.eye(1), psi))
+        cfg = write_config(tmp_path, "a.cfg", f"potential = {snap}\ntheta = 0.5\n")
+        assert run("a2-check", "--config", cfg) == 2
         assert_one_config_error(capsys.readouterr().err)
 
     @pytest.mark.parametrize("probe", ["0,0,0", "x,0", "nan,0", "inf,0"])

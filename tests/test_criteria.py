@@ -131,14 +131,37 @@ class TestMaxS:
             cr.max_s(g, zero_gauge(g), 1.5)
 
     @staticmethod
-    def count_margins(monkeypatch):
+    def count_margins(monkeypatch, cap=math.inf):
         """A list that grows at each margin evaluation, that is each call of
-        ``smallest_eigenvalue``, by the number of nodes it runs on."""
+        ``smallest_eigenvalue``, by the number of nodes it runs on; a call
+        beyond ``cap`` fails, so a bisection that never ends fails too."""
         calls = []
         original = cr.smallest_eigenvalue
-        monkeypatch.setattr(cr, "smallest_eigenvalue",
-                            lambda flat, n: calls.append(len(flat)) or original(flat, n))
+
+        def counted(flat, n):
+            calls.append(len(flat))
+            assert len(calls) <= cap, f"more than {cap} margin evaluations"
+            return original(flat, n)
+
+        monkeypatch.setattr(cr, "smallest_eigenvalue", counted)
         return calls
+
+    @pytest.mark.parametrize("background, amplitude, nodes", [(1.0, 1e-8, 32), (1e12, 3e-3, 8)],
+                             ids=["beyond-2^23", "beyond-2^80"])
+    def test_large_s_max_ends_one_ulp_apart(self, monkeypatch, background, amplitude, nodes):
+        # near-flat potentials: beyond 2^23 one ulp of S exceeds the 1e-9
+        # tolerance, beyond 2^80 the bracket takes more than 80 doublings; the
+        # bisection ends with the bracket one ulp wide
+        grid = PeriodicGrid((nodes,), (2.0 * math.pi,))
+        psi = ScalarField.from_function(grid, lambda x: amplitude * np.cos(x))
+        g = geo.metric_from_potential(geo.PotentialMetric(grid, background * np.eye(1), psi))
+        u = zero_gauge(g)
+        self.count_margins(monkeypatch, cap=300)
+        s_max = cr.max_s(g, u, 0.5).s_max
+        assert math.isfinite(s_max) and s_max > (2.0**80 if background > 1.0 else 2.0**23)
+        monkeypatch.undo()
+        assert cr.a2_margin(g, s_max, u, 0.5) >= 0.0
+        assert cr.a2_margin(g, np.nextafter(s_max, math.inf), u, 0.5) < 0.0
 
     def test_infeasible_input_evaluates_one_margin(self, monkeypatch):
         g = flat_metric()
@@ -215,7 +238,9 @@ def reference_margin(m, n):
 
 def reference_max_s(g0, u, theta, scale_gauge_with_s=False):
     """``criteria.max_s`` as the full bisection, verbatim: every margin runs
-    over every node."""
+    over every node.  It predates the uncapped bracket and the one-ulp stop
+    of ``max_s``, which change no result with S_max below 2^23, the range
+    of the pencils here."""
     n = g0.grid.ndim
     m0, m1 = cr._pencil_parts(g0, u, theta, scale_gauge_with_s)
 

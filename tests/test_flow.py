@@ -406,6 +406,22 @@ class TestEquivalence:
         fl.equivalence_check(metric("sin1d", sizes=(32,)), 0.1, CTL, 0.01)
         assert sizes == {"tensor": [0.01] * 10, "potential": [0.01] * 10}
 
+    def test_blowup_reports_the_last_time_both_legs_were_valid(self, monkeypatch):
+        # the third potential step fails after the third tensor step succeeded:
+        # both legs were last valid after two steps
+        attempts = []
+        original = fl._attempt_potential_step
+
+        def failing(state, dt, scheme):
+            attempts.append(dt)
+            if len(attempts) == 3:
+                raise geo.NotPositiveDefinite((5,), -1.0)
+            return original(state, dt, scheme)
+
+        monkeypatch.setattr(fl, "_attempt_potential_step", failing)
+        with pytest.raises(fl.FlowBlowup) as info:
+            fl.equivalence_check(metric("sin1d", sizes=(32,)), 0.1, CTL, 0.01)
+        assert (info.value.t, info.value.node) == (0.01 + 0.01, (5,))
 
     def test_steps_build_no_field_wrappers(self, monkeypatch):
         # both legs step on raw arrays; every grid computes its spacings once

@@ -415,9 +415,9 @@ class TestWhitening:
 
     def test_flow_rows_run_the_pencil_on_few_nodes(self, monkeypatch):
         # rows every 10 steps, as in the benchmark's 2-D flow: at t = 0, where
-        # g = g0 and every node ties, one full chain; after it each extreme of
-        # the range leaves at most 2 candidates (the 3x3 band at n = 2 left
-        # thousands here)
+        # g = g0 and every node ties, one full chain; after it one chain per
+        # row, on the at most 2 candidates of each extreme of the range (the
+        # 3x3 band at n = 2 left thousands here)
         g, _ = smooth_pair(2)
         sizes = []
         original = geo._pencil_eigenvalues
@@ -430,7 +430,7 @@ class TestWhitening:
         control = fl.StepControl()
         _, rows = fl.run_flow(g, 30.5 * fl.stable_dt(g, control), control, diag_stride=10)
         assert [r.t > 0.0 for r in rows] == [False, True, True, True, True]
-        assert sizes[0] == g.grid.num_nodes and len(sizes) == 9 and max(sizes[1:]) <= 2
+        assert sizes[0] == g.grid.num_nodes and len(sizes) == 5 and max(sizes[1:]) <= 4
 
 
 class TestCandidates:
@@ -459,8 +459,8 @@ class TestCandidates:
 
     @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
     def test_pencil_and_gnorm(self, monkeypatch, flat):
-        # on a flat metric with g = g0, as at t = 0, one pencil chain serves
-        # both extremes
+        # one pencil chain serves both extremes: on their candidates, or on
+        # every node of a flat metric with g = g0, as at t = 0
         g, g0 = smooth_pair(2)
         if flat:
             g = g0 = geo.MetricField(g.grid, np.broadcast_to([1.5, 0.1, 1.0], g.components.shape))
@@ -470,8 +470,28 @@ class TestCandidates:
         if flat:
             assert sizes == {"_pencil_eigenvalues": [nodes], "_q_gnorm": [nodes]}
         else:
-            assert [len(s) for s in sizes.values()] == [2, 1]
+            assert [len(s) for s in sizes.values()] == [1, 1]
             assert max(max(s) for s in sizes.values()) < 0.02 * nodes
+
+    def test_pencil_with_one_extreme_falling_back(self, monkeypatch):
+        # g = diag(lam(x), 1) against g0 = I: lam < 1 varies, so the smallest
+        # extreme has few candidates, while every node attains the largest, 1
+        grid = PeriodicGrid((32, 32), (TWO_PI,) * 2)
+        x, _ = grid.coordinate_arrays()
+        lam = 0.5 + 0.25 * np.cos(x)
+        g = geo.MetricField(grid, np.stack([lam, np.zeros_like(lam), np.ones_like(lam)], axis=-1))
+        g0 = geo.MetricField(grid, np.broadcast_to([1.0, 0.0, 1.0], g.components.shape))
+        smallest, largest, band = geo._pencil_screen(g.components.reshape(-1, 3),
+                                                     g0.components.reshape(-1, 3), 2)
+        assert geo._candidates(smallest, band, False) is not None
+        assert geo._candidates(largest, band, True) is None
+        sizes, = self.kernel_sizes(monkeypatch, ["_pencil_eigenvalues"],
+                                   lambda: geo.pencil_eigenvalue_range(g, g0)).values()
+        assert sizes == [grid.num_nodes]
+        linv = np.linalg.inv(np.linalg.cholesky(g0.matrices()))
+        eigs = np.linalg.eigvalsh(linv @ g.matrices() @ np.swapaxes(linv, -1, -2))
+        lam_min, lam_max = geo.pencil_eigenvalue_range(g, g0)
+        assert np.array_equal(lam_min, eigs[..., 0].min()) and np.array_equal(lam_max, eigs[..., -1].max())
 
     @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
     def test_torsion(self, monkeypatch, flat):
