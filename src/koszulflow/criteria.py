@@ -35,7 +35,7 @@ from .geometry import (
     smallest_eigenvalue,
     sym_matrices,
     sym_min_eigenvalues,  # noqa: F401  (part of this module's namespace, read by the tests)
-    sym_pairs,
+    sym_pair_weights,
 )
 from .grid import ScalarField
 from .io import ConfigError
@@ -93,7 +93,7 @@ def _margin(m: np.ndarray, n: int) -> tuple[float, int, np.ndarray]:
 def _entry_sum(flat: np.ndarray, n: int) -> np.ndarray:
     """Sum of the absolute entries of each full matrix of ``flat``, a bound on
     its 2-norm."""
-    return np.abs(flat) @ np.array([1.0 if i == j else 2.0 for i, j in sym_pairs(n)])
+    return np.abs(flat) @ sym_pair_weights(n)
 
 
 def _pencil_parts(
@@ -141,14 +141,14 @@ def max_s(
     Unbounded is reported when the S-slope part of the pencil is positive
     semidefinite at every node.  Otherwise the bracket doubles from S = 1
     until the margin is negative, which ends: the slope is negative at some
-    node, and a pencil that overflows raises ConfigError.  Bisection then
-    halves the bracket to absolute width 1e-9, or until its midpoint rounds
-    to an end (above 2^23 one ulp of S exceeds 1e-9).  The margin runs
-    over every node at S = 0, for the slope, at each bracket step and once
-    at the final S_max, which gives the witness; each bisection step runs
-    only on the active nodes, those not proven nonnegative over the whole
-    bracket, and so takes the sign, hence S_max, of the margin over every
-    node.
+    node, and a pencil or a bracket that overflows raises ConfigError.
+    Bisection then halves the bracket to absolute width 1e-9, or until its
+    midpoint rounds to an end (above 2^23 one ulp of S exceeds 1e-9).  The
+    margin runs over every node at S = 0, for the slope, at each bracket
+    step and once at the final S_max, which gives the witness; each
+    bisection step runs only on the active nodes, those not proven
+    nonnegative over the whole bracket, and so takes the sign, hence S_max,
+    of the margin over every node.
     """
     n = g0.grid.ndim
     m0, m1 = (m.reshape(-1, m.shape[-1]) for m in _pencil_parts(g0, u, theta, scale_gauge_with_s))
@@ -165,6 +165,8 @@ def max_s(
     s_hi = 1.0
     while (at_hi := margin(s_hi))[0] >= 0.0:
         s_hi *= 2.0
+        if math.isinf(s_hi):  # inf * 0 in the pencil would warn before _margin raises
+            raise ConfigError("the pencil margin is nonnegative up to S = 2^1023: the inputs overflow it")
     # e(s) = e0 + s*e1 bounds at each node the rounding of m0 + s*m1 plus the
     # kernel's error; a node is active until its lower bounds at both ends of
     # the bracket exceed 2 e(s_hi): by concavity it then stays above

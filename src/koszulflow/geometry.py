@@ -64,6 +64,15 @@ def sym_pairs(n: int) -> list[tuple[int, int]]:
 
 
 @functools.cache
+def sym_pair_weights(n: int) -> np.ndarray:
+    """Read-only multiplicity of each stored pair of :func:`sym_pairs` in the
+    full matrix: 1 on the diagonal, 2 off it."""
+    weights = np.array([1.0 if i == j else 2.0 for i, j in sym_pairs(n)])
+    weights.flags.writeable = False
+    return weights
+
+
+@functools.cache
 def sym_table(n: int, order: int) -> np.ndarray:
     """Read-only ``(n,) * order`` array of storage slots: entry ``[i, j, ...]``
     is the position of the sorted tuple in :func:`sym_indices`.  Full arrays
@@ -641,7 +650,8 @@ def hessian_curvature_from_metric(g: MetricField) -> np.ndarray:
     ``Q_ijkl = partial_k partial_l g_ij / 2 - g^pq (partial_k g_ip)(partial_l g_jq) / 2``;
     agrees with :func:`hessian_curvature` at second order for Hessian
     metrics.  Along a flow, where only the metric is carried, the
-    diagnostics need only its norm's sup, :func:`sup_q_gnorm`.
+    diagnostics need only its norm's sup, :func:`sup_q_gnorm`, which forms
+    Q only at the few nodes that its two screens leave.
     """
     d2 = _full_partials(sym_derivatives(g.components, 2, g.grid.spacings), _partials_table(g.grid.ndim, 2))
     return _q_metric(g.inverse_matrices(), metric_partials(g), d2)
@@ -673,7 +683,8 @@ def curvature_gnorm(q_full: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 def _sup_screened_norm(norm: Callable[..., np.ndarray], operands: tuple[np.ndarray, ...],
                        screen: Callable[..., tuple]) -> float:
     """Sup over the nodes of ``norm(*operands)``, the square root of a sum of
-    products, for flat operands (first axis over nodes).
+    products, for flat operands (first axis over nodes): every node, or a
+    subset that holds the sup, such as the survivors of :func:`_q_bounds`.
 
     For n >= 2 the norm runs only at the nodes that the screen leaves as
     candidates (at n = 1 the norm is as cheap as any screen).  On a chunk of
@@ -728,13 +739,54 @@ def _squares(t: np.ndarray) -> np.ndarray:
 def sup_q_gnorm(g: MetricField) -> float:
     """Sup over the nodes of |Q|_g with Q from the metric alone: the value of
     ``curvature_gnorm(hessian_curvature_from_metric(g), g^-1).max()``, bit
-    for bit, with the exact Q formed only at the nodes a screen leaves as
-    candidates (see "Screened extremes" in docs/conventions.md)."""
+    for bit.  For n >= 2 two screens run before the exact kernel (see
+    "Screened extremes" in docs/conventions.md): spectral bounds at every
+    node (:func:`_q_bounds`) keep the nodes whose upper bound reaches the
+    best lower bound, or every node where they fall back; the whitened
+    screen of :func:`_sup_screened_norm` runs on those, and the exact Q is
+    formed only at its candidates."""
     n, nodes = g.grid.ndim, g.grid.num_nodes
     npairs = g.components.shape[-1]
-    operands = (g.inverse_matrices().reshape(nodes, n, n), metric_partials(g).reshape(nodes, n, n, n),
-                sym_derivatives(g.components, 2, g.grid.spacings).reshape(nodes, npairs, npairs))
-    return _sup_screened_norm(_q_gnorm, operands, _q_screen)
+    operands = [g.inverse_matrices().reshape(nodes, n, n), metric_partials(g).reshape(nodes, n, n, n),
+                sym_derivatives(g.components, 2, g.grid.spacings).reshape(nodes, npairs, npairs)]
+    survivors = None if n == 1 else _candidates(*_q_bounds(*operands), largest=True)
+    if survivors is not None:
+        for k in range(len(operands)):  # one operand at a time: at most one is held twice
+            operands[k] = operands[k][survivors]
+    return _sup_screened_norm(_q_gnorm, tuple(operands), _q_screen)
+
+
+def _q_bounds(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(mid, half_width)`` per flat node, n >= 2: ``mid -+ half_width``
+    bound the kernel's :func:`_q_gnorm` there.  From the eigenvalue bounds
+    ``m <= M`` of the kernel's ``g^-1`` (its closed-form screen), the
+    Frobenius norm of the full ``d2`` and the squared one of ``d``, without
+    forming Q: ``|Q|_g`` lies between ``m^2 |d2|_F / 2`` and
+    ``M^2 |d2|_F / 2``, give or take ``M^3 |d|_F^2 / 2``, which bounds the
+    quadratic term's.  NaN where ``m <= 0``, so :func:`_candidates` falls
+    back."""
+    nodes, n = ginv.shape[:2]
+    weights = sym_pair_weights(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = [i * n + j for i, j in sym_pairs(n)]
+        smallest, largest, band = _sym_eigen_screen(ginv.reshape(nodes, -1)[:, upper], n)
+        low, big = smallest - band, largest + band
+        low[~(low > 0.0)] = np.nan
+        flat = d2.reshape(nodes, -1)
+        d2_norm = np.sqrt(np.einsum("ni,ni,i->n", flat, flat, np.outer(weights, weights).ravel()))
+        flat = d.reshape(nodes, -1)
+        d_sq = np.einsum("ni,ni->n", flat, flat)
+        # eps_q bounds the kernel's rounding of Q, |Q - (d2 - quad) / 2|_F (the
+        # floor, times M^2, covers underflow in both norms); root carries the
+        # rounding of its squared g-norm, with tr(g^-1) <= n M, through the root
+        eps_q = WHITENING_BAND * (big * d_sq + d2_norm) + SCREEN_FLOOR * (1.0 + big)
+        root = np.sqrt(WHITENING_BAND * (n * big) ** 4 * (0.5 * d2_norm + 0.5 * big * d_sq + eps_q) ** 2
+                       + SCREEN_FLOOR)
+        big_sq, low_sq = big * big, low * low
+        mid = 0.25 * (big_sq + low_sq) * d2_norm
+        half = 0.25 * (big_sq - low_sq) * d2_norm + 0.5 * big_sq * big * d_sq + big_sq * eps_q + root
+        half += WHITENING_BAND * (mid + half) + SCREEN_FLOOR  # every rounding above and in _candidates
+    return mid, half
 
 
 def _q_gnorm(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> np.ndarray:

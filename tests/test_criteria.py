@@ -7,6 +7,7 @@ min_x 0.9 (2 + sin x)^3 / (2 sin x + 1) = 6.834375 at sin x = 1/4.
 """
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -162,6 +163,17 @@ class TestMaxS:
         monkeypatch.undo()
         assert cr.a2_margin(g, s_max, u, 0.5) >= 0.0
         assert cr.a2_margin(g, np.nextafter(s_max, math.inf), u, 0.5) < 0.0
+
+    def test_bracket_that_overflows_raises_without_a_warning(self):
+        # S_max >= 2^1023: the bracket would double to s_hi = inf, where
+        # m0 + inf * m1 warns (inf * 0) before the margin's ConfigError
+        grid = PeriodicGrid((8,), (2.0 * math.pi,))
+        psi = ScalarField.from_function(grid, lambda x: 1e288 * np.cos(x))
+        g = geo.metric_from_potential(geo.PotentialMetric(grid, 1e300 * np.eye(1), psi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="overflow"):
+                cr.max_s(g, zero_gauge(g), 0.5)
 
     def test_infeasible_input_evaluates_one_margin(self, monkeypatch):
         g = flat_metric()
