@@ -424,9 +424,7 @@ def _run_verb(name: str, args) -> int:
         }
         if blowup is not None:
             manifest["last_valid_t"] = blowup.t
-            # FlowBlowup.node holds np.int64, which json cannot encode
-            node = blowup.node
-            manifest["blowup_node"] = None if node is None else [int(k) for k in node]
+            manifest["blowup_node"] = None if blowup.node is None else list(blowup.node)
         write_manifest(args.out, {**manifest, **extra})
     for line in lines:
         print(line)

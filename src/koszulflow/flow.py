@@ -83,8 +83,10 @@ class FlowState:
 
     ``g_comps`` (pair-stored metric) and ``phi_values`` (potential) are
     read-only; :attr:`g` and :attr:`phi` wrap them on access.  ``log_det`` is
-    ``log det g``, ``ratio`` is ``log det g - log det g0`` and ``min_eig`` the
-    smallest eigenvalue of ``g`` over the nodes.
+    ``log det g`` and ``ratio`` is ``log det g - log det g0``.  ``min_eig`` is
+    the smallest eigenvalue of ``g`` over the nodes where the positivity
+    check computed it (:func:`check_metric`), else None: then
+    ``g.min_eigenvalue()`` computes it, and only :func:`stable_dt` reads it.
     """
 
     t: float
@@ -95,14 +97,14 @@ class FlowState:
     log_det_g0: np.ndarray
     log_det: np.ndarray
     ratio: np.ndarray
-    min_eig: float
+    min_eig: float | None
 
     @classmethod
     def initial(cls, g0: MetricField) -> "FlowState":
         log_det_g0 = g0.log_det()
         return cls(t=0.0, g_comps=g0.components, phi_values=_read_only(np.zeros(g0.grid.shape)),
                    dt_last=0.0, g0=g0, log_det_g0=log_det_g0, log_det=log_det_g0,
-                   ratio=log_det_g0 - log_det_g0, min_eig=g0.min_eigenvalue())
+                   ratio=log_det_g0 - log_det_g0, min_eig=g0._min_eig)
 
     @property
     def g(self) -> MetricField:
@@ -140,7 +142,8 @@ class DiagnosticsRow:
 
 def stable_dt(g: MetricField, control: StepControl) -> float:
     """Explicit stability bound sigma * min(h^2) / (2 n max lambda(g^-1)),
-    from the smallest eigenvalue that the metric's check already found."""
+    from the smallest eigenvalue of ``g``: the one its positivity check
+    found, or computed here where the check decided without it."""
     n = g.grid.ndim
     lam_max_inv = 1.0 / g.min_eigenvalue()
     return control.sigma * min(h * h for h in g.grid.spacings) / (2.0 * n * lam_max_inv)
@@ -151,7 +154,7 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _next_state(state: FlowState, dt: float, g_new: np.ndarray, min_eig: float,
+def _next_state(state: FlowState, dt: float, g_new: np.ndarray, min_eig: float | None,
                 phi_of_ratio: Callable[[np.ndarray], np.ndarray]) -> FlowState:
     """The state of either leg after a step of ``dt`` to the checked metric
     ``g_new``; its ``ratio`` is the next step's, ``phi_of_ratio`` gives the
@@ -309,8 +312,8 @@ class PotentialFlowState(FlowState):
         return cls(**state, beta0=_read_only(_beta(state["log_det_g0"], g0.grid.spacings)))
 
 
-def _reconstruct(state: PotentialFlowState, phi: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-    """``g0 - t beta0 + dd(phi)``, and its smallest eigenvalue from :func:`check_metric`."""
+def _reconstruct(state: PotentialFlowState, phi: np.ndarray, t: float) -> tuple[np.ndarray, float | None]:
+    """``g0 - t beta0 + dd(phi)``, and what :func:`check_metric` returns for it."""
     grid = state.g0.grid
     comps = state.g0.components - t * state.beta0 + pair_hessian(phi, grid.spacings)
     return comps, check_metric(comps, grid.ndim)

@@ -242,11 +242,30 @@ def sym_min_eigenvalues(comps: np.ndarray, n: int) -> np.ndarray:
     if n == 1:
         return comps[..., 0]
     if n == 2:
-        a, b, c = comps[..., 0], comps[..., 1], comps[..., 2]
-        half_trace = 0.5 * (a + c)
-        radius = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
+        half_trace, radius = _half_trace_radius(comps)
         return half_trace - radius
     return np.linalg.eigvalsh(sym_matrices(comps, n))[..., 0]
+
+
+def _half_trace_radius(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-trace ``q`` and radius ``p`` of pair-stored symmetric 2x2
+    matrices ``[a b; b c]``, whose eigenvalues are ``q -+ p``.  A node where
+    either is not finite, as where the squares overflow (entries above
+    about ``1e154``), is recomputed with its entries scaled by a power of
+    two to below 1 and the results scaled back; both scalings are exact,
+    and every other node keeps its bits."""
+    a, b, c = comps[..., 0], comps[..., 1], comps[..., 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, p = 0.5 * (a + c), np.sqrt((0.5 * (a - c)) ** 2 + b * b)
+        if np.isfinite(q).all() and np.isfinite(p).all():
+            return q, p
+        bad = ~(np.isfinite(q) & np.isfinite(p))
+        exponent = np.frexp(np.abs(comps[bad]).max(axis=-1))[1]
+        a, b, c = np.ldexp(comps[bad], -exponent[:, None]).T
+        q, p = np.array(q), np.array(p)  # writable, also for a single node
+        q[bad] = np.ldexp(0.5 * (a + c), exponent)
+        p[bad] = np.ldexp(np.sqrt((0.5 * (a - c)) ** 2 + b * b), exponent)
+    return q, p
 
 
 # --- screened extremes over the nodes ---------------------------------------------
@@ -304,9 +323,7 @@ def _sym_eigen_screen(comps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     n = 2, the trigonometric form (Smith, Commun. ACM 4, 1961) for n = 3."""
     with np.errstate(over="ignore", invalid="ignore"):
         if n == 2:
-            a, b, c = comps[:, 0], comps[:, 1], comps[:, 2]
-            q = 0.5 * (a + c)
-            p = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
+            q, p = _half_trace_radius(comps)
             smallest, largest, band = q - p, q + p, WHITENING_BAND * (np.abs(q) + p)
         else:
             # rows [a b c; b d e; c e f], each a contiguous (N,) array
@@ -356,21 +373,59 @@ def smallest_eigenvalue(comps: np.ndarray, n: int) -> tuple[float, int, np.ndarr
         return value, worst, smallest - band
 
 
-def check_metric(comps: np.ndarray, n: int) -> float:
-    """Nodewise check of pair-stored metric components; returns the smallest
-    eigenvalue over the nodes.
+def check_metric(comps: np.ndarray, n: int) -> float | None:
+    """Nodewise check of pair-stored metric components: the smallest
+    eigenvalue of :func:`smallest_eigenvalue` over the nodes is at least
+    ``MIN_EIGENVALUE``.
+
+    For n = 3 the decision comes from :func:`_positivity_certificate` where
+    it proves every node, and the value is not computed: None is returned.
+    Otherwise (n <= 2, where the closed form is as cheap, or a node the
+    certificate leaves open) the value is computed and returned.
 
     Raises ValueError for a non-finite entry and :class:`NotPositiveDefinite`,
-    naming the worst node, for an eigenvalue below ``MIN_EIGENVALUE``.
+    naming the worst node (the first on ties), for a value below
+    ``MIN_EIGENVALUE``.
     """
-    value, worst = smallest_eigenvalue(_check_finite(comps), n)[:2]
+    _check_finite(comps)
+    if n == 3 and _positivity_certificate(comps).all():
+        return None
+    value, worst = smallest_eigenvalue(comps, n)[:2]
     if value < MIN_EIGENVALUE:
-        raise NotPositiveDefinite(tuple(np.unravel_index(worst, comps.shape[:-1])), value)
+        raise NotPositiveDefinite(tuple(int(k) for k in np.unravel_index(worst, comps.shape[:-1])), value)
     return value
 
 
+def _positivity_certificate(comps: np.ndarray) -> np.ndarray:
+    """Per flat node of pair-stored symmetric 3x3 matrices, whether the
+    leading minors and ``lambda_min >= 4 det / tr^2`` prove, through their
+    rounding and that of LAPACK ``eigvalsh``, that the exact smallest
+    eigenvalue and the kernel's (:func:`sym_min_eigenvalues`) are both at
+    least ``MIN_EIGENVALUE``.  False where it cannot tell, never where
+    the kernel's value is below (see docs/conventions.md, "Positivity by
+    certificate")."""
+    # rows [a b c; b d e; c e f], each a contiguous (N,) array
+    a, b, c, d, e, f = np.ascontiguousarray(comps.reshape(-1, 6).T)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ad, bb = a * d, b * b
+        minor_band = WHITENING_BAND * (np.abs(ad) + bb) + SCREEN_FLOOR
+        df, ee, bf, ec, be, dc = d * f, e * e, b * f, e * c, b * e, d * c
+        det = a * (df - ee) - b * (bf - ec) + c * (be - dc)
+        abs_b, abs_c = np.abs(b), np.abs(c)
+        det_band = (WHITENING_BAND * (np.abs(a) * (np.abs(df) + ee) + abs_b * (np.abs(bf) + np.abs(ec))
+                                      + abs_c * (np.abs(be) + np.abs(dc)))
+                    + SCREEN_FLOOR * (1.0 + np.abs(a) + abs_b + abs_c))
+        tr = a + d + f
+        bound = 4.0 * (det - det_band) / (tr * tr) - WHITENING_BAND * tr
+        return (a > 0.0) & (ad - bb > minor_band) & (det > det_band) & (bound >= MIN_EIGENVALUE)
+
+
 class MetricField(Sym2Field):
-    """A :class:`Sym2Field` that is positive definite at every node."""
+    """A :class:`Sym2Field` that is positive definite at every node: its
+    smallest eigenvalue over the nodes is at least ``MIN_EIGENVALUE``, as
+    :func:`check_metric` decides.  The value itself is kept where the check
+    computed it and otherwise computed on the first call of
+    :meth:`min_eigenvalue`."""
 
     __slots__ = ("_min_eig",)
 
@@ -388,6 +443,9 @@ class MetricField(Sym2Field):
         return sym_inverse_matrices(self.components, self.grid.ndim)
 
     def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue over the nodes (:func:`smallest_eigenvalue`)."""
+        if self._min_eig is None:
+            object.__setattr__(self, "_min_eig", smallest_eigenvalue(self.components, self.grid.ndim)[0])
         return self._min_eig
 
 
@@ -825,6 +883,42 @@ def _riemann_from_gamma(gamma_mixed: np.ndarray, gmat: np.ndarray) -> np.ndarray
     return np.einsum("...ip,...pjkl->...ijkl", gmat, r_up)
 
 
+def _riemann_max(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> np.ndarray:
+    """The exact kernel of the Riemann sup: per flat node, the largest
+    ``|R_ijkl|`` of :func:`_riemann_from_gamma` on the Christoffel symbols
+    of the metric derivatives ``d`` and ``g^-1``, formed chunk by chunk."""
+    out = np.empty(len(d))
+    for chunk in _chunks(len(d)):
+        gamma_mixed, _ = _christoffel(d[chunk], ginv[chunk])
+        riemann = _riemann_from_gamma(gamma_mixed, gmat[chunk])
+        out[chunk] = np.abs(riemann.reshape(len(riemann), -1)).max(axis=1)
+    return out
+
+
+def _riemann_screen(gamma_mixed: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, band)`` per flat node for the sup of :func:`_riemann_max`:
+    the largest ``|R_ijkl|`` over the entries with ``k < l`` only, from the
+    same ``gamma_mixed`` and ``g`` on component arrays (node axis last).
+    ``R`` is antisymmetric in ``k, l``, so those entries hold the exact
+    maximum; ``band = WHITENING_BAND * 2 n^2 max|g| max|gamma|^2`` bounds
+    both sides' rounding (docs/conventions.md, "Screened extremes")."""
+    nodes, n = gamma_mixed.shape[:2]
+    gamma = np.ascontiguousarray(gamma_mixed.reshape(nodes, -1).T).reshape(n, n, n, nodes)
+    g = np.ascontiguousarray(gmat.reshape(nodes, -1).T).reshape(n, n, nodes)
+    values = np.zeros(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, l in itertools.combinations(range(n), 2):
+            # r_up[p, j] = sum_m gamma[p, l, m] gamma[m, j, k] - gamma[p, k, m] gamma[m, j, l]
+            r_up = sum(gamma[:, l, m, None] * gamma[m, None, :, k] - gamma[:, k, m, None] * gamma[m, None, :, l]
+                       for m in range(n))
+            lowered = sum(g[:, p, None] * r_up[p] for p in range(n))
+            values = np.maximum(values, np.abs(lowered).reshape(-1, nodes).max(axis=0))
+        g_max = np.abs(g).reshape(-1, nodes).max(axis=0)
+        gamma_max = np.abs(gamma).reshape(-1, nodes).max(axis=0)
+        band = WHITENING_BAND * 2 * n * n * g_max * gamma_max * gamma_max + SCREEN_FLOOR
+    return values, band
+
+
 def riemann_from_q(q: HessianCurvature) -> np.ndarray:
     """Lowered curvature tensor by antisymmetrizing Q in its first two slots."""
     full = q.full()
@@ -1030,14 +1124,16 @@ def curvature_bundle(g: MetricField, pm: PotentialMetric | None,
     d = metric_partials(g).reshape(nodes, n, n, n)
     probe = None if node is None else int(np.ravel_multi_index(node, g.grid.shape))
     sups, gamma_mixed_000 = [], None
+    riemann_screen, riemann_band = np.empty(nodes), np.empty(nodes)
     for chunk in _chunks(nodes):
         gamma_mixed, gamma_lower = _christoffel(d[chunk], ginv[chunk])
-        riemann = _riemann_from_gamma(gamma_mixed, gmat[chunk])
-        sups.append([_hessian_defect(d[chunk]),
-                     *(np.max(np.abs(t)) for t in (gamma_mixed, gamma_lower, riemann))])
+        riemann_screen[chunk], riemann_band[chunk] = _riemann_screen(gamma_mixed, gmat[chunk])
+        sups.append([_hessian_defect(d[chunk]), *(np.max(np.abs(t)) for t in (gamma_mixed, gamma_lower))])
         if probe is not None and chunk.start <= probe < chunk.stop:
             gamma_mixed_000 = float(gamma_mixed[probe - chunk.start, 0, 0, 0])
-    defect, sup_gamma_mixed, sup_gamma_lower, sup_riemann = (float(v) for v in np.max(sups, axis=0))
+    defect, sup_gamma_mixed, sup_gamma_lower = (float(v) for v in np.max(sups, axis=0))
+    # the Riemann tensor only at the candidates of its screen, Christoffel first
+    sup_riemann = screened_extreme(riemann_screen, riemann_band, _riemann_max, (d, ginv, gmat), largest=True)[0]
     torsion_norm = _sup_torsion_gnorm(d, ginv, gmat)
     del d  # freed before the Koszul forms and Q; lowers peak memory
     alpha, kappa, beta = koszul(g)

@@ -89,12 +89,25 @@ class TestCurvature:
                 return original(*args)
             return wrapper
 
-        names = ("metric_partials", "sym_inverse_matrices", "metric_from_potential", "_christoffel")
+        names = ("metric_partials", "sym_inverse_matrices", "metric_from_potential")
         for name in names:
             monkeypatch.setattr(geo, name, counted(name, getattr(geo, name)))
+        christoffel_nodes = []
+        original = geo._christoffel
+
+        def christoffel(d, ginv):
+            christoffel_nodes.append(len(d))
+            return original(d, ginv)
+
+        monkeypatch.setattr(geo, "_christoffel", christoffel)
         cfg = write_config(tmp_path, "c.cfg", "example = bump2d\nsizes = 16,16\nn_samples = 20\n")
         assert run("curvature", "--config", cfg, "--out", str(tmp_path / "out")) == 0
         assert counts == dict.fromkeys(names, 1)
+        # the Christoffel symbols at every node for their sups and the Riemann
+        # screen, then once inside the Riemann kernel at the screen's
+        # candidates (bump2d's Riemann tensor is rounding noise, so 249 of
+        # the 256 nodes are candidates there)
+        assert len(christoffel_nodes) == 2 and christoffel_nodes[0] == 256
 
 
 class TestFlowRun:
@@ -284,6 +297,25 @@ class TestErrorPaths:
         write_potential_snapshot(str(snap), bad)
         cfg = write_config(tmp_path, "b.cfg", f"potential = {snap}\nT = 1.0\n")
         assert run("flow-run", "--config", cfg, "--out", str(tmp_path / "o")) == 4
+
+    def test_nonconvex_3d_potential_names_the_first_worst_node(self, tmp_path, capsys):
+        # the positivity certificate cannot prove the concave nodes, so the
+        # check falls back to the screened eigenvalue kernel, which names the
+        # first worst node in plain ints
+        grid = PeriodicGrid((8, 8, 8), (2 * np.pi,) * 3)
+        psi = ScalarField.from_function(grid, lambda x, y, z: -2.0 * np.cos(x) * np.cos(y) * np.cos(z))
+        pm = geo.PotentialMetric(grid, np.eye(3), psi)
+        snap = tmp_path / "concave.hfld"
+        write_potential_snapshot(str(snap), pm)
+        cfg = write_config(tmp_path, "c.cfg", f"potential = {snap}\n")
+        assert run("curvature", "--config", cfg, "--out", str(tmp_path / "o")) == 4
+        comps = geo.potential_hessian(psi).components + np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
+        eigs = geo.sym_min_eigenvalues(comps, 3)
+        worst = np.unravel_index(np.argmin(eigs), grid.shape)
+        node = tuple(int(k) for k in worst)
+        assert not geo._positivity_certificate(comps).all() and eigs[worst] < 0
+        assert capsys.readouterr().err == (f"positivity failure: matrix field not positive definite at node "
+                                           f"{node} (min eigenvalue {eigs[worst]:.3e})\n")
 
     T = "T = 0.01\n"
     # case -> (verb, config text); the snapshot paths are filled in per run

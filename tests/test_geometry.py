@@ -15,6 +15,7 @@ are checked at truncation level with an order-2 refinement ratio.
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,31 @@ class TestMetricFromPotential:
         with pytest.raises(geo.NotPositiveDefinite) as info:
             geo.metric_from_potential(pm)
         assert info.value.min_eigenvalue < 0
+
+    def test_huge_two_dimensional_metric_is_positive_definite(self):
+        # the closed form squared (a - c)/2 and b unscaled, so entries above
+        # about 1e154 gave the radius inf and the smallest eigenvalue -inf
+        grid = PeriodicGrid((8, 8), (TWO_PI,) * 2)
+        comps = np.empty((8, 8, 3))
+        comps[:4] = [1e160, 0.0, 1e150]
+        comps[4:] = [2.0, 0.5, 1.0]
+        pm = geo.PotentialMetric(grid, 1e200 * np.eye(2), ScalarField.from_function(
+            grid, lambda x, y: 1e190 * np.cos(x) * np.cos(y)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = geo.MetricField(grid, np.broadcast_to(comps[0, 0], comps.shape))
+            g = geo.MetricField(grid, comps)
+            eigs = geo.sym_min_eigenvalues(comps, 2)
+            smallest, largest, band = geo._sym_eigen_screen(comps.reshape(-1, 3), 2)
+            assert geo.metric_from_potential(pm).min_eigenvalue() > 1e199
+        # an exact power-of-two scaling: the bits of the scaled-down matrix, scaled up
+        scaled = np.ldexp(geo.sym_min_eigenvalues(np.ldexp(comps[:4], -600), 2), 600)
+        assert np.array_equal(eigs[:4], scaled) and huge.min_eigenvalue() == scaled[0, 0]
+        assert g.min_eigenvalue() == eigs.min()
+        # the other nodes keep the bits of the unscaled closed form
+        assert np.all(eigs[4:] == 0.5 * (2.0 + 1.0) - np.sqrt((0.5 * (2.0 - 1.0)) ** 2 + 0.5 * 0.5))
+        assert np.array_equal(smallest, eigs.ravel()) and np.all(np.isfinite(band))
+        assert np.all(np.abs(largest[:32] - 1e160) <= band[:32])
 
     def test_background_validation(self):
         grid = PeriodicGrid((16,), (1.0,))

@@ -4,8 +4,11 @@ exact kernels run over every node.
 
 The exact kernels are ``sym_min_eigenvalues`` (LAPACK at n = 3), the
 Cholesky/inverse/eigvalsh chain of the metric pencil, the metric route to
-Q followed by the four-step ``curvature_gnorm`` chain, and the five-operand
-contraction of the torsion norm.  The design rests on each kernel giving the same
+Q followed by the four-step ``curvature_gnorm`` chain, the five-operand
+contraction of the torsion norm, and the Christoffel symbols followed by
+the largest entry of their Riemann tensor.  ``check_metric`` at n = 3
+decides positivity by a certificate and runs the eigenvalue kernel only
+where it cannot.  The design rests on each kernel giving the same
 bits on any subset of nodes as on the full grid; the first class checks
 that on the grid sizes of the benchmark, for these kernels and for the
 node-local kernels that the curvature report runs chunk by chunk (the
@@ -94,6 +97,8 @@ def full_kernels(n):
                         flat_pair(gamma_pair)),
         "riemann": (geo._riemann_from_gamma, (gamma_pair[0].reshape(-1, n, n, n), flat_gmat),
                     geo.riemann_from_gamma(g).reshape(-1, *(n,) * 4)),
+        "riemann_max": (geo._riemann_max, (flat_d, flat_ginv, flat_gmat),
+                        np.abs(geo.riemann_from_gamma(g)).reshape(len(flat_d), -1).max(axis=1)),
         "torsion_tensor": (geo._torsion, (flat_d, flat_ginv), torsion.reshape(-1, n, n, n)),
         "q_potential": (geo._q_potential, potential_operands, geo._q_potential(*potential_operands)),
     }
@@ -139,7 +144,7 @@ def tied_spectra(draw):
 
 
 KERNELS = ("min_eig", "pencil", "gnorm", "q_gnorm", "torsion",
-           "christoffel", "riemann", "torsion_tensor", "q_potential")
+           "christoffel", "riemann", "riemann_max", "torsion_tensor", "q_potential")
 
 
 class TestKernelsOnSubsets:
@@ -181,9 +186,13 @@ class TestSymmetricScreen:
     @HYPOTHESIS
     @given(comps=tied_spectra())
     def test_check_metric_names_the_first_worst_node(self, comps):
+        # the check decides; the value is read from min_eigenvalue()
         want, want_node = first_extreme(geo.sym_min_eigenvalues(comps, 3))
         if want >= geo.MIN_EIGENVALUE:
-            assert geo.check_metric(comps, 3) == want
+            # tiled to the smallest grid, which has the same smallest eigenvalue
+            tiled = np.tile(comps, (*(-(-8 // k) for k in comps.shape[:-1]), 1))
+            grid = PeriodicGrid(tiled.shape[:-1], (TWO_PI,) * 3)
+            assert geo.MetricField(grid, tiled).min_eigenvalue() == want
             return
         with pytest.raises(geo.NotPositiveDefinite) as info:
             geo.check_metric(comps, 3)
@@ -206,6 +215,79 @@ class TestSymmetricScreen:
         m0, m1 = cr._pencil_parts(g0, u, 0.5, scale_gauge_with_s=False)
         _, want_node = first_extreme(geo.sym_min_eigenvalues(m0 + result.s_max * m1, 3))
         assert result.witness_node == np.unravel_index(want_node, g0.grid.shape)
+
+
+@st.composite
+def straddling_spectra(draw):
+    """Pair-stored 3x3 fields on a small grid whose smallest eigenvalues
+    straddle ``MIN_EIGENVALUE`` (within ulps of it, and where the
+    certificate's ``4 det / tr^2`` for an isotropic spectrum is), with
+    repeated eigenvalues and ``cond`` up to ``10**log_cond`` (at most 1e8)."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)))
+    log_cond = draw(st.floats(0.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tiny = geo.MIN_EIGENVALUE
+    levels = np.array([-1.0, 0.0, tiny * (1 - 1e-15), tiny, tiny * (1 + 1e-15), 2.25 * tiny * (1 - 1e-9),
+                       2.25 * tiny, 2.25 * tiny * (1 + 1e-9), 10.0 * tiny, 1e-3, 1.0])
+    lowest = rng.choice(levels, shape)
+    ratios = 10.0 ** rng.uniform(0.0, log_cond, (*shape, 2))
+    ratios[rng.random(ratios.shape) < 0.3] = 1.0  # ties with the smallest
+    ratios[..., 1] = np.where(rng.random(shape) < 0.2, ratios[..., 0], ratios[..., 1])  # ties above it
+    spectrum = lowest[..., None] * np.concatenate([np.ones((*shape, 1)), np.sort(ratios, axis=-1)], axis=-1)
+    return pair_stored(rotated(spectrum, rng, rotate=draw(st.booleans())))
+
+
+class TestPositivityCertificate:
+    """``check_metric`` at n = 3 decides by leading minors and
+    ``lambda_min >= 4 det / tr^2`` where they prove every node, and by the
+    screened LAPACK kernel elsewhere; the decision is the kernel's."""
+
+    @settings(max_examples=200)
+    @given(comps=straddling_spectra())
+    def test_decision_equals_the_kernel(self, comps):
+        eigs = geo.sym_min_eigenvalues(comps, 3).ravel()
+        proven = geo._positivity_certificate(comps)
+        assert np.all(eigs[proven] >= geo.MIN_EIGENVALUE)
+        try:
+            geo.check_metric(comps, 3)
+            failed = False
+        except geo.NotPositiveDefinite:
+            failed = True
+        assert failed == (eigs.min() < geo.MIN_EIGENVALUE)
+
+
+@st.composite
+def random_christoffel(draw):
+    """``(d, ginv, gmat)`` on flat nodes for the Riemann sup: random metric
+    derivatives scaled per node by 10^[-3, 3] and ``g`` with ``cond`` up to
+    1e8; the node of the largest ``|R|`` repeated at a few random nodes."""
+    n = draw(st.sampled_from((2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes = 64
+    d = rng.standard_normal((nodes, n, n, n)) * 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1, 1))
+    gmat = rotated(10.0 ** rng.uniform(0.0, draw(st.floats(0.0, 8.0)), (nodes, n)), rng)
+    gmat = 0.5 * (gmat + np.swapaxes(gmat, -1, -2))
+    ginv = np.linalg.inv(gmat)
+    top = int(np.argmax(geo._riemann_max(d, ginv, gmat)))
+    for k in rng.choice(nodes, draw(st.integers(0, 5)), replace=False):
+        d[k], gmat[k], ginv[k] = d[top], gmat[top], ginv[top]
+    return d, ginv, gmat
+
+
+class TestRiemannScreen:
+    """The sup of ``|R_ijkl|`` in the curvature report: a screen over the
+    entries with ``k < l`` on every node, the kernel at its candidates."""
+
+    @HYPOTHESIS
+    @given(operands=random_christoffel())
+    def test_band_bounds_the_screen_and_the_sup_is_exact(self, operands):
+        d, ginv, gmat = operands
+        gamma_mixed, _ = geo._christoffel(d, ginv)
+        values, band = geo._riemann_screen(gamma_mixed, gmat)
+        exact = geo._riemann_max(d, ginv, gmat)
+        assert np.all(np.abs(values - exact) <= band)
+        sup = geo.screened_extreme(values, band, geo._riemann_max, operands, largest=True)[0]
+        assert np.array_equal(sup, exact.max())
 
 
 class TestPencilScreen:
@@ -522,11 +604,33 @@ class TestCandidates:
 
     @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
     def test_min_eigenvalue(self, monkeypatch, flat):
+        # the value is computed where it is read: the check proves positivity
+        # by its certificate, and min_eigenvalue() runs the screened kernel
         g, _ = smooth_pair(3)
         comps = np.broadcast_to(g.components[0, 0, 0], g.components.shape) if flat else g.components
         sizes, = kernel_sizes(monkeypatch, ["sym_min_eigenvalues"],
-                                   lambda: geo.check_metric(comps, 3)).values()
+                              lambda: geo.MetricField(g.grid, comps).min_eigenvalue()).values()
         assert sizes == [g.grid.num_nodes] if flat else sizes[0] < 0.02 * g.grid.num_nodes
+
+    @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
+    def test_certified_check_runs_no_eigenvalue_kernel(self, monkeypatch, flat):
+        # a smooth 32^3 potential metric, as in the benchmark's 3-D report, and
+        # a constant one: the certificate proves every node
+        g, _ = smooth_pair(3)
+        comps = np.broadcast_to(g.components[0, 0, 0], g.components.shape) if flat else g.components
+        sizes = kernel_sizes(monkeypatch, ["sym_min_eigenvalues", "smallest_eigenvalue"],
+                             lambda: geo.check_metric(comps, 3))
+        assert geo._positivity_certificate(comps).all()
+        assert sizes == {"sym_min_eigenvalues": [], "smallest_eigenvalue": []}
+
+    @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
+    def test_riemann(self, monkeypatch, flat):
+        g = geo.metric_from_potential(reg.build_example("flat")) if flat else smooth_pair(3)[0]
+        bundles = []
+        sizes, = kernel_sizes(monkeypatch, ["_riemann_max"],
+                              lambda: bundles.append(geo.curvature_bundle(g, None))).values()
+        assert sizes == [g.grid.num_nodes] if flat else len(sizes) == 1 and sizes[0] < 0.02 * g.grid.num_nodes
+        assert bundles[0].sup_riemann == np.abs(geo.riemann_from_gamma(g)).max()
 
     @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
     def test_pencil_and_gnorm(self, monkeypatch, flat):
