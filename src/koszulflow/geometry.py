@@ -284,6 +284,25 @@ def _chunks(nodes: int):
     return (slice(start, start + _SCREEN_CHUNK) for start in range(0, nodes, _SCREEN_CHUNK))
 
 
+def _per_chunk(fn: Callable, operands: tuple[np.ndarray, ...], rows: np.ndarray | None = None):
+    """``fn(*operands)`` on the flat nodes ``rows`` (None: every node), called
+    on at most ``_SCREEN_CHUNK`` of them at a time, its array output or each
+    array of its tuple output stacked along the nodes: the one place where a
+    node-local kernel runs past a screen, so its intermediates' memory stays
+    bounded however many nodes it runs on.  ``fn`` gives the same bits on
+    any subset of nodes as on all, so the result is that of one call."""
+    nodes = len(operands[0]) if rows is None else len(rows)
+    out = None
+    for chunk in _chunks(nodes):
+        part = fn(*(op[chunk if rows is None else rows[chunk]] for op in operands))
+        parts = part if isinstance(part, tuple) else (part,)
+        if out is None:
+            out = tuple(np.empty((nodes, *p.shape[1:]), p.dtype) for p in parts)
+        for stacked, p in zip(out, parts):
+            stacked[chunk] = p
+    return out if isinstance(part, tuple) else out[0]
+
+
 def screened_extreme(values: np.ndarray, band: np.ndarray, kernel: Callable[..., np.ndarray],
                      operands: tuple[np.ndarray, ...], largest: bool = False) -> tuple[float, int]:
     """``(value, flat index)`` of the minimum (``largest``: the maximum) over
@@ -292,18 +311,20 @@ def screened_extreme(values: np.ndarray, band: np.ndarray, kernel: Callable[...,
 
     The operands' first axis runs over the flat nodes, and the kernel gives
     the same bits on any subset of them as on all.  ``values`` screens the
-    kernel at every node and ``band`` bounds ``|values - kernel|`` there.
-    The kernel runs on the nodes whose band reaches the best screened
-    bound, which include every node attaining the extreme, so the result
-    equals the full call's, ties going to the lowest flat index as with
-    ``np.argmin`` and ``np.argmax``.  The full call is made when a screen
-    or band is not finite or every node is a candidate.
+    kernel at every node and ``band`` bounds ``|values - kernel|`` there;
+    or, for a kernel that is a nondecreasing function of some quantity (a
+    norm ending in a square root), ``values`` screens that quantity and
+    ``band`` bounds the distance to it, which finds the same nodes.
+    The kernel runs (through :func:`_per_chunk`) on the nodes whose band
+    reaches the best screened bound, which include every node attaining the
+    extreme, so the result equals the full call's, ties going to the lowest
+    flat index as with ``np.argmin`` and ``np.argmax``.  It runs on every
+    node when a screen or band is not finite or every node is a candidate.
     """
     candidates = _candidates(values, band, largest)
-    full = candidates is None
-    found = kernel(*operands) if full else kernel(*(op[candidates] for op in operands))
+    found = _per_chunk(kernel, operands, candidates)
     k = int(np.argmax(found) if largest else np.argmin(found))
-    return float(found[k]), k if full else int(candidates[k])
+    return float(found[k]), k if candidates is None else int(candidates[k])
 
 
 def _candidates(values: np.ndarray, band: np.ndarray, largest: bool) -> np.ndarray | None:
@@ -454,8 +475,9 @@ def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, flo
 
     Generalized eigenvalues of (g, g0) per node, computed as the ordinary
     eigenvalues of L^-1 g L^-T with L the Cholesky factor of g0; for n >= 2
-    by one call on the candidates of both extremes of the closed-form
-    screen, or on every node where either extreme falls back.  A node that
+    by one chain, run by :func:`_per_chunk` on the candidates of both
+    extremes of the closed-form screen, or on every node where either
+    extreme falls back.  A node that
     is a candidate of both extremes is passed twice, which changes neither
     the min nor the max.
     """
@@ -469,10 +491,8 @@ def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, flo
     flat = (g.components.reshape(-1, npairs), g0.components.reshape(-1, npairs))
     smallest, largest, band = _pencil_screen(*flat, n)
     low, high = _candidates(smallest, band, False), _candidates(largest, band, True)
-    if low is not None and high is not None:
-        nodes = np.concatenate((low, high))
-        flat = tuple(op[nodes] for op in flat)
-    eigs = _pencil_eigenvalues(*flat, n)
+    nodes = None if low is None or high is None else np.concatenate((low, high))
+    eigs = _per_chunk(lambda g_comps, h_comps: _pencil_eigenvalues(g_comps, h_comps, n), flat, nodes)
     return float(eigs[:, 0].min()), float(eigs[:, -1].max())
 
 
@@ -676,10 +696,7 @@ def hessian_curvature(pm: PotentialMetric) -> HessianCurvature:
 def _hessian_curvature(pm: PotentialMetric, ginv: np.ndarray) -> HessianCurvature:
     grid, n, psi, nodes = pm.grid, pm.grid.ndim, pm.psi.values, pm.grid.num_nodes
     thirds, fourths = (sym_derivatives(psi, order, grid.spacings).reshape(nodes, -1) for order in (3, 4))
-    flat_ginv = ginv.reshape(nodes, n, n)
-    comps = np.empty((nodes, len(sym_indices(len(sym_pairs(n)), 2))))
-    for chunk in _chunks(nodes):
-        comps[chunk] = _q_potential(flat_ginv[chunk], thirds[chunk], fourths[chunk])
+    comps = _per_chunk(_q_potential, (ginv.reshape(nodes, n, n), thirds, fourths))
     return HessianCurvature._wrap(grid, comps.reshape(*grid.shape, -1))
 
 
@@ -738,42 +755,6 @@ def curvature_gnorm(q_full: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _sup_screened_norm(norm: Callable[..., np.ndarray], operands: tuple[np.ndarray, ...],
-                       screen: Callable[..., tuple]) -> float:
-    """Sup over the nodes of ``norm(*operands)``, the square root of a sum of
-    products, for flat operands (first axis over nodes): every node, or a
-    subset that holds the sup, such as the survivors of :func:`_q_bounds`.
-
-    For n >= 2 the norm runs only at the nodes that the screen leaves as
-    candidates (at n = 1 the norm is as cheap as any screen).  On a chunk of
-    nodes ``screen(*chunk)`` returns ``(sq, delta, shift)``: the squared
-    norm of a tensor computed in a whitened frame; ``delta``, which bounds
-    the rounding of each side's squared norm, the screen's and the kernel's,
-    against the exact squared norm of the tensor it contracts; and
-    ``shift``, which bounds the difference of the exact norms of the two
-    tensors.  The band carries both through the square root.
-    """
-    n = operands[0].shape[-1]
-    if n == 1:
-        return float(np.max(norm(*operands)))
-    nodes = len(operands[0])
-    sq, delta, shift = np.empty(nodes), np.empty(nodes), np.empty(nodes)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for chunk in _chunks(nodes):
-            sq[chunk], delta[chunk], shift[chunk] = screen(*(op[chunk] for op in operands))
-        values = np.sqrt(np.maximum(sq, 0.0))
-        delta += SCREEN_FLOOR
-        root = np.sqrt(delta)
-        # |sqrt(a) - sqrt(b)| <= delta / max(sqrt(a), sqrt(delta)) for |a - b| <= delta,
-        # and as well with sqrt(b) in place of sqrt(a): the screen's side, then the
-        # kernel's, whose exact norm is at least values - screen_side - shift
-        screen_side = delta / np.maximum(values, root)
-        kernel_side = delta / np.maximum(values - screen_side - shift, root)
-        # plus the rounding of both square roots
-        band = screen_side + shift + kernel_side + 4.0 * np.finfo(float).eps * values
-    return screened_extreme(values, band, norm, operands, largest=True)[0]
-
-
 def _whitened(t: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
     """``t[i, j, ...]`` (node axis last) with each slot ``s`` contracted with
     ``L^T``, ``L = factors[s]`` from :func:`_cholesky`: its components in an
@@ -801,17 +782,21 @@ def sup_q_gnorm(g: MetricField) -> float:
     "Screened extremes" in docs/conventions.md): spectral bounds at every
     node (:func:`_q_bounds`) keep the nodes whose upper bound reaches the
     best lower bound, or every node where they fall back; the whitened
-    screen of :func:`_sup_screened_norm` runs on those, and the exact Q is
-    formed only at its candidates."""
+    screen :func:`_q_screen` runs on those, and the exact Q is formed only
+    at its candidates.  At n = 1 the kernel is as cheap as any screen."""
     n, nodes = g.grid.ndim, g.grid.num_nodes
     npairs = g.components.shape[-1]
     operands = [g.inverse_matrices().reshape(nodes, n, n), metric_partials(g).reshape(nodes, n, n, n),
                 sym_derivatives(g.components, 2, g.grid.spacings).reshape(nodes, npairs, npairs)]
-    survivors = None if n == 1 else _candidates(*_q_bounds(*operands), largest=True)
+    if n == 1:
+        return float(np.max(_q_gnorm(*operands)))
+    survivors = _candidates(*_q_bounds(*operands), largest=True)
     if survivors is not None:
         for k in range(len(operands)):  # one operand at a time: at most one is held twice
             operands[k] = operands[k][survivors]
-    return _sup_screened_norm(_q_gnorm, tuple(operands), _q_screen)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sq, band = _per_chunk(_q_screen, operands)
+    return screened_extreme(sq, band, _q_gnorm, tuple(operands), largest=True)[0]
 
 
 def _q_bounds(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -853,10 +838,13 @@ def _q_gnorm(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return curvature_gnorm(_q_metric(ginv, d, _full_partials(d2, _partials_table(ginv.shape[-1], 2))), ginv)
 
 
-def _q_screen(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> tuple:
-    """``(|Q'|_g^2, delta, shift)`` for :func:`_sup_screened_norm` on a chunk,
-    in the frame of the kernel's ``g^-1 = R R^T``: the quadratic term is
-    ``E E^T`` for the whitened ``E = d R``, then every slot of Q' is whitened."""
+def _q_screen(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(|Q'|_g^2, band)`` on flat nodes: ``band`` bounds the distance to
+    the squared norm of the kernel :func:`_q_gnorm`.  In the frame of the
+    kernel's ``g^-1 = R R^T`` the quadratic term is ``E E^T`` for the
+    whitened ``E = d R``, then every slot of Q' is whitened.  ``delta``
+    bounds each side's rounding against the exact squared norm of its
+    tensor, and ``shift`` the difference of the two tensors' exact norms."""
     n = ginv.shape[-1]
     r = _cholesky(np.moveaxis(ginv, 0, -1))
     e = _whitened(d.T, (r,))  # e[a, i, k] = sum_p d[k, i, p] R[p, a]
@@ -864,8 +852,9 @@ def _q_screen(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> tuple:
     q = 0.5 * d2.reshape(len(d2), -1).T[_partials_table(n, 2)] - 0.5 * quad  # d2[i, j, k, l]
     tr_ginv, q_norm = _squares(r), np.sqrt(_squares(q))  # tr(g^-1) = |R|_F^2
     quad_error = WHITENING_BAND * (_squares(d.T) * tr_ginv + q_norm)  # >= |Q - Q'|_F
-    delta = WHITENING_BAND * tr_ginv**4 * (q_norm + quad_error) ** 2
-    return _squares(_whitened(q, (r,) * 4)), delta, tr_ginv**2 * quad_error
+    delta = WHITENING_BAND * tr_ginv**4 * (q_norm + quad_error) ** 2 + SCREEN_FLOOR
+    sq, shift = _squares(_whitened(q, (r,) * 4)), tr_ginv**2 * quad_error
+    return sq, 2.0 * delta + shift * (2.0 * np.sqrt(sq + delta) + shift)
 
 
 # --- Riemann tensor, two routes -----------------------------------------------
@@ -886,13 +875,10 @@ def _riemann_from_gamma(gamma_mixed: np.ndarray, gmat: np.ndarray) -> np.ndarray
 def _riemann_max(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     """The exact kernel of the Riemann sup: per flat node, the largest
     ``|R_ijkl|`` of :func:`_riemann_from_gamma` on the Christoffel symbols
-    of the metric derivatives ``d`` and ``g^-1``, formed chunk by chunk."""
-    out = np.empty(len(d))
-    for chunk in _chunks(len(d)):
-        gamma_mixed, _ = _christoffel(d[chunk], ginv[chunk])
-        riemann = _riemann_from_gamma(gamma_mixed, gmat[chunk])
-        out[chunk] = np.abs(riemann.reshape(len(riemann), -1)).max(axis=1)
-    return out
+    of the metric derivatives ``d`` and ``g^-1``."""
+    gamma_mixed, _ = _christoffel(d, ginv)
+    riemann = _riemann_from_gamma(gamma_mixed, gmat)
+    return np.abs(riemann.reshape(len(riemann), -1)).max(axis=1)
 
 
 def _riemann_screen(gamma_mixed: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -956,20 +942,27 @@ def _torsion(d: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 def _sup_torsion_gnorm(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> float:
     """Sup over the nodes of the torsion's g-norm, with ``T`` formed per
-    chunk of the screen and at the candidate nodes only."""
+    chunk of the screen and at the candidate nodes only (at n = 1, where
+    ``T`` is zero, at every node)."""
     n = ginv.shape[-1]
     flat = (d.reshape(-1, n, n, n), ginv.reshape(-1, n, n), gmat.reshape(-1, n, n))
-    return _sup_screened_norm(_torsion_gnorm, flat, _torsion_screen)
+    if n == 1:
+        return float(np.max(_torsion_gnorm(*flat)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sq, band = _per_chunk(_torsion_screen, flat)
+    return screened_extreme(sq, band, _torsion_gnorm, flat, largest=True)[0]
 
 
-def _torsion_screen(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple:
-    """``(|T|_g^2, delta, 0)`` for :func:`_sup_screened_norm` on a chunk: the
-    sum of squares of ``T`` with its upper slot in the frame of the kernel's
-    ``g`` and its lower slots in that of its ``g^-1``; the tensor is the same."""
+def _torsion_screen(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(|T|_g^2, band)`` on flat nodes: the sum of squares of ``T`` with its
+    upper slot in the frame of the kernel's ``g`` and its lower slots in that
+    of its ``g^-1``.  Both sides contract the same tensor, each within
+    ``delta`` of its exact squared norm, so ``band = 2 delta`` bounds the
+    distance to the squared norm of the kernel :func:`_torsion_gnorm`."""
     torsion = _torsion(d, ginv)
     frames = (_cholesky(np.moveaxis(gmat, 0, -1)),) + (_cholesky(np.moveaxis(ginv, 0, -1)),) * 2
-    delta = WHITENING_BAND * _squares(frames[0]) * _squares(frames[1]) ** 2 * _squares(torsion.T)
-    return _squares(_whitened(np.moveaxis(torsion, 0, -1), frames)), delta, 0.0
+    delta = WHITENING_BAND * _squares(frames[0]) * _squares(frames[1]) ** 2 * _squares(torsion.T) + SCREEN_FLOOR
+    return _squares(_whitened(np.moveaxis(torsion, 0, -1), frames)), 2.0 * delta
 
 
 def _torsion_gnorm(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> np.ndarray:

@@ -504,6 +504,21 @@ class TestCurvatureBundle:
             tracemalloc.stop()
         assert peak <= 25 * 2**20  # measured 22.7 MiB; 27.1 with Q copied
 
+    # on a constant metric every node ties in the torsion and Riemann screens;
+    # the torsion kernel running on all of them at once peaked at 28.1 MiB
+    def test_fallback_peak_memory(self):
+        grid = PeriodicGrid((32,) * 3, (TWO_PI,) * 3)
+        pm = geo.PotentialMetric(grid, np.eye(3), ScalarField.zeros(grid))
+        g = geo.metric_from_potential(pm)
+        tracemalloc.start()
+        try:
+            bundle = geo.curvature_bundle(g, pm, (1, 2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bundle.torsion_norm == bundle.sup_riemann == 0.0
+        assert peak <= 25 * 2**20  # measured 22.3 MiB
+
 
 class TestThreeDimensions:
     """The 3x3 determinant/inverse/eigenvalue paths and all identities at n=3."""

@@ -157,6 +157,25 @@ class TestKernelsOnSubsets:
         subset = compute(*(op[nodes] for op in operands))
         assert subset.tobytes() == full[nodes].tobytes()
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_runner_gives_the_whole_grid_bits(self, n, kernel):
+        # 8 chunks at 128^2 and 16 at 32^3
+        compute, operands, _ = full_kernels(n)[kernel]
+        calls = []
+
+        def counted(*ops):
+            calls.append(len(ops[0]))
+            return compute(*ops)
+
+        assert geo._per_chunk(counted, operands).tobytes() == compute(*operands).tobytes()
+        assert calls == [geo._SCREEN_CHUNK] * (8 if n == 2 else 16)
+
+    def test_runner_stacks_each_output_of_a_tuple(self):
+        _, operands, _ = full_kernels(3)["christoffel"]
+        stacked = geo._per_chunk(geo._christoffel, operands)
+        assert [a.tobytes() for a in stacked] == [a.tobytes() for a in geo._christoffel(*operands)]
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_q_potential_on_single_nodes(self, n):
         # a full einsum reduction summed the quadratic term in another order
@@ -395,10 +414,13 @@ def bounds_records(monkeypatch, call):
 
 
 def kernel_sizes(monkeypatch, names, call):
-    """Node counts of every call ``call()`` makes to the named kernels."""
+    """Node counts of every call ``call()`` makes to the named kernels, each
+    of which must run on at most one chunk of nodes, as ``_per_chunk`` runs
+    them past a screen."""
     sizes = {name: [] for name in names}
     for name in names:
         def counted(*ops, _name=name, _kernel=getattr(geo, name)):
+            assert len(ops[0]) <= geo._SCREEN_CHUNK, f"{_name} ran on {len(ops[0])} nodes at once"
             sizes[_name].append(len(ops[0]))
             return _kernel(*ops)
         monkeypatch.setattr(geo, name, counted)
@@ -417,7 +439,7 @@ class TestGnormScreen:
         g = reg.build_example("twist2d") if name == "twist2d" else smooth_pair(int(name[-1]))[0]
         (values, band, kernel, operands), = screen_records(monkeypatch, lambda: geo.sup_q_gnorm(g))
         assert kernel is geo._q_gnorm
-        assert np.all(np.abs(values - kernel(*operands)) <= band)
+        assert np.all(np.abs(values - kernel(*operands) ** 2) <= band)
         q = geo.hessian_curvature_from_metric(g)
         pair_asymmetry = np.abs(q - np.swapaxes(q, -4, -2)).max()  # swapping slots 1 and 3
         assert pair_asymmetry >= 0.01 if name == "twist2d" else pair_asymmetry < 1e-3
@@ -429,7 +451,7 @@ class TestGnormScreen:
         with pytest.MonkeyPatch.context() as patch:
             g, want = random_q_metric(patch, n, seed, copies, log_cond, cancel)
             (values, band, kernel, operands), = screen_records(patch, lambda: geo.sup_q_gnorm(g))
-            assert np.all(np.abs(values - kernel(*operands)) <= band)
+            assert np.all(np.abs(values - kernel(*operands) ** 2) <= band)
             assert np.array_equal(geo.sup_q_gnorm(g), want.max())
 
     @HYPOTHESIS
@@ -520,6 +542,21 @@ class TestGnormScreen:
             tracemalloc.stop()
         assert peak <= limit_mib * 2**20  # measured 4.5 and 23.5 MiB
 
+    # on a constant metric every node ties, so every node survives both
+    # screens; the kernel running on all of them at once peaked at 9.6 and
+    # 80.8 MiB
+    @pytest.mark.parametrize("n, limit_mib", [(2, 5.56), (3, 49.6)])
+    def test_fallback_peak_memory(self, n, limit_mib):
+        grid = PeriodicGrid((128, 128) if n == 2 else (32, 32, 32), (TWO_PI,) * n)
+        g = geo.metric_from_potential(geo.PotentialMetric(grid, np.eye(n), ScalarField.zeros(grid)))
+        tracemalloc.start()
+        try:
+            assert geo.sup_q_gnorm(g) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20  # measured 4.5 and 25.2 MiB
+
 
 class TestTorsionScreen:
     @pytest.mark.parametrize("name", ["smooth2", "smooth3", "twist2d"])
@@ -530,7 +567,7 @@ class TestTorsionScreen:
                                                            lambda: geo.pullback_chern_torsion(g))
         assert kernel is geo._torsion_gnorm
         exact = kernel(*operands)
-        assert np.all(np.abs(values - exact) <= band)
+        assert np.all(np.abs(values - exact**2) <= band)
         assert exact.max() >= 0.01 if name == "twist2d" else exact.max() < 1e-12
 
     @HYPOTHESIS
@@ -594,13 +631,14 @@ class TestWhitening:
         control = fl.StepControl()
         _, rows = fl.run_flow(g, 30.5 * fl.stable_dt(g, control), control, diag_stride=10)
         assert [r.t > 0.0 for r in rows] == [False, True, True, True, True]
-        assert sizes[0] == g.grid.num_nodes and len(sizes) == 5 and max(sizes[1:]) <= 4
+        chunks = -(-g.grid.num_nodes // geo._SCREEN_CHUNK)  # the full chain at t = 0, chunk by chunk
+        assert sum(sizes[:chunks]) == g.grid.num_nodes and len(sizes) == chunks + 4 and max(sizes[chunks:]) <= 4
 
 
 class TestCandidates:
     """The exact kernel runs on under 2% of the nodes of a smooth field (1 to
-    4 on the fields here) and once on every node of a field where every
-    node ties, the fallback."""
+    4 on the fields here) and on every node of a field where every node
+    ties, the fallback; either way on at most one chunk of nodes a call."""
 
     @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
     def test_min_eigenvalue(self, monkeypatch, flat):
@@ -610,7 +648,23 @@ class TestCandidates:
         comps = np.broadcast_to(g.components[0, 0, 0], g.components.shape) if flat else g.components
         sizes, = kernel_sizes(monkeypatch, ["sym_min_eigenvalues"],
                               lambda: geo.MetricField(g.grid, comps).min_eigenvalue()).values()
-        assert sizes == [g.grid.num_nodes] if flat else sizes[0] < 0.02 * g.grid.num_nodes
+        assert sum(sizes) == g.grid.num_nodes if flat else sizes[0] < 0.02 * g.grid.num_nodes
+
+    def test_min_eigenvalue_ties_across_chunks(self, monkeypatch):
+        # one matrix, of smallest eigenvalue 1, at about 3,300 random nodes of
+        # 32^3, and a smooth metric above 1 elsewhere: the tying nodes are the
+        # candidates, more than one chunk of them, and the first is returned
+        g, _ = smooth_pair(3)
+        rng = np.random.default_rng(7)
+        tied = rng.random(g.grid.shape) < 0.1
+        comps = np.where(tied[..., None], pair_stored(rotated(np.array([1.0, 1.5, 2.0]), rng)),
+                         g.components + 0.5 * pair_stored(np.eye(3)))
+        want = first_extreme(geo.sym_min_eigenvalues(comps, 3))
+        found = []
+        sizes, = kernel_sizes(monkeypatch, ["sym_min_eigenvalues"],
+                              lambda: found.append(geo.smallest_eigenvalue(comps, 3)[:2])).values()
+        assert found == [want] and abs(want[0] - 1.0) < 1e-12 and want[1] == np.flatnonzero(tied)[0]
+        assert len(sizes) == 2 and sum(sizes) == tied.sum() > geo._SCREEN_CHUNK
 
     @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
     def test_certified_check_runs_no_eigenvalue_kernel(self, monkeypatch, flat):
@@ -629,7 +683,7 @@ class TestCandidates:
         bundles = []
         sizes, = kernel_sizes(monkeypatch, ["_riemann_max"],
                               lambda: bundles.append(geo.curvature_bundle(g, None))).values()
-        assert sizes == [g.grid.num_nodes] if flat else len(sizes) == 1 and sizes[0] < 0.02 * g.grid.num_nodes
+        assert sum(sizes) == g.grid.num_nodes if flat else len(sizes) == 1 and sizes[0] < 0.02 * g.grid.num_nodes
         assert bundles[0].sup_riemann == np.abs(geo.riemann_from_gamma(g)).max()
 
     @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
@@ -643,7 +697,7 @@ class TestCandidates:
                                   lambda: (geo.pencil_eigenvalue_range(g, g0), geo.sup_q_gnorm(g)))
         nodes = g.grid.num_nodes
         if flat:
-            assert sizes == {"_pencil_eigenvalues": [nodes], "_q_gnorm": [nodes]}
+            assert [sum(s) for s in sizes.values()] == [nodes, nodes]
         else:
             assert [len(s) for s in sizes.values()] == [1, 1]
             assert max(max(s) for s in sizes.values()) < 0.02 * nodes
@@ -673,4 +727,4 @@ class TestCandidates:
         g = geo.metric_from_potential(reg.build_example("flat")) if flat else smooth_pair(3)[0]
         sizes, = kernel_sizes(monkeypatch, ["_torsion_gnorm"],
                                    lambda: geo.pullback_chern_torsion(g)).values()
-        assert sizes == [g.grid.num_nodes] if flat else sizes[0] < 0.02 * g.grid.num_nodes
+        assert sum(sizes) == g.grid.num_nodes if flat else sizes[0] < 0.02 * g.grid.num_nodes
