@@ -28,8 +28,9 @@ import numpy as np
 from .geometry import (
     MetricField,
     NotPositiveDefinite,
+    _all_finite,
     _beta,
-    check_metric,
+    _check_metric,
     log_det,
     pair_hessian,
     pencil_eigenvalue_range,
@@ -37,7 +38,7 @@ from .geometry import (
     sym_det,
     sym_pairs,
 )
-from .grid import ScalarField
+from .grid import PeriodicGrid, ScalarField
 
 _SCHEMES = ("euler", "rk2")
 
@@ -85,8 +86,11 @@ class FlowState:
     read-only; :attr:`g` and :attr:`phi` wrap them on access.  ``log_det`` is
     ``log det g`` and ``ratio`` is ``log det g - log det g0``.  ``min_eig`` is
     the smallest eigenvalue of ``g`` over the nodes where the positivity
-    check computed it (:func:`check_metric`), else None: then
-    ``g.min_eigenvalue()`` computes it, and only :func:`stable_dt` reads it.
+    check computed it (:func:`~koszulflow.geometry.check_metric`), else
+    None: then ``g.min_eigenvalue()`` computes it, and only
+    :meth:`min_eigenvalue` reads it.  A state answers :func:`stable_dt`
+    like its metric ``g``, through :attr:`grid` and :meth:`min_eigenvalue`,
+    without wrapping it.
     """
 
     t: float
@@ -114,6 +118,14 @@ class FlowState:
     def phi(self) -> ScalarField:
         return ScalarField(self.g0.grid, self.phi_values)
 
+    @property
+    def grid(self) -> PeriodicGrid:
+        return self.g0.grid
+
+    def min_eigenvalue(self) -> float:
+        """``g.min_eigenvalue()``: ``min_eig``, or computed where it is None."""
+        return self.g.min_eigenvalue() if self.min_eig is None else self.min_eig
+
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
@@ -140,13 +152,16 @@ class DiagnosticsRow:
                 self.var_det, *self.mean_drift, self.sup_phi, self.dt]
 
 
-def stable_dt(g: MetricField, control: StepControl) -> float:
+def stable_dt(g: MetricField | FlowState, control: StepControl) -> float:
     """Explicit stability bound sigma * min(h^2) / (2 n max lambda(g^-1)),
     from the smallest eigenvalue of ``g``: the one its positivity check
-    found, or computed here where the check decided without it."""
-    n = g.grid.ndim
+    found, or computed here where the check decided without it.  ``g`` may
+    be a flow state, which stands for its metric.  ``min(h)^2`` is
+    ``min(h^2)`` bit for bit, since rounding a square is monotone."""
+    grid = g.grid
+    h = min(grid.spacings)
     lam_max_inv = 1.0 / g.min_eigenvalue()
-    return control.sigma * min(h * h for h in g.grid.spacings) / (2.0 * n * lam_max_inv)
+    return control.sigma * (h * h) / (2.0 * grid.ndim * lam_max_inv)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -154,38 +169,49 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _next_state(state: FlowState, dt: float, g_new: np.ndarray, min_eig: float | None,
-                phi_of_ratio: Callable[[np.ndarray], np.ndarray]) -> FlowState:
+def _checked_log_det(comps: np.ndarray, n: int) -> tuple[float | None, np.ndarray]:
+    """What :func:`~koszulflow.geometry.check_metric` returns for a candidate
+    metric (it raises ValueError or NotPositiveDefinite), and the metric's
+    log det: at n = 3 from the determinant the check formed."""
+    min_eig, det = _check_metric(comps, n)
+    return min_eig, log_det(sym_det(comps, n) if det is None else det)
+
+
+def _next_state(state: FlowState, dt: float, g_new: np.ndarray, phi_new: np.ndarray,
+                min_eig: float | None, log_det_new: np.ndarray, ratio: np.ndarray) -> FlowState:
     """The state of either leg after a step of ``dt`` to the checked metric
-    ``g_new``; its ``ratio`` is the next step's, ``phi_of_ratio`` gives the
-    new potential from it."""
-    log_det_new = log_det(sym_det(g_new, state.g0.grid.ndim))
-    ratio = log_det_new - state.log_det_g0
-    phi_new = phi_of_ratio(ratio)
-    if not np.isfinite(phi_new).all():
+    ``g_new``, whose ``ratio`` the next step reuses: a copy of ``state``'s
+    fields with these changed (the fields are not validated again, so no
+    dataclass ``__init__`` runs)."""
+    if not _all_finite(phi_new):
         raise ValueError("field contains non-finite values")
-    return replace(state, t=state.t + dt, g_comps=_read_only(g_new),
-                   phi_values=_read_only(phi_new), dt_last=dt, log_det=log_det_new,
-                   ratio=ratio, min_eig=min_eig)
+    g_new.flags.writeable = phi_new.flags.writeable = False
+    new = object.__new__(type(state))
+    vars(new).update(vars(state), t=state.t + dt, g_comps=g_new, phi_values=phi_new, dt_last=dt,
+                     log_det=log_det_new, ratio=ratio, min_eig=min_eig)
+    return new
 
 
 def _attempt_tensor_step(state: FlowState, dt: float, scheme: str) -> FlowState:
     """One explicit step of the given size on raw arrays.
 
-    Each candidate metric passes :func:`check_metric`, which raises
-    ValueError or NotPositiveDefinite; ``phi`` takes the trapezoid rule.
+    Each candidate metric passes :func:`~koszulflow.geometry.check_metric`,
+    which raises ValueError or NotPositiveDefinite; ``phi`` takes the
+    trapezoid rule.
     """
-    spacings, n = state.g0.grid.spacings, state.g0.grid.ndim
+    grid = state.g0.grid
+    spacings, n = grid.spacings, grid.ndim
     g = state.g_comps
     if scheme == "euler":
         update = _beta(state.log_det, spacings)
     else:  # midpoint RK2
         g_half = g - (0.5 * dt) * _beta(state.log_det, spacings)
-        check_metric(g_half, n)
-        update = _beta(log_det(sym_det(g_half, n)), spacings)
+        update = _beta(_checked_log_det(g_half, n)[1], spacings)
     g_new = g - dt * update
-    return _next_state(state, dt, g_new, check_metric(g_new, n),
-                       lambda ratio: state.phi_values + (0.5 * dt) * (state.ratio + ratio))
+    min_eig, log_det_new = _checked_log_det(g_new, n)
+    ratio = log_det_new - state.log_det_g0
+    phi_new = state.phi_values + (0.5 * dt) * (state.ratio + ratio)
+    return _next_state(state, dt, g_new, phi_new, min_eig, log_det_new, ratio)
 
 
 def _with_halving(attempt: Callable, state, dt: float, control: StepControl):
@@ -225,7 +251,7 @@ def _advance(
     for target in targets:
         while state.t < target:
             remaining = target - state.t
-            dt = min(stable_dt(state.g, control), remaining)
+            dt = min(stable_dt(state, control), remaining)
             step_control = replace(control, dt_min=dt) if dt == remaining < control.dt_min else control
             state = step_tensor(state, dt, step_control)
             if state.dt_last == remaining:
@@ -312,11 +338,9 @@ class PotentialFlowState(FlowState):
         return cls(**state, beta0=_read_only(_beta(state["log_det_g0"], g0.grid.spacings)))
 
 
-def _reconstruct(state: PotentialFlowState, phi: np.ndarray, t: float) -> tuple[np.ndarray, float | None]:
-    """``g0 - t beta0 + dd(phi)``, and what :func:`check_metric` returns for it."""
-    grid = state.g0.grid
-    comps = state.g0.components - t * state.beta0 + pair_hessian(phi, grid.spacings)
-    return comps, check_metric(comps, grid.ndim)
+def _reconstruct(state: PotentialFlowState, phi: np.ndarray, t: float) -> np.ndarray:
+    """``g0 - t beta0 + dd(phi)``, unchecked."""
+    return state.g0.components - t * state.beta0 + pair_hessian(phi, state.g0.grid.spacings)
 
 
 def _attempt_potential_step(state: PotentialFlowState, dt: float, scheme: str) -> PotentialFlowState:
@@ -324,15 +348,17 @@ def _attempt_potential_step(state: PotentialFlowState, dt: float, scheme: str) -
     # with matching schemes the two legs are algebraically the same discrete
     # map (the stencils are linear and telescoping is exact), and the
     # equivalence check would only ever measure rounding noise.
+    n, t_new = state.g0.grid.ndim, state.t + dt
     k1 = state.ratio  # log det g - log det g0 of the current reconstruction
     if scheme == "euler":
         phi_new = state.phi_values + dt * k1
     else:
-        g_pred, _ = _reconstruct(state, state.phi_values + dt * k1, state.t + dt)
-        k2 = log_det(sym_det(g_pred, state.g0.grid.ndim)) - state.log_det_g0
+        g_pred = _reconstruct(state, state.phi_values + dt * k1, t_new)
+        k2 = _checked_log_det(g_pred, n)[1] - state.log_det_g0
         phi_new = state.phi_values + (0.5 * dt) * (k1 + k2)
-    g_new, min_eig = _reconstruct(state, phi_new, state.t + dt)
-    return _next_state(state, dt, g_new, min_eig, lambda ratio: phi_new)
+    g_new = _reconstruct(state, phi_new, t_new)
+    min_eig, log_det_new = _checked_log_det(g_new, n)
+    return _next_state(state, dt, g_new, phi_new, min_eig, log_det_new, log_det_new - state.log_det_g0)
 
 
 def step_potential(state: PotentialFlowState, dt: float, control: StepControl) -> PotentialFlowState:

@@ -83,12 +83,18 @@ def sym_table(n: int, order: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _sym_index_tuple(n: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`sym_indices` as a cached tuple, for the per-call loops."""
+    return tuple(sym_indices(n, order))
+
+
 def sym_derivatives(values: np.ndarray, order: int, spacings: tuple[float, ...]) -> np.ndarray:
     """``(*values.shape, k)`` derivatives of ``order`` of a node array, one
     stencil call per sorted index tuple, in :func:`sym_indices` order: the
     one loop over derivative index sets.  ``values`` may carry trailing
     component axes, so a tensor's derivatives are stored ``[components, K]``."""
-    indices = sym_indices(len(spacings), order)
+    indices = _sym_index_tuple(len(spacings), order)
     out = np.empty((*values.shape, len(indices)))
     for s, axes in enumerate(indices):
         out[..., s] = stencil(values, axes, spacings)
@@ -180,9 +186,16 @@ class Sym2Field(_StoredTensor):
         return self._gather()
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every entry is finite.  It runs several times per flow step,
+    so it counts the finite entries, which costs less than the ufunc
+    reduction behind ``ndarray.all`` on small fields."""
+    return np.count_nonzero(np.isfinite(values)) == values.size
+
+
 def _check_finite(comps: np.ndarray) -> np.ndarray:
     """``comps``, or ValueError where an entry is not finite."""
-    if not np.isfinite(comps).all():
+    if not _all_finite(comps):
         raise ValueError("tensor field contains non-finite values")
     return comps
 
@@ -209,7 +222,7 @@ def log_det(det: np.ndarray) -> np.ndarray:
     that logarithm.  ValueError where it is not finite (a determinant that
     overflows, underflows to zero or is negative)."""
     out = np.log(det)
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise ValueError("log det g is not finite (the determinant overflows or is not positive)")
     return out
 
@@ -386,7 +399,7 @@ def smallest_eigenvalue(comps: np.ndarray, n: int) -> tuple[float, int, np.ndarr
     flat = comps.reshape(-1, comps.shape[-1])
     if n < 3:
         eigs = sym_min_eigenvalues(flat, n)
-        worst = int(np.argmin(eigs))
+        worst = int(eigs.argmin())
         return float(eigs[worst]), worst, eigs
     smallest, _, band = _sym_eigen_screen(flat, 3)
     value, worst = screened_extreme(smallest, band, lambda c: sym_min_eigenvalues(c, 3), (flat,))
@@ -408,30 +421,44 @@ def check_metric(comps: np.ndarray, n: int) -> float | None:
     naming the worst node (the first on ties), for a value below
     ``MIN_EIGENVALUE``.
     """
-    _check_finite(comps)
-    if n == 3 and _positivity_certificate(comps).all():
-        return None
+    return _check_metric(comps, n)[0]
+
+
+def _check_metric(comps: np.ndarray, n: int) -> tuple[float | None, np.ndarray | None]:
+    """:func:`check_metric`'s value and, for n = 3, the determinant field that
+    :func:`_positivity_certificate` formed on the way, bit for bit that of
+    :func:`sym_det` (None for n <= 2): the flow takes the log det of each
+    checked metric from it instead of forming the determinant again."""
+    if not _all_finite(comps):
+        raise ValueError("tensor field contains non-finite values")
+    det = None
+    if n == 3:
+        det = np.empty(comps.shape[:-1])
+        if _positivity_certificate(comps, det.reshape(-1)).all():
+            return None, det
     value, worst = smallest_eigenvalue(comps, n)[:2]
     if value < MIN_EIGENVALUE:
         raise NotPositiveDefinite(tuple(int(k) for k in np.unravel_index(worst, comps.shape[:-1])), value)
-    return value
+    return value, det
 
 
-def _positivity_certificate(comps: np.ndarray) -> np.ndarray:
+def _positivity_certificate(comps: np.ndarray, det_out: np.ndarray | None = None) -> np.ndarray:
     """Per flat node of pair-stored symmetric 3x3 matrices, whether the
     leading minors and ``lambda_min >= 4 det / tr^2`` prove, through their
     rounding and that of LAPACK ``eigvalsh``, that the exact smallest
     eigenvalue and the kernel's (:func:`sym_min_eigenvalues`) are both at
     least ``MIN_EIGENVALUE``.  False where it cannot tell, never where
     the kernel's value is below (see docs/conventions.md, "Positivity by
-    certificate")."""
+    certificate").  The determinant it forms, with :func:`sym_det`'s
+    expression and order and so its bits, is written to the flat ``det_out``
+    when one is given."""
     # rows [a b c; b d e; c e f], each a contiguous (N,) array
     a, b, c, d, e, f = np.ascontiguousarray(comps.reshape(-1, 6).T)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ad, bb = a * d, b * b
         minor_band = WHITENING_BAND * (np.abs(ad) + bb) + SCREEN_FLOOR
         df, ee, bf, ec, be, dc = d * f, e * e, b * f, e * c, b * e, d * c
-        det = a * (df - ee) - b * (bf - ec) + c * (be - dc)
+        det = np.add(a * (df - ee) - b * (bf - ec), c * (be - dc), out=det_out)
         abs_b, abs_c = np.abs(b), np.abs(c)
         det_band = (WHITENING_BAND * (np.abs(a) * (np.abs(df) + ee) + abs_b * (np.abs(bf) + np.abs(ec))
                                       + abs_c * (np.abs(be) + np.abs(dc)))
@@ -625,10 +652,11 @@ def _christoffel(d: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def pair_hessian(values: np.ndarray, spacings: tuple[float, ...]) -> np.ndarray:
-    """Pair-stored ``partial2`` of a node array in :func:`sym_pairs` order: the
-    one stencil path of ``beta``, the a2 gauge ``dd(u)`` and the potential
-    leg's ``dd(phi)``, which makes ``kappa = -beta/2`` and the log-det gauge's
-    cancellation of ``beta`` exact."""
+    """Pair-stored ``partial2`` of a node array in :func:`sym_pairs` order:
+    :func:`sym_derivatives` of order 2, the one stencil path of ``beta``
+    (which :func:`_beta` calls directly), the a2 gauge ``dd(u)`` and the
+    potential leg's ``dd(phi)``; this makes ``kappa = -beta/2`` and the
+    log-det gauge's cancellation of ``beta`` exact."""
     return sym_derivatives(values, 2, spacings)
 
 
@@ -655,7 +683,7 @@ def beta_form(g: MetricField) -> Sym2Field:
 def _beta(log_det_g: np.ndarray, spacings: tuple[float, ...]) -> np.ndarray:
     """Pair-stored ``beta`` of the metric with this ``log det g``: the one
     formula behind :func:`beta_form`, :func:`koszul` and both flow legs."""
-    return -pair_hessian(log_det_g, spacings)
+    return -sym_derivatives(log_det_g, 2, spacings)
 
 
 # --- Hessian curvature tensor --------------------------------------------------

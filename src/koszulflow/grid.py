@@ -12,7 +12,7 @@ permutation of the axis arguments returns a bit-identical field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ class PeriodicGrid:
         if any(length <= 0 for length in lengths):
             raise ValueError(f"periods must be positive, got {lengths}")
 
-    @property
+    @cached_property
     def ndim(self) -> int:
         return len(self.sizes)
 
@@ -131,14 +131,20 @@ class ScalarField:
 
 # --- stencil kernels (periodic, second order) -------------------------------
 
+@cache
+def _wrap_slices(axis: int) -> tuple[tuple[slice, ...], ...]:
+    """Index tuples along ``axis``: the last and the first node of a field,
+    then ``f(x+h)`` and ``f(x-h)`` in its copy wrapped by those two."""
+    head = (slice(None),) * axis
+    return tuple(head + (s,) for s in (slice(-1, None), slice(0, 1), slice(2, None), slice(0, -2)))
+
+
 def _neighbours(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """``(f(x+h), f(x-h))`` along ``axis``: two slices of one copy of
     ``values`` wrapped periodically by one node at each end."""
-    head = (slice(None),) * axis
-    wrapped = np.concatenate(
-        (values[head + (slice(-1, None),)], values, values[head + (slice(0, 1),)]), axis=axis
-    )
-    return wrapped[head + (slice(2, None),)], wrapped[head + (slice(0, -2),)]
+    last, first, fwd, bwd = _wrap_slices(axis)
+    wrapped = np.concatenate((values[last], values, values[first]), axis=axis)
+    return wrapped[fwd], wrapped[bwd]
 
 
 def _diff1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -153,6 +159,17 @@ def _diff2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (fwd - 2.0 * values + bwd) / (h * h)
 
 
+@cache
+def _stencil_plan(axes: tuple[int, ...]) -> tuple[tuple[Callable, int], ...]:
+    """The 1-D passes of :func:`stencil` for the axis multiset ``axes``, in
+    composition order, as ``(kernel, axis)``."""
+    plan = []
+    for axis in sorted(set(axes)):
+        count = axes.count(axis)
+        plan += [(_diff2, axis)] * (count // 2) + [(_diff1, axis)] * (count % 2)
+    return tuple(plan)
+
+
 def stencil(values: np.ndarray, axes: Sequence[int], spacings: Sequence[float]) -> np.ndarray:
     """The canonical stencil composition for the axis multiset ``axes`` on a
     raw node array; the one derivative path of the package.
@@ -161,15 +178,12 @@ def stencil(values: np.ndarray, axes: Sequence[int], spacings: Sequence[float]) 
     contributes 3-point second-difference blocks, with one centered first
     difference left over when its multiplicity is odd.  The fixed order
     makes the result bit-identical under any permutation of ``axes``.
+    ``axes`` is read once, so any iterable of axes will do; the plan of
+    passes is cached per axis tuple.
     """
     out = values
-    for axis in sorted(set(axes)):
-        count = list(axes).count(axis)
-        h = spacings[axis]
-        for _ in range(count // 2):
-            out = _diff2(out, axis, h)
-        if count % 2:
-            out = _diff1(out, axis, h)
+    for kernel, axis in _stencil_plan(tuple(axes)):
+        out = kernel(out, axis, spacings[axis])
     return out
 
 

@@ -12,6 +12,9 @@ Reference-run constants (this grid family, this package, numpy 2.x):
   max t*sup|Q|_g observed 0.040845; sup|Q| decays 51.8x across the window.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -307,6 +310,59 @@ class TestRunFlow:
         counts.update(certificate=0, smallest=0)
         fl.equivalence_check(g0, 0.01, CTL, 0.005)
         assert (counts["certificate"], counts["smallest"]) == (8, 0)
+
+    def test_certified_three_dimensional_step_forms_no_second_determinant(self, monkeypatch):
+        # each candidate metric's log det comes from the determinant its
+        # positivity certificate formed, on both legs and in both schemes
+        g0 = metric3d()
+        counts = {"certificate": 0, "sym_det": 0}
+
+        def counted(key, original):
+            def wrapper(*args):
+                counts[key] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(geo, "_positivity_certificate",
+                            counted("certificate", geo._positivity_certificate))
+        for module in (geo, fl):
+            monkeypatch.setattr(module, "sym_det", counted("sym_det", module.sym_det))
+        for control in (CTL, EULER):
+            for step, state in ((fl.step_tensor, fl.FlowState.initial(g0)),
+                                (fl.step_potential, fl.PotentialFlowState.initial(g0))):
+                counts.update(certificate=0, sym_det=0)
+                for _ in range(2):
+                    state = step(state, 1e-3, control)
+                checks = 4 if control.scheme == "rk2" else 2
+                assert counts == {"certificate": checks, "sym_det": 0}
+
+    def test_calls_per_accepted_step(self):
+        # a guard on per-step dispatch that reads no clock: the package's
+        # Python function calls while run_flow's stepping loop (_advance)
+        # produces its accepted rk2 steps, counted with sys.setprofile
+        g0 = metric("sin1d", sizes=(32,))
+        fl.run_flow(g0, 0.01, CTL, diag_stride=0)  # fills the per-process caches
+        package = os.path.dirname(fl.__file__) + os.sep
+        counts = {"calls": 0, "steps": 0}
+        inside = False
+
+        def profile(frame, event, arg):
+            nonlocal inside
+            if event == "return" and frame.f_code is fl._advance.__code__:
+                inside = False
+            inside |= event == "call" and frame.f_code is fl._advance.__code__
+            if inside and event == "call" and frame.f_code.co_filename.startswith(package):
+                counts["calls"] += 1
+                counts["steps"] += frame.f_code is fl._attempt_tensor_step.__code__
+
+        sys.setprofile(profile)
+        try:
+            fl.run_flow(g0, 0.1, CTL, sample_times=(0.05,), diag_stride=5)
+        finally:
+            sys.setprofile(None)
+        assert counts["steps"] > 10
+        # one more resume of the loop ends it
+        assert counts["calls"] - 1 <= 35 * counts["steps"]
 
     def test_float_time_targets_are_landed_exactly(self):
         traj, rows = fl.run_flow(metric("sin1d", sizes=(8,)), ULP_T, CTL, (ULP_SAMPLE,), 0)

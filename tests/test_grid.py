@@ -15,6 +15,7 @@ from koszulflow.grid import (
     partial2,
     partial3,
     partial4,
+    stencil,
     sup_norm,
     variance,
 )
@@ -204,6 +205,15 @@ class TestHigherDerivatives:
 
 
 class TestStencilProperties:
+    def test_axes_may_be_any_iterable(self):
+        # the axes are read once, so an iterator gives the derivative and
+        # not the field itself
+        v = random_field(square_grid(16), 3).values
+        want = stencil(v, (1, 0, 0), (0.4, 0.3))
+        assert not np.array_equal(want, v)
+        for axes in (iter((1, 0, 0)), [0, 1, 0], (a for a in (0, 0, 1))):
+            assert stencil(v, axes, (0.4, 0.3)).tobytes() == want.tobytes()
+
     def test_linearity(self):
         grid = square_grid(16)
         f, g = random_field(grid, 6), random_field(grid, 7)

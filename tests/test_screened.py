@@ -274,6 +274,19 @@ class TestPositivityCertificate:
             failed = True
         assert failed == (eigs.min() < geo.MIN_EIGENVALUE)
 
+    @settings(max_examples=200)
+    @given(comps=straddling_spectra(), seed=st.integers(0, 2**32 - 1))
+    def test_determinant_is_sym_det_bit_for_bit(self, comps, seed):
+        # the flow takes each checked metric's log det from the determinant
+        # the certificate formed; on near-singular fields and on random
+        # (mostly indefinite) entries spanning ten decades it is sym_det's
+        rng = np.random.default_rng(seed)
+        scattered = rng.standard_normal((64, 6)) * 10.0 ** rng.uniform(-5.0, 5.0, (64, 6))
+        for field in (comps, scattered):
+            det = np.empty(field.shape[:-1])
+            geo._positivity_certificate(field, det.reshape(-1))
+            assert det.tobytes() == geo.sym_det(field, 3).tobytes()
+
 
 @st.composite
 def random_christoffel(draw):
