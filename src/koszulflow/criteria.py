@@ -30,9 +30,9 @@ from .geometry import (
     WHITENING_BAND,
     MetricField,
     beta_form,
-    pair_hessian,
     pencil_eigenvalue_range,
     smallest_eigenvalue,
+    sym_derivatives,
     sym_matrices,
     sym_min_eigenvalues,  # noqa: F401  (part of this module's namespace, read by the tests)
     sym_pair_weights,
@@ -76,7 +76,7 @@ class PencilResult:
 
 def gauge_hessian(u: ScalarField) -> np.ndarray:
     """Pair-stored ``dd(u)``, on the stencil path of ``beta``."""
-    return pair_hessian(u.values, u.grid.spacings)
+    return sym_derivatives(u.values, 2, u.grid.spacings)
 
 
 def _margin(m: np.ndarray, n: int) -> tuple[float, int, np.ndarray]:

@@ -32,9 +32,9 @@ from .geometry import (
     _beta,
     _check_metric,
     log_det,
-    pair_hessian,
     pencil_eigenvalue_range,
     sup_q_gnorm,
+    sym_derivatives,
     sym_det,
     sym_pairs,
 )
@@ -340,7 +340,7 @@ class PotentialFlowState(FlowState):
 
 def _reconstruct(state: PotentialFlowState, phi: np.ndarray, t: float) -> np.ndarray:
     """``g0 - t beta0 + dd(phi)``, unchecked."""
-    return state.g0.components - t * state.beta0 + pair_hessian(phi, state.g0.grid.spacings)
+    return state.g0.components - t * state.beta0 + sym_derivatives(phi, 2, state.g0.grid.spacings)
 
 
 def _attempt_potential_step(state: PotentialFlowState, dt: float, scheme: str) -> PotentialFlowState:

@@ -206,15 +206,21 @@ def sym_matrices(comps: np.ndarray, n: int) -> np.ndarray:
 
 
 def sym_det(comps: np.ndarray, n: int) -> np.ndarray:
-    """Determinant of a pair-stored symmetric matrix field, explicit for n <= 3."""
+    """Determinant of a pair-stored symmetric matrix field, explicit for n <= 3 (a view at n = 1)."""
     if n == 1:
-        return comps[..., 0].copy()
+        return comps[..., 0]
     if n == 2:
         a, b, c = comps[..., 0], comps[..., 1], comps[..., 2]
         return a * c - b * b
-    a, b, c, d, e, f = (comps[..., p] for p in range(6))
-    # rows: [a b c; b d e; c e f]
-    return a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
+    return _det3(*(comps[..., p] for p in range(6)))[0]
+
+
+def _det3(a, b, c, d, e, f) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Determinant of symmetric 3x3 ``[a b c; b d e; c e f]`` by cofactors of the
+    first row, and the six products ``(df, ee, bf, ec, be, dc)`` it forms: the
+    one 3x3 determinant formula, so every caller gets :func:`sym_det`'s bits."""
+    df, ee, bf, ec, be, dc = d * f, e * e, b * f, e * c, b * e, d * c
+    return a * (df - ee) - b * (bf - ec) + c * (be - dc), (df, ee, bf, ec, be, dc)
 
 
 def log_det(det: np.ndarray) -> np.ndarray:
@@ -292,21 +298,17 @@ SCREEN_FLOOR = 1e-150    # absolute part of every band: covers underflow
 _SCREEN_CHUNK = 2048  # nodes per chunk of a node-local kernel; bounds its intermediates' memory
 
 
-def _chunks(nodes: int):
-    """Slices of ``_SCREEN_CHUNK`` flat nodes covering ``range(nodes)``."""
-    return (slice(start, start + _SCREEN_CHUNK) for start in range(0, nodes, _SCREEN_CHUNK))
-
-
 def _per_chunk(fn: Callable, operands: tuple[np.ndarray, ...], rows: np.ndarray | None = None):
     """``fn(*operands)`` on the flat nodes ``rows`` (None: every node), called
     on at most ``_SCREEN_CHUNK`` of them at a time, its array output or each
-    array of its tuple output stacked along the nodes: the one place where a
-    node-local kernel runs past a screen, so its intermediates' memory stays
+    array of its tuple output stacked along the nodes: the one loop over
+    node chunks, so a node-local kernel's intermediates' memory stays
     bounded however many nodes it runs on.  ``fn`` gives the same bits on
     any subset of nodes as on all, so the result is that of one call."""
     nodes = len(operands[0]) if rows is None else len(rows)
     out = None
-    for chunk in _chunks(nodes):
+    for start in range(0, nodes, _SCREEN_CHUNK):
+        chunk = slice(start, start + _SCREEN_CHUNK)
         part = fn(*(op[chunk if rows is None else rows[chunk]] for op in operands))
         parts = part if isinstance(part, tuple) else (part,)
         if out is None:
@@ -367,7 +369,7 @@ def _sym_eigen_screen(comps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
             p = np.sqrt((a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)) / 6.0)
             inv_p = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)
             a, b, c, d, e, f = (x * inv_p for x in (a, b, c, d, e, f))  # B = (A - qI) / p
-            r = 0.5 * (a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c))
+            r = 0.5 * _det3(a, b, c, d, e, f)[0]
             phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
             smallest = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
             largest = q + 2.0 * p * np.cos(phi)
@@ -426,15 +428,16 @@ def check_metric(comps: np.ndarray, n: int) -> float | None:
 
 def _check_metric(comps: np.ndarray, n: int) -> tuple[float | None, np.ndarray | None]:
     """:func:`check_metric`'s value and, for n = 3, the determinant field that
-    :func:`_positivity_certificate` formed on the way, bit for bit that of
-    :func:`sym_det` (None for n <= 2): the flow takes the log det of each
-    checked metric from it instead of forming the determinant again."""
+    :func:`_positivity_certificate` formed on the way (None for n <= 2, where
+    the check forms none): the flow takes the log det of each checked metric
+    from it instead of forming the determinant again."""
     if not _all_finite(comps):
         raise ValueError("tensor field contains non-finite values")
     det = None
     if n == 3:
-        det = np.empty(comps.shape[:-1])
-        if _positivity_certificate(comps, det.reshape(-1)).all():
+        proven, det = _positivity_certificate(comps)
+        det = det.reshape(comps.shape[:-1])
+        if proven.all():
             return None, det
     value, worst = smallest_eigenvalue(comps, n)[:2]
     if value < MIN_EIGENVALUE:
@@ -442,30 +445,29 @@ def _check_metric(comps: np.ndarray, n: int) -> tuple[float | None, np.ndarray |
     return value, det
 
 
-def _positivity_certificate(comps: np.ndarray, det_out: np.ndarray | None = None) -> np.ndarray:
-    """Per flat node of pair-stored symmetric 3x3 matrices, whether the
-    leading minors and ``lambda_min >= 4 det / tr^2`` prove, through their
-    rounding and that of LAPACK ``eigvalsh``, that the exact smallest
-    eigenvalue and the kernel's (:func:`sym_min_eigenvalues`) are both at
-    least ``MIN_EIGENVALUE``.  False where it cannot tell, never where
-    the kernel's value is below (see docs/conventions.md, "Positivity by
-    certificate").  The determinant it forms, with :func:`sym_det`'s
-    expression and order and so its bits, is written to the flat ``det_out``
-    when one is given."""
+def _positivity_certificate(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(proven, det)`` per flat node of pair-stored symmetric 3x3 matrices:
+    whether the leading minors and ``lambda_min >= 4 det / tr^2`` prove,
+    through their rounding and that of LAPACK ``eigvalsh``, that the exact
+    smallest eigenvalue and the kernel's (:func:`sym_min_eigenvalues`) are
+    both at least ``MIN_EIGENVALUE``, and the determinant it forms by
+    :func:`_det3`, so with :func:`sym_det`'s bits.  False where it cannot
+    tell, never where the kernel's value is below (see docs/conventions.md,
+    "Positivity by certificate")."""
     # rows [a b c; b d e; c e f], each a contiguous (N,) array
     a, b, c, d, e, f = np.ascontiguousarray(comps.reshape(-1, 6).T)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ad, bb = a * d, b * b
         minor_band = WHITENING_BAND * (np.abs(ad) + bb) + SCREEN_FLOOR
-        df, ee, bf, ec, be, dc = d * f, e * e, b * f, e * c, b * e, d * c
-        det = np.add(a * (df - ee) - b * (bf - ec), c * (be - dc), out=det_out)
+        det, (df, ee, bf, ec, be, dc) = _det3(a, b, c, d, e, f)
         abs_b, abs_c = np.abs(b), np.abs(c)
         det_band = (WHITENING_BAND * (np.abs(a) * (np.abs(df) + ee) + abs_b * (np.abs(bf) + np.abs(ec))
                                       + abs_c * (np.abs(be) + np.abs(dc)))
                     + SCREEN_FLOOR * (1.0 + np.abs(a) + abs_b + abs_c))
         tr = a + d + f
         bound = 4.0 * (det - det_band) / (tr * tr) - WHITENING_BAND * tr
-        return (a > 0.0) & (ad - bb > minor_band) & (det > det_band) & (bound >= MIN_EIGENVALUE)
+        proven = (a > 0.0) & (ad - bb > minor_band) & (det > det_band) & (bound >= MIN_EIGENVALUE)
+    return proven, det
 
 
 class MetricField(Sym2Field):
@@ -478,7 +480,7 @@ class MetricField(Sym2Field):
     __slots__ = ("_min_eig",)
 
     def __init__(self, grid: PeriodicGrid, components):
-        super().__init__(grid, components)
+        _StoredTensor.__init__(self, grid, components)  # check_metric checks finiteness
         object.__setattr__(self, "_min_eig", check_metric(self.components, grid.ndim))
 
     def det(self) -> np.ndarray:
@@ -622,11 +624,20 @@ def hessian_defect(g: Sym2Field) -> float:
 
     Zero (to truncation) exactly when g is a Hessian metric.
     """
-    return _hessian_defect(metric_partials(g))
+    return float(_hessian_defects(metric_partials(g)).max())
 
 
-def _hessian_defect(d: np.ndarray) -> float:
-    return float(np.max(np.abs(d - np.swapaxes(d, -3, -2))))
+def _hessian_defects(d: np.ndarray) -> np.ndarray:
+    """:func:`_largest_abs` of ``partial_k g_ij - partial_i g_kj`` from the
+    metric derivatives ``d``: per flat node when ``d`` is flat."""
+    return _largest_abs(d - np.swapaxes(d, -3, -2))
+
+
+def _largest_abs(t: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of each ``t[k]``, by ``reduceat``: numpy runs it
+    faster than ``max(axis=1)`` on rows as short as a node's."""
+    flat = np.abs(t).ravel()
+    return np.maximum.reduceat(flat, np.arange(0, flat.size, flat.size // len(t)))
 
 
 # --- connection and Koszul forms ---------------------------------------------
@@ -649,15 +660,6 @@ def _christoffel(d: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarra
     gamma_lower = 0.5 * (term1 + term2 - d)
     gamma_mixed = np.einsum("...il,...ljk->...ijk", ginv, gamma_lower)
     return gamma_mixed, gamma_lower
-
-
-def pair_hessian(values: np.ndarray, spacings: tuple[float, ...]) -> np.ndarray:
-    """Pair-stored ``partial2`` of a node array in :func:`sym_pairs` order:
-    :func:`sym_derivatives` of order 2, the one stencil path of ``beta``
-    (which :func:`_beta` calls directly), the a2 gauge ``dd(u)`` and the
-    potential leg's ``dd(phi)``; this makes ``kappa = -beta/2`` and the
-    log-det gauge's cancellation of ``beta`` exact."""
-    return sym_derivatives(values, 2, spacings)
 
 
 def koszul(g: MetricField) -> tuple[np.ndarray, Sym2Field, Sym2Field]:
@@ -905,8 +907,7 @@ def _riemann_max(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> np.ndarra
     ``|R_ijkl|`` of :func:`_riemann_from_gamma` on the Christoffel symbols
     of the metric derivatives ``d`` and ``g^-1``."""
     gamma_mixed, _ = _christoffel(d, ginv)
-    riemann = _riemann_from_gamma(gamma_mixed, gmat)
-    return np.abs(riemann.reshape(len(riemann), -1)).max(axis=1)
+    return _largest_abs(_riemann_from_gamma(gamma_mixed, gmat))
 
 
 def _riemann_screen(gamma_mixed: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1140,33 +1141,33 @@ def curvature_bundle(g: MetricField, pm: PotentialMetric | None,
     runs chunk by chunk, so no array of the difference tensor, its Riemann
     tensor or the torsion is formed on the whole grid."""
     n, nodes = g.grid.ndim, g.grid.num_nodes
-    ginv = g.inverse_matrices().reshape(nodes, n, n)
-    gmat = g.matrices().reshape(nodes, n, n)
-    d = metric_partials(g).reshape(nodes, n, n, n)
-    probe = None if node is None else int(np.ravel_multi_index(node, g.grid.shape))
-    sups, gamma_mixed_000 = [], None
-    riemann_screen, riemann_band = np.empty(nodes), np.empty(nodes)
-    for chunk in _chunks(nodes):
-        gamma_mixed, gamma_lower = _christoffel(d[chunk], ginv[chunk])
-        riemann_screen[chunk], riemann_band[chunk] = _riemann_screen(gamma_mixed, gmat[chunk])
-        sups.append([_hessian_defect(d[chunk]), *(np.max(np.abs(t)) for t in (gamma_mixed, gamma_lower))])
-        if probe is not None and chunk.start <= probe < chunk.stop:
-            gamma_mixed_000 = float(gamma_mixed[probe - chunk.start, 0, 0, 0])
-    defect, sup_gamma_mixed, sup_gamma_lower = (float(v) for v in np.max(sups, axis=0))
+    flat = (metric_partials(g).reshape(nodes, n, n, n), g.inverse_matrices().reshape(nodes, n, n),
+            g.matrices().reshape(nodes, n, n))
+    defect, mixed, lower, gamma_000, screen, band = _per_chunk(_bundle_pass, flat)
     # the Riemann tensor only at the candidates of its screen, Christoffel first
-    sup_riemann = screened_extreme(riemann_screen, riemann_band, _riemann_max, (d, ginv, gmat), largest=True)[0]
-    torsion_norm = _sup_torsion_gnorm(d, ginv, gmat)
-    del d  # freed before the Koszul forms and Q; lowers peak memory
+    sup_riemann = screened_extreme(screen, band, _riemann_max, flat, largest=True)[0]
+    torsion_norm = _sup_torsion_gnorm(*flat)
+    ginv = flat[1]
+    del flat  # d and the full matrices freed before the Koszul forms and Q; lowers peak memory
     alpha, kappa, beta = koszul(g)
     return CurvatureBundle(
         alpha=alpha,
         kappa=kappa,
         beta=beta,
-        hessian_defect=defect,
+        hessian_defect=float(defect.max()),
         torsion_norm=torsion_norm,
-        sup_gamma_mixed=sup_gamma_mixed,
-        sup_gamma_lower=sup_gamma_lower,
+        sup_gamma_mixed=float(mixed.max()),
+        sup_gamma_lower=float(lower.max()),
         sup_riemann=sup_riemann,
-        gamma_mixed_000=gamma_mixed_000,
+        gamma_mixed_000=None if node is None else float(gamma_000[np.ravel_multi_index(node, g.grid.shape)]),
         q=None if pm is None else _hessian_curvature(pm, ginv),
     )
+
+
+def _bundle_pass(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The first pass of :func:`curvature_bundle`, a node-local kernel: per flat
+    node the Hessian defect, the largest ``|gamma_mixed|`` and ``|gamma_lower|``,
+    ``gamma^0_00``, and the Riemann screen and band of :func:`_riemann_screen`."""
+    gamma_mixed, gamma_lower = _christoffel(d, ginv)
+    return (_hessian_defects(d), _largest_abs(gamma_mixed), _largest_abs(gamma_lower),
+            gamma_mixed[:, 0, 0, 0], *_riemann_screen(gamma_mixed, gmat))

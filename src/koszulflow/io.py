@@ -89,18 +89,13 @@ def write_snapshot(
 def read_snapshot(path: str) -> tuple[PeriodicGrid, np.ndarray, float, dict[str, str]]:
     """Read a snapshot back; returns (grid, data, t, header_fields)."""
     with open(path, "rb") as handle:
-        magic = handle.read(len(SNAPSHOT_MAGIC))
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"{path}: not a field snapshot (bad magic {magic!r})")
-        header_bytes = bytearray()
-        while True:
-            ch = handle.read(1)
-            if not ch:
-                raise ValueError(f"{path}: truncated snapshot header")
-            if ch == b"\n":
-                break
-            header_bytes += ch
-        raw = handle.read()
+        content = handle.read()
+    magic = content[:len(SNAPSHOT_MAGIC)]
+    if magic != SNAPSHOT_MAGIC:
+        raise ValueError(f"{path}: not a field snapshot (bad magic {magic!r})")
+    header_bytes, newline, raw = content[len(SNAPSHOT_MAGIC):].partition(b"\n")
+    if not newline:
+        raise ValueError(f"{path}: truncated snapshot header")
     fields = {}
     for token in header_bytes.decode("ascii").split():
         key, _, value = token.partition("=")

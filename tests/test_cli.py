@@ -241,6 +241,13 @@ class TestA2Check:
         report = dict(line.split(": ", 1) for line in out.splitlines())
         assert float(report["S_max"]) == pytest.approx(8.68e25, rel=1e-3) and err == ""
 
+    def test_infeasible_at_zero_is_reported(self, tmp_path, capsys):
+        # theta = 1.5 makes the margin negative already at S = 0
+        cfg = write_config(tmp_path, "a.cfg", "example = sin1d\nsizes = 16\ntheta = 1.5\n")
+        assert run("a2-check", "--config", cfg) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "S_max: infeasible at S=0" and err == ""
+
 
 class TestSmoothingProbe:
     def test_probe_csv_is_reproducible(self, tmp_path):
@@ -313,9 +320,35 @@ class TestErrorPaths:
         eigs = geo.sym_min_eigenvalues(comps, 3)
         worst = np.unravel_index(np.argmin(eigs), grid.shape)
         node = tuple(int(k) for k in worst)
-        assert not geo._positivity_certificate(comps).all() and eigs[worst] < 0
+        assert not geo._positivity_certificate(comps)[0].all() and eigs[worst] < 0
         assert capsys.readouterr().err == (f"positivity failure: matrix field not positive definite at node "
                                            f"{node} (min eigenvalue {eigs[worst]:.3e})\n")
+
+    def test_flow_run_without_t_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.cfg", "example = sin1d\nsizes = 16\n")
+        assert run("flow-run", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "config error: flow-run requires T\n"
+        assert not (tmp_path / "o").exists()
+
+    # case -> the message naming what is wrong with the potential snapshot
+    BAD_SNAPSHOT = {"two-components": "must have one component, got 2",
+                    "no-background": "header lacks the 'background' key",
+                    "truncated-header": "truncated snapshot header"}
+
+    @pytest.mark.parametrize("case", sorted(BAD_SNAPSHOT))
+    def test_malformed_potential_snapshot_exits_2(self, tmp_path, capsys, case):
+        grid = PeriodicGrid((16,), (2 * np.pi,))
+        snap = tmp_path / "psi.hfld"
+        values = np.zeros((16, 2)) if case == "two-components" else np.zeros(16)
+        write_snapshot(str(snap), grid, values, extra={} if case == "no-background" else {"background": "1.0"})
+        if case == "truncated-header":  # the file ends inside the header line
+            content = snap.read_bytes()
+            snap.write_bytes(content[:content.index(b"\n", len(b"HFLD1\n"))])
+        cfg = write_config(tmp_path, "c.cfg", f"potential = {snap}\n")
+        assert run("curvature", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert_one_config_error(err)
+        assert self.BAD_SNAPSHOT[case] in err and str(snap) in err, err
 
     T = "T = 0.01\n"
     # case -> (verb, config text); the snapshot paths are filled in per run
@@ -342,6 +375,7 @@ class TestErrorPaths:
         "a2-check-S-nan": ("a2-check", "example = sin1d\nsizes = 16\ntheta = 0.5\nS = nan\n"),
         "a2-check-S-inf": ("a2-check", "example = sin1d\nsizes = 16\ntheta = 0.5\nS = inf\n"),
         "a2-check-theta-inf": ("a2-check", "example = sin1d\nsizes = 16\ntheta = inf\n"),
+        "a2-check-gauge-unknown": ("a2-check", "example = sin1d\nsizes = 16\ntheta = 0.5\ngauge = bogus\n"),
         "a2-check-theta-overflows-the-margin": ("a2-check",
                                                 "example = sin1d\nsizes = 16\ntheta = 1e308\n"),
     }

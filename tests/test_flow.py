@@ -226,6 +226,15 @@ class TestRunFlow:
             assert 0.95 <= err / np.exp(-state.t / 2.0) <= 1.10
         assert np.max(np.abs(traj[-1].g.component(0, 0) - 2.0)) <= 5e-3
 
+    def test_sample_time_zero_is_the_initial_state(self):
+        g0 = metric("sin1d", sizes=(16,))
+        initial = fl.FlowState.initial(g0)
+        traj, rows = fl.run_flow(g0, 0.01, CTL, sample_times=(0.0, 0.005), diag_stride=0)
+        assert [state.t for state in traj] == [0.0, 0.005, 0.01]
+        assert traj[0].g.components.tobytes() == initial.g.components.tobytes()
+        assert traj[0].phi.values.tobytes() == initial.phi.values.tobytes()
+        assert [row.t for row in rows] == [0.0, 0.005, 0.01]
+
     def test_one_dimensional_minimum_principle(self):
         state = fl.FlowState.initial(metric("sin1d", sizes=(256,)))
         previous = state.g.min_eigenvalue()

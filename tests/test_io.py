@@ -92,6 +92,17 @@ def test_malformed_snapshot_is_named(tmp_path, edit, message):
         read_snapshot(str(path))
 
 
+@pytest.mark.parametrize("cut", [0, 3, 6, 20], ids=["empty", "in-magic", "after-magic", "in-header"])
+def test_truncated_snapshot_is_named(tmp_path, cut):
+    grid = PeriodicGrid((8,), (1.0,))
+    path = tmp_path / "s.hfld"
+    write_snapshot(str(path), grid, np.zeros(grid.shape))
+    path.write_bytes(path.read_bytes()[:cut])
+    message = "bad magic" if cut < 6 else "truncated snapshot header"
+    with pytest.raises(ValueError, match=message):
+        read_snapshot(str(path))
+
+
 def test_float_formatting_round_trips():
     for value in (0.1, 2.0 / 3.0, 1e-300, 6.283185307179586, -0.0):
         assert float(format_float(value)) == value

@@ -177,6 +177,21 @@ class TestKernelsOnSubsets:
         assert [a.tobytes() for a in stacked] == [a.tobytes() for a in geo._christoffel(*operands)]
 
     @pytest.mark.parametrize("n", [2, 3])
+    def test_bundle_pass_on_subsets_and_through_the_runner(self, n):
+        # the curvature bundle's first pass: every per-node output, on random
+        # subsets and chunk by chunk, has the bits of one call on every node
+        _, operands, _ = full_kernels(n)["riemann_max"]
+        full = geo._bundle_pass(*operands)
+        assert len(full) == 6 and all(out.shape == (len(operands[0]),) for out in full)
+        rng = np.random.default_rng(n)
+        for size in (1, 2, 17):
+            nodes = rng.choice(len(operands[0]), size, replace=False)
+            subset = geo._bundle_pass(*(op[nodes] for op in operands))
+            assert [out.tobytes() for out in subset] == [out[nodes].tobytes() for out in full]
+        stacked = geo._per_chunk(geo._bundle_pass, operands)
+        assert [out.tobytes() for out in stacked] == [out.tobytes() for out in full]
+
+    @pytest.mark.parametrize("n", [2, 3])
     def test_q_potential_on_single_nodes(self, n):
         # a full einsum reduction summed the quadratic term in another order
         # on one node than on many: at n = 2 first at nodes 21, 29, 32 and 101
@@ -265,7 +280,7 @@ class TestPositivityCertificate:
     @given(comps=straddling_spectra())
     def test_decision_equals_the_kernel(self, comps):
         eigs = geo.sym_min_eigenvalues(comps, 3).ravel()
-        proven = geo._positivity_certificate(comps)
+        proven = geo._positivity_certificate(comps)[0]
         assert np.all(eigs[proven] >= geo.MIN_EIGENVALUE)
         try:
             geo.check_metric(comps, 3)
@@ -283,8 +298,7 @@ class TestPositivityCertificate:
         rng = np.random.default_rng(seed)
         scattered = rng.standard_normal((64, 6)) * 10.0 ** rng.uniform(-5.0, 5.0, (64, 6))
         for field in (comps, scattered):
-            det = np.empty(field.shape[:-1])
-            geo._positivity_certificate(field, det.reshape(-1))
+            det = geo._positivity_certificate(field)[1]
             assert det.tobytes() == geo.sym_det(field, 3).tobytes()
 
 
@@ -687,7 +701,7 @@ class TestCandidates:
         comps = np.broadcast_to(g.components[0, 0, 0], g.components.shape) if flat else g.components
         sizes = kernel_sizes(monkeypatch, ["sym_min_eigenvalues", "smallest_eigenvalue"],
                              lambda: geo.check_metric(comps, 3))
-        assert geo._positivity_certificate(comps).all()
+        assert geo._positivity_certificate(comps)[0].all()
         assert sizes == {"sym_min_eigenvalues": [], "smallest_eigenvalue": []}
 
     @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
