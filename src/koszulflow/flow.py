@@ -28,7 +28,6 @@ import numpy as np
 from .geometry import (
     MetricField,
     NotPositiveDefinite,
-    _all_finite,
     _beta,
     _check_metric,
     log_det,
@@ -38,7 +37,7 @@ from .geometry import (
     sym_det,
     sym_pairs,
 )
-from .grid import PeriodicGrid, ScalarField
+from .grid import PeriodicGrid, ScalarField, _check_finite
 
 _SCHEMES = ("euler", "rk2")
 
@@ -182,9 +181,8 @@ def _next_state(state: FlowState, dt: float, g_new: np.ndarray, phi_new: np.ndar
     """The state of either leg after a step of ``dt`` to the checked metric
     ``g_new``, whose ``ratio`` the next step reuses: a copy of ``state``'s
     fields with these changed (the fields are not validated again, so no
-    dataclass ``__init__`` runs)."""
-    if not _all_finite(phi_new):
-        raise ValueError("field contains non-finite values")
+    dataclass ``__init__`` runs).  ValueError where ``phi_new`` is not finite."""
+    _check_finite(phi_new)
     g_new.flags.writeable = phi_new.flags.writeable = False
     new = object.__new__(type(state))
     vars(new).update(vars(state), t=state.t + dt, g_comps=g_new, phi_values=phi_new, dt_last=dt,

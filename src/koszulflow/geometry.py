@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import PeriodicGrid, ScalarField, stencil
+from .grid import PeriodicGrid, ScalarField, _check_finite, stencil
 
 MIN_EIGENVALUE = 1e-10
 
@@ -186,20 +186,6 @@ class Sym2Field(_StoredTensor):
         return self._gather()
 
 
-def _all_finite(values: np.ndarray) -> bool:
-    """Whether every entry is finite.  It runs several times per flow step,
-    so it counts the finite entries, which costs less than the ufunc
-    reduction behind ``ndarray.all`` on small fields."""
-    return np.count_nonzero(np.isfinite(values)) == values.size
-
-
-def _check_finite(comps: np.ndarray) -> np.ndarray:
-    """``comps``, or ValueError where an entry is not finite."""
-    if not _all_finite(comps):
-        raise ValueError("tensor field contains non-finite values")
-    return comps
-
-
 def sym_matrices(comps: np.ndarray, n: int) -> np.ndarray:
     """Full ``(..., n, n)`` matrices of a pair-stored symmetric field."""
     return np.take(comps, sym_table(n, 2), axis=-1)
@@ -227,29 +213,29 @@ def log_det(det: np.ndarray) -> np.ndarray:
     """``log det g`` from a determinant field: the one place the package takes
     that logarithm.  ValueError where it is not finite (a determinant that
     overflows, underflows to zero or is negative)."""
-    out = np.log(det)
-    if not _all_finite(out):
-        raise ValueError("log det g is not finite (the determinant overflows or is not positive)")
-    return out
+    return _check_finite(np.log(det), "log det g is not finite (the determinant overflows or is not positive)")
 
 
 def sym_inverse_matrices(comps: np.ndarray, n: int) -> np.ndarray:
-    """Inverse as a full ``(..., n, n)`` array, via the adjugate for n <= 3."""
-    det = sym_det(comps, n)
+    """Inverse as a full ``(..., n, n)`` array, via the adjugate for n <= 3,
+    over :func:`sym_det`'s determinant.  At n = 3 the first-row cofactors
+    are differences of the products :func:`_det3` formed for it."""
     inv = np.empty((*comps.shape[:-1], n, n))
     if n == 1:
-        inv[..., 0, 0] = 1.0 / det
+        inv[..., 0, 0] = 1.0 / sym_det(comps, 1)
         return inv
     if n == 2:
+        det = sym_det(comps, 2)
         a, b, c = comps[..., 0], comps[..., 1], comps[..., 2]
         inv[..., 0, 0] = c / det
         inv[..., 1, 1] = a / det
         inv[..., 0, 1] = inv[..., 1, 0] = -b / det
         return inv
     a, b, c, d, e, f = (comps[..., p] for p in range(6))
-    inv[..., 0, 0] = (d * f - e * e) / det
-    inv[..., 0, 1] = inv[..., 1, 0] = (c * e - b * f) / det
-    inv[..., 0, 2] = inv[..., 2, 0] = (b * e - c * d) / det
+    det, (df, ee, bf, ec, be, dc) = _det3(a, b, c, d, e, f)
+    inv[..., 0, 0] = (df - ee) / det
+    inv[..., 0, 1] = inv[..., 1, 0] = (ec - bf) / det
+    inv[..., 0, 2] = inv[..., 2, 0] = (be - dc) / det
     inv[..., 1, 1] = (a * f - c * c) / det
     inv[..., 1, 2] = inv[..., 2, 1] = (b * c - a * e) / det
     inv[..., 2, 2] = (a * d - b * b) / det
@@ -273,18 +259,22 @@ def _half_trace_radius(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     about ``1e154``), is recomputed with its entries scaled by a power of
     two to below 1 and the results scaled back; both scalings are exact,
     and every other node keeps its bits."""
-    a, b, c = comps[..., 0], comps[..., 1], comps[..., 2]
     with np.errstate(over="ignore", invalid="ignore"):
-        q, p = 0.5 * (a + c), np.sqrt((0.5 * (a - c)) ** 2 + b * b)
+        q, p = _unscaled_half_trace_radius(comps)
         if np.isfinite(q).all() and np.isfinite(p).all():
             return q, p
         bad = ~(np.isfinite(q) & np.isfinite(p))
         exponent = np.frexp(np.abs(comps[bad]).max(axis=-1))[1]
-        a, b, c = np.ldexp(comps[bad], -exponent[:, None]).T
         q, p = np.array(q), np.array(p)  # writable, also for a single node
-        q[bad] = np.ldexp(0.5 * (a + c), exponent)
-        p[bad] = np.ldexp(np.sqrt((0.5 * (a - c)) ** 2 + b * b), exponent)
+        scaled = _unscaled_half_trace_radius(np.ldexp(comps[bad], -exponent[:, None]))
+        q[bad], p[bad] = (np.ldexp(x, exponent) for x in scaled)
     return q, p
+
+
+def _unscaled_half_trace_radius(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_half_trace_radius`'s formula, without its rescaling."""
+    a, b, c = comps[..., 0], comps[..., 1], comps[..., 2]
+    return 0.5 * (a + c), np.sqrt((0.5 * (a - c)) ** 2 + b * b)
 
 
 # --- screened extremes over the nodes ---------------------------------------------
@@ -431,8 +421,7 @@ def _check_metric(comps: np.ndarray, n: int) -> tuple[float | None, np.ndarray |
     :func:`_positivity_certificate` formed on the way (None for n <= 2, where
     the check forms none): the flow takes the log det of each checked metric
     from it instead of forming the determinant again."""
-    if not _all_finite(comps):
-        raise ValueError("tensor field contains non-finite values")
+    _check_finite(comps)
     det = None
     if n == 3:
         proven, det = _positivity_certificate(comps)
@@ -971,12 +960,11 @@ def _torsion(d: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 def _sup_torsion_gnorm(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> float:
     """Sup over the nodes of the torsion's g-norm, with ``T`` formed per
-    chunk of the screen and at the candidate nodes only (at n = 1, where
-    ``T`` is zero, at every node)."""
+    chunk of the screen and at the candidate nodes only.  At n = 1, where
+    ``T`` is zero, every node ties in the screen, so the kernel runs on
+    every node through :func:`screened_extreme`'s fallback."""
     n = ginv.shape[-1]
     flat = (d.reshape(-1, n, n, n), ginv.reshape(-1, n, n), gmat.reshape(-1, n, n))
-    if n == 1:
-        return float(np.max(_torsion_gnorm(*flat)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sq, band = _per_chunk(_torsion_screen, flat)
     return screened_extreme(sq, band, _torsion_gnorm, flat, largest=True)[0]

@@ -21,6 +21,16 @@ MAX_DIM = 3
 MIN_NODES = 8
 
 
+def _check_finite(values: np.ndarray, message: str = "field contains non-finite values") -> np.ndarray:
+    """``values``, or ValueError with ``message`` where an entry is not
+    finite: the one finiteness check of the package.  It runs several times
+    per flow step, so it counts the finite entries, which costs less than
+    the ufunc reduction behind ``ndarray.all`` on small fields."""
+    if np.count_nonzero(np.isfinite(values)) != values.size:
+        raise ValueError(message)
+    return values
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform periodic chart: ``sizes[d]`` nodes over period ``lengths[d]``."""
@@ -91,9 +101,7 @@ class ScalarField:
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != grid.shape:
             raise ValueError(f"field shape {arr.shape} does not match grid {grid.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("field contains non-finite values")
-        arr = np.array(arr)  # private copy
+        arr = np.array(_check_finite(arr))  # private copy
         arr.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", arr)

@@ -18,11 +18,11 @@ import math
 import os
 import sys
 import tempfile
-import time
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import __version__
 from .grid import PeriodicGrid
 
 SNAPSHOT_MAGIC = b"HFLD1\n"
@@ -192,25 +192,9 @@ def validate_config(raw: Mapping[str, str], schema: Mapping[str, str]) -> dict:
 def write_manifest(out_dir: str, payload: Mapping[str, object]) -> None:
     body = dict(payload)
     body["versions"] = {
-        "koszulflow": _package_version(),
+        "koszulflow": __version__,
         "numpy": np.__version__,
         "python": sys.version.split()[0],
     }
     text = json.dumps(body, indent=2, sort_keys=True) + "\n"
     _atomic_write_bytes(os.path.join(out_dir, MANIFEST_NAME), text.encode("ascii"))
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
-
-
-class Stopwatch:
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self._start
-        return False

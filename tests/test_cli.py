@@ -402,6 +402,8 @@ class TestErrorPaths:
         assert_one_config_error(err)
         if "{background_" in text:  # a malformed header entry names itself and the file
             assert "background" in err and str(tmp_path) in err, err
+        if case == "snapshot-nan":
+            assert "non-finite" in err, err
 
     OVERFLOW = {"curvature": "", "flow-run": T, "a2-check": "theta = 0.5\n",
                 "flow-compare": T + "dt = 1e-3\n"}

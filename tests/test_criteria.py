@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszulflow import criteria as cr
@@ -250,9 +250,11 @@ def reference_margin(m, n):
 
 def reference_max_s(g0, u, theta, scale_gauge_with_s=False):
     """``criteria.max_s`` as the full bisection, verbatim: every margin runs
-    over every node.  It predates the uncapped bracket and the one-ulp stop
-    of ``max_s``, which change no result with S_max below 2^23, the range
-    of the pencils here."""
+    over every node.  It predates the uncapped bracket of ``max_s``, which
+    changes no result with S_max below 2^79, and shares its one-ulp stop:
+    above about 2^23 one ulp of S exceeds ``BISECTION_TOL``, so without the
+    stop the bisection never ends, and a gauge scale next to 1 gives
+    S_max = 1.1e14."""
     n = g0.grid.ndim
     m0, m1 = cr._pencil_parts(g0, u, theta, scale_gauge_with_s)
 
@@ -275,8 +277,7 @@ def reference_max_s(g0, u, theta, scale_gauge_with_s=False):
     else:
         raise RuntimeError("failed to bracket the infeasible region")
     s_lo = 0.0
-    while s_hi - s_lo > cr.BISECTION_TOL:
-        mid = 0.5 * (s_lo + s_hi)
+    while s_hi - s_lo > cr.BISECTION_TOL and s_lo < (mid := 0.5 * (s_lo + s_hi)) < s_hi:
         found = margin(mid)
         if found[0] >= 0.0:
             s_lo, lo = mid, found
@@ -364,6 +365,8 @@ class TestMaxSAgainstFullBisection:
     @given(example=st.sampled_from(("sin1d", "bump2d", "potential3d")),
            theta=st.floats(0.0, 1.2), gauge_scale=st.floats(-1.0, 1.0),
            scale_gauge_with_s=st.booleans())
+    # a gauge one ulp below c = 1 gives S_max = 1.1e14, where one ulp of S exceeds BISECTION_TOL
+    @example(example="sin1d", theta=0.5, gauge_scale=0.9999999999999999, scale_gauge_with_s=True)
     def test_gauge_families(self, example, theta, gauge_scale, scale_gauge_with_s):
         # theta >= 1 is infeasible at zero; with scale_gauge_with_s the gauge
         # c (-log det g0) leaves the slope -(1 - c) beta0, unbounded at c = 1

@@ -191,6 +191,10 @@ class TestKoszul:
         for forms in (geo.koszul, geo.beta_form):
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
                 forms(g)
+        # log det g shares the check and keeps its own message: det = 1e320 overflows
+        huge = geo.MetricField(PeriodicGrid((8, 8), (1.0, 1.0)), np.broadcast_to([1e160, 0.0, 1e160], (8, 8, 3)))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^log det g is not finite"):
+            huge.log_det()
 
     def test_alpha_equals_christoffel_trace_at_second_order(self):
         errors = {}

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koszulflow import flow as fl
+from koszulflow import geometry as geo
 from koszulflow.grid import (
     PeriodicGrid,
     ScalarField,
@@ -89,8 +91,20 @@ class TestPeriodicGrid:
         grid = line_grid()
         with pytest.raises(ValueError):
             ScalarField(grid, np.zeros(63))
-        with pytest.raises(ValueError):
-            ScalarField(grid, np.full(64, np.nan))
+        # every field and the flow's next state share one finiteness check
+        state = fl.FlowState.initial(geo.MetricField(grid, np.ones((64, 1))))
+        makers = (
+            lambda v: ScalarField(grid, v),
+            lambda v: geo.Sym2Field(grid, v[:, None]),
+            lambda v: geo.MetricField(grid, 1.0 + v[:, None]),
+            lambda v: fl._next_state(state, 0.1, np.ones((64, 1)), v, 1.0, state.log_det, state.ratio),
+        )
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.zeros(64)
+            values[5] = bad
+            for make in makers:
+                with pytest.raises(ValueError, match="non-finite"):
+                    make(values)
 
     def test_fields_are_immutable(self):
         source = np.zeros(64)
