@@ -7,14 +7,11 @@ scalar-potential form, and existence-window criteria."""
 __version__ = "0.1.0"
 
 from .criteria import (
-    A2Certificate,
     InfeasibleAtZero,
     PencilResult,
-    a2_certificate,
     a2_margin,
     log_det_gauge,
     max_s,
-    uniform_equivalence,
 )
 from .flow import (
     DiagnosticsRow,
@@ -46,20 +43,11 @@ from .geometry import (
     kahler_curvature_pullback,
     koszul,
     metric_from_potential,
+    pencil_eigenvalue_range,
     pullback_chern_torsion,
     riemann_from_gamma,
     riemann_from_q,
     sectional_extremes,
 )
-from .grid import (
-    PeriodicGrid,
-    ScalarField,
-    mean,
-    partial,
-    partial2,
-    partial3,
-    partial4,
-    sup_norm,
-    variance,
-)
+from .grid import PeriodicGrid, ScalarField, partial, partial2, partial3, partial4
 from .registry import EXAMPLES, ExampleSpec, build_example

@@ -21,7 +21,8 @@ Exit codes:
   values, a background that is not n*n finite numbers or not positive
   definite), a metric whose ``log det`` or a2 margin overflows, or a step
   control or sample times the integrators reject (``max_halvings < 0``,
-  ``diag_stride < 0``, ``sample_times`` outside ``[0, T]``);
+  ``diag_stride < 0``, ``sample_times`` outside ``[0, T]``), or an output
+  that cannot be written (say, an output file name taken by a directory);
 * 3 flow blow-up: positivity failed beyond the halving budget; the outputs
   hold the partial results and the manifest records the last valid time;
 * 4 positivity failure in the input metric itself.
@@ -46,6 +47,7 @@ from . import geometry as geo
 from . import registry as reg
 from .grid import PeriodicGrid, ScalarField
 from .io import (
+    MANIFEST_NAME,
     ConfigError,
     format_float,
     load_config,
@@ -54,6 +56,7 @@ from .io import (
     write_csv,
     write_manifest,
     write_snapshot,
+    write_text,
 )
 
 EXIT_OK = 0
@@ -155,13 +158,6 @@ def _given(cfg: Mapping[str, object], keys) -> dict:
     return {key: cfg[key] for key in keys if key in cfg}
 
 
-def _text(lines: list[str]) -> Callable[[str], None]:
-    def write(path: str) -> None:
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write("\n".join(lines) + "\n")
-    return write
-
-
 # --- curvature ------------------------------------------------------------------
 
 NOT_APPLICABLE = "not applicable (non-Hessian input)"
@@ -215,7 +211,7 @@ def _curvature(run: Run):
 def _curvature_files(run: Run, result, blowup):
     lines, beta, seed = result
     grid = run.g.grid
-    files = {"report.txt": _text(lines)}
+    files = {"report.txt": partial(write_text, lines=lines)}
     if run.cfg.get("snapshots", False):
         files["metric.hfld"] = partial(write_snapshot, grid=grid, data=run.g.components)
         files["beta.hfld"] = partial(write_snapshot, grid=grid, data=beta.components)
@@ -263,7 +259,7 @@ def _flow_compare_files(run: Run, discrepancy, blowup):
         f"dt: {format_float(run.cfg['dt'])}",
         f"discrepancy: {'blowup' if blowup else format_float(discrepancy)}",
     ]
-    return lines, {"compare.txt": _text(lines)}, {}
+    return lines, {"compare.txt": partial(write_text, lines=lines)}, {}
 
 
 # --- a2-check -------------------------------------------------------------------
@@ -296,7 +292,7 @@ def _a2_check(run: Run) -> list[str]:
 
 
 def _a2_check_files(run: Run, lines, blowup):
-    return lines, {"a2.txt": _text(lines)}, {}
+    return lines, {"a2.txt": partial(write_text, lines=lines)}, {}
 
 
 # --- smoothing-probe ------------------------------------------------------------
@@ -414,9 +410,6 @@ def _run_verb(name: str, args) -> int:
 
     lines, files, extra = verb.finish(run, result, blowup)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for file_name, write in files.items():
-            write(os.path.join(args.out, file_name))
         manifest = {
             "command": name,
             "config": dict(run.raw),
@@ -428,7 +421,17 @@ def _run_verb(name: str, args) -> int:
         if blowup is not None:
             manifest["last_valid_t"] = blowup.t
             manifest["blowup_node"] = None if blowup.node is None else list(blowup.node)
-        write_manifest(args.out, {**manifest, **extra})
+        target = args.out
+        try:
+            os.makedirs(target, exist_ok=True)
+            for file_name, write in files.items():
+                target = os.path.join(args.out, file_name)
+                write(target)
+            target = os.path.join(args.out, MANIFEST_NAME)
+            write_manifest(args.out, {**manifest, **extra})
+        except OSError as exc:
+            print(f"config error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_CONFIG
     for line in lines:
         print(line)
     return EXIT_OK if blowup is None else EXIT_BLOWUP

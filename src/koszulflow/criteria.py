@@ -1,5 +1,4 @@
-"""Existence-window criteria: gauge margins, maximal pencil parameter,
-uniform equivalence.
+"""Existence-window criteria: gauge margins and the maximal pencil parameter.
 
 The feasibility quantity is the nodewise minimum eigenvalue of
 
@@ -16,6 +15,9 @@ bisection evaluates the margin only at the nodes not yet proven
 nonnegative there (see "Screened extremes" in docs/conventions.md).  On a
 periodic chart the gauge u = -S log det g0 cancels the beta term exactly
 (dd and beta share one stencil path), which is why S_max is unbounded there.
+
+Inputs that overflow the pencil or the bracket raise ValueError, as
+:func:`~koszulflow.geometry.log_det` does for an overflowing determinant.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .geometry import (
     WHITENING_BAND,
     MetricField,
     beta_form,
-    pencil_eigenvalue_range,
     smallest_eigenvalue,
     sym_derivatives,
     sym_matrices,
@@ -38,27 +39,12 @@ from .geometry import (
     sym_pair_weights,
 )
 from .grid import ScalarField
-from .io import ConfigError
 
 BISECTION_TOL = 1e-9
 
 
 class InfeasibleAtZero(Exception):
     """The margin is not positive even at S = 0."""
-
-
-@dataclass(frozen=True)
-class A2Certificate:
-    """One margin evaluation for a gauge: feasible iff margin >= 0."""
-
-    s: float
-    theta: float
-    u: ScalarField
-    margin: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.margin >= 0.0
 
 
 @dataclass(frozen=True)
@@ -82,11 +68,11 @@ def gauge_hessian(u: ScalarField) -> np.ndarray:
 def _margin(m: np.ndarray, n: int) -> tuple[float, int, np.ndarray]:
     """Min over nodes of the smallest eigenvalue of the pencil value ``m``, the
     flat index of its first node and the flat per-node lower bound of
-    :func:`~koszulflow.geometry.smallest_eigenvalue`; ConfigError when the
+    :func:`~koszulflow.geometry.smallest_eigenvalue`; ValueError when the
     min is not finite (inputs that overflow the pencil)."""
     found = smallest_eigenvalue(m, n)
     if not math.isfinite(found[0]):
-        raise ConfigError(f"the pencil margin is {found[0]}: the inputs overflow it")
+        raise ValueError(f"the pencil margin is {found[0]}: the inputs overflow it")
     return found
 
 
@@ -124,10 +110,6 @@ def a2_margin(g0: MetricField, s: float, u: ScalarField, theta: float) -> float:
     return _margin(m0 + s * m1, g0.grid.ndim)[0]
 
 
-def a2_certificate(g0: MetricField, s: float, u: ScalarField, theta: float) -> A2Certificate:
-    return A2Certificate(s=s, theta=theta, u=u, margin=a2_margin(g0, s, u, theta))
-
-
 def max_s(
     g0: MetricField,
     u: ScalarField,
@@ -141,7 +123,7 @@ def max_s(
     Unbounded is reported when the S-slope part of the pencil is positive
     semidefinite at every node.  Otherwise the bracket doubles from S = 1
     until the margin is negative, which ends: the slope is negative at some
-    node, and a pencil or a bracket that overflows raises ConfigError.
+    node, and a pencil or a bracket that overflows raises ValueError.
     Bisection then halves the bracket to absolute width 1e-9, or until its
     midpoint rounds to an end (above 2^23 one ulp of S exceeds 1e-9).  The
     margin runs over every node at S = 0, for the slope, at each bracket
@@ -166,7 +148,7 @@ def max_s(
     while (at_hi := margin(s_hi))[0] >= 0.0:
         s_hi *= 2.0
         if math.isinf(s_hi):  # inf * 0 in the pencil would warn before _margin raises
-            raise ConfigError("the pencil margin is nonnegative up to S = 2^1023: the inputs overflow it")
+            raise ValueError("the pencil margin is nonnegative up to S = 2^1023: the inputs overflow it")
     # e(s) = e0 + s*e1 bounds at each node the rounding of m0 + s*m1 plus the
     # kernel's error; a node is active until its lower bounds at both ends of
     # the bracket exceed 2 e(s_hi): by concavity it then stays above
@@ -197,8 +179,3 @@ def log_det_gauge(g0: MetricField, scale: float = 1.0) -> ScalarField:
     """The gauge ``scale * (-log det g0)``; with scale tied to S it cancels
     the beta term of the pencil exactly (shared stencil path)."""
     return ScalarField(g0.grid, -scale * g0.log_det())
-
-
-def uniform_equivalence(g: MetricField, g0: MetricField) -> tuple[float, float]:
-    """Tight pinching constants: lam * g0 <= g <= Lam * g0 over all nodes."""
-    return pencil_eigenvalue_range(g, g0)

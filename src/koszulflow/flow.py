@@ -29,7 +29,7 @@ from .geometry import (
     MetricField,
     NotPositiveDefinite,
     _beta,
-    _check_metric,
+    check_metric,
     log_det,
     pencil_eigenvalue_range,
     sup_q_gnorm,
@@ -169,10 +169,10 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 
 def _checked_log_det(comps: np.ndarray, n: int) -> tuple[float | None, np.ndarray]:
-    """What :func:`~koszulflow.geometry.check_metric` returns for a candidate
-    metric (it raises ValueError or NotPositiveDefinite), and the metric's
-    log det: at n = 3 from the determinant the check formed."""
-    min_eig, det = _check_metric(comps, n)
+    """The ``min_eig`` of :func:`~koszulflow.geometry.check_metric` for a
+    candidate metric (it raises ValueError or NotPositiveDefinite), and the
+    metric's log det: at n = 3 from the determinant the check formed."""
+    min_eig, det = check_metric(comps, n)
     return min_eig, log_det(sym_det(comps, n) if det is None else det)
 
 

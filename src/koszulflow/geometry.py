@@ -51,14 +51,15 @@ class NotPositiveDefinite(Exception):
 
 # --- symmetric storage ---------------------------------------------------------
 
-def sym_indices(n: int, order: int) -> list[tuple[int, ...]]:
+@functools.cache
+def sym_indices(n: int, order: int) -> tuple[tuple[int, ...], ...]:
     """Sorted index tuples of a symmetric tensor of ``order`` slots over ``n``
     indices, in lexicographic order: the one storage order of symmetric
     derivatives and of Q's pairs of pairs."""
-    return list(itertools.combinations_with_replacement(range(n), order))
+    return tuple(itertools.combinations_with_replacement(range(n), order))
 
 
-def sym_pairs(n: int) -> list[tuple[int, int]]:
+def sym_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Upper-triangle index pairs (i, j), i <= j, in row-major order."""
     return sym_indices(n, 2)
 
@@ -83,18 +84,12 @@ def sym_table(n: int, order: int) -> np.ndarray:
     return table
 
 
-@functools.cache
-def _sym_index_tuple(n: int, order: int) -> tuple[tuple[int, ...], ...]:
-    """:func:`sym_indices` as a cached tuple, for the per-call loops."""
-    return tuple(sym_indices(n, order))
-
-
 def sym_derivatives(values: np.ndarray, order: int, spacings: tuple[float, ...]) -> np.ndarray:
     """``(*values.shape, k)`` derivatives of ``order`` of a node array, one
     stencil call per sorted index tuple, in :func:`sym_indices` order: the
     one loop over derivative index sets.  ``values`` may carry trailing
     component axes, so a tensor's derivatives are stored ``[components, K]``."""
-    indices = _sym_index_tuple(len(spacings), order)
+    indices = sym_indices(len(spacings), order)
     out = np.empty((*values.shape, len(indices)))
     for s, axes in enumerate(indices):
         out[..., s] = stencil(values, axes, spacings)
@@ -399,28 +394,24 @@ def smallest_eigenvalue(comps: np.ndarray, n: int) -> tuple[float, int, np.ndarr
         return value, worst, smallest - band
 
 
-def check_metric(comps: np.ndarray, n: int) -> float | None:
+def check_metric(comps: np.ndarray, n: int) -> tuple[float | None, np.ndarray | None]:
     """Nodewise check of pair-stored metric components: the smallest
     eigenvalue of :func:`smallest_eigenvalue` over the nodes is at least
-    ``MIN_EIGENVALUE``.
+    ``MIN_EIGENVALUE``.  Returns ``(min_eig, det)``.
 
     For n = 3 the decision comes from :func:`_positivity_certificate` where
-    it proves every node, and the value is not computed: None is returned.
-    Otherwise (n <= 2, where the closed form is as cheap, or a node the
-    certificate leaves open) the value is computed and returned.
+    it proves every node, and the value is not computed: ``min_eig`` is
+    None.  Otherwise (n <= 2, where the closed form is as cheap, or a node
+    the certificate leaves open) the value is computed and returned.
+    ``det`` is the determinant field the certificate formed on the way at
+    n = 3 (None for n <= 2, where the check forms none): the flow takes the
+    log det of each checked metric from it instead of forming the
+    determinant again.
 
     Raises ValueError for a non-finite entry and :class:`NotPositiveDefinite`,
     naming the worst node (the first on ties), for a value below
     ``MIN_EIGENVALUE``.
     """
-    return _check_metric(comps, n)[0]
-
-
-def _check_metric(comps: np.ndarray, n: int) -> tuple[float | None, np.ndarray | None]:
-    """:func:`check_metric`'s value and, for n = 3, the determinant field that
-    :func:`_positivity_certificate` formed on the way (None for n <= 2, where
-    the check forms none): the flow takes the log det of each checked metric
-    from it instead of forming the determinant again."""
     _check_finite(comps)
     det = None
     if n == 3:
@@ -470,7 +461,7 @@ class MetricField(Sym2Field):
 
     def __init__(self, grid: PeriodicGrid, components):
         _StoredTensor.__init__(self, grid, components)  # check_metric checks finiteness
-        object.__setattr__(self, "_min_eig", check_metric(self.components, grid.ndim))
+        object.__setattr__(self, "_min_eig", check_metric(self.components, grid.ndim)[0])
 
     def det(self) -> np.ndarray:
         return sym_det(self.components, self.grid.ndim)

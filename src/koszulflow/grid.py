@@ -221,17 +221,3 @@ def partial4(f: ScalarField, i: int, j: int, k: int, l: int) -> ScalarField:
     """Fourth derivative; invariant under permutation of the axis arguments."""
     return _stencil_field(f, (i, j, k, l))
 
-
-def mean(f: ScalarField) -> float:
-    """Arithmetic mean over nodes."""
-    return float(np.mean(f.values))
-
-
-def sup_norm(f: ScalarField) -> float:
-    """Max of |value| over nodes."""
-    return float(np.max(np.abs(f.values)))
-
-
-def variance(f: ScalarField) -> float:
-    """Population variance over nodes."""
-    return float(np.var(f.values))

@@ -128,6 +128,13 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[float]])
     _atomic_write_bytes(path, render_csv(header, rows))
 
 
+# --- text reports ---------------------------------------------------------------
+
+def write_text(path: str, lines: Sequence[str]) -> None:
+    """ASCII report: one line per entry of ``lines``, each ending in a newline."""
+    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+
+
 # --- config -------------------------------------------------------------------
 
 def parse_config_text(text: str) -> dict[str, str]:

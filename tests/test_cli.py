@@ -378,7 +378,12 @@ class TestErrorPaths:
         "a2-check-gauge-unknown": ("a2-check", "example = sin1d\nsizes = 16\ntheta = 0.5\ngauge = bogus\n"),
         "a2-check-theta-overflows-the-margin": ("a2-check",
                                                 "example = sin1d\nsizes = 16\ntheta = 1e308\n"),
+        "config-missing": ("curvature", None),
+        "snapshots-not-a-bool": ("curvature", "example = flat\nsnapshots = maybe\n"),
     }
+    # case -> the message its config error names
+    BAD_INPUT_MESSAGE = {"snapshot-nan": "non-finite", "config-missing": "cannot read config",
+                         "snapshots-not-a-bool": "cannot parse 'maybe' as bool"}
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUT))
     def test_rejected_input_exits_2(self, tmp_path, capsys, case):
@@ -396,14 +401,16 @@ class TestErrorPaths:
         with open(paths["nan"], "rb") as src, open(paths["short"], "wb") as dst:
             dst.write(src.read()[:-8])
         verb, text = self.BAD_INPUT[case]
-        cfg = write_config(tmp_path, "b.cfg", text.format(**paths))
+        if text is None:  # a config path that does not exist
+            cfg = str(tmp_path / "missing.cfg")
+        else:
+            cfg = write_config(tmp_path, "b.cfg", text.format(**paths))
         assert run(verb, "--config", cfg, "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert_one_config_error(err)
-        if "{background_" in text:  # a malformed header entry names itself and the file
+        if "{background_" in (text or ""):  # a malformed header entry names itself and the file
             assert "background" in err and str(tmp_path) in err, err
-        if case == "snapshot-nan":
-            assert "non-finite" in err, err
+        assert self.BAD_INPUT_MESSAGE.get(case, "") in err, err
 
     OVERFLOW = {"curvature": "", "flow-run": T, "a2-check": "theta = 0.5\n",
                 "flow-compare": T + "dt = 1e-3\n"}
@@ -453,6 +460,25 @@ class TestErrorPaths:
         dangling = tmp_path / "dangling"
         dangling.symlink_to(tmp_path / "nowhere")
         assert run("flow-run", "--config", cfg, "--out", str(dangling / "sub")) == 2
+
+    # verb -> (config text, the output file whose name a directory takes)
+    UNWRITABLE = {"curvature": ("example = flat\n", "report.txt"),
+                  "flow-run": ("example = sin1d\nsizes = 16\nT = 0.01\n", "diagnostics.csv"),
+                  "a2-check": ("example = sin1d\nsizes = 16\ntheta = 0.5\n", "manifest.json")}
+
+    @pytest.mark.parametrize("verb", sorted(UNWRITABLE))
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, verb):
+        text, name = self.UNWRITABLE[verb]
+        cfg = write_config(tmp_path, "b.cfg", text)
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert run(verb, "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert_one_config_error(err)
+        assert f"cannot write {out / name}: Is a directory" in err, err
+        # the writer removes its temporary file, and no manifest claims the run
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".tmp-")]
+        assert not (out / "manifest.json").is_file()
 
     @pytest.mark.parametrize("verb", ["flow-run", "flow-compare", "a2-check", "smoothing-probe"])
     def test_probe_is_curvature_only(self, tmp_path, verb):

@@ -13,6 +13,7 @@ Reference-run constants (this grid family, this package, numpy 2.x):
 """
 
 import os
+import re
 import sys
 
 import numpy as np
@@ -81,6 +82,24 @@ def reference_potential_step(phi, g, g0, t, dt, scheme):
         k2 = rhs(reconstruct(ScalarField(grid, phi.values + dt * k1), t + dt))
         phi_new = ScalarField(grid, phi.values + (0.5 * dt) * (k1 + k2))
     return phi_new, reconstruct(phi_new, t + dt)
+
+
+# case -> (a call the library rejects, the ValueError message it names)
+REJECTED = {
+    "step-dt-zero": (lambda g: fl.step_tensor(fl.FlowState.initial(g), 0.0, CTL), "dt must be positive"),
+    "step-potential-dt-negative": (lambda g: fl.step_potential(fl.PotentialFlowState.initial(g), -1e-3, CTL),
+                                   "dt must be positive"),
+    "run-t-final-zero": (lambda g: fl.run_flow(g, 0.0, CTL), "t_final must be positive"),
+    "compare-dt-zero": (lambda g: fl.equivalence_check(g, 0.1, CTL, 0.0), "dt and t_final must be positive"),
+    "compare-T-negative": (lambda g: fl.equivalence_check(g, -0.1, CTL, 1e-3), "dt and t_final must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_call_names_its_message(case):
+    call, message = REJECTED[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(metric("flat", sizes=(8, 8)))
 
 
 class TestStepControl:

@@ -14,6 +14,7 @@ are checked at truncation level with an order-2 refinement ratio.
 """
 
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -24,6 +25,7 @@ from koszulflow import geometry as geo
 from koszulflow.grid import PeriodicGrid, ScalarField, partial3, partial4, stencil
 
 TWO_PI = 2.0 * np.pi
+LINE = PeriodicGrid((16,), (1.0,))
 
 
 def sin1d(n_nodes=512):
@@ -119,6 +121,33 @@ class TestMetricFromPotential:
         assert np.all(eigs[4:] == 0.5 * (2.0 + 1.0) - np.sqrt((0.5 * (2.0 - 1.0)) ** 2 + 0.5 * 0.5))
         assert np.array_equal(smallest, eigs.ravel()) and np.all(np.isfinite(band))
         assert np.all(np.abs(largest[:32] - 1e160) <= band[:32])
+
+    # case -> (a call the library rejects, the exception, the message it names)
+    REJECTED = {
+        "components-of-wrong-shape": (lambda: geo.Sym2Field(LINE, np.zeros((16, 2))), ValueError,
+                                      "component shape (16, 2) does not match (16, 1)"),
+        "attribute-set-on-a-field": (lambda: setattr(geo.Sym2Field(LINE, np.ones((16, 1))), "grid", LINE),
+                                     AttributeError, "Sym2Field is immutable"),
+        "metrics-on-different-grids": (lambda: geo.pencil_eigenvalue_range(geo.metric_from_potential(sin1d(16)),
+                                                                           geo.metric_from_potential(sin1d(32))),
+                                       ValueError, "metrics live on different grids"),
+        "background-of-wrong-shape": (lambda: geo.PotentialMetric(LINE, np.eye(2), ScalarField.zeros(LINE)),
+                                      ValueError, "background must be 1x1, got (2, 2)"),
+        "background-not-symmetric": (lambda: geo.PotentialMetric(flat2d(8).grid, np.array([[1.0, 0.5], [0.0, 1.0]]),
+                                                                 flat2d(8).psi),
+                                     ValueError, "background matrix must be symmetric"),
+        "psi-on-another-grid": (lambda: geo.PotentialMetric(LINE, np.eye(1), sin1d(32).psi), ValueError,
+                                "potential lives on a different grid"),
+        "no-sectional-samples": (lambda: geo.sectional_extremes(geo.hessian_curvature(sin1d(16)),
+                                                                geo.metric_from_potential(sin1d(16)), n_samples=0),
+                                 ValueError, "n_samples must be >= 1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejected_call_names_its_message(self, case):
+        call, error, message = self.REJECTED[case]
+        with pytest.raises(error, match=re.escape(message)):
+            call()
 
     def test_background_validation(self):
         grid = PeriodicGrid((16,), (1.0,))
@@ -684,7 +713,7 @@ class TestSymmetricStorage:
 
     def test_pair_slots_keep_the_closed_form_and_order(self):
         for n in (1, 2, 3):
-            assert geo.sym_pairs(n) == [(i, j) for i in range(n) for j in range(i, n)]
+            assert geo.sym_pairs(n) == tuple((i, j) for i in range(n) for j in range(i, n))
             table = geo.sym_table(n, 2)
             assert not table.flags.writeable
             for i, j in itertools.product(range(n), repeat=2):
@@ -693,7 +722,7 @@ class TestSymmetricStorage:
     def test_tables_index_sorted_tuples(self):
         for n, order in itertools.product((1, 2, 3), (2, 3, 4)):
             indices, table = geo.sym_indices(n, order), geo.sym_table(n, order)
-            assert indices == sorted(set(tuple(sorted(t)) for t in itertools.product(range(n), repeat=order)))
+            assert indices == tuple(sorted(set(tuple(sorted(t)) for t in itertools.product(range(n), repeat=order))))
             for index in itertools.product(range(n), repeat=order):
                 assert indices[table[index]] == tuple(sorted(index))
 

@@ -1,5 +1,7 @@
 """Snapshot/CSV/config serialization: round trips and determinism."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,10 @@ from koszulflow.io import (
     render_csv,
     validate_config,
     write_snapshot,
+    write_text,
 )
+
+LINE = PeriodicGrid((16,), (1.0,))
 
 
 def test_snapshot_round_trip_is_bit_exact(tmp_path):
@@ -70,6 +75,34 @@ def test_snapshot_magic_and_scalar_shape(tmp_path):
     bad.write_bytes(b"NOPE!\n")
     with pytest.raises(ValueError):
         read_snapshot(str(bad))
+
+
+# case -> (a write the library rejects, the ValueError message it names)
+REJECTED_WRITES = {
+    "data-of-wrong-shape": (lambda path: write_snapshot(path, LINE, np.zeros(15)),
+                            "data shape (15,) does not match grid (16,)"),
+    "extra-key-collides": (lambda path: write_snapshot(path, LINE, np.zeros(16), extra={"t": "1.0"}),
+                           "extra key 't' collides with a required header key"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_WRITES))
+def test_rejected_write_names_its_message(tmp_path, case):
+    write, message = REJECTED_WRITES[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write(str(tmp_path / "s.hfld"))
+    assert not list(tmp_path.iterdir())
+
+
+def test_text_report_is_atomic(tmp_path):
+    write_text(str(tmp_path / "report.txt"), ["a: 1", "b: 2"])
+    assert (tmp_path / "report.txt").read_bytes() == b"a: 1\nb: 2\n"
+    # a destination taken by a directory: the rename fails and the temporary
+    # file is removed
+    (tmp_path / "taken.txt").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_text(str(tmp_path / "taken.txt"), ["a: 1"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt", "taken.txt"]
 
 
 @pytest.mark.parametrize(
