@@ -54,7 +54,7 @@ def dense_scan_max_s(g0, u, theta, s_hi=20.0, step=1e-4):
 class TestA2Margin:
     def test_flat_margin_is_theta_complement(self):
         g = flat_metric()
-        for s in (0.0, 1.0, 2.0, 100.0):
+        for s in (0.0, 1.0, 100.0):
             assert cr.a2_margin(g, s, zero_gauge(g), 0.5) == pytest.approx(0.5, abs=1e-14)
 
     # case -> (a call the library rejects, the ValueError message it names)
@@ -93,6 +93,12 @@ class TestA2Margin:
             hess = cr.gauge_hessian(ldg)
             beta = geo.beta_form(g)
             assert np.max(np.abs(hess + beta.components)) == 0.0
+
+    def test_certificate_feasibility(self):
+        # feasible at S = 2 means a nonnegative margin; flat gives 1 - theta
+        g = flat_metric()
+        margin = cr.a2_margin(g, 2.0, zero_gauge(g), 0.5)
+        assert margin >= 0.0 and margin == pytest.approx(0.5, abs=1e-14)
 
 
 class TestMaxS:
