@@ -5,9 +5,10 @@ Verbs: ``examples``, ``curvature``, ``flow-run``, ``flow-compare``,
 ``--config PATH`` (flat ``key = value`` text, ``#`` comments) and
 ``--out DIR``, writes exactly one ``manifest.json`` into the output
 directory, and is deterministic for a fixed config and seed.  The
-file-writing commands are the rows of :data:`VERBS`; one runner,
-:func:`_run_verb`, loads their config, times their computation, maps their
-errors to exit codes and writes their outputs.
+file-writing commands are the rows of :data:`VERBS`, each one function
+``report(run) -> (printed lines, {file: writer}, extra manifest keys,
+blowup)``; one runner, :func:`_run_verb`, loads their config, times their
+report, maps their errors to exit codes and writes their outputs.
 
 Exit codes:
 
@@ -23,8 +24,10 @@ Exit codes:
   control or sample times the integrators reject (``max_halvings < 0``,
   ``diag_stride < 0``, ``sample_times`` outside ``[0, T]``), or an output
   that cannot be written (say, an output file name taken by a directory);
-* 3 flow blow-up: positivity failed beyond the halving budget; the outputs
-  hold the partial results and the manifest records the last valid time;
+* 3 flow blow-up: positivity failed beyond the halving budget; the printed
+  lines and outputs of every flow verb (``flow-run``, ``flow-compare``,
+  ``smoothing-probe``) hold the partial result up to the last valid time,
+  which the manifest records with the offending node;
 * 4 positivity failure in the input metric itself.
 """
 
@@ -136,16 +139,15 @@ class Run:
 class Verb:
     """One file-writing command.
 
-    ``compute(run)`` is the timed computation and may raise FlowBlowup;
-    ``finish(run, result, blowup)`` gets exactly one of the result and the
-    blow-up and returns ``(printed lines, {file name: writer(path)},
-    extra manifest keys)``.
+    ``report(run)`` is the timed work: it returns ``(printed lines,
+    {file name: writer(path)}, extra manifest keys, blowup)``.  ``blowup``
+    is None, or the FlowBlowup that ended a flow verb, whose lines and
+    files then hold the partial result it carried.
     """
 
     help: str
     schema: Mapping[str, str]
-    compute: Callable[[Run], object]
-    finish: Callable[[Run, object, fl.FlowBlowup | None], tuple[list[str], dict, dict]]
+    report: Callable[[Run], tuple[list[str], dict, dict, fl.FlowBlowup | None]]
     required: tuple[str, ...] = ()
     positive: tuple[str, ...] = ()
     needs_out: bool = True
@@ -156,6 +158,15 @@ def _given(cfg: Mapping[str, object], keys) -> dict:
     """The entries of ``cfg`` among ``keys``: the keyword arguments a verb
     passes on, so every default lives in the library alone."""
     return {key: cfg[key] for key in keys if key in cfg}
+
+
+def _until_blowup(driver: Callable, *args, **kwargs):
+    """``(driver(*args, **kwargs), None)``, or ``(partial, blowup)`` where a
+    FlowBlowup ends the driver: the partial result that blow-up carries."""
+    try:
+        return driver(*args, **kwargs), None
+    except fl.FlowBlowup as exc:
+        return exc.partial, exc
 
 
 # --- curvature ------------------------------------------------------------------
@@ -205,35 +216,23 @@ def _curvature(run: Run):
             lines.append(f"q_0000@probe: {format_float(q.component(0, 0, 0, 0)[node])}")
         else:
             lines.append(f"q_0000@probe: {NOT_APPLICABLE}")
-    return lines, beta, seed
 
-
-def _curvature_files(run: Run, result, blowup):
-    lines, beta, seed = result
-    grid = run.g.grid
     files = {"report.txt": partial(write_text, lines=lines)}
-    if run.cfg.get("snapshots", False):
-        files["metric.hfld"] = partial(write_snapshot, grid=grid, data=run.g.components)
+    if cfg.get("snapshots", False):
+        files["metric.hfld"] = partial(write_snapshot, grid=grid, data=g.components)
         files["beta.hfld"] = partial(write_snapshot, grid=grid, data=beta.components)
-        if run.pm is not None:
-            files["psi.hfld"] = partial(write_potential_snapshot, pm=run.pm)
-    return lines, files, {"seed": seed}
+        if pm is not None:
+            files["psi.hfld"] = partial(write_potential_snapshot, pm=pm)
+    return lines, files, {"seed": seed}, None
 
 
 # --- flow-run -------------------------------------------------------------------
 
 def _flow_run(run: Run):
-    cfg = run.cfg
-    return fl.run_flow(run.g, cfg["T"], run.control, **_given(cfg, ("sample_times", "diag_stride")))
-
-
-def _flow_run_files(run: Run, result, blowup):
-    if blowup is None:
-        (trajectory, rows), outcome, last_t = result, "ok", run.cfg["T"]
-    else:
-        trajectory, rows = blowup.trajectory, blowup.diagnostics
-        outcome, last_t = "blowup", blowup.t
-    grid = run.g.grid
+    cfg, grid = run.cfg, run.g.grid
+    (trajectory, rows), blowup = _until_blowup(
+        fl.run_flow, run.g, cfg["T"], run.control, **_given(cfg, ("sample_times", "diag_stride")))
+    outcome, last_t = ("ok", cfg["T"]) if blowup is None else ("blowup", blowup.t)
     header = fl.DiagnosticsRow.csv_header(grid.ndim)
     csv_rows = [r.csv_values() for r in rows]
     files = {"diagnostics.csv": partial(write_csv, header=header, rows=csv_rows)}
@@ -243,28 +242,26 @@ def _flow_run_files(run: Run, result, blowup):
         files["final_metric.hfld"] = partial(snapshot, data=final.g.components)
         files["final_phi.hfld"] = partial(snapshot, data=final.phi.values)
     line = f"flow-run {run.label}: outcome={outcome} last_t={format_float(last_t)}"
-    return [line], files, {"last_valid_t": last_t}
+    return [line], files, {"last_valid_t": last_t}, blowup
 
 
 # --- flow-compare ---------------------------------------------------------------
 
-def _flow_compare(run: Run) -> float:
-    return fl.equivalence_check(run.g, run.cfg["T"], run.control, run.cfg["dt"])
-
-
-def _flow_compare_files(run: Run, discrepancy, blowup):
+def _flow_compare(run: Run):
+    discrepancy, blowup = _until_blowup(fl.equivalence_check, run.g, run.cfg["T"], run.control,
+                                        run.cfg["dt"])
     lines = [
         f"input: {run.label}",
         f"T: {format_float(run.cfg['T'])}",
         f"dt: {format_float(run.cfg['dt'])}",
         f"discrepancy: {'blowup' if blowup else format_float(discrepancy)}",
     ]
-    return lines, {"compare.txt": partial(write_text, lines=lines)}, {}
+    return lines, {"compare.txt": partial(write_text, lines=lines)}, {}, blowup
 
 
 # --- a2-check -------------------------------------------------------------------
 
-def _a2_check(run: Run) -> list[str]:
+def _a2_check(run: Run):
     cfg, g0 = run.cfg, run.g
     gauge = str(cfg.get("gauge", "zero"))
     if gauge not in ("zero", "logdet"):
@@ -288,35 +285,26 @@ def _a2_check(run: Run) -> list[str]:
         else:
             lines.append(f"S_max: {format_float(result.s_max)}")
             lines.append("witness_node: " + ",".join(str(k) for k in result.witness_node))
-    return lines
-
-
-def _a2_check_files(run: Run, lines, blowup):
-    return lines, {"a2.txt": partial(write_text, lines=lines)}, {}
+    return lines, {"a2.txt": partial(write_text, lines=lines)}, {}, None
 
 
 # --- smoothing-probe ------------------------------------------------------------
 
 def _smoothing_probe(run: Run):
-    return fl.smoothing_probe(run.g, run.cfg["t_samples"], run.control)
-
-
-def _smoothing_probe_files(run: Run, series, blowup):
-    series = series or []
+    series, blowup = _until_blowup(fl.smoothing_probe, run.g, run.cfg["t_samples"], run.control)
     lines = [
         f"t={format_float(t)} sup_q={format_float(sup_q)} t_sup_q={format_float(t_sup_q)}"
         for t, sup_q, t_sup_q in series
     ]
     files = {"probe.csv": partial(write_csv, header=["t", "sup_q", "t_sup_q"], rows=series)}
-    return lines, files, {}
+    return lines, files, {}, blowup
 
 
 VERBS: dict[str, Verb] = {
     "curvature": Verb(
         help="curvature/Koszul report for one metric",
         schema={**_INPUT_KEYS, "n_samples": "int", "refine_steps": "int", "snapshots": "bool"},
-        compute=_curvature,
-        finish=_curvature_files,
+        report=_curvature,
         positive=("n_samples", "refine_steps"),
         probe=True,
     ),
@@ -324,24 +312,21 @@ VERBS: dict[str, Verb] = {
         help="integrate the flow and write diagnostics",
         schema={**_INPUT_KEYS, **_STEP_KEYS, "T": "float", "diag_stride": "int",
                 "sample_times": "floats"},
-        compute=_flow_run,
-        finish=_flow_run_files,
+        report=_flow_run,
         required=("T",),
         positive=("T", "sigma", "dt_min"),
     ),
     "flow-compare": Verb(
         help="tensor vs potential flow discrepancy",
         schema={**_INPUT_KEYS, **_STEP_KEYS, "T": "float", "dt": "float"},
-        compute=_flow_compare,
-        finish=_flow_compare_files,
+        report=_flow_compare,
         required=("T", "dt"),
         positive=("T", "dt", "sigma", "dt_min"),
     ),
     "a2-check": Verb(
         help="gauge margin and maximal feasible S",
         schema={**_INPUT_KEYS, "S": "float", "theta": "float", "gauge": "str"},
-        compute=_a2_check,
-        finish=_a2_check_files,
+        report=_a2_check,
         required=("theta",),
         positive=("theta",),
         needs_out=False,
@@ -349,8 +334,7 @@ VERBS: dict[str, Verb] = {
     "smoothing-probe": Verb(
         help="curvature decay series from rough data",
         schema={**_INPUT_KEYS, **_STEP_KEYS, "t_samples": "floats"},
-        compute=_smoothing_probe,
-        finish=_smoothing_probe_files,
+        report=_smoothing_probe,
         required=("t_samples",),
         positive=("sigma", "dt_min"),
     ),
@@ -386,8 +370,9 @@ def _prepare(verb: Verb, name: str, args) -> Run:
 def _run_verb(name: str, args) -> int:
     """Run one file-writing verb; the only place that maps errors to exit
     codes and writes outputs and the manifest.  The manifest's
-    ``wall_clock_seconds`` is the compute's ``time.perf_counter`` span, up
-    to its end or to the FlowBlowup that ends it."""
+    ``wall_clock_seconds`` is the ``time.perf_counter`` span of the verb's
+    report: its computation and the assembly of its lines and writers,
+    not the file writes."""
     verb = VERBS[name]
     try:
         # inputs that overflow end in a non-finite value, which log_det,
@@ -396,10 +381,7 @@ def _run_verb(name: str, args) -> int:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             run = _prepare(verb, name, args)
             start = time.perf_counter()
-            try:
-                result, blowup = verb.compute(run), None
-            except fl.FlowBlowup as exc:
-                result, blowup = None, exc
+            lines, files, extra, blowup = verb.report(run)
             seconds = time.perf_counter() - start
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -408,7 +390,6 @@ def _run_verb(name: str, args) -> int:
         print(f"positivity failure: {exc}", file=sys.stderr)
         return EXIT_NOT_PD
 
-    lines, files, extra = verb.finish(run, result, blowup)
     if args.out:
         manifest = {
             "command": name,

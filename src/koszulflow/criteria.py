@@ -89,8 +89,8 @@ def _pencil_parts(
     scale_gauge_with_s: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Component arrays (M0, M1) of the pencil M(S) = M0 + S*M1."""
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
+    if not theta >= 0.0:  # NaN too; an infinite theta overflows the margin
+        raise ValueError(f"theta must be nonnegative, got {theta}")
     if u.grid != g0.grid:
         raise ValueError("gauge lives on a different grid")
     beta0 = beta_form(g0)

@@ -20,6 +20,7 @@ is exhausted -- the flow has left its window of uniform equivalence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -45,15 +46,18 @@ _SCHEMES = ("euler", "rk2")
 class FlowBlowup(RuntimeError):
     """The integrator left the positivity window.
 
-    Carries the last valid time, the offending node, and whatever partial
-    trajectory/diagnostics the run had produced.
+    Carries the last valid time ``t``, the offending node, and ``partial``:
+    what the driver that raised it had produced by then, in the form that
+    driver returns -- ``(trajectory, rows)`` from :func:`run_flow`, the
+    ``(t, sup_q, t_sup_q)`` series from :func:`smoothing_probe`, the sup
+    discrepancy up to the last valid step from :func:`equivalence_check`,
+    and None from a single step.
     """
 
-    def __init__(self, t: float, node: tuple[int, ...] | None, trajectory=None, diagnostics=None):
+    def __init__(self, t: float, node: tuple[int, ...] | None, partial=None):
         self.t = t
         self.node = node
-        self.trajectory = trajectory if trajectory is not None else []
-        self.diagnostics = diagnostics if diagnostics is not None else []
+        self.partial = partial
         super().__init__(f"flow left the positivity window at t={t:.6g} (node {node})")
 
 
@@ -69,8 +73,8 @@ class StepControl:
     def __post_init__(self):
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError(f"sigma must be in (0, 1], got {self.sigma}")
-        if self.dt_min <= 0.0:
-            raise ValueError("dt_min must be positive")
+        if not 0.0 < self.dt_min < math.inf:
+            raise ValueError(f"dt_min must be positive and finite, got {self.dt_min}")
         if self.max_halvings < 0:
             raise ValueError(f"max_halvings must be non-negative, got {self.max_halvings}")
         if self.scheme not in _SCHEMES:
@@ -215,8 +219,8 @@ def _attempt_tensor_step(state: FlowState, dt: float, scheme: str) -> FlowState:
 def _with_halving(attempt: Callable, state, dt: float, control: StepControl):
     """``attempt(state, dt, scheme)``, retried with half the step on each
     positivity failure; FlowBlowup once the halving budget or dt_min runs out."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     node = None
     for _ in range(control.max_halvings + 1):
         if dt < control.dt_min:
@@ -291,11 +295,11 @@ def run_flow(
     Returns states at the requested sample times, which must lie in
     ``[0, t_final]`` (``t_final`` is always included), and diagnostics rows
     at t=0, every ``diag_stride``-th accepted step, every sample time, and
-    the end.  On blow-up the partial trajectory and diagnostics ride on the
-    raised :class:`FlowBlowup`.
+    the end.  On blow-up the raised :class:`FlowBlowup` carries the
+    trajectory and rows up to its last valid time as its ``partial``.
     """
-    if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
+    if not 0.0 < t_final < math.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
     if diag_stride < 0:
         raise ValueError(f"diag_stride must be non-negative, got {diag_stride}")
     samples = [float(s) for s in (sample_times or [])]
@@ -317,7 +321,8 @@ def run_flow(
             elif diag_stride > 0 and steps % diag_stride == 0:
                 rows.append(diagnostics_row(state, state.dt_last))
     except FlowBlowup as exc:
-        raise FlowBlowup(exc.t, exc.node, trajectory, rows) from None
+        exc.partial = trajectory, rows
+        raise
     return trajectory, rows
 
 
@@ -374,10 +379,11 @@ def equivalence_check(
 
     The tensor metric is compared against the potential leg's reconstruction
     ``g0 - t beta(g0) + dd(phi)`` at every step; no step halving is allowed,
-    since the two legs must see identical times.
+    since the two legs must see identical times.  A blow-up carries the sup
+    discrepancy up to the last step both legs took.
     """
-    if dt <= 0.0 or t_final <= 0.0:
-        raise ValueError("dt and t_final must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf):
+        raise ValueError(f"dt and t_final must be positive and finite, got {dt} and {t_final}")
     tensor = FlowState.initial(g0)
     scalar = PotentialFlowState.initial(g0)
     worst = 0.0
@@ -393,7 +399,7 @@ def equivalence_check(
             tensor, scalar = (_attempt_tensor_step(tensor, step, control.scheme),
                               _attempt_potential_step(scalar, step, control.scheme))
         except NotPositiveDefinite as exc:
-            raise FlowBlowup(tensor.t, exc.node) from None
+            raise FlowBlowup(tensor.t, exc.node, worst) from None
         worst = max(worst, float(np.max(np.abs(tensor.g_comps - scalar.g_comps))))
     return worst
 
@@ -408,11 +414,20 @@ def smoothing_probe(
 
     A reporting operation: it records the decay of the g-norm of the
     curvature tensor from low-regularity initial data and asserts nothing.
+    A blow-up carries the series up to its last valid time.
     """
     times = [float(t) for t in t_samples]
-    if not times or any(t <= 0 for t in times) or any(
+    if not times or not all(0.0 < t < math.inf for t in times) or any(
         b <= a for a, b in zip(times, times[1:])
     ):
-        raise ValueError("t_samples must be strictly increasing and positive")
-    _, rows = run_flow(g0_rough, times[-1], control, times, diag_stride=0)
-    return [(r.t, r.sup_q, r.t_sup_q) for r in rows[1:]]
+        raise ValueError(f"t_samples must be strictly increasing and positive finite numbers, got {times}")
+    blowup = None
+    try:
+        _, rows = run_flow(g0_rough, times[-1], control, times, diag_stride=0)
+    except FlowBlowup as exc:
+        blowup, rows = exc, exc.partial[1]
+    series = [(r.t, r.sup_q, r.t_sup_q) for r in rows[1:]]
+    if blowup is not None:
+        blowup.partial = series
+        raise blowup
+    return series

@@ -4,7 +4,28 @@ so a test run leaves no ``.hypothesis`` directory behind; without the
 database a failing example is replayed from the ``@reproduce_failure``
 blob that ``print_blob`` prints.  Each test keeps only its ``max_examples``."""
 
+import pytest
 from hypothesis import settings
+
+from koszulflow import flow as fl
+from koszulflow import geometry as geo
 
 settings.register_profile("koszulflow", deadline=None, database=None, print_blob=True)
 settings.load_profile("koszulflow")
+
+
+@pytest.fixture
+def blowup_past(monkeypatch):
+    """``blowup_past(t)`` makes every tensor step that starts past ``t`` fail
+    positivity at node 3, so a flow driver blows up just past ``t``; no
+    example input blows up mid-run on its own."""
+    def install(t_fail):
+        original = fl._attempt_tensor_step
+
+        def failing(state, dt, scheme):
+            if state.t > t_fail:
+                raise geo.NotPositiveDefinite((3,), -1.0)
+            return original(state, dt, scheme)
+
+        monkeypatch.setattr(fl, "_attempt_tensor_step", failing)
+    return install

@@ -1,10 +1,14 @@
 """Command-line interface: verbs, exit codes, manifests, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import koszulflow
 from koszulflow import geometry as geo
 from koszulflow import registry as reg
 from koszulflow.cli import main, write_potential_snapshot
@@ -34,6 +38,13 @@ class TestExamples:
         out = capsys.readouterr().out
         for name in ("flat", "sin1d", "bump2d", "rough1d", "twist2d"):
             assert name in out
+
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(koszulflow.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "koszulflow.cli", "examples"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and "sin1d" in done.stdout, done.stderr
 
 
 class TestCurvature:
@@ -270,6 +281,23 @@ class TestSmoothingProbe:
         assert run("smoothing-probe", "--config", cfg, "--out", str(out_dir)) == 0
         times = [line.split(",")[0] for line in (out_dir / "probe.csv").read_text().splitlines()]
         assert times == ["t", "0.01", "0.010000000000000002"]
+
+
+    def test_blowup_writes_and_prints_the_samples_reached(self, tmp_path, capsys, blowup_past):
+        # the run blows up just past t = 0.015: its outputs are those of a
+        # run that stops at the one sample it reached
+        text = "example = sin1d\nsizes = 32\nt_samples = 0.01{}\n"
+        reached, cut = tmp_path / "reached", tmp_path / "cut"
+        cfg = write_config(tmp_path, "r.cfg", text.format(""))
+        assert run("smoothing-probe", "--config", cfg, "--out", str(reached)) == 0
+        printed = capsys.readouterr().out
+        blowup_past(0.015)
+        cfg = write_config(tmp_path, "c.cfg", text.format(",0.02,0.03"))
+        assert run("smoothing-probe", "--config", cfg, "--out", str(cut)) == 3
+        assert capsys.readouterr().out == printed and printed.startswith("t=0.01 ")
+        assert (cut / "probe.csv").read_bytes() == (reached / "probe.csv").read_bytes()
+        manifest = json.loads((cut / "manifest.json").read_text())
+        assert (manifest["outcome"], manifest["blowup_node"]) == ("blowup", [3])
 
 
 class TestErrorPaths:

@@ -60,6 +60,7 @@ class TestA2Margin:
     # case -> (a call the library rejects, the ValueError message it names)
     REJECTED = {
         "theta-negative": (lambda g: cr.a2_margin(g, 0.0, zero_gauge(g), -0.1), "theta must be nonnegative"),
+        "theta-nan": (lambda g: cr.max_s(g, zero_gauge(g), math.nan), "theta must be nonnegative"),
         "gauge-on-another-grid": (lambda g: cr.max_s(g, ScalarField.zeros(PeriodicGrid((32,), (2.0 * math.pi,))), 0.5),
                                   "gauge lives on a different grid"),
     }

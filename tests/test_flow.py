@@ -12,6 +12,7 @@ Reference-run constants (this grid family, this package, numpy 2.x):
   max t*sup|Q|_g observed 0.040845; sup|Q| decays 51.8x across the window.
 """
 
+import math
 import os
 import re
 import sys
@@ -92,6 +93,17 @@ REJECTED = {
     "run-t-final-zero": (lambda g: fl.run_flow(g, 0.0, CTL), "t_final must be positive"),
     "compare-dt-zero": (lambda g: fl.equivalence_check(g, 0.1, CTL, 0.0), "dt and t_final must be positive"),
     "compare-T-negative": (lambda g: fl.equivalence_check(g, -0.1, CTL, 1e-3), "dt and t_final must be positive"),
+    # NaN and inf fail every check instead of passing it
+    "run-t-final-nan": (lambda g: fl.run_flow(g, math.nan, CTL), "t_final must be positive"),
+    "run-t-final-inf": (lambda g: fl.run_flow(g, math.inf, CTL), "t_final must be positive"),
+    "compare-T-nan": (lambda g: fl.equivalence_check(g, math.nan, CTL, 1e-3), "dt and t_final must be positive"),
+    "compare-T-inf": (lambda g: fl.equivalence_check(g, math.inf, CTL, 1e-3), "dt and t_final must be positive"),
+    "compare-dt-nan": (lambda g: fl.equivalence_check(g, 0.1, CTL, math.nan), "dt and t_final must be positive"),
+    "control-dt-min-nan": (lambda g: fl.StepControl(dt_min=math.nan), "dt_min must be positive"),
+    "control-dt-min-inf": (lambda g: fl.StepControl(dt_min=math.inf), "dt_min must be positive"),
+    "step-dt-nan": (lambda g: fl.step_tensor(fl.FlowState.initial(g), math.nan, CTL), "dt must be positive"),
+    "probe-sample-nan": (lambda g: fl.smoothing_probe(g, [math.nan], CTL),
+                         "t_samples must be strictly increasing and positive"),
 }
 
 
@@ -288,8 +300,9 @@ class TestRunFlow:
         with pytest.raises(fl.FlowBlowup) as info:
             fl.run_flow(g0, 1.0, bad, diag_stride=1)
         assert info.value.t == 0.0
-        assert len(info.value.diagnostics) == 1  # the t=0 row
-        assert info.value.trajectory == []
+        trajectory, rows = info.value.partial
+        assert len(rows) == 1  # the t=0 row
+        assert trajectory == []
 
     def test_values_are_computed_once(self, monkeypatch):
         # log det g0 once per run; one eigenvalue pass per candidate metric
@@ -516,7 +529,10 @@ class TestEquivalence:
 
     def test_blowup_reports_the_last_time_both_legs_were_valid(self, monkeypatch):
         # the third potential step fails after the third tensor step succeeded:
-        # both legs were last valid after two steps
+        # both legs were last valid after two steps, and the blow-up carries
+        # the sup discrepancy of those two, which a run to t = 0.02 reports
+        g0 = metric("sin1d", sizes=(32,))
+        two_steps = fl.equivalence_check(g0, 0.02, CTL, 0.01)
         attempts = []
         original = fl._attempt_potential_step
 
@@ -528,8 +544,9 @@ class TestEquivalence:
 
         monkeypatch.setattr(fl, "_attempt_potential_step", failing)
         with pytest.raises(fl.FlowBlowup) as info:
-            fl.equivalence_check(metric("sin1d", sizes=(32,)), 0.1, CTL, 0.01)
+            fl.equivalence_check(g0, 0.1, CTL, 0.01)
         assert (info.value.t, info.value.node) == (0.01 + 0.01, (5,))
+        assert info.value.partial == two_steps > 0.0
 
     def test_steps_build_no_field_wrappers(self, monkeypatch):
         # both legs step on raw arrays; every grid computes its spacings once
@@ -577,6 +594,15 @@ class TestSmoothingProbe:
             fl.smoothing_probe(metric("flat"), (0.01, 0.005), CTL)
         with pytest.raises(ValueError):
             fl.smoothing_probe(metric("flat"), (-0.01,), CTL)
+
+    def test_blowup_carries_the_samples_reached(self, blowup_past):
+        g0 = metric("sin1d", sizes=(32,))
+        reached = fl.smoothing_probe(g0, (0.01,), CTL)
+        blowup_past(0.015)
+        with pytest.raises(fl.FlowBlowup) as info:
+            fl.smoothing_probe(g0, (0.01, 0.02, 0.03), CTL)
+        assert 0.015 < info.value.t < 0.02
+        assert info.value.partial == reached
 
     def test_float_time_targets_are_landed_exactly(self):
         series = fl.smoothing_probe(metric("sin1d", sizes=(8,)), (ULP_SAMPLE, ULP_T), CTL)

@@ -175,6 +175,11 @@ def test_validate_config_rejects_unknown_and_bad_types():
         validate_config({"bogus": "1"}, schema)
     with pytest.raises(ConfigError):
         validate_config({"T": "abc"}, schema)
+    for value, spellings in BOOL_SPELLINGS.items():
+        for text in spellings:
+            assert validate_config({"flag": text}, {"flag": "bool"}) == {"flag": value}
+    with pytest.raises(ConfigError):
+        validate_config({"flag": "maybe"}, {"flag": "bool"})
 
 
 # --- config round trips over every verb's schema ---------------------------------
