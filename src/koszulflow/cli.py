@@ -3,8 +3,8 @@
 Verbs: ``examples``, ``curvature``, ``flow-run``, ``flow-compare``,
 ``a2-check``, ``smoothing-probe``.  Each file-writing command takes
 ``--config PATH`` (flat ``key = value`` text, ``#`` comments) and
-``--out DIR``, writes exactly one ``manifest.json`` into the output
-directory, and is deterministic for a fixed config and seed.  The
+``--out DIR``, writes exactly one ``manifest.json``, with the run's seed, into
+the output directory, and is deterministic for a fixed config and seed.  The
 file-writing commands are the rows of :data:`VERBS`, each one function
 ``report(run) -> (printed lines, {file: writer}, extra manifest keys,
 blowup)``; one runner, :func:`_run_verb`, loads their config, times their
@@ -16,12 +16,13 @@ Exit codes:
 * 2 invalid input: an unreadable config, an unknown key or a value of the
   wrong type, a non-finite float, a missing or non-positive required key,
   a malformed ``--probe``, an ``--out`` that names an existing file or lies
-  below one, ``sizes`` of the wrong dimension or below 8 nodes, an
-  unreadable or malformed potential snapshot (an unknown layout, ``n``
-  disagreeing with ``sizes``, a payload of the wrong length, non-finite
-  values, a background that is not n*n finite numbers or not positive
-  definite), a metric whose ``log det`` or a2 margin overflows, or a step
-  control or sample times the integrators reject (``max_halvings < 0``,
+  below one, ``sizes`` of the wrong dimension, below 8 nodes or beside a
+  potential snapshot, an unreadable or malformed potential snapshot (an
+  unknown layout, ``n`` disagreeing with ``sizes``, a payload of the wrong
+  length, non-finite values, a background that is not n*n finite numbers
+  or not positive definite), a metric whose ``log det`` or a2 margin
+  overflows, a step control or sample times the integrators reject
+  (``sigma`` outside ``(0, 1]``, ``dt_min <= 0``, ``max_halvings < 0``,
   ``diag_stride < 0``, ``sample_times`` outside ``[0, T]``), or an output
   that cannot be written (say, an output file name taken by a directory);
 * 3 flow blow-up: positivity failed beyond the halving budget; the printed
@@ -86,6 +87,8 @@ def _build_input(cfg: Mapping[str, object], seed: int | None):
             raise ConfigError(str(exc)) from exc
         return built, name
     path = str(cfg["potential"])
+    if "sizes" in cfg:
+        raise ConfigError(f"potential snapshot {path} sets the grid: drop 'sizes' from the config")
     try:
         grid, data, _, fields = read_snapshot(path)
     except (OSError, ValueError, KeyError) as exc:
@@ -176,7 +179,7 @@ NOT_APPLICABLE = "not applicable (non-Hessian input)"
 
 def _curvature(run: Run):
     cfg, pm, g, node = run.cfg, run.pm, run.g, run.node
-    seed = run.seed if run.seed is not None else 0
+    seed = run.seed if run.seed is not None else 0  # the sectional search's seed
     grid = g.grid
     bundle = geo.curvature_bundle(g, pm, node)
     alpha, kappa, beta, q = bundle.alpha, bundle.kappa, bundle.beta, bundle.q
@@ -223,7 +226,7 @@ def _curvature(run: Run):
         files["beta.hfld"] = partial(write_snapshot, grid=grid, data=beta.components)
         if pm is not None:
             files["psi.hfld"] = partial(write_potential_snapshot, pm=pm)
-    return lines, files, {"seed": seed}, None
+    return lines, files, {}, None
 
 
 # --- flow-run -------------------------------------------------------------------
@@ -272,7 +275,7 @@ def _a2_check(run: Run):
     lines = [f"input: {run.label}", f"gauge: {gauge}", f"theta: {format_float(theta)}"]
     if "S" in cfg:
         s_probe = cfg["S"]
-        u_probe = cr.log_det_gauge(g0, scale=s_probe) if gauge == "logdet" else u
+        u_probe = u * s_probe if scale_with_s else u
         margin = cr.a2_margin(g0, s_probe, u_probe, theta)
         lines.append(f"margin_at_S: {format_float(margin)}")
     try:
@@ -314,14 +317,14 @@ VERBS: dict[str, Verb] = {
                 "sample_times": "floats"},
         report=_flow_run,
         required=("T",),
-        positive=("T", "sigma", "dt_min"),
+        positive=("T",),
     ),
     "flow-compare": Verb(
         help="tensor vs potential flow discrepancy",
-        schema={**_INPUT_KEYS, **_STEP_KEYS, "T": "float", "dt": "float"},
+        schema={**_INPUT_KEYS, "scheme": "str", "T": "float", "dt": "float"},
         report=_flow_compare,
         required=("T", "dt"),
-        positive=("T", "dt", "sigma", "dt_min"),
+        positive=("T", "dt"),
     ),
     "a2-check": Verb(
         help="gauge margin and maximal feasible S",
@@ -336,7 +339,6 @@ VERBS: dict[str, Verb] = {
         schema={**_INPUT_KEYS, **_STEP_KEYS, "t_samples": "floats"},
         report=_smoothing_probe,
         required=("t_samples",),
-        positive=("sigma", "dt_min"),
     ),
 }
 
@@ -358,11 +360,11 @@ def _prepare(verb: Verb, name: str, args) -> Run:
     for key in verb.positive:
         if key in cfg and not cfg[key] > 0:
             raise ConfigError(f"config key {key!r} must be positive, got {cfg[key]}")
+    control = fl.StepControl(**_given(cfg, _STEP_KEYS))
     seed = args.seed if args.seed is not None else cfg.get("seed")
     built, label = _build_input(cfg, seed)
     pm = built if isinstance(built, geo.PotentialMetric) else None
     g = geo.metric_from_potential(pm) if pm is not None else built
-    control = fl.StepControl(**_given(cfg, _STEP_KEYS))
     node = _parse_probe(getattr(args, "probe", None), g.grid)
     return Run(raw, cfg, label, g, pm, control, seed, node)
 
@@ -395,6 +397,7 @@ def _run_verb(name: str, args) -> int:
             "command": name,
             "config": dict(run.raw),
             "input": run.label,
+            "seed": run.seed,
             "wall_clock_seconds": seconds,
             "outcome": "ok" if blowup is None else "blowup",
             "files": list(files),

@@ -175,7 +175,7 @@ def max_s(
     return PencilResult(s_max=s_lo, witness_node=node, witness_direction=direction)
 
 
-def log_det_gauge(g0: MetricField, scale: float = 1.0) -> ScalarField:
-    """The gauge ``scale * (-log det g0)``; with scale tied to S it cancels
-    the beta term of the pencil exactly (shared stencil path)."""
-    return ScalarField(g0.grid, -scale * g0.log_det())
+def log_det_gauge(g0: MetricField) -> ScalarField:
+    """The gauge ``-log det g0``; scaled by S (``log_det_gauge(g0) * S``) it
+    cancels the beta term of the pencil exactly (shared stencil path)."""
+    return ScalarField(g0.grid, -g0.log_det())

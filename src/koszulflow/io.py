@@ -160,7 +160,7 @@ def load_config(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="ascii") as handle:
             return parse_config_text(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,14 +12,14 @@ import pytest
 import koszulflow
 from koszulflow import geometry as geo
 from koszulflow import registry as reg
-from koszulflow.cli import main, write_potential_snapshot
+from koszulflow.cli import _INPUT_KEYS, VERBS, main, write_potential_snapshot
 from koszulflow.grid import PeriodicGrid, ScalarField
 from koszulflow.io import read_snapshot, write_snapshot
 
 
 def write_config(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -407,18 +408,47 @@ class TestErrorPaths:
         "a2-check-theta-overflows-the-margin": ("a2-check",
                                                 "example = sin1d\nsizes = 16\ntheta = 1e308\n"),
         "config-missing": ("curvature", None),
+        "config-not-ascii": ("curvature", "\ufeffexample = flat\n"),
         "snapshots-not-a-bool": ("curvature", "example = flat\nsnapshots = maybe\n"),
+        "sizes-beside-a-potential": ("curvature", "potential = {valid}\nsizes = 8\n"),
+        # the step control is checked before the input (here, sizes below 8) is built
+        "flow-run-sigma-zero": ("flow-run", "example = sin1d\nsizes = 4\nsigma = 0\n" + T),
+        "flow-run-sigma-above-1": ("flow-run", "example = sin1d\nsizes = 4\nsigma = 2\n" + T),
+        "flow-run-dt-min-zero": ("flow-run", "example = sin1d\nsizes = 4\ndt_min = 0\n" + T),
+        "smoothing-probe-sigma-zero": ("smoothing-probe",
+                                       "example = sin1d\nsizes = 4\nsigma = 0\nt_samples = 0.01\n"),
+        "smoothing-probe-sigma-above-1": ("smoothing-probe",
+                                          "example = sin1d\nsizes = 4\nsigma = 2\nt_samples = 0.01\n"),
+        "smoothing-probe-dt-min-zero": ("smoothing-probe",
+                                        "example = sin1d\nsizes = 4\ndt_min = 0\nt_samples = 0.01\n"),
+        # flow-compare steps at its fixed dt and reads no adaptive step key
+        "flow-compare-sigma": ("flow-compare", "example = sin1d\nsizes = 16\ndt = 1e-3\nsigma = 0.05\n" + T),
+        "flow-compare-dt-min": ("flow-compare", "example = sin1d\nsizes = 16\ndt = 1e-3\ndt_min = 0.5\n" + T),
+        "flow-compare-max-halvings": ("flow-compare",
+                                      "example = sin1d\nsizes = 16\ndt = 1e-3\nmax_halvings = 0\n" + T),
     }
     # case -> the message its config error names
     BAD_INPUT_MESSAGE = {"snapshot-nan": "non-finite", "config-missing": "cannot read config",
-                         "snapshots-not-a-bool": "cannot parse 'maybe' as bool"}
+                         "config-not-ascii": "cannot read config",
+                         "snapshots-not-a-bool": "cannot parse 'maybe' as bool",
+                         "sizes-beside-a-potential": "valid.hfld sets the grid: drop 'sizes'",
+                         "flow-run-sigma-zero": "sigma must be in (0, 1]",
+                         "flow-run-sigma-above-1": "sigma must be in (0, 1]",
+                         "flow-run-dt-min-zero": "dt_min must be positive and finite",
+                         "smoothing-probe-sigma-zero": "sigma must be in (0, 1]",
+                         "smoothing-probe-sigma-above-1": "sigma must be in (0, 1]",
+                         "smoothing-probe-dt-min-zero": "dt_min must be positive and finite",
+                         "flow-compare-sigma": "unknown config keys: sigma",
+                         "flow-compare-dt-min": "unknown config keys: dt_min",
+                         "flow-compare-max-halvings": "unknown config keys: max_halvings"}
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUT))
     def test_rejected_input_exits_2(self, tmp_path, capsys, case):
         grid = PeriodicGrid((16,), (2 * np.pi,))
         with_nan = np.zeros(16)
         with_nan[3] = np.nan
-        snaps = {"nan": (with_nan, "1.0"), "not_pd": (np.zeros(16), "-1.0"),
+        snaps = {"valid": (np.zeros(16), "1.0"), "nan": (with_nan, "1.0"),
+                 "not_pd": (np.zeros(16), "-1.0"),
                  "background_nan": (np.zeros(16), "nan"), "background_inf": (np.zeros(16), "inf"),
                  "background_text": (np.zeros(16), "a"), "background_empty": (np.zeros(16), "")}
         paths = {}
@@ -518,9 +548,9 @@ class TestErrorPaths:
 
 class TestManifest:
     # common keys of every verb's manifest, plus the verb's own
-    COMMON = {"command", "config", "input", "wall_clock_seconds", "outcome", "files", "versions"}
+    COMMON = {"command", "config", "input", "seed", "wall_clock_seconds", "outcome", "files", "versions"}
     CASES = {
-        "curvature": ("example = sin1d\nsizes = 16\nn_samples = 10\n", {"seed"}),
+        "curvature": ("example = sin1d\nsizes = 16\nn_samples = 10\n", set()),
         "flow-run": ("example = sin1d\nsizes = 16\nT = 0.01\n", {"last_valid_t"}),
         "flow-compare": ("example = sin1d\nsizes = 16\nT = 0.01\ndt = 1e-3\n", set()),
         "a2-check": ("example = sin1d\nsizes = 16\ntheta = 0.1\n", set()),
@@ -540,6 +570,31 @@ class TestManifest:
         assert sorted(manifest["files"] + ["manifest.json"]) == sorted(
             p.name for p in out_dir.iterdir()
         )
+
+    def test_records_the_seed_of_the_run(self, tmp_path):
+        # rough1d draws its potential from the seed, so the seed changes the outputs
+        cfg = write_config(tmp_path, "r.cfg", "example = rough1d\nsizes = 16\nT = 0.001\n")
+        outputs = {}
+        for seed in ("7", "8", None):
+            out_dir = tmp_path / f"out{seed}"
+            flags = ["--seed", seed] if seed else []
+            assert run("flow-run", "--config", cfg, "--out", str(out_dir), *flags) == 0
+            seed_in_manifest = json.loads((out_dir / "manifest.json").read_text())["seed"]
+            outputs[seed] = seed_in_manifest, (out_dir / "diagnostics.csv").read_bytes()
+        assert outputs["7"][0] == 7 and outputs["8"][0] == 8 and outputs[None][0] is None
+        assert outputs["7"][1] != outputs["8"][1]
+
+
+class TestReadme:
+    def test_command_key_table_matches_the_schemas(self):
+        # each row lists exactly the verb's keys beyond the common input keys
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as handle:
+            rows = dict(re.findall(r"^\| ([a-z0-9-]+) +\| (.*)\|$", handle.read(), re.MULTILINE))
+        every_key = set().union(*(verb.schema for verb in VERBS.values()))
+        for name, verb in VERBS.items():
+            listed = set(re.findall(r"`([^`]+)`", rows[name])) & every_key
+            assert listed == set(verb.schema) - set(_INPUT_KEYS), name
 
 
 class TestPotentialInput:

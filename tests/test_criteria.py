@@ -83,9 +83,19 @@ class TestA2Margin:
         g = sin1d_metric()
         min_g = float(np.min(g.component(0, 0)))
         for s in (1.0, 3.0, 10.0):
-            u = cr.log_det_gauge(g, scale=s)
+            u = cr.log_det_gauge(g) * s
             margin = cr.a2_margin(g, s, u, 0.9)
             assert margin == pytest.approx(0.1 * min_g, abs=1e-10)
+
+    @given(s=st.floats(allow_nan=False, allow_infinity=False))
+    @example(s=0.0)
+    @example(s=-0.0)
+    def test_scaled_log_det_gauge_is_the_scaled_formula(self, s):
+        # a2-check scales the gauge as log_det_gauge(g0) * S; a float product is
+        # commutative and sign-symmetric, so this is -S * log det g0 bit for bit
+        g = geo.metric_from_potential(reg.build_example("bump2d", sizes=(16, 16)))
+        with np.errstate(over="ignore"):  # both sides overflow alike near |s| = 1e308
+            assert (cr.log_det_gauge(g) * s).values.tobytes() == (-s * g.log_det()).tobytes()
 
     def test_gauge_identity_is_exact(self):
         # dd(log det g0) + beta(g0) vanishes bit-exactly (same stencils)
@@ -386,7 +396,7 @@ class TestMaxSAgainstFullBisection:
         # theta >= 1 is infeasible at zero; with scale_gauge_with_s the gauge
         # c (-log det g0) leaves the slope -(1 - c) beta0, unbounded at c = 1
         g0 = small_metric(example)
-        u = cr.log_det_gauge(g0, scale=gauge_scale)
+        u = cr.log_det_gauge(g0) * gauge_scale
         same_outcome(lambda solver: solver(g0, u, theta, scale_gauge_with_s=scale_gauge_with_s))
 
     def test_infeasible_at_zero(self):
