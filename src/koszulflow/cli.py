@@ -39,7 +39,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -430,7 +430,10 @@ def cmd_examples(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` keeps
+    no state between calls, so every call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="koszulflow",
         description="Curvature toolkit and flow integrator for Hessian metrics "

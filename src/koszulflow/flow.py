@@ -337,8 +337,13 @@ class PotentialFlowState(FlowState):
 
     @classmethod
     def initial(cls, g0: MetricField) -> "PotentialFlowState":
-        state = vars(FlowState.initial(g0))
-        return cls(**state, beta0=_read_only(_beta(state["log_det_g0"], g0.grid.spacings)))
+        return cls.alongside(FlowState.initial(g0))
+
+    @classmethod
+    def alongside(cls, tensor: FlowState) -> "PotentialFlowState":
+        """The state at ``t = 0`` beside the tensor leg's initial state, whose
+        ``log det g0`` (and so ``beta0``) it shares instead of forming again."""
+        return cls(**vars(tensor), beta0=_read_only(_beta(tensor.log_det_g0, tensor.grid.spacings)))
 
 
 def _reconstruct(state: PotentialFlowState, phi: np.ndarray, t: float) -> np.ndarray:
@@ -385,7 +390,7 @@ def equivalence_check(
     if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf):
         raise ValueError(f"dt and t_final must be positive and finite, got {dt} and {t_final}")
     tensor = FlowState.initial(g0)
-    scalar = PotentialFlowState.initial(g0)
+    scalar = PotentialFlowState.alongside(tensor)
     worst = 0.0
     steps = 0
     # k rounded sums of steps can fall short of t_final by up to k ulps; a

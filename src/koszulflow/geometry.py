@@ -277,7 +277,7 @@ def _unscaled_half_trace_radius(comps: np.ndarray) -> tuple[np.ndarray, np.ndarr
 # The bands below are derived in docs/conventions.md, "Screened extremes".
 
 SYM_SCREEN_BAND = 1e-6   # 3x3 trigonometric eigenvalues, relative to |q| + 2p
-WHITENING_BAND = 1e-13   # every rounding of a whitened screen, relative to its size
+WHITENING_BAND = 1e-13   # every O(u) rounding of a screen, relative to its size
 SCREEN_FLOOR = 1e-150    # absolute part of every band: covers underflow
 
 _SCREEN_CHUNK = 2048  # nodes per chunk of a node-local kernel; bounds its intermediates' memory
@@ -399,19 +399,12 @@ def check_metric(comps: np.ndarray, n: int) -> tuple[float | None, np.ndarray | 
     eigenvalue of :func:`smallest_eigenvalue` over the nodes is at least
     ``MIN_EIGENVALUE``.  Returns ``(min_eig, det)``.
 
-    For n = 3 the decision comes from :func:`_positivity_certificate` where
-    it proves every node, and the value is not computed: ``min_eig`` is
-    None.  Otherwise (n <= 2, where the closed form is as cheap, or a node
-    the certificate leaves open) the value is computed and returned.
-    ``det`` is the determinant field the certificate formed on the way at
-    n = 3 (None for n <= 2, where the check forms none): the flow takes the
-    log det of each checked metric from it instead of forming the
-    determinant again.
-
-    Raises ValueError for a non-finite entry and :class:`NotPositiveDefinite`,
-    naming the worst node (the first on ties), for a value below
-    ``MIN_EIGENVALUE``.
-    """
+    At n = 3 :func:`_positivity_certificate` decides where it proves every
+    node, and ``min_eig`` is None; otherwise the value is computed.  ``det``
+    is the determinant the certificate formed at n = 3 (None for n <= 2),
+    whose log det the flow takes.  Raises ValueError for a non-finite entry
+    and :class:`NotPositiveDefinite`, naming the worst node (the first on
+    ties), for a value below ``MIN_EIGENVALUE``."""
     _check_finite(comps)
     det = None
     if n == 3:
@@ -482,14 +475,10 @@ class MetricField(Sym2Field):
 def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, float]:
     """Tight constants (lam, Lam) with lam*g0 <= g <= Lam*g0 over all nodes.
 
-    Generalized eigenvalues of (g, g0) per node, computed as the ordinary
-    eigenvalues of L^-1 g L^-T with L the Cholesky factor of g0; for n >= 2
-    by one chain, run by :func:`_per_chunk` on the candidates of both
-    extremes of the closed-form screen, or on every node where either
-    extreme falls back.  A node that
-    is a candidate of both extremes is passed twice, which changes neither
-    the min nor the max.
-    """
+    Generalized eigenvalues of (g, g0) per node, the ordinary eigenvalues of
+    L^-1 g L^-T with L the Cholesky factor of g0; for n >= 2 by one chain on
+    the candidates of both extremes of the closed-form screen (a node of both
+    runs twice), or on every node where either extreme falls back."""
     if g.grid != g0.grid:
         raise ValueError("metrics live on different grids")
     n = g.grid.ndim
@@ -623,23 +612,26 @@ def _largest_abs(t: np.ndarray) -> np.ndarray:
 # --- connection and Koszul forms ---------------------------------------------
 
 def christoffel(g: MetricField) -> tuple[np.ndarray, np.ndarray]:
-    """Difference tensor (Christoffel symbols) of g.
-
-    Returns ``(gamma_mixed, gamma_lower)`` with
-    ``gamma_lower[..., i, j, k] = (partial_j g_ik + partial_k g_ij - partial_i g_jk)/2``
-    and ``gamma_mixed = g^{-1} gamma_lower`` in the first slot.  Both are
-    symmetric in the last two slots by construction.
-    """
+    """Difference tensor (Christoffel symbols) of g: ``(gamma_mixed, gamma_lower)``
+    with ``gamma_lower[..., i, j, k] = (partial_j g_ik + partial_k g_ij - partial_i g_jk)/2``
+    and ``gamma_mixed = g^{-1} gamma_lower`` in the first slot, both symmetric
+    in the last two slots by construction."""
     return _christoffel(metric_partials(g), g.inverse_matrices())
 
 
 def _christoffel(d: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of :func:`christoffel` from ``d[..., k, i, j] = partial_k g_ij``
+    and ``g^-1``, formed on arrays with the node axes last, of which it returns
+    views with the node axes first.  ``gamma_mixed`` sums ``g^il gamma_ljk`` over
+    ``l`` from +0.0, the bits of ``einsum("...il,...ljk->...ijk")``."""
+    d = np.ascontiguousarray(np.moveaxis(d, (-3, -2, -1), (0, 1, 2)))
+    ginv = np.ascontiguousarray(np.moveaxis(ginv, (-2, -1), (0, 1)))
     # gamma_lower[i, j, k] = 0.5 * (d[j, i, k] + d[k, i, j] - d[i, j, k])
-    term1 = np.swapaxes(d, -3, -2)                       # [..., i, j, k] <- d[j, i, k]
-    term2 = np.moveaxis(d, (-3, -2, -1), (-1, -3, -2))   # [..., i, j, k] <- d[k, i, j]
-    gamma_lower = 0.5 * (term1 + term2 - d)
-    gamma_mixed = np.einsum("...il,...ljk->...ijk", ginv, gamma_lower)
-    return gamma_mixed, gamma_lower
+    gamma_lower = 0.5 * (np.swapaxes(d, 0, 1) + np.moveaxis(d, 0, 2) - d)
+    gamma_mixed = np.zeros(d.shape)
+    for l in range(len(d)):
+        gamma_mixed += ginv[:, l, None, None] * gamma_lower[l]
+    return tuple(np.moveaxis(gamma, (0, 1, 2), (-3, -2, -1)) for gamma in (gamma_mixed, gamma_lower))
 
 
 def koszul(g: MetricField) -> tuple[np.ndarray, Sym2Field, Sym2Field]:
@@ -715,18 +707,24 @@ def _q_potential(ginv: np.ndarray, thirds: np.ndarray, fourths: np.ndarray) -> n
     nodes, from ``g^-1`` and the stored third and fourth potential
     derivatives (:func:`sym_indices` order): node-local, so a chunk of
     nodes gives the bits of the whole grid."""
-    n = ginv.shape[-1]
-    third, fourth = np.take(thirds, sym_table(n, 3), axis=-1), sym_table(n, 4)
+    nodes, n = ginv.shape[:2]
     pairs = sym_pairs(n)
-    slots = sym_indices(len(pairs), 2)
-    comps = np.empty((len(ginv), len(slots)))
-    for s, (a, b) in enumerate(slots):
-        (i, k), (j, l) = pairs[a], pairs[b]
-        # summed in C order of (p, q): a full einsum reduction may sum in an
-        # order that depends on the number of nodes (see docs/conventions.md)
-        quad = sum(ginv[:, p, q] * third[:, i, k, p] * third[:, j, l, q] for p, q in np.ndindex(n, n))
-        comps[:, s] = 0.5 * fourths[:, fourth[i, j, k, l]] - 0.5 * quad
-    return comps
+    m = len(pairs)
+    # node axis last: t[p, a] = phi_ikp for the pair a = (i, k)
+    t = np.take(thirds.T, sym_table(n, 3)[tuple(np.transpose(pairs))].T, axis=0)
+    g_inv = ginv.reshape(nodes, -1).T.reshape(n, n, nodes)
+    quad, s = np.empty((m * (m + 1) // 2, nodes)), 0
+    for a in range(m):
+        # the slots (a, b >= a): g^pq phi_ikp phi_jlq summed from +0.0 in the C order
+        # of (p, q), by rows, since numpy sums an inner axis pairwise: so that axis
+        # holds two b or more even on one node, the last a also forms (a, a - 1)
+        lo = max(0, min(a, m - 2))
+        quad[s:s + m - a] = (((g_inv * t[:, None, a])[:, :, None] * t[:, lo:])  # [p, q, b]
+                             .reshape(n * n, m - lo, nodes).sum(axis=0, initial=0.0)[a - lo:])
+        s += m - a
+    fourth = [sym_table(n, 4)[i, j, k, l] for (i, k), (j, l) in
+              (map(pairs.__getitem__, slot) for slot in sym_indices(m, 2))]
+    return 0.5 * fourths[:, fourth] - 0.5 * quad.T
 
 
 def hessian_curvature_from_metric(g: MetricField) -> np.ndarray:
@@ -734,10 +732,7 @@ def hessian_curvature_from_metric(g: MetricField) -> np.ndarray:
 
     ``Q_ijkl = partial_k partial_l g_ij / 2 - g^pq (partial_k g_ip)(partial_l g_jq) / 2``;
     agrees with :func:`hessian_curvature` at second order for Hessian
-    metrics.  Along a flow, where only the metric is carried, the
-    diagnostics need only its norm's sup, :func:`sup_q_gnorm`, which forms
-    Q only at the few nodes that its two screens leave.
-    """
+    metrics.  A flow's diagnostics take its norm's sup by :func:`sup_q_gnorm`."""
     d2 = _full_partials(sym_derivatives(g.components, 2, g.grid.spacings), _partials_table(g.grid.ndim, 2))
     return _q_metric(g.inverse_matrices(), metric_partials(g), d2)
 
@@ -788,12 +783,10 @@ def _squares(t: np.ndarray) -> np.ndarray:
 def sup_q_gnorm(g: MetricField) -> float:
     """Sup over the nodes of |Q|_g with Q from the metric alone: the value of
     ``curvature_gnorm(hessian_curvature_from_metric(g), g^-1).max()``, bit
-    for bit.  For n >= 2 two screens run before the exact kernel (see
-    "Screened extremes" in docs/conventions.md): spectral bounds at every
-    node (:func:`_q_bounds`) keep the nodes whose upper bound reaches the
-    best lower bound, or every node where they fall back; the whitened
-    screen :func:`_q_screen` runs on those, and the exact Q is formed only
-    at its candidates.  At n = 1 the kernel is as cheap as any screen."""
+    for bit.  For n >= 2 spectral bounds (:func:`_q_bounds`) keep the nodes
+    that may attain it, the whitened screen :func:`_q_screen` runs on those,
+    and Q is formed at its candidates only (docs/conventions.md).  At n = 1
+    the kernel is as cheap as any screen."""
     n, nodes = g.grid.ndim, g.grid.num_nodes
     npairs = g.components.shape[-1]
     operands = [g.inverse_matrices().reshape(nodes, n, n), metric_partials(g).reshape(nodes, n, n, n),
@@ -893,13 +886,12 @@ def _riemann_max(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> np.ndarra
 def _riemann_screen(gamma_mixed: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(values, band)`` per flat node for the sup of :func:`_riemann_max`:
     the largest ``|R_ijkl|`` over the entries with ``k < l`` only, from the
-    same ``gamma_mixed`` and ``g`` on component arrays (node axis last).
-    ``R`` is antisymmetric in ``k, l``, so those entries hold the exact
-    maximum; ``band = WHITENING_BAND * 2 n^2 max|g| max|gamma|^2`` bounds
-    both sides' rounding (docs/conventions.md, "Screened extremes")."""
+    same ``gamma_mixed`` and ``g``, read with the node axis last (views of
+    :func:`_christoffel`'s arrays).  ``R`` is antisymmetric in ``k, l``, so
+    those entries hold the exact maximum; ``band = WHITENING_BAND * 2 n^2
+    max|g| max|gamma|^2`` bounds both sides' rounding (docs/conventions.md)."""
     nodes, n = gamma_mixed.shape[:2]
-    gamma = np.ascontiguousarray(gamma_mixed.reshape(nodes, -1).T).reshape(n, n, n, nodes)
-    g = np.ascontiguousarray(gmat.reshape(nodes, -1).T).reshape(n, n, nodes)
+    gamma, g = np.moveaxis(gamma_mixed, 0, -1), np.ascontiguousarray(np.moveaxis(gmat, 0, -1))
     values = np.zeros(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, l in itertools.combinations(range(n), 2):
@@ -930,14 +922,11 @@ def contraction_identity_defect(q: HessianCurvature, g: MetricField, beta: Sym2F
 # --- pullback Hermitian quantities ---------------------------------------------
 
 def pullback_chern_torsion(g: MetricField) -> tuple[np.ndarray, float]:
-    """Chern torsion of the pullback Hermitian metric, at base level.
-
+    """Chern torsion of the pullback Hermitian metric, at base level:
     ``T^k_ij = g^kl (partial_i g_jl - partial_j g_il) / 2`` (the factor 1/2
-    from holomorphic derivatives of base functions); returns the component
-    array ``T[..., k, i, j]`` and the sup over nodes of the pointwise fully
-    g-contracted norm.  The norm vanishes (to truncation) exactly when g is
-    Hessian.
-    """
+    from holomorphic derivatives of base functions).  Returns the array
+    ``T[..., k, i, j]`` and the sup over nodes of its fully g-contracted
+    norm, which vanishes (to truncation) exactly when g is Hessian."""
     d, ginv = metric_partials(g), g.inverse_matrices()
     return _torsion(d, ginv), _sup_torsion_gnorm(d, ginv, g.matrices())
 
@@ -950,10 +939,9 @@ def _torsion(d: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 
 def _sup_torsion_gnorm(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> float:
-    """Sup over the nodes of the torsion's g-norm, with ``T`` formed per
-    chunk of the screen and at the candidate nodes only.  At n = 1, where
-    ``T`` is zero, every node ties in the screen, so the kernel runs on
-    every node through :func:`screened_extreme`'s fallback."""
+    """Sup over the nodes of the torsion's g-norm, with ``T`` formed at the
+    candidates of the closed-form screen only.  At n = 1, where ``T`` is zero,
+    every node ties, so the kernel runs on every node (the fallback)."""
     n = ginv.shape[-1]
     flat = (d.reshape(-1, n, n, n), ginv.reshape(-1, n, n), gmat.reshape(-1, n, n))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -962,15 +950,28 @@ def _sup_torsion_gnorm(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> flo
 
 
 def _torsion_screen(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(|T|_g^2, band)`` on flat nodes: the sum of squares of ``T`` with its
-    upper slot in the frame of the kernel's ``g`` and its lower slots in that
-    of its ``g^-1``.  Both sides contract the same tensor, each within
-    ``delta`` of its exact squared norm, so ``band = 2 delta`` bounds the
-    distance to the squared norm of the kernel :func:`_torsion_gnorm`."""
-    torsion = _torsion(d, ginv)
-    frames = (_cholesky(np.moveaxis(gmat, 0, -1)),) + (_cholesky(np.moveaxis(ginv, 0, -1)),) * 2
-    delta = WHITENING_BAND * _squares(frames[0]) * _squares(frames[1]) ** 2 * _squares(torsion.T) + SCREEN_FLOOR
-    return _squares(_whitened(np.moveaxis(torsion, 0, -1), frames)), 2.0 * delta
+    """``(|T|_g^2, band)`` on flat nodes by the closed form ``sum_al (C B)_al
+    (B G)_al / (2 det g)``, ``G`` the kernel's ``g^-1``, ``B`` the dual of
+    ``A_ijl = d_i g_jl - d_j g_il`` over its antisymmetric pair and ``C = g``
+    at n = 3, 1 at n = 2; ``band`` bounds the distance to the squared norm of
+    :func:`_torsion_gnorm` (docs/conventions.md)."""
+    nodes, n = ginv.shape[:2]
+    d, big_g, g = (np.ascontiguousarray(np.moveaxis(x, 0, -1)) for x in (d, ginv, gmat))  # node axis last
+    i, j = {1: ([], []), 2: ([0], [1]), 3: ([1, 2, 0], [2, 0, 1])}[n]
+    b = d[i, j] - d[j, i]
+    c = g if n == 3 else np.eye(len(i))[:, :, None]
+    cb, bg, gg = ((x[:, :, None] * y[None]).sum(axis=1) for x, y in ((c, b), (b, big_g), (g, big_g)))
+    det = sym_det(np.moveaxis(g[np.triu_indices(n)], 0, -1), n)
+    sq = (cb * bg).reshape(-1, nodes).sum(axis=0) / (2.0 * det)
+    g_f, inv_f, b_sq = np.sqrt(_squares(g)), np.sqrt(_squares(big_g)), _squares(b)  # Frobenius norms
+    e = np.sqrt(_squares(gg - np.eye(n)[:, :, None])) + WHITENING_BAND * g_f * inv_f
+    ratio = np.trace(g) ** n / det  # the determinant's relative rounding is a few u times this
+    kernel = g_f * inv_f**4 * b_sq / 2.0  # bounds the sum of the kernel's absolute products
+    closed, r = np.sqrt(_squares(c)) * inv_f * b_sq / (2.0 * det), 3.0 * e * (1.0 + e) ** 3 / (1.0 - e)
+    band = WHITENING_BAND * (kernel + ratio * closed * (1.0 + r)) + r * sq + SCREEN_FLOOR
+    # where no band of the closed form holds, 0 screens the kernel within its bound
+    valid = (e < 1.0) & (det > 0.0) & (WHITENING_BAND * ratio < 1.0)
+    return np.where(valid, sq, 0.0), np.where(valid, band, (1.0 + WHITENING_BAND) * kernel + SCREEN_FLOOR)
 
 
 def _torsion_gnorm(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> np.ndarray:
@@ -983,13 +984,10 @@ def _torsion_gnorm(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> np.ndar
 
 
 def kahler_curvature_pullback(pm: PotentialMetric) -> np.ndarray:
-    """Curvature of the pullback Kaehler metric, by the standard formula.
-
-    ``R[..., i, j, k, l] = -partial_k partial_l g_ij / 4
-    + g^pq (partial_k g_ip)(partial_l g_jq) / 4`` -- computed from metric
-    components only, independent of the potential route, so comparing it
-    with ``-Q/2`` is a non-circular check.
-    """
+    """Curvature of the pullback Kaehler metric by the standard formula,
+    ``R[..., i, j, k, l] = -partial_k partial_l g_ij / 4 + g^pq (partial_k g_ip)
+    (partial_l g_jq) / 4``, from metric components only, independent of the
+    potential route, so comparing it with ``-Q/2`` is a non-circular check."""
     # the factors are powers of two, so this equals -d2/4 + quad/4 evaluated
     # term by term bit for bit, except that exact zeros may flip sign
     return -0.5 * hessian_curvature_from_metric(metric_from_potential(pm))
@@ -1146,7 +1144,9 @@ def curvature_bundle(g: MetricField, pm: PotentialMetric | None,
 def _bundle_pass(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, ...]:
     """The first pass of :func:`curvature_bundle`, a node-local kernel: per flat
     node the Hessian defect, the largest ``|gamma_mixed|`` and ``|gamma_lower|``,
-    ``gamma^0_00``, and the Riemann screen and band of :func:`_riemann_screen`."""
+    ``gamma^0_00``, and the Riemann screen and band of :func:`_riemann_screen`.
+    The Christoffel pair is read with the node axis last, as it is formed."""
     gamma_mixed, gamma_lower = _christoffel(d, ginv)
-    return (_hessian_defects(d), _largest_abs(gamma_mixed), _largest_abs(gamma_lower),
-            gamma_mixed[:, 0, 0, 0], *_riemann_screen(gamma_mixed, gmat))
+    mixed, lower = (np.abs(np.moveaxis(gamma, 0, -1)).reshape(-1, len(d)).max(axis=0)
+                    for gamma in (gamma_mixed, gamma_lower))
+    return (_hessian_defects(d), mixed, lower, gamma_mixed[:, 0, 0, 0], *_riemann_screen(gamma_mixed, gmat))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import koszulflow
+from koszulflow import cli
 from koszulflow import geometry as geo
 from koszulflow import registry as reg
 from koszulflow.cli import _INPUT_KEYS, VERBS, main, write_potential_snapshot
@@ -583,6 +584,29 @@ class TestManifest:
             outputs[seed] = seed_in_manifest, (out_dir / "diagnostics.csv").read_bytes()
         assert outputs["7"][0] == 7 and outputs["8"][0] == 8 and outputs[None][0] is None
         assert outputs["7"][1] != outputs["8"][1]
+
+
+class TestParser:
+    def test_successive_calls_share_no_parsed_state(self, monkeypatch):
+        # the parser is built once per process and every call parses afresh:
+        # a flag of one call never reaches the next
+        parsed = []
+        monkeypatch.setattr(cli, "_run_verb", lambda command, args: parsed.append(vars(args)) or 0)
+        calls = [("curvature", "--config", "a", "--out", "o", "--seed", "7", "--probe", "1,2"),
+                 ("a2-check", "--config", "b"),
+                 ("curvature", "--config", "c", "--out", "p", "--probe", "0"),
+                 ("curvature", "--config", "d", "--out", "q"),
+                 ("a2-check", "--config", "e", "--out", "r", "--seed", "3")]
+        for argv in calls:
+            assert run(*argv) == 0
+        assert parsed == [
+            {"command": "curvature", "config": "a", "out": "o", "seed": 7, "probe": "1,2"},
+            {"command": "a2-check", "config": "b", "out": None, "seed": None},
+            {"command": "curvature", "config": "c", "out": "p", "seed": None, "probe": "0"},
+            {"command": "curvature", "config": "d", "out": "q", "seed": None, "probe": None},
+            {"command": "a2-check", "config": "e", "out": "r", "seed": 3},
+        ]
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestReadme:

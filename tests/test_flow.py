@@ -509,6 +509,21 @@ class TestEquivalence:
         d = fl.equivalence_check(metric("sin1d", sizes=(256,)), 0.05, EULER, 1e-4)
         assert d <= 1e-12
 
+    def test_forms_log_det_g0_once(self, monkeypatch):
+        # the scalar leg starts from the tensor leg's initial state, so both
+        # legs share one log det g0, and the run keeps the bits of two starts
+        g0 = metric("sin1d", sizes=(64,))
+        want = fl.equivalence_check(g0, 0.01, CTL, 1e-3)
+        tensor = fl.FlowState.initial(g0)
+        scalar = fl.PotentialFlowState.alongside(tensor)
+        assert scalar.log_det_g0 is tensor.log_det_g0
+        assert scalar.beta0.tobytes() == fl.PotentialFlowState.initial(g0).beta0.tobytes()
+        calls = []
+        original = geo.MetricField.log_det
+        monkeypatch.setattr(geo.MetricField, "log_det", lambda g: calls.append(g) or original(g))
+        assert fl.equivalence_check(g0, 0.01, CTL, 1e-3) == want
+        assert len(calls) == 1
+
     def test_sin1d_discrepancy_and_refinement(self):
         coarse = fl.equivalence_check(metric("sin1d", sizes=(256,)), 0.1, CTL, 1e-4)
         fine = fl.equivalence_check(metric("sin1d", sizes=(512,)), 0.1, CTL, 5e-5)
@@ -588,6 +603,28 @@ class TestSmoothingProbe:
         sup_last = series[-1][1]
         assert sup_last <= sup_first / 10.0  # measured ratio 51.8
         assert max(t_sup for _, _, t_sup in series) <= 0.0413  # observed 0.040845
+
+    @pytest.mark.slow
+    def test_decay_bound_settles_under_grid_refinement(self):
+        # the paper's short-time solution rests on a Lee-Tam-type bound
+        # |Q| <= a / t with a set by the C^0 data of g0, not by its curvature.
+        # rough1d is nested in N (every low mode kept, higher ones added), so
+        # refining grows sup|Q|_g(0) while t sup|Q|_g settles; measured at
+        # N = 128, 256, 512: sup|Q|_g(0) 16.85, 56.01, 119.5; max_t 0.051744,
+        # 0.051887, 0.051936 (peak near t = 0.46); at t = 1e-3 0.01102,
+        # 0.01849, 0.02117.  Without smoothing (beta = 0) t sup|Q|_g grows
+        # with sup|Q|_g(0), that is with N.
+        times = sorted({*np.logspace(-6.0, -1.0, 26).tolist(), 0.2, 0.3, 0.4, 0.5, 0.6})
+        initial, peak, early = [], [], []
+        for n in (128, 256, 512):
+            g0 = metric("rough1d", sizes=(n,))
+            series = fl.smoothing_probe(g0, times, CTL)
+            initial.append(geo.sup_q_gnorm(g0))
+            peak.append(max(t_sup for _, _, t_sup in series))
+            early.append(next(t_sup for t, _, t_sup in series if t == 1e-3))
+        assert initial[2] >= 5.0 * initial[0]
+        for settling in (peak, early):
+            assert abs(settling[2] - settling[1]) < abs(settling[1] - settling[0])
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszulflow import criteria as cr
@@ -198,6 +198,47 @@ class TestKernelsOnSubsets:
         compute, operands, full = full_kernels(n)["q_potential"]
         for node in range(128):
             assert compute(*(op[[node]] for op in operands)).tobytes() == full[node].tobytes(), node
+
+
+def per_slot_q_potential(ginv, thirds, fourths):
+    """``geometry._q_potential`` as it summed the quadratic term before it was
+    batched: per stored slot, the n^2 products ``g^pq phi_ikp phi_jlq`` added
+    from 0 in the C order of ``(p, q)`` by a Python sum (the bit oracle)."""
+    n = ginv.shape[-1]
+    third, fourth = np.take(thirds, geo.sym_table(n, 3), axis=-1), geo.sym_table(n, 4)
+    pairs = geo.sym_pairs(n)
+    slots = geo.sym_indices(len(pairs), 2)
+    comps = np.empty((len(ginv), len(slots)))
+    for s, (a, b) in enumerate(slots):
+        (i, k), (j, l) = pairs[a], pairs[b]
+        quad = sum(ginv[:, p, q] * third[:, i, k, p] * third[:, j, l, q] for p, q in np.ndindex(n, n))
+        comps[:, s] = 0.5 * fourths[:, fourth[i, j, k, l]] - 0.5 * quad
+    return comps
+
+
+class TestQPotentialBits:
+    @settings(max_examples=150)
+    @given(n=st.sampled_from((1, 2, 3)), nodes=st.integers(1, 17), seed=st.integers(0, 2**32 - 1))
+    @example(n=3, nodes=1, seed=37)  # the last pair's slot alone, summed pairwise, gives other bits here
+    def test_batched_sum_gives_the_per_slot_bits(self, n, nodes, seed):
+        # entries from 1e-200 to 1e200 of either sign (products overflow and
+        # underflow at the ends), within 1e4 of each other at a node so that
+        # the order of a sum shows in its bits, with planted +0.0 and -0.0: a
+        # sum that starts from -0.0 or adds in another order (numpy's pairwise
+        # sum of an inner axis of 9 entries, as on one node) gives other bits
+        rng = np.random.default_rng(seed)
+
+        def entries(*shape):
+            scale = rng.uniform(-198.0, 198.0, (shape[0],) + (1,) * (len(shape) - 1))
+            values = rng.choice((-1.0, 1.0), shape) * 10.0 ** (scale + rng.uniform(-2.0, 2.0, shape))
+            zeros = rng.random(shape)
+            values[zeros < 0.15] = 0.0
+            values[(zeros >= 0.15) & (zeros < 0.3)] = -0.0
+            return values
+
+        operands = (entries(nodes, n, n), *(entries(nodes, len(geo.sym_indices(n, order))) for order in (3, 4)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert geo._q_potential(*operands).tobytes() == per_slot_q_potential(*operands).tobytes()
 
 
 class TestSymmetricScreen:
@@ -619,6 +660,37 @@ class TestTorsionScreen:
     def test_smooth_sup_equals_the_full_chain(self, n):
         g, _ = smooth_pair(n)
         assert geo.pullback_chern_torsion(g)[1] == full_kernels(n)["torsion"][2].max()
+
+    @settings(max_examples=100)
+    @given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1), log_cond=st.floats(0.0, 8.0),
+           inverse=st.sampled_from(("lapack", "adjugate", "perturbed")))
+    def test_closed_form_band_holds_the_kernel(self, n, seed, log_cond, inverse):
+        # non-Hessian derivatives (symmetric in the metric's pair only, a fifth
+        # of the nodes Hessian, where T = 0), g with cond up to 1e8 at scales
+        # 1e-3 to 1e3, and the kernel's g^-1 from LAPACK, from the adjugate, or
+        # LAPACK's perturbed by up to 1e-3 relatively, which only the residual
+        # term of the band covers; where the closed form has no band (its
+        # determinant has lost its digits) the screen is 0 within the
+        # kernel's bound, so the band holds, finite, at every node
+        rng = np.random.default_rng(seed)
+        nodes = 64
+        spectrum = 10.0 ** rng.uniform(0.0, log_cond, (nodes, n))
+        gmat = rotated(spectrum, rng) * 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1))
+        gmat = 0.5 * (gmat + np.swapaxes(gmat, -1, -2))
+        d = rng.standard_normal((nodes, n, n, n)) * 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1, 1))
+        d = 0.5 * (d + np.swapaxes(d, -1, -2))
+        hessian = rng.random(nodes) < 0.2
+        stored = d.reshape(nodes, -1)[:, :len(geo.sym_indices(n, 3))]
+        d[hessian] = np.take(stored, geo.sym_table(n, 3), axis=-1)[hessian]
+        ginv = geo.sym_inverse_matrices(pair_stored(gmat), n) if inverse == "adjugate" else np.linalg.inv(gmat)
+        if inverse == "perturbed":
+            noise = rng.standard_normal(ginv.shape) * 10.0 ** rng.uniform(-12.0, -3.0, (nodes, 1, 1))
+            ginv = ginv * (1.0 + noise + np.swapaxes(noise, -1, -2))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as _sup_torsion_gnorm runs it
+            sq, band = geo._torsion_screen(d, ginv, gmat)
+        exact = geo._torsion_gnorm(d, ginv, gmat) ** 2
+        assert np.all(np.abs(sq - exact) <= band)
+        assert np.all(exact[hessian] == 0.0) and np.all(sq[hessian] == 0.0)
 
 
 class TestWhitening:
