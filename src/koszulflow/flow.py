@@ -199,20 +199,25 @@ def _attempt_tensor_step(state: FlowState, dt: float, scheme: str) -> FlowState:
 
     Each candidate metric passes :func:`~koszulflow.geometry.check_metric`,
     which raises ValueError or NotPositiveDefinite; ``phi`` takes the
-    trapezoid rule.
+    trapezoid rule.  Each stage ``g - c beta`` is formed in place in its
+    fresh ``beta`` buffer, with the bits of the expression.
     """
     grid = state.g0.grid
     spacings, n = grid.spacings, grid.ndim
     g = state.g_comps
-    if scheme == "euler":
-        update = _beta(state.log_det, spacings)
-    else:  # midpoint RK2
-        g_half = g - (0.5 * dt) * _beta(state.log_det, spacings)
+    update = _beta(state.log_det, spacings)
+    if scheme != "euler":  # midpoint RK2: the update is beta at g - (dt / 2) beta
+        update *= 0.5 * dt
+        g_half = np.subtract(g, update, out=update)
         update = _beta(_checked_log_det(g_half, n)[1], spacings)
-    g_new = g - dt * update
+    update *= dt
+    g_new = np.subtract(g, update, out=update)
     min_eig, log_det_new = _checked_log_det(g_new, n)
     ratio = log_det_new - state.log_det_g0
-    phi_new = state.phi_values + (0.5 * dt) * (state.ratio + ratio)
+    # phi + (0.5 dt) (ratio_old + ratio) in one buffer, with its bits
+    phi_new = np.add(state.ratio, ratio)
+    phi_new *= 0.5 * dt
+    phi_new += state.phi_values
     return _next_state(state, dt, g_new, phi_new, min_eig, log_det_new, ratio)
 
 

@@ -88,11 +88,12 @@ def sym_derivatives(values: np.ndarray, order: int, spacings: tuple[float, ...])
     """``(*values.shape, k)`` derivatives of ``order`` of a node array, one
     stencil call per sorted index tuple, in :func:`sym_indices` order: the
     one loop over derivative index sets.  ``values`` may carry trailing
-    component axes, so a tensor's derivatives are stored ``[components, K]``."""
+    component axes, so a tensor's derivatives are stored ``[components, K]``.
+    Each stencil writes its last pass into its slot, so no slot is copied."""
     indices = sym_indices(len(spacings), order)
     out = np.empty((*values.shape, len(indices)))
     for s, axes in enumerate(indices):
-        out[..., s] = stencil(values, axes, spacings)
+        stencil(values, axes, spacings, out=out[..., s])
     return out
 
 
@@ -192,7 +193,9 @@ def sym_det(comps: np.ndarray, n: int) -> np.ndarray:
         return comps[..., 0]
     if n == 2:
         a, b, c = comps[..., 0], comps[..., 1], comps[..., 2]
-        return a * c - b * b
+        det = a * c
+        det -= b * b
+        return det
     return _det3(*(comps[..., p] for p in range(6)))[0]
 
 
@@ -211,30 +214,35 @@ def log_det(det: np.ndarray) -> np.ndarray:
     return _check_finite(np.log(det), "log det g is not finite (the determinant overflows or is not positive)")
 
 
-def sym_inverse_matrices(comps: np.ndarray, n: int) -> np.ndarray:
-    """Inverse as a full ``(..., n, n)`` array, via the adjugate for n <= 3,
-    over :func:`sym_det`'s determinant.  At n = 3 the first-row cofactors
-    are differences of the products :func:`_det3` formed for it."""
-    inv = np.empty((*comps.shape[:-1], n, n))
+def sym_inverse(comps: np.ndarray, n: int) -> np.ndarray:
+    """Pair-stored inverse of a pair-stored symmetric field, via the adjugate
+    for n <= 3, over :func:`sym_det`'s determinant.  At n = 3 the first-row
+    cofactors are differences of the products :func:`_det3` formed for it."""
+    inv = np.empty(comps.shape)
     if n == 1:
-        inv[..., 0, 0] = 1.0 / sym_det(comps, 1)
+        np.divide(1.0, sym_det(comps, 1), out=inv[..., 0])
         return inv
     if n == 2:
         det = sym_det(comps, 2)
         a, b, c = comps[..., 0], comps[..., 1], comps[..., 2]
-        inv[..., 0, 0] = c / det
-        inv[..., 1, 1] = a / det
-        inv[..., 0, 1] = inv[..., 1, 0] = -b / det
+        np.divide(c, det, out=inv[..., 0])
+        np.divide(-b, det, out=inv[..., 1])
+        np.divide(a, det, out=inv[..., 2])
         return inv
     a, b, c, d, e, f = (comps[..., p] for p in range(6))
     det, (df, ee, bf, ec, be, dc) = _det3(a, b, c, d, e, f)
-    inv[..., 0, 0] = (df - ee) / det
-    inv[..., 0, 1] = inv[..., 1, 0] = (ec - bf) / det
-    inv[..., 0, 2] = inv[..., 2, 0] = (be - dc) / det
-    inv[..., 1, 1] = (a * f - c * c) / det
-    inv[..., 1, 2] = inv[..., 2, 1] = (b * c - a * e) / det
-    inv[..., 2, 2] = (a * d - b * b) / det
+    np.divide(df - ee, det, out=inv[..., 0])
+    np.divide(ec - bf, det, out=inv[..., 1])
+    np.divide(be - dc, det, out=inv[..., 2])
+    np.divide(a * f - c * c, det, out=inv[..., 3])
+    np.divide(b * c - a * e, det, out=inv[..., 4])
+    np.divide(a * d - b * b, det, out=inv[..., 5])
     return inv
+
+
+def sym_inverse_matrices(comps: np.ndarray, n: int) -> np.ndarray:
+    """Inverse as a full ``(..., n, n)`` array: :func:`sym_inverse`, gathered."""
+    return sym_matrices(sym_inverse(comps, n), n)
 
 
 def sym_min_eigenvalues(comps: np.ndarray, n: int) -> np.ndarray:
@@ -267,9 +275,16 @@ def _half_trace_radius(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unscaled_half_trace_radius(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_half_trace_radius`'s formula, without its rescaling."""
+    """:func:`_half_trace_radius`'s formula, without its rescaling, formed in
+    place in two fresh arrays (0-d for one matrix): the bits of
+    ``0.5 * (a + c)`` and ``np.sqrt((0.5 * (a - c)) ** 2 + b * b)``."""
     a, b, c = comps[..., 0], comps[..., 1], comps[..., 2]
-    return 0.5 * (a + c), np.sqrt((0.5 * (a - c)) ** 2 + b * b)
+    q, p = np.add(a, c, out=np.empty(a.shape)), np.subtract(a, c, out=np.empty(a.shape))
+    q *= 0.5
+    p *= 0.5
+    p *= p
+    p += b * b
+    return q, np.sqrt(p, out=p)
 
 
 # --- screened extremes over the nodes ---------------------------------------------
@@ -318,8 +333,9 @@ def screened_extreme(values: np.ndarray, band: np.ndarray, kernel: Callable[...,
     The kernel runs (through :func:`_per_chunk`) on the nodes whose band
     reaches the best screened bound, which include every node attaining the
     extreme, so the result equals the full call's, ties going to the lowest
-    flat index as with ``np.argmin`` and ``np.argmax``.  It runs on every
-    node when a screen or band is not finite or every node is a candidate.
+    flat index as with ``np.argmin`` and ``np.argmax``.  A node whose screen
+    or band is not finite is a candidate; the kernel runs on every node when
+    no node's is finite or every node is a candidate.
     """
     candidates = _candidates(values, band, largest)
     found = _per_chunk(kernel, operands, candidates)
@@ -328,13 +344,19 @@ def screened_extreme(values: np.ndarray, band: np.ndarray, kernel: Callable[...,
 
 
 def _candidates(values: np.ndarray, band: np.ndarray, largest: bool) -> np.ndarray | None:
-    """Ascending flat nodes whose band reaches the best screened bound, or
-    None where :func:`screened_extreme` falls back to the full call."""
+    """Ascending flat nodes whose band reaches the best screened bound over
+    the nodes where both ends are finite, and those where one is not; None
+    where :func:`screened_extreme` falls back to the full call."""
     with np.errstate(over="ignore", invalid="ignore"):
         lower, upper = values - band, values + band
-        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        finite = np.isfinite(lower) & np.isfinite(upper)
+        if not finite.any():
             return None
-        candidates = np.flatnonzero(upper >= lower.max() if largest else lower <= upper.min())
+        if largest:
+            keep = upper >= lower.max(where=finite, initial=-np.inf)
+        else:
+            keep = lower <= upper.min(where=finite, initial=np.inf)
+        candidates = np.flatnonzero(keep | ~finite)
     return None if candidates.size == values.size else candidates
 
 
@@ -345,7 +367,10 @@ def _sym_eigen_screen(comps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):
         if n == 2:
             q, p = _half_trace_radius(comps)
-            smallest, largest, band = q - p, q + p, WHITENING_BAND * (np.abs(q) + p)
+            band = np.abs(q)
+            band += p
+            band *= WHITENING_BAND
+            smallest, largest = q - p, np.add(q, p, out=q)
         else:
             # rows [a b c; b d e; c e f], each a contiguous (N,) array
             a, b, c, d, e, f = np.ascontiguousarray(comps.T)
@@ -359,7 +384,8 @@ def _sym_eigen_screen(comps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
             smallest = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
             largest = q + 2.0 * p * np.cos(phi)
             band = SYM_SCREEN_BAND * (np.abs(q) + 2.0 * p)
-    return smallest, largest, band + SCREEN_FLOOR
+        band += SCREEN_FLOOR
+    return smallest, largest, band
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
@@ -448,9 +474,10 @@ class MetricField(Sym2Field):
     smallest eigenvalue over the nodes is at least ``MIN_EIGENVALUE``, as
     :func:`check_metric` decides.  The value itself is kept where the check
     computed it and otherwise computed on the first call of
-    :meth:`min_eigenvalue`."""
+    :meth:`min_eigenvalue`; the inverse Cholesky factor of its pencils is
+    computed on the first call of :meth:`_inverse_factor` and kept too."""
 
-    __slots__ = ("_min_eig",)
+    __slots__ = ("_min_eig", "_factor")
 
     def __init__(self, grid: PeriodicGrid, components):
         _StoredTensor.__init__(self, grid, components)  # check_metric checks finiteness
@@ -471,6 +498,16 @@ class MetricField(Sym2Field):
             object.__setattr__(self, "_min_eig", smallest_eigenvalue(self.components, self.grid.ndim)[0])
         return self._min_eig
 
+    def _inverse_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_inverse_factor` of the flat components, formed once: a
+        flow's every diagnostics row takes its pencil against the same ``g0``."""
+        factor = getattr(self, "_factor", None)
+        if factor is None:
+            comps = self.components
+            factor = _inverse_factor(comps.reshape(-1, comps.shape[-1]), self.grid.ndim)
+            object.__setattr__(self, "_factor", factor)
+        return factor
+
 
 def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, float]:
     """Tight constants (lam, Lam) with lam*g0 <= g <= Lam*g0 over all nodes.
@@ -487,7 +524,7 @@ def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, flo
         return float(ratio.min()), float(ratio.max())
     npairs = len(sym_pairs(n))
     flat = (g.components.reshape(-1, npairs), g0.components.reshape(-1, npairs))
-    smallest, largest, band = _pencil_screen(*flat, n)
+    smallest, largest, band = _pencil_screen(flat[0], g0._inverse_factor(), n)
     low, high = _candidates(smallest, band, False), _candidates(largest, band, True)
     nodes = None if low is None or high is None else np.concatenate((low, high))
     eigs = _per_chunk(lambda g_comps, h_comps: _pencil_eigenvalues(g_comps, h_comps, n), flat, nodes)
@@ -501,25 +538,36 @@ def _pencil_eigenvalues(g_comps: np.ndarray, h_comps: np.ndarray, n: int) -> np.
     return np.linalg.eigvalsh(linv @ sym_matrices(g_comps, n) @ np.swapaxes(linv, -1, -2))
 
 
-def _pencil_screen(g_flat: np.ndarray, h_flat: np.ndarray,
-                   n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form ``(smallest, largest, band)`` generalized eigenvalues of the
-    pair-stored SPD pairs (G, H): the symmetric screen of W = X G X^T, with
-    X = L^-1 and L the explicit Cholesky factor of H."""
+def _inverse_factor(h_flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, r)`` for pair-stored SPD ``H`` on flat nodes: ``X = L^-1``
+    (``X[i, j]`` lower triangular, node axis last) with ``L`` the explicit
+    Cholesky factor of ``H``, and ``r = WHITENING_BAND |L|_F^2 |X|_F^2``, the
+    factor of the pencil band's rounding term.  Depends on ``H`` alone, so
+    :meth:`MetricField._inverse_factor` keeps it for a metric's pencils."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slot = sym_table(n, 2)
-        low = _cholesky(h_flat.T[slot])
+        low = _cholesky(h_flat.T[sym_table(n, 2)])
         x = np.zeros_like(low)  # lower triangular
         for i in range(n):
             x[i, i] = 1.0 / low[i, i]
             for j in range(i):
                 x[i, j] = -sum(low[i, k] * x[k, j] for k in range(j, i)) * x[i, i]
+        return x, WHITENING_BAND * _squares(low) * _squares(x)
+
+
+def _pencil_screen(g_flat: np.ndarray, h_factor: tuple[np.ndarray, np.ndarray],
+                   n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form ``(smallest, largest, band)`` generalized eigenvalues of the
+    pair-stored SPD pairs (G, H): the symmetric screen of W = X G X^T, with
+    ``h_factor = (X, r)`` of :func:`_inverse_factor`."""
+    x, rounding = h_factor
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slot = sym_table(n, 2)
         xg = [[sum(x[i, k] * g_flat[:, slot[k, l]] for k in range(i + 1))
                for l in range(n)] for i in range(n)]
         w = np.stack([sum(xg[i][l] * x[j, l] for l in range(j + 1)) for i, j in sym_pairs(n)], axis=1)
         smallest, largest, band = _sym_eigen_screen(w, n)
         tr_w = w[:, slot.diagonal()].sum(axis=1)
-        band = band + WHITENING_BAND * _squares(low) * _squares(x) * np.abs(tr_w)
+        band = band + rounding * np.abs(tr_w)
     return smallest, largest, band
 
 
@@ -584,8 +632,13 @@ def metric_from_potential(pm: PotentialMetric) -> MetricField:
 
 def metric_partials(g: Sym2Field) -> np.ndarray:
     """Array ``D[..., k, i, j] = partial_k g_ij``."""
-    first = sym_derivatives(g.components, 1, g.grid.spacings)
-    return _full_partials(first, np.moveaxis(_partials_table(g.grid.ndim, 1), -1, 0))
+    return _gathered_partials(sym_derivatives(g.components, 1, g.grid.spacings))
+
+
+def _gathered_partials(first: np.ndarray) -> np.ndarray:
+    """``D[..., k, i, j]`` from the pair-stored first derivatives
+    ``first[..., ij, k]`` of :func:`sym_derivatives`."""
+    return _full_partials(first, np.moveaxis(_partials_table(first.shape[-1], 1), -1, 0))
 
 
 def hessian_defect(g: Sym2Field) -> float:
@@ -656,8 +709,10 @@ def beta_form(g: MetricField) -> Sym2Field:
 
 def _beta(log_det_g: np.ndarray, spacings: tuple[float, ...]) -> np.ndarray:
     """Pair-stored ``beta`` of the metric with this ``log det g``: the one
-    formula behind :func:`beta_form`, :func:`koszul` and both flow legs."""
-    return -sym_derivatives(log_det_g, 2, spacings)
+    formula behind :func:`beta_form`, :func:`koszul` and both flow legs,
+    negated in place: the bits of ``-sym_derivatives(log_det_g, 2, spacings)``."""
+    beta = sym_derivatives(log_det_g, 2, spacings)
+    return np.negative(beta, out=beta)
 
 
 # --- Hessian curvature tensor --------------------------------------------------
@@ -786,11 +841,14 @@ def sup_q_gnorm(g: MetricField) -> float:
     for bit.  For n >= 2 spectral bounds (:func:`_q_bounds`) keep the nodes
     that may attain it, the whitened screen :func:`_q_screen` runs on those,
     and Q is formed at its candidates only (docs/conventions.md).  At n = 1
-    the kernel is as cheap as any screen."""
+    the kernel is as cheap as any screen.  The operands are the pair-stored
+    ``g^-1`` and first and second derivatives, which the screen and the
+    kernel gather into full arrays at the nodes they run on."""
     n, nodes = g.grid.ndim, g.grid.num_nodes
-    npairs = g.components.shape[-1]
-    operands = [g.inverse_matrices().reshape(nodes, n, n), metric_partials(g).reshape(nodes, n, n, n),
-                sym_derivatives(g.components, 2, g.grid.spacings).reshape(nodes, npairs, npairs)]
+    npairs, spacings = g.components.shape[-1], g.grid.spacings
+    operands = [sym_inverse(g.components, n).reshape(nodes, npairs),
+                sym_derivatives(g.components, 1, spacings).reshape(nodes, npairs, n),
+                sym_derivatives(g.components, 2, spacings).reshape(nodes, npairs, npairs)]
     if n == 1:
         return float(np.max(_q_gnorm(*operands)))
     survivors = _candidates(*_q_bounds(*operands), largest=True)
@@ -802,54 +860,94 @@ def sup_q_gnorm(g: MetricField) -> float:
     return screened_extreme(sq, band, _q_gnorm, tuple(operands), largest=True)[0]
 
 
-def _q_bounds(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _q_bounds(ginv: np.ndarray, first: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(mid, half_width)`` per flat node, n >= 2: ``mid -+ half_width``
     bound the kernel's :func:`_q_gnorm` there.  From the eigenvalue bounds
     ``m <= M`` of the kernel's ``g^-1`` (its closed-form screen), the
-    Frobenius norm of the full ``d2`` and the squared one of ``d``, without
-    forming Q: ``|Q|_g`` lies between ``m^2 |d2|_F / 2`` and
+    Frobenius norm of the full ``d2`` and the squared one of the full ``d``,
+    both read from the pair-stored derivatives with the pair weights,
+    without forming Q: ``|Q|_g`` lies between ``m^2 |d2|_F / 2`` and
     ``M^2 |d2|_F / 2``, give or take ``M^3 |d|_F^2 / 2``, which bounds the
-    quadratic term's.  NaN where ``m <= 0``, so :func:`_candidates` falls
-    back."""
-    nodes, n = ginv.shape[:2]
+    quadratic term's.  NaN where ``m <= 0``, which makes the node a
+    candidate of :func:`_candidates`."""
+    nodes, n = first.shape[0], first.shape[-1]
     weights = sym_pair_weights(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        upper = [i * n + j for i, j in sym_pairs(n)]
-        smallest, largest, band = _sym_eigen_screen(ginv.reshape(nodes, -1)[:, upper], n)
-        low, big = smallest - band, largest + band
+        low, big, band = _sym_eigen_screen(ginv, n)
+        low -= band
+        big += band
         low[~(low > 0.0)] = np.nan
         flat = d2.reshape(nodes, -1)
-        d2_norm = np.sqrt(np.einsum("ni,ni,i->n", flat, flat, np.outer(weights, weights).ravel()))
-        flat = d.reshape(nodes, -1)
-        d_sq = np.einsum("ni,ni->n", flat, flat)
-        # eps_q bounds the kernel's rounding of Q, |Q - (d2 - quad) / 2|_F (the
-        # floor, times M^2, covers underflow in both norms); root carries the
-        # rounding of its squared g-norm, with tr(g^-1) <= n M, through the root
-        eps_q = WHITENING_BAND * (big * d_sq + d2_norm) + SCREEN_FLOOR * (1.0 + big)
-        root = np.sqrt(WHITENING_BAND * (n * big) ** 4 * (0.5 * d2_norm + 0.5 * big * d_sq + eps_q) ** 2
-                       + SCREEN_FLOOR)
-        big_sq, low_sq = big * big, low * low
-        mid = 0.25 * (big_sq + low_sq) * d2_norm
-        half = 0.25 * (big_sq - low_sq) * d2_norm + 0.5 * big_sq * big * d_sq + big_sq * eps_q + root
-        half += WHITENING_BAND * (mid + half) + SCREEN_FLOOR  # every rounding above and in _candidates
+        d2_norm = np.einsum("ni,ni,i->n", flat, flat, np.outer(weights, weights).ravel())
+        np.sqrt(d2_norm, out=d2_norm)
+        flat = first.reshape(nodes, -1)  # [ij, k]
+        d_sq = np.einsum("ni,ni,i->n", flat, flat, np.repeat(weights, n))
+        # in place below, each with the bits of its expression (a product or a
+        # sum of two terms is the same in either order):
+        # eps_q = WHITENING_BAND (M d_sq + d2_norm) + SCREEN_FLOOR (1 + M)
+        # bounds the kernel's rounding of Q, |Q - (d2 - quad) / 2|_F (the floor,
+        # times M^2, covers underflow in both norms); root =
+        # sqrt(WHITENING_BAND (n M)^4 (d2_norm / 2 + M d_sq / 2 + eps_q)^2 + SCREEN_FLOOR)
+        # carries the rounding of its squared g-norm, with tr(g^-1) <= n M
+        eps_q = big * d_sq
+        eps_q += d2_norm
+        eps_q *= WHITENING_BAND
+        band = np.add(1.0, big, out=band)
+        band *= SCREEN_FLOOR
+        eps_q += band
+        root = np.multiply(0.5, big, out=band)
+        root *= d_sq
+        root += 0.5 * d2_norm
+        root += eps_q
+        np.square(root, out=root)
+        scaled = n * big
+        np.power(scaled, 4, out=scaled)
+        scaled *= WHITENING_BAND
+        root *= scaled
+        root += SCREEN_FLOOR
+        np.sqrt(root, out=root)
+        # mid = (M^2 + m^2) d2_norm / 4 and half = (M^2 - m^2) d2_norm / 4 +
+        # M^3 d_sq / 2 + M^2 eps_q + root
+        big_sq = np.multiply(big, big, out=scaled)
+        np.square(low, out=low)
+        mid = big_sq + low
+        mid *= 0.25
+        mid *= d2_norm
+        half = np.subtract(big_sq, low, out=low)
+        half *= 0.25
+        half *= d2_norm
+        big *= 0.5 * big_sq
+        big *= d_sq
+        half += big
+        eps_q *= big_sq
+        half += eps_q
+        half += root
+        root = np.add(mid, half, out=root)  # every rounding above and in _candidates
+        root *= WHITENING_BAND
+        root += SCREEN_FLOOR
+        half += root
     return mid, half
 
 
-def _q_gnorm(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> np.ndarray:
+def _q_gnorm(ginv: np.ndarray, first: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """The exact kernel of :func:`sup_q_gnorm`: :func:`curvature_gnorm` of
-    :func:`_q_metric`, from the ``[ij, kl]`` second derivatives."""
-    return curvature_gnorm(_q_metric(ginv, d, _full_partials(d2, _partials_table(ginv.shape[-1], 2))), ginv)
+    :func:`_q_metric`, from the pair-stored ``g^-1``, the ``[ij, k]`` first
+    and the ``[ij, kl]`` second derivatives."""
+    n = first.shape[-1]
+    ginv, d2 = sym_matrices(ginv, n), _full_partials(d2, _partials_table(n, 2))
+    return curvature_gnorm(_q_metric(ginv, _gathered_partials(first), d2), ginv)
 
 
-def _q_screen(ginv: np.ndarray, d: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(|Q'|_g^2, band)`` on flat nodes: ``band`` bounds the distance to
-    the squared norm of the kernel :func:`_q_gnorm`.  In the frame of the
-    kernel's ``g^-1 = R R^T`` the quadratic term is ``E E^T`` for the
-    whitened ``E = d R``, then every slot of Q' is whitened.  ``delta``
+def _q_screen(ginv: np.ndarray, first: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(|Q'|_g^2, band)`` on flat nodes, from :func:`_q_gnorm`'s operands:
+    ``band`` bounds the distance to the squared norm of that kernel.  In
+    the frame of the kernel's ``g^-1 = R R^T`` the quadratic term is
+    ``E E^T`` for the whitened ``E = d R``, then every slot of Q' is
+    whitened.  ``delta``
     bounds each side's rounding against the exact squared norm of its
     tensor, and ``shift`` the difference of the two tensors' exact norms."""
-    n = ginv.shape[-1]
-    r = _cholesky(np.moveaxis(ginv, 0, -1))
+    n, d = first.shape[-1], _gathered_partials(first)
+    r = _cholesky(ginv.T[sym_table(n, 2)])
     e = _whitened(d.T, (r,))  # e[a, i, k] = sum_p d[k, i, p] R[p, a]
     quad = sum(e[a][:, None, :, None] * e[a][None, :, None, :] for a in range(n))
     q = 0.5 * d2.reshape(len(d2), -1).T[_partials_table(n, 2)] - 0.5 * quad  # d2[i, j, k, l]

@@ -155,16 +155,29 @@ def _neighbours(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return wrapped[fwd], wrapped[bwd]
 
 
-def _diff1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+# Each pass makes one wrapped copy and does its arithmetic in place in one
+# contiguous work buffer, in the operation order of the formula, so its bits
+# are those of the formula; the last division goes to ``out`` (None: the
+# work buffer).  When given, ``work`` is that buffer: :func:`stencil` passes
+# ``values`` itself where a previous pass made it, as the wrapped copy has
+# read it by then.
+
+def _diff1(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,
+           work: np.ndarray | None = None) -> np.ndarray:
     """Centered first difference (f(x+h) - f(x-h)) / (2h)."""
     fwd, bwd = _neighbours(values, axis)
-    return (fwd - bwd) / (2.0 * h)
+    work = np.subtract(fwd, bwd, out=work)
+    return np.divide(work, 2.0 * h, out=work if out is None else out)
 
 
-def _diff2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _diff2(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,
+           work: np.ndarray | None = None) -> np.ndarray:
     """3-point second difference (f(x+h) - 2 f(x) + f(x-h)) / h^2."""
     fwd, bwd = _neighbours(values, axis)
-    return (fwd - 2.0 * values + bwd) / (h * h)
+    work = np.multiply(values, 2.0, out=work, order="C")
+    np.subtract(fwd, work, out=work)
+    work += bwd
+    return np.divide(work, h * h, out=work if out is None else out)
 
 
 @cache
@@ -178,21 +191,27 @@ def _stencil_plan(axes: tuple[int, ...]) -> tuple[tuple[Callable, int], ...]:
     return tuple(plan)
 
 
-def stencil(values: np.ndarray, axes: Sequence[int], spacings: Sequence[float]) -> np.ndarray:
-    """The canonical stencil composition for the axis multiset ``axes`` on a
-    raw node array; the one derivative path of the package.
+def stencil(values: np.ndarray, axes: Sequence[int], spacings: Sequence[float],
+            out: np.ndarray | None = None) -> np.ndarray:
+    """The canonical stencil composition for the axis multiset ``axes`` (at
+    least one axis) on a raw node array; the one derivative path of the
+    package.
 
     Distinct axes are processed in increasing order; a repeated axis
     contributes 3-point second-difference blocks, with one centered first
     difference left over when its multiplicity is odd.  The fixed order
     makes the result bit-identical under any permutation of ``axes``.
     ``axes`` is read once, so any iterable of axes will do; the plan of
-    passes is cached per axis tuple.
+    passes is cached per axis tuple.  The last pass writes its division
+    into ``out`` when given (any array of ``values``' shape, a strided
+    slot of a larger one too), which it returns, with the same bits.
     """
-    out = values
-    for kernel, axis in _stencil_plan(tuple(axes)):
-        out = kernel(out, axis, spacings[axis])
-    return out
+    *passes, last = _stencil_plan(tuple(axes))
+    work = None  # the caller's values are only read; a pass's own result is the next one's work
+    for kernel, axis in passes:
+        values = work = kernel(values, axis, spacings[axis], None, work)
+    kernel, axis = last
+    return kernel(values, axis, spacings[axis], out, work)
 
 
 def _stencil_field(f: ScalarField, axes: Sequence[int]) -> ScalarField:

@@ -1,13 +1,19 @@
 """Command-line interface: verbs, exit codes, manifests, reproducibility."""
 
+import contextlib
+import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 import koszulflow
 from koszulflow import cli
@@ -634,3 +640,105 @@ class TestPotentialInput:
             for line in (out_dir / "report.txt").read_text().splitlines()
         )
         assert float(report["beta_00@probe"]) == pytest.approx(0.25, abs=1e-3)
+
+
+# Value pools of the exit-code fuzz, by schema kind: values a run accepts,
+# then adversarial ones (zero, negatives, the smallest subnormal, the largest
+# finite float, nan and inf, over-long ints, malformed lists and words, and
+# None for a missing key).  n_samples and refine_steps ask for work in
+# proportion to their value, so neither pool holds a large one.
+FUZZ_VALID = {"float": ("1e-3", "0.02", "0.5", "1"), "int": ("0", "1", "2", "5"),
+              "floats": ("0.01", "0.01,0.02", "0,0.01", "0.5,1"),
+              "scheme": ("rk2", "euler"), "gauge": ("zero", "logdet"), "snapshots": ("true", "false")}
+FUZZ_ADVERSARIAL = {"float": ("0", "-1", "5e-324", "1e308", "nan", "inf", "-inf", "x", "1,2", None),
+                    "int": ("-3", "9" * 40, "1.5", "x", None), "count": ("-3", "1.5", "x", None),
+                    "floats": ("-1", "nan", "inf", "1e308", "5e-324,1e-3", "0.02,0.01", "0.01,,0.02",
+                               "x,y", "", None),
+                    "scheme": ("rk9", "", None), "gauge": ("nope", None), "snapshots": ("2", None),
+                    "example": ("nope", None), "sizes": ("7", "0", "-8", "8,8,8,8", "x", "8.5", "", None)}
+FUZZ_ALARM_S = 2
+
+
+class _Alarm(BaseException):
+    """Raised by SIGALRM in a fuzz case still running at its alarm; not an
+    Exception, so no handler of the CLI catches it."""
+
+
+def _ring(signum, frame):
+    raise _Alarm
+
+
+@st.composite
+def fuzz_invocations(draw):
+    """``(argv, config text)`` of one CLI call: a verb and a config on a grid
+    of 8 or 16 nodes per axis whose keys are omitted or accepted values,
+    except for up to two keys that take adversarial ones; at times an
+    unknown key or a missing potential snapshot, and adversarial ``--seed``
+    and ``--probe`` flags."""
+    verb = draw(st.sampled_from(("examples", *VERBS)))
+    if verb == "examples":
+        return [verb], ""
+    schema = VERBS[verb].schema
+    keys = ["example", "sizes", *(key for key in schema if key not in _INPUT_KEYS or key == "seed")]
+    adversarial = draw(st.lists(st.sampled_from(keys), max_size=2, unique=True))
+    example = draw(st.sampled_from(sorted(reg.EXAMPLES)))
+    ndim = len(reg.EXAMPLES[example].default_sizes)
+    config = {"example": example,
+              "sizes": ",".join(draw(st.lists(st.sampled_from(("8", "16")), min_size=ndim, max_size=ndim)))}
+    for key in keys:
+        kind = schema.get(key, key)
+        kind = "count" if key in ("n_samples", "refine_steps") else kind if kind in FUZZ_VALID else key
+        if key in adversarial:
+            config[key] = draw(st.sampled_from(FUZZ_ADVERSARIAL[kind]))
+        elif key in VERBS[verb].required or (key not in config and draw(st.booleans())):
+            config[key] = draw(st.sampled_from(FUZZ_VALID["int" if kind == "count" else kind]))
+    if draw(st.integers(0, 9)) == 0:
+        config[draw(st.sampled_from(("potential", "unknown_key")))] = "missing.hfld"
+    argv = [verb, "--config", "config.cfg", "--out", "out"]
+    seed = draw(st.sampled_from((None,) * 4 + ("0", "7", "-1", "9" * 40, "x")))
+    if seed is not None:
+        argv += ["--seed", seed]
+    probe = draw(st.sampled_from((None,) * 4 + ("1.0,2.0", "0", "1,2,3", "nan", "inf", "1e308,1e308", "x")))
+    if probe is not None and VERBS[verb].probe:
+        argv += ["--probe", probe]
+    return argv, "".join(f"{key} = {value}\n" for key, value in config.items() if value is not None)
+
+
+class TestExitCodeFuzz:
+    """The exit-code contract under random configs (ROADMAP, "The exit-code
+    contract holds under fuzzing"): ``main`` run in this process ends every
+    call with 0, 2, 3 or 4 and writes no traceback.  Each case has its own
+    alarm; a case still running when it rings is a legal but long run (a
+    flow to ``T = 1e308``, say), which the contract does not bound."""
+
+    @pytest.mark.slow
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=fuzz_invocations())
+    # a legal run of about 10^310 steps, which only its alarm ends
+    @example(case=(["flow-run", "--config", "config.cfg", "--out", "out"],
+                   "example = sin1d\nsizes = 8\nT = 1e308\n"))
+    def test_every_call_ends_in_a_defined_exit_code(self, case):
+        argv, text = case
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as work:
+            with open(os.path.join(work, "config.cfg"), "w", encoding="utf-8") as handle:
+                handle.write(text)
+            argv = [os.path.join(work, a) if a in ("config.cfg", "out") else a for a in argv]
+            previous = signal.signal(signal.SIGALRM, _ring)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    signal.alarm(FUZZ_ALARM_S)
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse's usage errors
+                        code = exc.code
+                    finally:
+                        signal.alarm(0)
+            except _Alarm:
+                event("alarm")
+                return
+            finally:
+                signal.signal(signal.SIGALRM, previous)
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4), (argv, text, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue(), (argv, text)

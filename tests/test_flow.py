@@ -12,10 +12,12 @@ Reference-run constants (this grid family, this package, numpy 2.x):
   max t*sup|Q|_g observed 0.040845; sup|Q| decays 51.8x across the window.
 """
 
+import importlib.util
 import math
 import os
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +42,25 @@ def metric(name, sizes=None):
     if isinstance(built, geo.PotentialMetric):
         return geo.metric_from_potential(built)
     return built
+
+
+def bench_metric(name, seed):
+    """The metric of the benchmark's potential input of workload ``name``
+    for ``seed``, built by ``bench/workloads.py`` itself."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up there
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    workload = workloads.WORKLOADS[name]
+    n = workload.ndim
+    grid = PeriodicGrid(workload.sizes, (workloads.TWO_PI,) * n)
+    background = np.reshape(workload.background, (n, n))
+    psi = ScalarField(grid, workloads.potential_values(workload, seed))
+    return geo.metric_from_potential(geo.PotentialMetric(grid, background, psi))
 
 
 def metric3d():
@@ -432,6 +453,43 @@ class TestRunFlow:
     def test_rejects_bad_samples_and_stride(self, samples, stride):
         with pytest.raises(ValueError):
             fl.run_flow(metric("flat", sizes=(8, 8)), 1.0, CTL, samples, stride)
+
+    def test_rows_factor_g0_once(self, monkeypatch):
+        # every row's pencil is taken against g0, whose inverse Cholesky
+        # factor the first row forms and g0 keeps
+        calls = []
+        original = geo._inverse_factor
+        monkeypatch.setattr(geo, "_inverse_factor", lambda *args: calls.append(1) or original(*args))
+        g0 = metric("bump2d", sizes=(16, 16))
+        _, rows = fl.run_flow(g0, 20 * fl.stable_dt(g0, CTL), CTL, diag_stride=5)
+        assert len(rows) == 5 and len(calls) == 1
+
+
+class TestHotPathMemory:
+    """Clock-free guards on the whole-grid temporaries of the 2-D flow: the
+    ``tracemalloc`` peak of one rk2 step and of one diagnostics row on the
+    benchmark's ``flow2d_diag`` input (seed 402, 128^2), each after one call
+    that fills the per-process caches and ``g0``'s inverse Cholesky factor."""
+
+    # measured 1.254 and 3.378 MiB; with a stencil's temporaries per pass,
+    # a copy per derivative slot, out-of-place rk2 stages and spectral
+    # bounds, the full g^-1 and [k, i, j] first derivatives at every node
+    # and g0's factor formed per row, they were 1.626 and 4.503 MiB
+    @pytest.mark.parametrize("name, limit_mib", [("step", 1.26), ("row", 3.38)])
+    def test_peak_memory(self, name, limit_mib):
+        state = fl.FlowState.initial(bench_metric("flow2d_diag", 402))
+        dt = fl.stable_dt(state, CTL)
+        state = fl.step_tensor(state, dt, CTL)
+        run = {"step": lambda: fl.step_tensor(state, dt, CTL),
+               "row": lambda: fl.diagnostics_row(state, dt)}[name]
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
 
 
 class TestPotentialFlow:

@@ -212,6 +212,18 @@ class TestKoszul:
             _, kappa, beta = geo.koszul(geo.metric_from_potential(pm))
             assert np.max(np.abs(kappa.components + 0.5 * beta.components)) == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_beta_has_the_bits_of_the_negated_derivatives(self, n):
+        # _beta negates its own stack in place; signed zeros included
+        rng = np.random.default_rng(n)
+        grid = PeriodicGrid({1: (512,), 2: (32, 32), 3: (8, 8, 8)}[n], (TWO_PI,) * n)
+        log_det = rng.standard_normal(grid.shape)
+        zeros = rng.random(grid.shape) < 0.9
+        log_det[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        beta = geo._beta(log_det, grid.spacings)
+        assert_same_bytes(beta, -geo.sym_derivatives(log_det, 2, grid.spacings))
+        assert np.signbit(beta[beta == 0.0]).any() and not np.signbit(beta[beta == 0.0]).all()
+
     def test_non_finite_forms_raise(self):
         # log det g is finite, but its second differences over a period of
         # 1e-160 overflow; kappa and beta are kept without a copy, still checked
@@ -750,9 +762,9 @@ class TestSymmetricStorage:
         ginv = geo.metric_from_potential(pm).inverse_matrices()
         calls = []
 
-        def counted(values, axes, spacings):
+        def counted(values, axes, spacings, out=None):
             calls.append((values.ndim, tuple(sorted(axes))))
-            return stencil(values, axes, spacings)
+            return stencil(values, axes, spacings, out)
 
         monkeypatch.setattr(geo, "stencil", counted)
         m = n * (n + 1) // 2

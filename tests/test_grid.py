@@ -14,6 +14,7 @@ from koszulflow.grid import (
     ScalarField,
     _diff1,
     _diff2,
+    _stencil_plan,
     partial,
     partial2,
     partial3,
@@ -283,6 +284,32 @@ def grid_fields(draw):
     return random_field(grid, seed)
 
 
+@st.composite
+def stencil_cases(draw):
+    """``(values, axes, spacings)``: a field on a 1-3-D grid of 8-12 nodes
+    per axis with up to two trailing component axes, a fifth or nine tenths
+    of its entries ``+0.0`` or ``-0.0``, and an axis multiset of order 1-4."""
+    n = draw(st.integers(1, 3))
+    shape = (*draw(st.lists(st.integers(8, 12), min_size=n, max_size=n)),
+             *draw(st.lists(st.integers(1, 3), max_size=2)))
+    spacings = draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n))
+    axes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(shape)
+    zeros = rng.random(shape) < draw(st.sampled_from((0.2, 0.9)))
+    values[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return values, axes, spacings
+
+
+def roll_stencil(values, axes, spacings):
+    """:func:`stencil` as each pass's one-line formula, by ``np.roll``: the
+    operation order, so the bits, that its in-place passes keep."""
+    for kernel, axis in _stencil_plan(tuple(axes)):
+        h, fwd, bwd = spacings[axis], np.roll(values, -1, axis), np.roll(values, 1, axis)
+        values = (fwd - bwd) / (2.0 * h) if kernel is _diff1 else (fwd - 2.0 * values + bwd) / (h * h)
+    return values
+
+
 HYPOTHESIS = settings(max_examples=60)
 
 
@@ -295,6 +322,23 @@ class TestStencilHypothesis:
         fwd, bwd = np.roll(v, -1, axis), np.roll(v, 1, axis)
         assert _diff1(v, axis, h).tobytes() == ((fwd - bwd) / (2.0 * h)).tobytes()
         assert _diff2(v, axis, h).tobytes() == ((fwd - 2.0 * v + bwd) / (h * h)).tobytes()
+
+    @HYPOTHESIS
+    @given(case=stencil_cases(), data=st.data())
+    def test_slot_output_keeps_the_bits(self, case, data):
+        # a slot of a stack, as sym_derivatives hands it: strided whenever the
+        # stack has more than one slot; the other slots and the input stay
+        values, axes, spacings = case
+        before = values.tobytes()
+        want = stencil(values, axes, spacings)
+        assert want.tobytes() == roll_stencil(values, axes, spacings).tobytes()
+        slots = data.draw(st.integers(1, 4))
+        slot = data.draw(st.integers(0, slots - 1))
+        stack = np.full((*values.shape, slots), np.nan)
+        got = stencil(values, axes, spacings, out=stack[..., slot])
+        assert np.shares_memory(got, stack) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes() and values.tobytes() == before
+        assert np.isnan(np.delete(stack, slot, axis=-1)).all()
 
     @HYPOTHESIS
     @given(f=grid_fields(), data=st.data())

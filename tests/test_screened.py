@@ -72,7 +72,9 @@ def full_kernels(n):
     flat_ginv, flat_gmat = ginv.reshape(-1, n, n), gmat.reshape(-1, n, n)
     flat_d = geo.metric_partials(g).reshape(-1, n, n, n)
     second = geo.sym_derivatives(g.components, 2, g.grid.spacings)
-    q_operands = (flat_ginv, flat_d, second.reshape(-1, npairs, npairs))
+    first = geo.sym_derivatives(g.components, 1, g.grid.spacings)
+    q_operands = (geo.sym_inverse(g.components, n).reshape(-1, npairs), first.reshape(-1, npairs, n),
+                  second.reshape(-1, npairs, npairs))
     torsion = geo._torsion(geo.metric_partials(g), ginv)
     chol = np.linalg.cholesky(g0.matrices())
     linv = np.linalg.inv(chol)
@@ -241,6 +243,69 @@ class TestQPotentialBits:
             assert geo._q_potential(*operands).tobytes() == per_slot_q_potential(*operands).tobytes()
 
 
+def expression_q_bounds(ginv, first, d2):
+    """``_q_bounds`` with one temporary per operation, its screen of ``g^-1``
+    included: the bits that its in-place form keeps."""
+    nodes, n = first.shape[0], first.shape[-1]
+    weights = geo.sym_pair_weights(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 2:
+            q, p = geo._half_trace_radius(ginv)
+            smallest, largest, band = q - p, q + p, geo.WHITENING_BAND * (np.abs(q) + p) + geo.SCREEN_FLOOR
+        else:
+            smallest, largest, band = geo._sym_eigen_screen(ginv, n)
+        low, big = smallest - band, largest + band
+        low[~(low > 0.0)] = np.nan
+        flat = d2.reshape(nodes, -1)
+        d2_norm = np.sqrt(np.einsum("ni,ni,i->n", flat, flat, np.outer(weights, weights).ravel()))
+        flat = first.reshape(nodes, -1)
+        d_sq = np.einsum("ni,ni,i->n", flat, flat, np.repeat(weights, n))
+        eps_q = geo.WHITENING_BAND * (big * d_sq + d2_norm) + geo.SCREEN_FLOOR * (1.0 + big)
+        root = np.sqrt(geo.WHITENING_BAND * (n * big) ** 4 * (0.5 * d2_norm + 0.5 * big * d_sq + eps_q) ** 2
+                       + geo.SCREEN_FLOOR)
+        big_sq, low_sq = big * big, low * low
+        mid = 0.25 * (big_sq + low_sq) * d2_norm
+        half = 0.25 * (big_sq - low_sq) * d2_norm + 0.5 * big_sq * big * d_sq + big_sq * eps_q + root
+        half += geo.WHITENING_BAND * (mid + half) + geo.SCREEN_FLOOR
+    return mid, half
+
+
+class TestInPlaceBits:
+    """The closed forms of a flow step and row that form their terms in
+    place keep the bits of one temporary per operation, signed zeros,
+    overflow and NaN included."""
+
+    @HYPOTHESIS
+    @given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-200.0, 200.0),
+           log_cond=st.floats(0.0, 8.0))
+    def test_spectral_bounds(self, n, seed, log_scale, log_cond):
+        rng = np.random.default_rng(seed)
+        nodes, npairs = 33, n * (n + 1) // 2
+        gmat = rotated(10.0 ** rng.uniform(0.0, log_cond, (nodes, n)), rng)
+        ginv = geo.sym_inverse(pair_stored(0.5 * (gmat + np.swapaxes(gmat, -1, -2))), n)
+        first, d2 = (rng.standard_normal(shape) * 10.0 ** log_scale
+                     for shape in ((nodes, npairs, n), (nodes, npairs, npairs)))
+        first[rng.random(nodes) < 0.2] = -0.0
+        d2[rng.random(nodes) < 0.2] = 0.0
+        got, want = geo._q_bounds(ginv, first, d2), expression_q_bounds(ginv, first, d2)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @HYPOTHESIS
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-200.0, 200.0), nodes=st.integers(0, 9))
+    def test_half_trace_radius_and_determinant(self, seed, log_scale, nodes):
+        # nodes = 0 is one matrix, whose results are 0-d
+        rng = np.random.default_rng(seed)
+        comps = rng.standard_normal((nodes, 3) if nodes else 3) * 10.0 ** log_scale
+        comps[rng.random(comps.shape) < 0.2] = -0.0
+        a, b, c = comps[..., 0], comps[..., 1], comps[..., 2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, p = geo._unscaled_half_trace_radius(comps)
+            want_q, want_p = 0.5 * (a + c), np.sqrt(np.square(0.5 * (a - c)) + b * b)
+            det, want_det = geo.sym_det(comps, 2), a * c - b * b
+        assert q.tobytes() == np.asarray(want_q).tobytes() and p.tobytes() == np.asarray(want_p).tobytes()
+        assert np.asarray(det).tobytes() == np.asarray(want_det).tobytes()
+
+
 class TestSymmetricScreen:
     @HYPOTHESIS
     @given(comps=tied_spectra())
@@ -395,7 +460,7 @@ class TestPencilScreen:
         g, h = (geo.MetricField(grid, pair_stored(0.5 * (a + np.swapaxes(a, -1, -2)))) for a in (g, h))
         npairs = g.components.shape[-1]
         smallest, largest, band = geo._pencil_screen(g.components.reshape(-1, npairs),
-                                                     h.components.reshape(-1, npairs), n)
+                                                     geo._inverse_factor(h.components.reshape(-1, npairs), n), n)
         linv = np.linalg.inv(np.linalg.cholesky(h.matrices()))
         eigs = np.linalg.eigvalsh(linv @ g.matrices() @ np.swapaxes(linv, -1, -2))
         assert np.all(np.abs(smallest - eigs[..., 0].ravel()) <= band)
@@ -429,7 +494,8 @@ def random_q_metric(patch, n, seed, copies, log_cond, cancel):
     """``(g, |Q|_g at every node by the full chain)`` for a random metric on an
     8^n grid with cond(g) up to ``10**log_cond``, whose first and second
     derivatives ``patch`` replaces by random ones, those of no metric, so Q
-    keeps no symmetry but the swap of its pairs.  The node with the largest
+    keeps no symmetry but the swap of its pairs; both reach every caller
+    through the one stencil path.  The node with the largest
     |Q|_g is repeated at ``copies`` random nodes.  With ``cancel``,
     ``d[k, i, p] = a_k b_i b_p`` and the second derivatives equal the
     quadratic term to 1e-9, so Q is 1e-9 of its two terms and the rounding
@@ -449,9 +515,17 @@ def random_q_metric(patch, n, seed, copies, log_cond, cancel):
         second = (b_ginv_b[:, None, None] * pair_stored(a[:, :, None] * a[:, None, :])[:, :, None]
                   * bb[:, None, :] * (1.0 + 1e-9 * rng.standard_normal(second.shape)))
     slot = geo.sym_table(n, 2)
-    patch.setattr(geo, "metric_partials", lambda g: geo.sym_matrices(first, n).reshape(*grid.shape, n, n, n))
-    patch.setattr(geo, "stencil",
-                  lambda values, axes, spacings: second[:, slot[axes]].reshape(*grid.shape, npairs))
+
+    def stencil(values, axes, spacings, out=None):
+        # every derivative is one of g's components: first[:, k] along (k,),
+        # and second[:, slot[i, j]] along (i, j)
+        part = (first[:, axes[0]] if len(axes) == 1 else second[:, slot[axes]]).reshape(*grid.shape, npairs)
+        if out is None:
+            return part
+        out[...] = part
+        return out
+
+    patch.setattr(geo, "stencil", stencil)
 
     def metric():
         return geo.MetricField(grid, pair_stored(0.5 * (gmat + np.swapaxes(gmat, -1, -2)))
@@ -582,18 +656,22 @@ class TestGnormScreen:
         sizes, = kernel_sizes(monkeypatch, ["_q_screen"], lambda: geo.sup_q_gnorm(g)).values()
         assert sum(sizes) == g.grid.num_nodes
 
-    def test_bound_that_is_not_finite_falls_back(self, monkeypatch):
+    def test_bound_that_is_not_finite_makes_a_candidate(self, monkeypatch):
         # one node with g = diag(1e7, 1, 1): the smallest eigenvalue of g^-1,
-        # 1e-7, is inside the band of its 3x3 closed form, so m <= 0 there
+        # 1e-7, is inside the band of its 3x3 closed form, so m <= 0 there;
+        # that node survives, and the bounds still screen every other node
         g, _ = smooth_pair(3)
         comps = g.components.copy()
         comps[0, 0, 0] = pair_stored(np.diag([1e7, 1.0, 1.0]))
         g = geo.MetricField(g.grid, comps)
         (operands, (mid, half)), = bounds_records(monkeypatch, lambda: geo.sup_q_gnorm(g))
         assert np.flatnonzero(~np.isfinite(mid)).tolist() == [0]
-        assert geo._candidates(mid, half, largest=True) is None
-        sizes, = kernel_sizes(monkeypatch, ["_q_screen"], lambda: geo.sup_q_gnorm(g)).values()
-        assert sum(sizes) == g.grid.num_nodes
+        survivors = geo._candidates(mid, half, largest=True)
+        finite = np.isfinite(mid)
+        screened = np.flatnonzero(finite & (mid + half >= (mid - half)[finite].max()))
+        assert survivors.tolist() == [0, *screened] and len(survivors) < 0.02 * g.grid.num_nodes
+        sizes = kernel_sizes(monkeypatch, ["_q_screen", "_q_gnorm"], lambda: geo.sup_q_gnorm(g))
+        assert sizes["_q_screen"] == [len(survivors)] and len(sizes["_q_gnorm"]) == 1
         monkeypatch.undo()
         want = geo.curvature_gnorm(geo.hessian_curvature_from_metric(g), g.inverse_matrices()).max()
         assert geo.sup_q_gnorm(g) == want
@@ -710,7 +788,7 @@ class TestWhitening:
         low = geo._cholesky(np.moveaxis(h, 0, -1))
         residual = np.einsum("ik...,jk...->ij...", low, low) - np.moveaxis(h, 0, -1)
         assert np.all(np.sqrt(geo._squares(residual)) <= geo.WHITENING_BAND * geo._squares(low))
-        smallest, largest, band = geo._pencil_screen(pair_stored(h), pair_stored(h), n)
+        smallest, largest, band = geo._pencil_screen(pair_stored(h), geo._inverse_factor(pair_stored(h), n), n)
         assert np.all(np.abs(smallest - 1.0) <= band) and np.all(np.abs(largest - 1.0) <= band)
 
     def test_flow_rows_run_the_pencil_on_few_nodes(self, monkeypatch):
@@ -809,8 +887,7 @@ class TestCandidates:
         lam = 0.5 + 0.25 * np.cos(x)
         g = geo.MetricField(grid, np.stack([lam, np.zeros_like(lam), np.ones_like(lam)], axis=-1))
         g0 = geo.MetricField(grid, np.broadcast_to([1.0, 0.0, 1.0], g.components.shape))
-        smallest, largest, band = geo._pencil_screen(g.components.reshape(-1, 3),
-                                                     g0.components.reshape(-1, 3), 2)
+        smallest, largest, band = geo._pencil_screen(g.components.reshape(-1, 3), g0._inverse_factor(), 2)
         assert geo._candidates(smallest, band, False) is not None
         assert geo._candidates(largest, band, True) is None
         sizes, = kernel_sizes(monkeypatch, ["_pencil_eigenvalues"],
