@@ -190,7 +190,7 @@ def _curvature(run: Run):
         f"torsion_norm: {format_float(bundle.torsion_norm)}",
         f"sup_gamma_mixed: {format_float(bundle.sup_gamma_mixed)}",
         f"sup_gamma_lower: {format_float(bundle.sup_gamma_lower)}",
-        f"sup_alpha: {format_float(float(np.max(np.abs(alpha))))}",
+        f"sup_alpha: {format_float(geo.sup_abs(alpha))}",
         f"sup_kappa: {format_float(kappa.sup_norm())}",
         f"sup_beta: {format_float(beta.sup_norm())}",
         f"sup_riemann: {format_float(bundle.sup_riemann)}",

@@ -33,6 +33,7 @@ from .geometry import (
     check_metric,
     log_det,
     pencil_eigenvalue_range,
+    sup_abs,
     sup_q_gnorm,
     sym_derivatives,
     sym_det,
@@ -351,9 +352,12 @@ class PotentialFlowState(FlowState):
         return cls(**vars(tensor), beta0=_read_only(_beta(tensor.log_det_g0, tensor.grid.spacings)))
 
 
-def _reconstruct(state: PotentialFlowState, phi: np.ndarray, t: float) -> np.ndarray:
-    """``g0 - t beta0 + dd(phi)``, unchecked."""
-    return state.g0.components - t * state.beta0 + sym_derivatives(phi, 2, state.g0.grid.spacings)
+def _reconstruct(base: np.ndarray, phi: np.ndarray, spacings: tuple[float, ...]) -> np.ndarray:
+    """``base + dd(phi)`` in the fresh ``dd(phi)`` buffer, unchecked: with
+    ``base = g0 - t beta0``, the bits of ``g0 - t beta0 + dd(phi)``."""
+    g = sym_derivatives(phi, 2, spacings)
+    g += base
+    return g
 
 
 def _attempt_potential_step(state: PotentialFlowState, dt: float, scheme: str) -> PotentialFlowState:
@@ -361,15 +365,21 @@ def _attempt_potential_step(state: PotentialFlowState, dt: float, scheme: str) -
     # with matching schemes the two legs are algebraically the same discrete
     # map (the stencils are linear and telescoping is exact), and the
     # equivalence check would only ever measure rounding noise.
-    n, t_new = state.g0.grid.ndim, state.t + dt
+    grid, t_new = state.g0.grid, state.t + dt
+    n, spacings = grid.ndim, grid.spacings
     k1 = state.ratio  # log det g - log det g0 of the current reconstruction
+    # g0 - t_new beta0, formed once for both reconstructions at t_new
+    base = np.multiply(state.beta0, t_new)
+    np.subtract(state.g0.components, base, out=base)
     if scheme == "euler":
         phi_new = state.phi_values + dt * k1
     else:
-        g_pred = _reconstruct(state, state.phi_values + dt * k1, t_new)
+        g_pred = _reconstruct(base, state.phi_values + dt * k1, spacings)
         k2 = _checked_log_det(g_pred, n)[1] - state.log_det_g0
+        del g_pred  # not held while the corrector is checked
         phi_new = state.phi_values + (0.5 * dt) * (k1 + k2)
-    g_new = _reconstruct(state, phi_new, t_new)
+    g_new = _reconstruct(base, phi_new, spacings)
+    del base
     min_eig, log_det_new = _checked_log_det(g_new, n)
     return _next_state(state, dt, g_new, phi_new, min_eig, log_det_new, log_det_new - state.log_det_g0)
 
@@ -402,15 +412,16 @@ def equivalence_check(
     # gap that small is the rounding of t, not a step still to take
     while t_final - tensor.t > steps * np.spacing(t_final):
         steps += 1
-        step = min(dt, t_final - tensor.t)
+        step, t = min(dt, t_final - tensor.t), tensor.t
         try:
-            # both legs move only once both steps succeed, so a blow-up
-            # reports the last time at which both were valid
-            tensor, scalar = (_attempt_tensor_step(tensor, step, control.scheme),
-                              _attempt_potential_step(scalar, step, control.scheme))
+            # a blow-up of either leg reports t, the last time at which both
+            # were valid; of the tensor leg's old state only t is kept while
+            # the potential leg steps
+            tensor = _attempt_tensor_step(tensor, step, control.scheme)
+            scalar = _attempt_potential_step(scalar, step, control.scheme)
         except NotPositiveDefinite as exc:
-            raise FlowBlowup(tensor.t, exc.node, worst) from None
-        worst = max(worst, float(np.max(np.abs(tensor.g_comps - scalar.g_comps))))
+            raise FlowBlowup(t, exc.node, worst) from None
+        worst = max(worst, sup_abs(tensor.g_comps - scalar.g_comps))
     return worst
 
 

@@ -160,7 +160,7 @@ class _StoredTensor:
         return np.take(self.components, self._table(self.grid.ndim), axis=-1)
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.components)))
+        return sup_abs(self.components)
 
 
 class Sym2Field(_StoredTensor):
@@ -298,24 +298,27 @@ SCREEN_FLOOR = 1e-150    # absolute part of every band: covers underflow
 _SCREEN_CHUNK = 2048  # nodes per chunk of a node-local kernel; bounds its intermediates' memory
 
 
-def _per_chunk(fn: Callable, operands: tuple[np.ndarray, ...], rows: np.ndarray | None = None):
+def _per_chunk(fn: Callable, operands: tuple[np.ndarray, ...], rows: np.ndarray | None = None,
+               out: np.ndarray | None = None):
     """``fn(*operands)`` on the flat nodes ``rows`` (None: every node), called
     on at most ``_SCREEN_CHUNK`` of them at a time, its array output or each
     array of its tuple output stacked along the nodes: the one loop over
     node chunks, so a node-local kernel's intermediates' memory stays
     bounded however many nodes it runs on.  ``fn`` gives the same bits on
-    any subset of nodes as on all, so the result is that of one call."""
+    any subset of nodes as on all, so the result is that of one call.  An
+    array output is stacked into ``out`` where given, which may be an
+    operand: each chunk is read before its result is written over it."""
     nodes = len(operands[0]) if rows is None else len(rows)
-    out = None
+    stacked = None if out is None else (out,)
     for start in range(0, nodes, _SCREEN_CHUNK):
         chunk = slice(start, start + _SCREEN_CHUNK)
         part = fn(*(op[chunk if rows is None else rows[chunk]] for op in operands))
         parts = part if isinstance(part, tuple) else (part,)
-        if out is None:
-            out = tuple(np.empty((nodes, *p.shape[1:]), p.dtype) for p in parts)
-        for stacked, p in zip(out, parts):
-            stacked[chunk] = p
-    return out if isinstance(part, tuple) else out[0]
+        if stacked is None:
+            stacked = tuple(np.empty((nodes, *p.shape[1:]), p.dtype) for p in parts)
+        for whole, p in zip(stacked, parts):
+            whole[chunk] = p
+    return stacked if isinstance(part, tuple) else stacked[0]
 
 
 def screened_extreme(values: np.ndarray, band: np.ndarray, kernel: Callable[..., np.ndarray],
@@ -414,7 +417,8 @@ def smallest_eigenvalue(comps: np.ndarray, n: int) -> tuple[float, int, np.ndarr
         eigs = sym_min_eigenvalues(flat, n)
         worst = int(eigs.argmin())
         return float(eigs[worst]), worst, eigs
-    smallest, _, band = _sym_eigen_screen(flat, 3)
+    # the screen is node-local: chunk by chunk, its temporaries take one chunk's memory
+    smallest, band = _per_chunk(lambda c: _sym_eigen_screen(c, 3)[::2], (flat,))
     value, worst = screened_extreme(smallest, band, lambda c: sym_min_eigenvalues(c, 3), (flat,))
     with np.errstate(over="ignore", invalid="ignore"):
         return value, worst, smallest - band
@@ -425,8 +429,9 @@ def check_metric(comps: np.ndarray, n: int) -> tuple[float | None, np.ndarray | 
     eigenvalue of :func:`smallest_eigenvalue` over the nodes is at least
     ``MIN_EIGENVALUE``.  Returns ``(min_eig, det)``.
 
-    At n = 3 :func:`_positivity_certificate` decides where it proves every
-    node, and ``min_eig`` is None; otherwise the value is computed.  ``det``
+    At n = 3 :func:`_positivity_certificate`, run chunk by chunk, decides
+    where it proves every node, and ``min_eig`` is None; otherwise the value
+    is computed.  ``det``
     is the determinant the certificate formed at n = 3 (None for n <= 2),
     whose log det the flow takes.  Raises ValueError for a non-finite entry
     and :class:`NotPositiveDefinite`, naming the worst node (the first on
@@ -434,7 +439,7 @@ def check_metric(comps: np.ndarray, n: int) -> tuple[float | None, np.ndarray | 
     _check_finite(comps)
     det = None
     if n == 3:
-        proven, det = _positivity_certificate(comps)
+        proven, det = _per_chunk(_positivity_certificate, (comps.reshape(-1, 6),))
         det = det.reshape(comps.shape[:-1])
         if proven.all():
             return None, det
@@ -453,20 +458,73 @@ def _positivity_certificate(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`_det3`, so with :func:`sym_det`'s bits.  False where it cannot
     tell, never where the kernel's value is below (see docs/conventions.md,
     "Positivity by certificate")."""
-    # rows [a b c; b d e; c e f], each a contiguous (N,) array
-    a, b, c, d, e, f = np.ascontiguousarray(comps.reshape(-1, 6).T)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ad, bb = a * d, b * b
-        minor_band = WHITENING_BAND * (np.abs(ad) + bb) + SCREEN_FLOOR
-        det, (df, ee, bf, ec, be, dc) = _det3(a, b, c, d, e, f)
-        abs_b, abs_c = np.abs(b), np.abs(c)
-        det_band = (WHITENING_BAND * (np.abs(a) * (np.abs(df) + ee) + abs_b * (np.abs(bf) + np.abs(ec))
-                                      + abs_c * (np.abs(be) + np.abs(dc)))
-                    + SCREEN_FLOOR * (1.0 + np.abs(a) + abs_b + abs_c))
-        tr = a + d + f
-        bound = 4.0 * (det - det_band) / (tr * tr) - WHITENING_BAND * tr
-        proven = (a > 0.0) & (ad - bb > minor_band) & (det > det_band) & (bound >= MIN_EIGENVALUE)
+    comps = comps.reshape(-1, 6)
+    det, det_band, minor, minor_band, bound = _certificate_terms(comps)
+    with np.errstate(invalid="ignore"):
+        proven = comps[:, 0] > 0.0
+        proven &= minor > minor_band
+        proven &= det > det_band
+        proven &= bound >= MIN_EIGENVALUE
     return proven, det
+
+
+def _certificate_terms(comps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(det, det_band, minor, minor_band, bound)`` of
+    :func:`_positivity_certificate` for flat pair-stored ``[a b c; b d e;
+    c e f]``: ``det = a (df - ee) - b (bf - ec) + c (be - dc)`` as
+    :func:`_det3` forms it, ``det_band = WHITENING_BAND (|a| (|df| + ee) +
+    |b| (|bf| + |ec|) + |c| (|be| + |dc|)) + SCREEN_FLOOR (1 + |a| + |b| +
+    |c|)``, ``minor = ad - bb``, ``minor_band = WHITENING_BAND (|ad| + bb) +
+    SCREEN_FLOOR`` and ``bound = 4 (det - det_band) / (tr tr) -
+    WHITENING_BAND tr`` with ``tr = a + d + f``.  Formed in place in a few
+    reused buffers, with the bits of those expressions: the same operations
+    in the same order (a product or a sum of two terms is the same in
+    either order)."""
+    # rows [a b c; b d e; c e f], each a contiguous (N,) array
+    a, b, c, d, e, f = np.ascontiguousarray(comps.T)
+    det_band, floor, x, y, z = (np.empty(a.shape) for _ in range(5))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # det term by term, with the absolute products of det_band and its
+        # floor beside it: a first, then -b and +c
+        np.multiply(d, f, out=x)
+        np.multiply(e, e, out=y)
+        det = np.subtract(x, y)
+        det *= a
+        np.abs(x, out=det_band)
+        det_band += y
+        np.abs(a, out=floor)
+        det_band *= floor
+        floor += 1.0
+        for coefficient, (p, q), (r, s), add in ((b, (b, f), (e, c), np.subtract), (c, (b, e), (d, c), np.add)):
+            np.multiply(p, q, out=x)
+            np.multiply(r, s, out=y)
+            np.subtract(x, y, out=z)
+            z *= coefficient
+            add(det, z, out=det)
+            np.abs(x, out=x)
+            x += np.abs(y, out=y)
+            np.abs(coefficient, out=y)
+            x *= y
+            det_band += x
+            floor += y
+        det_band *= WHITENING_BAND
+        floor *= SCREEN_FLOOR
+        det_band += floor
+        minor = np.multiply(a, d, out=x)
+        np.multiply(b, b, out=y)
+        minor_band = np.abs(minor, out=z)
+        minor_band += y
+        minor_band *= WHITENING_BAND
+        minor_band += SCREEN_FLOOR
+        minor -= y
+        tr = np.add(a, d, out=floor)
+        tr += f
+        bound = np.subtract(det, det_band, out=y)
+        bound *= 4.0
+        bound /= tr * tr
+        tr *= WHITENING_BAND
+        bound -= tr
+    return det, det_band, minor, minor_band, bound
 
 
 class MetricField(Sym2Field):
@@ -655,6 +713,14 @@ def _hessian_defects(d: np.ndarray) -> np.ndarray:
     return _largest_abs(d - np.swapaxes(d, -3, -2))
 
 
+def sup_abs(values: np.ndarray) -> float:
+    """``np.max(np.abs(values))`` for an array whose last axis holds each
+    node's components, reduced chunk by chunk of nodes (:func:`_per_chunk`),
+    so no whole-grid ``|values|`` is formed; a max is exact under any
+    grouping, so the value is the same."""
+    return float(_per_chunk(_largest_abs, (values.reshape(-1, values.shape[-1]),)).max())
+
+
 def _largest_abs(t: np.ndarray) -> np.ndarray:
     """Largest absolute entry of each ``t[k]``, by ``reduceat``: numpy runs it
     faster than ``max(axis=1)`` on rows as short as a node's."""
@@ -747,27 +813,50 @@ def hessian_curvature(pm: PotentialMetric) -> HessianCurvature:
     background drops out of third and higher derivatives, so only psi is
     differentiated.
     """
-    return _hessian_curvature(pm, metric_from_potential(pm).inverse_matrices())
+    g = metric_from_potential(pm)
+    return _hessian_curvature(pm, sym_inverse(g.components, g.grid.ndim))
 
 
 def _hessian_curvature(pm: PotentialMetric, ginv: np.ndarray) -> HessianCurvature:
+    """:func:`hessian_curvature` from the pair-stored ``g^-1``.  Each distinct
+    fourth derivative is stenciled straight into the first slot of Q that
+    reads it, and copied into the others; :func:`_q_potential` then turns
+    the slots into Q chunk by chunk, over themselves."""
     grid, n, psi, nodes = pm.grid, pm.grid.ndim, pm.psi.values, pm.grid.num_nodes
-    thirds, fourths = (sym_derivatives(psi, order, grid.spacings).reshape(nodes, -1) for order in (3, 4))
-    comps = _per_chunk(_q_potential, (ginv.reshape(nodes, n, n), thirds, fourths))
-    return HessianCurvature._wrap(grid, comps.reshape(*grid.shape, -1))
+    thirds = sym_derivatives(psi, 3, grid.spacings).reshape(nodes, -1)
+    fourths = _q_fourths(n)
+    comps = np.empty((*grid.shape, len(fourths)))
+    for s, fourth in enumerate(fourths):
+        first = fourths.index(fourth)
+        if first < s:
+            comps[..., s] = comps[..., first]
+        else:
+            stencil(psi, sym_indices(n, 4)[fourth], grid.spacings, out=comps[..., s])
+    flat = comps.reshape(nodes, -1)
+    _per_chunk(_q_potential, (ginv.reshape(nodes, -1), thirds, flat), out=flat)
+    return HessianCurvature._wrap(grid, comps)
+
+
+@functools.cache
+def _q_fourths(n: int) -> tuple[int, ...]:
+    """Per storage slot of Q, the :func:`sym_indices` position of the fourth
+    derivative ``phi_ijkl`` it reads."""
+    pairs = sym_pairs(n)
+    return tuple(int(sym_table(n, 4)[i, j, k, l]) for (i, k), (j, l) in
+                 (map(pairs.__getitem__, slot) for slot in sym_indices(len(pairs), 2)))
 
 
 def _q_potential(ginv: np.ndarray, thirds: np.ndarray, fourths: np.ndarray) -> np.ndarray:
     """Stored components of ``Q = phi_ijkl/2 - g^pq phi_ikp phi_jlq/2`` on flat
-    nodes, from ``g^-1`` and the stored third and fourth potential
-    derivatives (:func:`sym_indices` order): node-local, so a chunk of
-    nodes gives the bits of the whole grid."""
-    nodes, n = ginv.shape[:2]
+    nodes, from the pair-stored ``g^-1``, the stored third potential
+    derivatives (:func:`sym_indices` order) and ``phi_ijkl`` per storage slot
+    of Q: node-local, so a chunk of nodes gives the bits of the whole grid."""
+    nodes, n = len(ginv), int(np.sqrt(2 * ginv.shape[-1]))  # n^2 <= n (n + 1) < (n + 1)^2
     pairs = sym_pairs(n)
     m = len(pairs)
     # node axis last: t[p, a] = phi_ikp for the pair a = (i, k)
     t = np.take(thirds.T, sym_table(n, 3)[tuple(np.transpose(pairs))].T, axis=0)
-    g_inv = ginv.reshape(nodes, -1).T.reshape(n, n, nodes)
+    g_inv = ginv.T[sym_table(n, 2)]
     quad, s = np.empty((m * (m + 1) // 2, nodes)), 0
     for a in range(m):
         # the slots (a, b >= a): g^pq phi_ikp phi_jlq summed from +0.0 in the C order
@@ -777,9 +866,11 @@ def _q_potential(ginv: np.ndarray, thirds: np.ndarray, fourths: np.ndarray) -> n
         quad[s:s + m - a] = (((g_inv * t[:, None, a])[:, :, None] * t[:, lo:])  # [p, q, b]
                              .reshape(n * n, m - lo, nodes).sum(axis=0, initial=0.0)[a - lo:])
         s += m - a
-    fourth = [sym_table(n, 4)[i, j, k, l] for (i, k), (j, l) in
-              (map(pairs.__getitem__, slot) for slot in sym_indices(m, 2))]
-    return 0.5 * fourths[:, fourth] - 0.5 * quad.T
+    # 0.5 * fourths - 0.5 * quad.T, with the bits of the expression
+    q = 0.5 * fourths
+    quad *= 0.5
+    q -= quad.T
+    return q
 
 
 def hessian_curvature_from_metric(g: MetricField) -> np.ndarray:
@@ -1036,15 +1127,20 @@ def _torsion(d: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, anti)
 
 
-def _sup_torsion_gnorm(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> float:
+def _sup_torsion_gnorm(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray, pair_stored: bool = False) -> float:
     """Sup over the nodes of the torsion's g-norm, with ``T`` formed at the
     candidates of the closed-form screen only.  At n = 1, where ``T`` is zero,
-    every node ties, so the kernel runs on every node (the fallback)."""
-    n = ginv.shape[-1]
-    flat = (d.reshape(-1, n, n, n), ginv.reshape(-1, n, n), gmat.reshape(-1, n, n))
+    every node ties, so the kernel runs on every node (the fallback).  With
+    ``pair_stored`` the operands are :func:`curvature_bundle`'s flat
+    pair-stored ones, which the screen and the kernel gather per chunk."""
+    if pair_stored:
+        flat, wrap = (d, ginv, gmat), _gathering
+    else:
+        n = ginv.shape[-1]
+        flat, wrap = (d.reshape(-1, n, n, n), ginv.reshape(-1, n, n), gmat.reshape(-1, n, n)), (lambda k: k)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sq, band = _per_chunk(_torsion_screen, flat)
-    return screened_extreme(sq, band, _torsion_gnorm, flat, largest=True)[0]
+        sq, band = _per_chunk(wrap(_torsion_screen), flat)
+    return screened_extreme(sq, band, wrap(_torsion_gnorm), flat, largest=True)[0]
 
 
 def _torsion_screen(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1211,32 +1307,40 @@ def curvature_bundle(g: MetricField, pm: PotentialMetric | None,
                      node: tuple[int, ...] | None = None) -> CurvatureBundle:
     """The curvature record of ``g = metric_from_potential(pm)``, or of a
     non-Hessian ``g`` with ``pm = None``, probed at ``node``.  The metric
-    derivatives, ``g^-1`` and the full matrices are computed once and shared
-    by every formula; past the stencils every formula is node-local and
-    runs chunk by chunk, so no array of the difference tensor, its Riemann
-    tensor or the torsion is formed on the whole grid."""
+    derivatives and ``g^-1`` are computed once, pair-stored, and shared by
+    every formula; past the stencils every formula is node-local and runs
+    chunk by chunk on the full arrays gathered per chunk (:func:`_gathering`),
+    so no array of the difference tensor, its Riemann tensor or the torsion
+    is formed on the whole grid.  Q is formed before the Koszul forms, with
+    only ``g^-1`` held: the order of the lower peak memory."""
     n, nodes = g.grid.ndim, g.grid.num_nodes
-    flat = (metric_partials(g).reshape(nodes, n, n, n), g.inverse_matrices().reshape(nodes, n, n),
-            g.matrices().reshape(nodes, n, n))
-    defect, mixed, lower, gamma_000, screen, band = _per_chunk(_bundle_pass, flat)
+    npairs = g.components.shape[-1]
+    pairs = (sym_derivatives(g.components, 1, g.grid.spacings).reshape(nodes, npairs, n),
+             sym_inverse(g.components, n).reshape(nodes, npairs), g.components.reshape(nodes, npairs))
+    defect, mixed, lower, gamma_000, screen, band = _per_chunk(_gathering(_bundle_pass), pairs)
     # the Riemann tensor only at the candidates of its screen, Christoffel first
-    sup_riemann = screened_extreme(screen, band, _riemann_max, flat, largest=True)[0]
-    torsion_norm = _sup_torsion_gnorm(*flat)
-    ginv = flat[1]
-    del flat  # d and the full matrices freed before the Koszul forms and Q; lowers peak memory
+    sup_riemann = screened_extreme(screen, band, _gathering(_riemann_max), pairs, largest=True)[0]
+    sups = dict(hessian_defect=float(defect.max()), sup_gamma_mixed=float(mixed.max()),
+                sup_gamma_lower=float(lower.max()), sup_riemann=sup_riemann,
+                gamma_mixed_000=None if node is None else float(gamma_000[np.ravel_multi_index(node, g.grid.shape)]))
+    del defect, mixed, lower, gamma_000, screen, band
+    sups["torsion_norm"] = _sup_torsion_gnorm(*pairs, pair_stored=True)
+    ginv = pairs[1]
+    del pairs  # the derivatives freed before Q
+    q = None if pm is None else _hessian_curvature(pm, ginv)
+    del ginv
     alpha, kappa, beta = koszul(g)
-    return CurvatureBundle(
-        alpha=alpha,
-        kappa=kappa,
-        beta=beta,
-        hessian_defect=float(defect.max()),
-        torsion_norm=torsion_norm,
-        sup_gamma_mixed=float(mixed.max()),
-        sup_gamma_lower=float(lower.max()),
-        sup_riemann=sup_riemann,
-        gamma_mixed_000=None if node is None else float(gamma_000[np.ravel_multi_index(node, g.grid.shape)]),
-        q=None if pm is None else _hessian_curvature(pm, ginv),
-    )
+    return CurvatureBundle(alpha=alpha, kappa=kappa, beta=beta, q=q, **sups)
+
+
+def _gathering(kernel: Callable) -> Callable:
+    """``kernel(d, g^-1, g)``, a node-local kernel of full arrays, on the
+    flat pair-stored operands of :func:`curvature_bundle`: the ``[ij, k]``
+    first derivatives, ``g^-1`` and ``g``, gathered on the nodes it runs on."""
+    def gathered(first: np.ndarray, ginv: np.ndarray, g: np.ndarray):
+        n = first.shape[-1]
+        return kernel(_gathered_partials(first), sym_matrices(ginv, n), sym_matrices(g, n))
+    return gathered
 
 
 def _bundle_pass(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -4,6 +4,8 @@ so a test run leaves no ``.hypothesis`` directory behind; without the
 database a failing example is replayed from the ``@reproduce_failure``
 blob that ``print_blob`` prints.  Each test keeps only its ``max_examples``."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import settings
 
@@ -29,3 +31,18 @@ def blowup_past(monkeypatch):
 
         monkeypatch.setattr(fl, "_attempt_tensor_step", failing)
     return install
+
+
+@pytest.fixture
+def peak_mib():
+    """``peak_mib(fn)`` is ``(fn(), peak)``: what ``fn()`` returns and the
+    ``tracemalloc`` peak of the call in MiB, with tracing stopped however
+    the call ends."""
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return measure

@@ -15,7 +15,6 @@ are checked at truncation level with an order-2 refinement ratio.
 
 import itertools
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -454,20 +453,15 @@ class TestSectionalExtremes:
         assert abs(2.0 * r2.max_value - r1.max_value) <= 1e-12
         assert abs(2.0 * r2.min_value - r1.min_value) <= 1e-12
 
-    def test_gathers_only_the_sampled_nodes(self):
+    def test_gathers_only_the_sampled_nodes(self, peak_mib):
         # the full Q of a 32^3 grid (20 MiB) is never built for 1000 samples
         grid = PeriodicGrid((32,) * 3, (TWO_PI,) * 3)
         psi = ScalarField.from_function(grid, lambda x, y, z: 0.05 * np.cos(x) * np.sin(y + z))
         pm = geo.PotentialMetric(grid, np.eye(3), psi)
         q, g = geo.hessian_curvature(pm), geo.metric_from_potential(pm)
         full_bytes = grid.num_nodes * 3**4 * 8
-        tracemalloc.start()
-        try:
-            rep = geo.sectional_extremes(q, g, n_samples=1000, refine_steps=5, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.25 * full_bytes  # measured 0.15x; gathering q.full() took 1.07x
+        rep, peak = peak_mib(lambda: geo.sectional_extremes(q, g, n_samples=1000, refine_steps=5, seed=0))
+        assert peak <= 0.25 * full_bytes / 2**20  # measured 0.15x; gathering q.full() took 1.07x
         assert rep.samples_used == 1000
 
 
@@ -536,33 +530,23 @@ class TestCurvatureBundle:
             assert_same_bytes(bundle.q.components, reference_potential_q(pm, g.inverse_matrices()))
 
     # building the whole difference tensor and Riemann array peaked at 62.5 MiB
-    def test_peak_memory(self):
+    def test_peak_memory(self, peak_mib):
         grid = PeriodicGrid((32,) * 3, (TWO_PI,) * 3)
         psi = ScalarField.from_function(grid, lambda x, y, z: 0.05 * np.cos(x) * np.sin(y + z))
         pm = geo.PotentialMetric(grid, np.eye(3), psi)
         g = geo.metric_from_potential(pm)
-        tracemalloc.start()
-        try:
-            geo.curvature_bundle(g, pm, (1, 2, 3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 25 * 2**20  # measured 22.7 MiB; 27.1 with Q copied
+        _, peak = peak_mib(lambda: geo.curvature_bundle(g, pm, (1, 2, 3)))
+        assert peak <= 25  # measured 11.4 MiB; 21.0 with full operands and Q's fourths, 27.1 with Q copied
 
     # on a constant metric every node ties in the torsion and Riemann screens;
     # the torsion kernel running on all of them at once peaked at 28.1 MiB
-    def test_fallback_peak_memory(self):
+    def test_fallback_peak_memory(self, peak_mib):
         grid = PeriodicGrid((32,) * 3, (TWO_PI,) * 3)
         pm = geo.PotentialMetric(grid, np.eye(3), ScalarField.zeros(grid))
         g = geo.metric_from_potential(pm)
-        tracemalloc.start()
-        try:
-            bundle = geo.curvature_bundle(g, pm, (1, 2, 3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        bundle, peak = peak_mib(lambda: geo.curvature_bundle(g, pm, (1, 2, 3)))
         assert bundle.torsion_norm == bundle.sup_riemann == 0.0
-        assert peak <= 25 * 2**20  # measured 22.3 MiB
+        assert peak <= 25  # measured 13.1 MiB; 21.0 with full operands and Q's fourths
 
 
 class TestThreeDimensions:
@@ -749,9 +733,9 @@ class TestSymmetricStorage:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_hessian_curvature_matches_component_loops(self, n):
         pm = random_potential(n, seed=n)
-        ginv = geo.metric_from_potential(pm).inverse_matrices()
-        q = geo._hessian_curvature(pm, ginv)
-        assert_same_bytes(q.components, reference_potential_q(pm, ginv))
+        g = geo.metric_from_potential(pm)
+        q = geo._hessian_curvature(pm, geo.sym_inverse(g.components, n))
+        assert_same_bytes(q.components, reference_potential_q(pm, g.inverse_matrices()))
         assert_same_bytes(q.full(), reference_q_full(q))
         for index in itertools.product(range(n), repeat=4):
             assert np.array_equal(q.component(*index), reference_q_component(q, *index))
@@ -759,7 +743,7 @@ class TestSymmetricStorage:
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_stencil_per_derivative_index_set(self, monkeypatch, n):
         g, pm = random_metric(n, seed=0), random_potential(n, seed=0)
-        ginv = geo.metric_from_potential(pm).inverse_matrices()
+        ginv = geo.sym_inverse(geo.metric_from_potential(pm).components, n)
         calls = []
 
         def counted(values, axes, spacings, out=None):
@@ -778,39 +762,39 @@ class TestSymmetricStorage:
             run()
             assert len(calls) == len(set(calls)) == expected
 
-    def test_q_metric_peak_memory(self):
+    def test_q_metric_peak_memory(self, peak_mib):
         grid = PeriodicGrid((32,) * 3, (TWO_PI,) * 3)
         psi = ScalarField.from_function(grid, lambda x, y, z: 0.05 * np.cos(x) * np.sin(y + z))
         g = geo.metric_from_potential(geo.PotentialMetric(grid, np.eye(3), psi))
-        tracemalloc.start()
-        try:
-            q = geo.hessian_curvature_from_metric(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * q.nbytes  # measured 2.45x; the component loops took 4.5x
+        q, peak = peak_mib(lambda: geo.hessian_curvature_from_metric(g))
+        assert peak <= 3 * q.nbytes / 2**20  # measured 2.45x; the component loops took 4.5x
 
-    # measured 12.3, 11.25, 5.5 and 2.64 MiB; copying the fresh Q took
-    # _hessian_curvature to 16.8 MiB, a swapaxes gather metric_partials to
+    # measured 9.9, 11.25, 5.5 and 2.64 MiB; the fourth derivatives stacked
+    # apart from Q took _hessian_curvature to 13.5 MiB, copying the fresh Q
+    # to 16.8 MiB, a swapaxes gather metric_partials to
     # 15.8 MiB, and copying the fresh kappa and beta koszul to 7.2 MiB and
     # beta_form to 3.2 MiB
     @pytest.mark.parametrize("name, limit_mib", [("hessian_curvature", 14.0), ("metric_partials", 11.5),
                                                  ("koszul", 6.0), ("beta_form", 2.9)])
-    def test_peak_memory(self, name, limit_mib):
+    def test_peak_memory(self, peak_mib, name, limit_mib):
         pm = cos_sin_potential3d()
         g = geo.metric_from_potential(pm)
-        ginv = g.inverse_matrices()
+        ginv = geo.sym_inverse(g.components, 3)
         run = {"hessian_curvature": lambda: geo._hessian_curvature(pm, ginv),
                "metric_partials": lambda: geo.metric_partials(g),
                "koszul": lambda: geo.koszul(g),
                "beta_form": lambda: geo.beta_form(g)}[name]
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= limit_mib * 2**20
+        assert peak_mib(run)[1] <= limit_mib
+
+    def test_sup_abs_is_the_largest_absolute_entry(self):
+        # reduced chunk by chunk of nodes, with the largest entry in the last chunk
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((2 * geo._SCREEN_CHUNK + 7, 6))
+        values[rng.random(values.shape) < 0.1] = -0.0
+        values[-1, 3] = -9.0
+        assert geo.sup_abs(values) == np.max(np.abs(values)) == 9.0
+        q = geo.hessian_curvature(random_potential(3, seed=2))
+        assert q.sup_norm() == float(np.max(np.abs(q.components)))
 
     def test_public_constructors_keep_a_private_copy(self):
         pm = random_potential(2, seed=1)

@@ -16,7 +16,6 @@ Christoffel pair, its Riemann tensor, the torsion and Q from the potential).
 """
 
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,8 +82,9 @@ def full_kernels(n):
     gamma_pair = geo.christoffel(g)
     pm = smooth_potentials(n)[0]
     psi, spacings = pm.psi.values, pm.grid.spacings
-    potential_operands = (flat_ginv, *(geo.sym_derivatives(psi, order, spacings).reshape(len(flat_d), -1)
-                                       for order in (3, 4)))
+    fourths = geo.sym_derivatives(psi, 4, spacings).reshape(len(flat_d), -1)[:, list(geo._q_fourths(n))]
+    potential_operands = (geo.sym_inverse(g.components, n).reshape(-1, npairs),
+                          geo.sym_derivatives(psi, 3, spacings).reshape(len(flat_d), -1), fourths)
     return {
         "min_eig": (lambda c: geo.sym_min_eigenvalues(c, n), (flat_g,),
                     geo.sym_min_eigenvalues(g.components, n).ravel()),
@@ -205,16 +205,17 @@ class TestKernelsOnSubsets:
 def per_slot_q_potential(ginv, thirds, fourths):
     """``geometry._q_potential`` as it summed the quadratic term before it was
     batched: per stored slot, the n^2 products ``g^pq phi_ikp phi_jlq`` added
-    from 0 in the C order of ``(p, q)`` by a Python sum (the bit oracle)."""
-    n = ginv.shape[-1]
-    third, fourth = np.take(thirds, geo.sym_table(n, 3), axis=-1), geo.sym_table(n, 4)
+    from 0 in the C order of ``(p, q)`` by a Python sum (the bit oracle).
+    ``ginv`` is pair-stored and ``fourths`` holds ``phi_ijkl`` per slot."""
+    n = int(np.sqrt(2 * ginv.shape[-1]))
+    ginv, third = geo.sym_matrices(ginv, n), np.take(thirds, geo.sym_table(n, 3), axis=-1)
     pairs = geo.sym_pairs(n)
     slots = geo.sym_indices(len(pairs), 2)
     comps = np.empty((len(ginv), len(slots)))
     for s, (a, b) in enumerate(slots):
         (i, k), (j, l) = pairs[a], pairs[b]
         quad = sum(ginv[:, p, q] * third[:, i, k, p] * third[:, j, l, q] for p, q in np.ndindex(n, n))
-        comps[:, s] = 0.5 * fourths[:, fourth[i, j, k, l]] - 0.5 * quad
+        comps[:, s] = 0.5 * fourths[:, s] - 0.5 * quad
     return comps
 
 
@@ -238,7 +239,8 @@ class TestQPotentialBits:
             values[(zeros >= 0.15) & (zeros < 0.3)] = -0.0
             return values
 
-        operands = (entries(nodes, n, n), *(entries(nodes, len(geo.sym_indices(n, order))) for order in (3, 4)))
+        m = n * (n + 1) // 2
+        operands = (entries(nodes, m), entries(nodes, len(geo.sym_indices(n, 3))), entries(nodes, m * (m + 1) // 2))
         with np.errstate(over="ignore", invalid="ignore"):
             assert geo._q_potential(*operands).tobytes() == per_slot_q_potential(*operands).tobytes()
 
@@ -377,6 +379,25 @@ def straddling_spectra(draw):
     return pair_stored(rotated(spectrum, rng, rotate=draw(st.booleans())))
 
 
+def expression_certificate(comps):
+    """``(proven, (det, det_band, minor, minor_band, bound))`` of the
+    positivity certificate with one temporary per operation, as it was
+    written before its terms were formed in place: the bits that form keeps."""
+    a, b, c, d, e, f = np.ascontiguousarray(comps.reshape(-1, 6).T)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ad, bb = a * d, b * b
+        minor_band = geo.WHITENING_BAND * (np.abs(ad) + bb) + geo.SCREEN_FLOOR
+        det, (df, ee, bf, ec, be, dc) = geo._det3(a, b, c, d, e, f)
+        abs_b, abs_c = np.abs(b), np.abs(c)
+        det_band = (geo.WHITENING_BAND * (np.abs(a) * (np.abs(df) + ee) + abs_b * (np.abs(bf) + np.abs(ec))
+                                          + abs_c * (np.abs(be) + np.abs(dc)))
+                    + geo.SCREEN_FLOOR * (1.0 + np.abs(a) + abs_b + abs_c))
+        tr = a + d + f
+        bound = 4.0 * (det - det_band) / (tr * tr) - geo.WHITENING_BAND * tr
+        proven = (a > 0.0) & (ad - bb > minor_band) & (det > det_band) & (bound >= geo.MIN_EIGENVALUE)
+    return proven, (det, det_band, ad - bb, minor_band, bound)
+
+
 class TestPositivityCertificate:
     """``check_metric`` at n = 3 decides by leading minors and
     ``lambda_min >= 4 det / tr^2`` where they prove every node, and by the
@@ -406,6 +427,23 @@ class TestPositivityCertificate:
         for field in (comps, scattered):
             det = geo._positivity_certificate(field)[1]
             assert det.tobytes() == geo.sym_det(field, 3).tobytes()
+
+    @settings(max_examples=200)
+    @given(comps=straddling_spectra(), seed=st.integers(0, 2**32 - 1))
+    def test_in_place_terms_keep_the_expression_bits(self, comps, seed):
+        # spectra straddling MIN_EIGENVALUE and random entries spanning ten
+        # decades, each with planted +0.0 and -0.0: every term, the decision
+        # and the determinant have the bits of one temporary per operation
+        rng = np.random.default_rng(seed)
+        scattered = rng.standard_normal((64, 6)) * 10.0 ** rng.uniform(-5.0, 5.0, (64, 6))
+        for field, rate in ((comps.reshape(-1, 6).copy(), 0.03), (scattered, 0.1)):
+            zeros = rng.random(field.shape)
+            field[zeros < rate] = 0.0
+            field[(zeros >= rate) & (zeros < 2 * rate)] = -0.0
+            want_proven, want = expression_certificate(field)
+            assert [x.tobytes() for x in geo._certificate_terms(field)] == [x.tobytes() for x in want]
+            proven, det = geo._positivity_certificate(field)
+            assert proven.tobytes() == want_proven.tobytes() and det.tobytes() == want[0].tobytes()
 
 
 @st.composite
@@ -678,30 +716,20 @@ class TestGnormScreen:
 
     # building Q at every node peaked at 5.56 MiB at 128^2 and 49.6 MiB at 32^3
     @pytest.mark.parametrize("n, limit_mib", [(2, 5.56), (3, 49.6)])
-    def test_peak_memory(self, n, limit_mib):
+    def test_peak_memory(self, peak_mib, n, limit_mib):
         g, _ = smooth_pair(n)
-        tracemalloc.start()
-        try:
-            geo.sup_q_gnorm(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= limit_mib * 2**20  # measured 4.5 and 23.5 MiB
+        assert peak_mib(lambda: geo.sup_q_gnorm(g))[1] <= limit_mib  # measured 4.5 and 23.5 MiB
 
     # on a constant metric every node ties, so every node survives both
     # screens; the kernel running on all of them at once peaked at 9.6 and
     # 80.8 MiB
     @pytest.mark.parametrize("n, limit_mib", [(2, 5.56), (3, 49.6)])
-    def test_fallback_peak_memory(self, n, limit_mib):
+    def test_fallback_peak_memory(self, peak_mib, n, limit_mib):
         grid = PeriodicGrid((128, 128) if n == 2 else (32, 32, 32), (TWO_PI,) * n)
         g = geo.metric_from_potential(geo.PotentialMetric(grid, np.eye(n), ScalarField.zeros(grid)))
-        tracemalloc.start()
-        try:
-            assert geo.sup_q_gnorm(g) == 0.0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= limit_mib * 2**20  # measured 4.5 and 25.2 MiB
+        sup, peak = peak_mib(lambda: geo.sup_q_gnorm(g))
+        assert sup == 0.0
+        assert peak <= limit_mib  # measured 4.5 and 25.2 MiB
 
 
 class TestTorsionScreen:
