@@ -2,21 +2,19 @@
 
 The feasibility quantity is the nodewise minimum eigenvalue of
 
-    M(x; S) = g0 - S beta(g0) + dd(u) - theta g0
+    M(x; S) = g0 - S beta(g0) + dd(u) - theta g0 = M0 + S M1
 
-for a fixed smooth periodic gauge u and fixed theta > 0.  At each node
-``lambda_min(M0 + S M1)`` is an infimum of functions affine in S, hence
-concave, and so is the global margin; the feasible set is therefore an
-interval [0, S_max], found by bracketed bisection: the bracket doubles
-until the margin is negative, and bisection stops at width 1e-9 or at one
-ulp of S, whichever is wider.  Concavity also bounds
-each node over the whole bracket by its values at the two ends, so the
-bisection evaluates the margin only at the nodes not yet proven
-nonnegative there (see "Screened extremes" in docs/conventions.md).  On a
-periodic chart the gauge u = -S log det g0 cancels the beta term exactly
-(dd and beta share one stencil path), which is why S_max is unbounded there.
+for a fixed smooth periodic gauge u and fixed theta > 0.  With M0 positive
+definite, M0 + S M1 >= 0 at a node holds iff 1 - S lambda >= 0 for every
+generalized eigenvalue lambda of the pencil (-M1, M0), so the feasible set
+is the interval [0, S_max] with S_max = 1 / lambda_max over the nodes,
+unbounded where M1 >= 0 at every node.  :func:`max_s` takes that extreme
+as an estimate and walks the computed margin from it to adjacent floats
+where its sign changes.  On a periodic chart the gauge u = -S log det g0
+cancels the beta term exactly (dd and beta share one stencil path), which
+is why S_max is unbounded there.
 
-Inputs that overflow the pencil or the bracket raise ValueError, as
+Inputs that overflow the pencil raise ValueError, as
 :func:`~koszulflow.geometry.log_det` does for an overflowing determinant.
 """
 
@@ -28,19 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    SCREEN_FLOOR,
-    WHITENING_BAND,
     MetricField,
     beta_form,
+    largest_pencil_eigenvalue,
     smallest_eigenvalue,
     sym_derivatives,
     sym_matrices,
-    sym_min_eigenvalues,  # noqa: F401  (part of this module's namespace, read by the tests)
-    sym_pair_weights,
 )
 from .grid import ScalarField
-
-BISECTION_TOL = 1e-9
 
 
 class InfeasibleAtZero(Exception):
@@ -65,21 +58,14 @@ def gauge_hessian(u: ScalarField) -> np.ndarray:
     return sym_derivatives(u.values, 2, u.grid.spacings)
 
 
-def _margin(m: np.ndarray, n: int) -> tuple[float, int, np.ndarray]:
-    """Min over nodes of the smallest eigenvalue of the pencil value ``m``, the
-    flat index of its first node and the flat per-node lower bound of
-    :func:`~koszulflow.geometry.smallest_eigenvalue`; ValueError when the
-    min is not finite (inputs that overflow the pencil)."""
+def _margin(m: np.ndarray, n: int) -> tuple[float, int]:
+    """Min over nodes of the smallest eigenvalue of the pencil value ``m`` and
+    the flat index of its first node; ValueError when the min is not finite
+    (inputs that overflow the pencil)."""
     found = smallest_eigenvalue(m, n)
     if not math.isfinite(found[0]):
         raise ValueError(f"the pencil margin is {found[0]}: the inputs overflow it")
     return found
-
-
-def _entry_sum(flat: np.ndarray, n: int) -> np.ndarray:
-    """Sum of the absolute entries of each full matrix of ``flat``, a bound on
-    its 2-norm."""
-    return np.abs(flat) @ sym_pair_weights(n)
 
 
 def _pencil_parts(
@@ -120,22 +106,20 @@ def max_s(
 
     With ``scale_gauge_with_s`` the gauge enters as S*u instead of u (the
     gauge family indexed by S itself, e.g. u = -log det g0 per unit S).
-    Unbounded is reported when the S-slope part of the pencil is positive
-    semidefinite at every node.  Otherwise the bracket doubles from S = 1
-    until the margin is negative, which ends: the slope is negative at some
-    node, and a pencil or a bracket that overflows raises ValueError.
-    Bisection then halves the bracket to absolute width 1e-9, or until its
-    midpoint rounds to an end (above 2^23 one ulp of S exceeds 1e-9).  The
-    margin runs over every node at S = 0, for the slope, at each bracket
-    step and once at the final S_max, which gives the witness; each
-    bisection step runs only on the active nodes, those not proven
-    nonnegative over the whole bracket, and so takes the sign, hence S_max,
-    of the margin over every node.
+    Unbounded is reported when the slope M1 has a nonnegative margin.
+    Otherwise 1/lambda, lambda the largest eigenvalue of (-M1, M0) over the
+    nodes, estimates S_max (ValueError where that is no positive float: the
+    inputs overflow the pencil, or M0 is singular to its rounding).  From
+    the estimate the margin walks, up while nonnegative and down while
+    negative, in steps that double from one ulp and then halve, to adjacent
+    floats lo < hi with margin(lo) >= 0 > margin(hi).  S_max is lo, and the
+    witness the first node attaining margin(lo).  Every margin runs over
+    every node, once per S.
     """
     n = g0.grid.ndim
     m0, m1 = (m.reshape(-1, m.shape[-1]) for m in _pencil_parts(g0, u, theta, scale_gauge_with_s))
 
-    def margin(s: float) -> tuple[float, int, np.ndarray]:
+    def margin(s: float) -> tuple[float, int]:
         return _margin(m0 + s * m1, n)
 
     at_zero = margin(0.0)
@@ -144,35 +128,36 @@ def max_s(
     if _margin(m1, n)[0] >= 0.0:
         return PencilResult(s_max=math.inf, witness_node=None, witness_direction=None)
 
-    s_hi = 1.0
-    while (at_hi := margin(s_hi))[0] >= 0.0:
-        s_hi *= 2.0
-        if math.isinf(s_hi):  # inf * 0 in the pencil would warn before _margin raises
-            raise ValueError("the pencil margin is nonnegative up to S = 2^1023: the inputs overflow it")
-    # e(s) = e0 + s*e1 bounds at each node the rounding of m0 + s*m1 plus the
-    # kernel's error; a node is active until its lower bounds at both ends of
-    # the bracket exceed 2 e(s_hi): by concavity it then stays above
-    # e(s_hi) >= e(mid) on the whole bracket, so its margin at any mid is >= 0
-    e0 = WHITENING_BAND * _entry_sum(m0, n) + SCREEN_FLOOR
-    e1 = WHITENING_BAND * _entry_sum(m1, n)
-    nodes = np.arange(len(m0))
-    lower_lo, lower_hi = at_zero[2], at_hi[2]
-    s_lo = 0.0
-    while s_hi - s_lo > BISECTION_TOL and s_lo < (mid := 0.5 * (s_lo + s_hi)) < s_hi:
-        bound = 2.0 * (e0[nodes] + s_hi * e1[nodes])
-        active = ~((lower_lo > bound) & (lower_hi > bound))
-        nodes, lower_lo, lower_hi = nodes[active], lower_lo[active], lower_hi[active]
-        found, _, lower = _margin(m0[nodes] + mid * m1[nodes], n)
-        if found >= 0.0:
-            s_lo, lower_lo = mid, lower
+    try:
+        lam = largest_pencil_eigenvalue(np.negative(m1), m0, n)[0]
+    except np.linalg.LinAlgError:  # a node of M0 that its Cholesky factor finds singular
+        lam = math.nan
+    s = 1.0 / lam if lam > 0.0 else math.inf
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"the pencil's largest eigenvalue {lam} gives no S_max: "
+                         "the inputs overflow it or M0 is singular to its rounding")
+    # margin(lo) >= 0 > margin(hi); 0 and inf stand for the ends not yet probed
+    (lo, at_lo), hi, step = (0.0, at_zero), math.inf, math.ulp(s)
+    while True:
+        found = margin(s)
+        if found[0] >= 0.0:
+            lo, at_lo = s, found
         else:
-            s_hi, lower_hi = mid, lower
+            hi = s
+        if math.isinf(hi):
+            s = lo + step
+            if math.isinf(s):  # inf * 0 in the pencil would warn before _margin raises
+                raise ValueError(f"the pencil margin is nonnegative up to S = {lo}: the inputs overflow it")
+        elif lo == 0.0 and hi - step > 0.0:
+            s = hi - step
+        elif not lo < (s := lo + 0.5 * (hi - lo)) < hi:
+            break
+        step *= 2.0
 
-    worst = margin(s_lo)[1]
+    worst = at_lo[1]
     node = tuple(np.unravel_index(worst, g0.grid.shape))
-    _, vecs = np.linalg.eigh(sym_matrices(m0[worst] + s_lo * m1[worst], n))  # [[1.0]] for n = 1
-    direction = vecs[:, 0]
-    return PencilResult(s_max=s_lo, witness_node=node, witness_direction=direction)
+    _, vecs = np.linalg.eigh(sym_matrices(m0[worst] + lo * m1[worst], n))  # [[1.0]] for n = 1
+    return PencilResult(s_max=lo, witness_node=node, witness_direction=vecs[:, 0])
 
 
 def log_det_gauge(g0: MetricField) -> ScalarField:

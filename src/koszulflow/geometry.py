@@ -404,24 +404,18 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
     return low
 
 
-def smallest_eigenvalue(comps: np.ndarray, n: int) -> tuple[float, int, np.ndarray]:
-    """Smallest eigenvalue over the nodes of a pair-stored symmetric field, its
-    flat node index (the first on ties), and a flat per-node lower bound:
-    ``sym_min_eigenvalues`` and its ``argmin``, screened for n = 3, where the
-    kernel is LAPACK.  There the bound is the screen's ``smallest - band``,
-    below both the exact smallest eigenvalue and the kernel's; for n <= 2,
-    where the kernel is a closed form, it is the kernel's values, within the
-    kernel's rounding of the exact ones."""
+def smallest_eigenvalue(comps: np.ndarray, n: int) -> tuple[float, int]:
+    """Smallest eigenvalue over the nodes of a pair-stored symmetric field and
+    its flat node index (the first on ties): ``sym_min_eigenvalues`` and its
+    ``argmin``, screened for n = 3, where the kernel is LAPACK."""
     flat = comps.reshape(-1, comps.shape[-1])
     if n < 3:
         eigs = sym_min_eigenvalues(flat, n)
         worst = int(eigs.argmin())
-        return float(eigs[worst]), worst, eigs
+        return float(eigs[worst]), worst
     # the screen is node-local: chunk by chunk, its temporaries take one chunk's memory
     smallest, band = _per_chunk(lambda c: _sym_eigen_screen(c, 3)[::2], (flat,))
-    value, worst = screened_extreme(smallest, band, lambda c: sym_min_eigenvalues(c, 3), (flat,))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return value, worst, smallest - band
+    return screened_extreme(smallest, band, lambda c: sym_min_eigenvalues(c, 3), (flat,))
 
 
 def check_metric(comps: np.ndarray, n: int) -> tuple[float | None, np.ndarray | None]:
@@ -443,7 +437,7 @@ def check_metric(comps: np.ndarray, n: int) -> tuple[float | None, np.ndarray | 
         det = det.reshape(comps.shape[:-1])
         if proven.all():
             return None, det
-    value, worst = smallest_eigenvalue(comps, n)[:2]
+    value, worst = smallest_eigenvalue(comps, n)
     if value < MIN_EIGENVALUE:
         raise NotPositiveDefinite(tuple(int(k) for k in np.unravel_index(worst, comps.shape[:-1])), value)
     return value, det
@@ -589,6 +583,22 @@ def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, flo
     return float(eigs[:, 0].min()), float(eigs[:, -1].max())
 
 
+def largest_pencil_eigenvalue(g_flat: np.ndarray, h_flat: np.ndarray, n: int) -> tuple[float, int]:
+    """Largest generalized eigenvalue over the flat nodes of the pair-stored
+    pencil (G, H), H positive definite and G any symmetric field, and its
+    flat node (the first on ties): the ratio at n = 1, else the
+    :func:`_pencil_eigenvalues` chain on the candidates of the screen, which
+    factors H chunk by chunk; LinAlgError where the chain cannot factor H."""
+    if n == 1:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ratio = g_flat[:, 0] / h_flat[:, 0]
+        top = int(ratio.argmax())
+        return float(ratio[top]), top
+    largest, band = _per_chunk(lambda g, h: _pencil_screen(g, _inverse_factor(h, n), n)[1:], (g_flat, h_flat))
+    return screened_extreme(largest, band, lambda g, h: _pencil_eigenvalues(g, h, n)[:, -1],
+                            (g_flat, h_flat), largest=True)
+
+
 def _pencil_eigenvalues(g_comps: np.ndarray, h_comps: np.ndarray, n: int) -> np.ndarray:
     """Ascending generalized eigenvalues of pair-stored (G, H) per node: the
     ordinary eigenvalues of L^-1 G L^-T, with L the Cholesky factor of H."""
@@ -615,17 +625,17 @@ def _inverse_factor(h_flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
 def _pencil_screen(g_flat: np.ndarray, h_factor: tuple[np.ndarray, np.ndarray],
                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form ``(smallest, largest, band)`` generalized eigenvalues of the
-    pair-stored SPD pairs (G, H): the symmetric screen of W = X G X^T, with
-    ``h_factor = (X, r)`` of :func:`_inverse_factor`."""
+    pair-stored pairs (G, H), H positive definite: the symmetric screen of
+    W = X G X^T, with ``h_factor = (X, r)`` of :func:`_inverse_factor`, and
+    ``r |W|_F`` for the rounding of W and of the chain."""
     x, rounding = h_factor
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slot = sym_table(n, 2)
-        xg = [[sum(x[i, k] * g_flat[:, slot[k, l]] for k in range(i + 1))
+        slot, g_rows = sym_table(n, 2), np.ascontiguousarray(g_flat.T)  # one contiguous row per pair
+        xg = [[sum(x[i, k] * g_rows[slot[k, l]] for k in range(i + 1))
                for l in range(n)] for i in range(n)]
-        w = np.stack([sum(xg[i][l] * x[j, l] for l in range(j + 1)) for i, j in sym_pairs(n)], axis=1)
+        w = np.stack([sum(xg[i][l] * x[j, l] for l in range(j + 1)) for i, j in sym_pairs(n)]).T
         smallest, largest, band = _sym_eigen_screen(w, n)
-        tr_w = w[:, slot.diagonal()].sum(axis=1)
-        band = band + rounding * np.abs(tr_w)
+        band = band + rounding * np.sqrt(np.square(w) @ sym_pair_weights(n))
     return smallest, largest, band
 
 
@@ -1116,8 +1126,9 @@ def pullback_chern_torsion(g: MetricField) -> tuple[np.ndarray, float]:
     from holomorphic derivatives of base functions).  Returns the array
     ``T[..., k, i, j]`` and the sup over nodes of its fully g-contracted
     norm, which vanishes (to truncation) exactly when g is Hessian."""
-    d, ginv = metric_partials(g), g.inverse_matrices()
-    return _torsion(d, ginv), _sup_torsion_gnorm(d, ginv, g.matrices())
+    pairs, n = _pair_operands(g), g.grid.ndim
+    torsion = _torsion(_gathered_partials(pairs[0]), sym_matrices(pairs[1], n))
+    return torsion.reshape(*g.grid.shape, n, n, n), _sup_torsion_gnorm(pairs)
 
 
 def _torsion(d: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -1127,20 +1138,15 @@ def _torsion(d: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, anti)
 
 
-def _sup_torsion_gnorm(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray, pair_stored: bool = False) -> float:
+def _sup_torsion_gnorm(pairs: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
     """Sup over the nodes of the torsion's g-norm, with ``T`` formed at the
-    candidates of the closed-form screen only.  At n = 1, where ``T`` is zero,
-    every node ties, so the kernel runs on every node (the fallback).  With
-    ``pair_stored`` the operands are :func:`curvature_bundle`'s flat
-    pair-stored ones, which the screen and the kernel gather per chunk."""
-    if pair_stored:
-        flat, wrap = (d, ginv, gmat), _gathering
-    else:
-        n = ginv.shape[-1]
-        flat, wrap = (d.reshape(-1, n, n, n), ginv.reshape(-1, n, n), gmat.reshape(-1, n, n)), (lambda k: k)
+    candidates of the closed-form screen only, from the flat pair-stored
+    operands ``pairs`` of :func:`_pair_operands`, which the screen and the
+    kernel gather per chunk.  At n = 1, where ``T`` is zero, every node
+    ties, so the kernel runs on every node (the fallback)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sq, band = _per_chunk(wrap(_torsion_screen), flat)
-    return screened_extreme(sq, band, wrap(_torsion_gnorm), flat, largest=True)[0]
+        sq, band = _per_chunk(_gathering(_torsion_screen), pairs)
+    return screened_extreme(sq, band, _gathering(_torsion_gnorm), pairs, largest=True)[0]
 
 
 def _torsion_screen(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1313,10 +1319,7 @@ def curvature_bundle(g: MetricField, pm: PotentialMetric | None,
     so no array of the difference tensor, its Riemann tensor or the torsion
     is formed on the whole grid.  Q is formed before the Koszul forms, with
     only ``g^-1`` held: the order of the lower peak memory."""
-    n, nodes = g.grid.ndim, g.grid.num_nodes
-    npairs = g.components.shape[-1]
-    pairs = (sym_derivatives(g.components, 1, g.grid.spacings).reshape(nodes, npairs, n),
-             sym_inverse(g.components, n).reshape(nodes, npairs), g.components.reshape(nodes, npairs))
+    pairs = _pair_operands(g)
     defect, mixed, lower, gamma_000, screen, band = _per_chunk(_gathering(_bundle_pass), pairs)
     # the Riemann tensor only at the candidates of its screen, Christoffel first
     sup_riemann = screened_extreme(screen, band, _gathering(_riemann_max), pairs, largest=True)[0]
@@ -1324,7 +1327,7 @@ def curvature_bundle(g: MetricField, pm: PotentialMetric | None,
                 sup_gamma_lower=float(lower.max()), sup_riemann=sup_riemann,
                 gamma_mixed_000=None if node is None else float(gamma_000[np.ravel_multi_index(node, g.grid.shape)]))
     del defect, mixed, lower, gamma_000, screen, band
-    sups["torsion_norm"] = _sup_torsion_gnorm(*pairs, pair_stored=True)
+    sups["torsion_norm"] = _sup_torsion_gnorm(pairs)
     ginv = pairs[1]
     del pairs  # the derivatives freed before Q
     q = None if pm is None else _hessian_curvature(pm, ginv)
@@ -1333,10 +1336,20 @@ def curvature_bundle(g: MetricField, pm: PotentialMetric | None,
     return CurvatureBundle(alpha=alpha, kappa=kappa, beta=beta, q=q, **sups)
 
 
+def _pair_operands(g: MetricField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat pair-stored operands of the node-local kernels of
+    :func:`curvature_bundle` and :func:`pullback_chern_torsion`: per flat
+    node the ``[ij, k]`` first derivatives, ``g^-1`` and ``g``'s components."""
+    n, nodes = g.grid.ndim, g.grid.num_nodes
+    return (sym_derivatives(g.components, 1, g.grid.spacings).reshape(nodes, -1, n),
+            sym_inverse(g.components, n).reshape(nodes, -1), g.components.reshape(nodes, -1))
+
+
 def _gathering(kernel: Callable) -> Callable:
     """``kernel(d, g^-1, g)``, a node-local kernel of full arrays, on the
-    flat pair-stored operands of :func:`curvature_bundle`: the ``[ij, k]``
-    first derivatives, ``g^-1`` and ``g``, gathered on the nodes it runs on."""
+    flat pair-stored operands of :func:`_pair_operands`, gathered on the
+    nodes it runs on; ``__wrapped__`` is the kernel."""
+    @functools.wraps(kernel)
     def gathered(first: np.ndarray, ginv: np.ndarray, g: np.ndarray):
         n = first.shape[-1]
         return kernel(_gathered_partials(first), sym_matrices(ginv, n), sym_matrices(g, n))

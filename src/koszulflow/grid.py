@@ -49,8 +49,8 @@ class PeriodicGrid:
             raise ValueError("sizes and lengths must have equal length")
         if any(s < MIN_NODES for s in sizes):
             raise ValueError(f"need at least {MIN_NODES} nodes per axis, got {sizes}")
-        if any(length <= 0 for length in lengths):
-            raise ValueError(f"periods must be positive, got {lengths}")
+        if not all(0.0 < length < np.inf for length in lengths):  # NaN too
+            raise ValueError(f"periods must be positive and finite, got lengths {lengths}")
 
     @cached_property
     def ndim(self) -> int:

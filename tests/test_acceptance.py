@@ -245,7 +245,7 @@ def test_criterion_6_existence_criteria():
     for start in range(0, len(scan_values), 2000):
         batch = scan_values[start : start + 2000]
         pencil = m0[None, ...] + batch[:, None, None] * m1[None, ...]
-        margins = cr.sym_min_eigenvalues(pencil, 1).reshape(len(batch), -1).min(axis=1)
+        margins = geo.sym_min_eigenvalues(pencil, 1).reshape(len(batch), -1).min(axis=1)
         feasible = batch[margins >= 0.0]
         if len(feasible):
             best = max(best, float(feasible[-1]))
@@ -262,7 +262,7 @@ def test_criterion_6_existence_criteria():
     flat0 = mb0.reshape(-1, 3)
     flat1 = mb1.reshape(-1, 3)
     for node in rng.integers(0, len(flat0), size=100):
-        f = lambda s: float(cr.sym_min_eigenvalues(flat0[node] + s * flat1[node], 2))
+        f = lambda s: float(geo.sym_min_eigenvalues(flat0[node] + s * flat1[node], 2))
         if f(1.0) < 0.5 * (f(0.0) + f(2.0)) - 1e-10:
             failures.append(f"concavity violated at node {node}")
             break

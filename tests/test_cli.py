@@ -391,6 +391,21 @@ class TestErrorPaths:
         assert_one_config_error(err)
         assert self.BAD_SNAPSHOT[case] in err and str(snap) in err, err
 
+    @pytest.mark.parametrize("verb", ["curvature", "flow-run"])
+    @pytest.mark.parametrize("length", ["inf", "nan"])
+    def test_non_finite_period_exits_2(self, tmp_path, capsys, verb, length):
+        # a header saying lengths=inf once ran both verbs to exit 0, with
+        # spacing inf and every curvature quantity 0.0
+        grid = PeriodicGrid((16,), (2 * np.pi,))
+        snap = tmp_path / "psi.hfld"
+        write_snapshot(str(snap), grid, np.zeros(16), extra={"background": "1.0"})
+        snap.write_bytes(re.sub(rb"lengths=\S+", b"lengths=" + length.encode(), snap.read_bytes(), count=1))
+        cfg = write_config(tmp_path, "c.cfg", f"potential = {snap}\n" + (self.T if verb == "flow-run" else ""))
+        assert run(verb, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert_one_config_error(err)
+        assert f"periods must be positive and finite, got lengths ({length},)" in err and str(snap) in err, err
+
     T = "T = 0.01\n"
     # case -> (verb, config text); the snapshot paths are filled in per run
     BAD_INPUT = {

@@ -44,7 +44,7 @@ def dense_scan_max_s(g0, u, theta, s_hi=20.0, step=1e-4):
     for start in range(0, len(s_values), chunk):
         batch = s_values[start : start + chunk]
         pencil = m0[None, ...] + batch[:, None, None] * m1[None, ...]
-        margins = cr.sym_min_eigenvalues(pencil, n).reshape(len(batch), -1).min(axis=1)
+        margins = geo.sym_min_eigenvalues(pencil, n).reshape(len(batch), -1).min(axis=1)
         feasible = batch[margins >= 0.0]
         if len(feasible):
             best = max(best, float(feasible[-1]))
@@ -160,7 +160,7 @@ class TestMaxS:
     def count_margins(monkeypatch, cap=math.inf):
         """A list that grows at each margin evaluation, that is each call of
         ``smallest_eigenvalue``, by the number of nodes it runs on; a call
-        beyond ``cap`` fails, so a bisection that never ends fails too."""
+        beyond ``cap`` fails, so a walk that never ends fails too."""
         calls = []
         original = cr.smallest_eigenvalue
 
@@ -207,33 +207,56 @@ class TestMaxS:
             cr.max_s(g, zero_gauge(g), 1.5)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("case", ["sin1d", "report3d"])
+    # case -> (metric, theta, full-grid margins per call): at S = 0, of the
+    # slope M1, and the walk's; on sin1d the estimate 1/lambda is S_max and
+    # the walk takes 2 (S_max, one ulp above), on the report3d shape it lies
+    # 2 ulps above S_max and the walk takes 4 (down 1 ulp and 2 more, then a halving)
+    MARGIN_COUNTS = {"sin1d": (sin1d_metric, 0.1, 4), "report3d": (lambda: report3d_shape(), 0.5, 6)}
+
+    @pytest.mark.parametrize("case", sorted(MARGIN_COUNTS))
     def test_each_margin_is_evaluated_once(self, monkeypatch, case):
-        # over every node: one margin at S = 0, one of the slope M1, one per
-        # bracket step and the final one at s_lo, which gives the witness;
-        # each bisection step runs on the active nodes only, fewer than all
-        if case == "sin1d":
-            g = sin1d_metric()
-        else:  # the shape of the benchmark's 3-D report: 32^3, theta = 0.5, zero gauge
-            grid = PeriodicGrid((32,) * 3, (2.0 * math.pi,) * 3)
-            psi = ScalarField.from_function(grid, lambda x, y, z: 0.1 * np.cos(x) * np.cos(y) * np.cos(z))
-            g = geo.metric_from_potential(geo.PotentialMetric(grid, np.eye(3), psi))
-        theta = 0.1 if case == "sin1d" else 0.5
+        # every margin runs over every node, no S twice, and the witness is
+        # the walk's margin at S_max, not one more
+        metric, theta, count = self.MARGIN_COUNTS[case]
+        g = metric()
+        pencils = []
+        original = cr._margin
+        monkeypatch.setattr(cr, "_margin", lambda m, n: pencils.append(m.tobytes()) or original(m, n))
         calls = self.count_margins(monkeypatch)
-        s_max = cr.max_s(g, zero_gauge(g), theta).s_max
-        s_hi = 1.0
-        while s_hi <= s_max:
-            s_hi *= 2.0
-        bracket = int(math.log2(s_hi)) + 1
-        width, bisection = s_hi, 0
-        while width > cr.BISECTION_TOL:
-            width, bisection = 0.5 * width, bisection + 1
-        nodes = g.grid.num_nodes
-        full, steps = calls[: 2 + bracket] + calls[-1:], calls[2 + bracket : -1]
-        assert full == [nodes] * (3 + bracket)
-        assert len(steps) == bisection and max(steps) < nodes
-        if case == "report3d":
-            assert (bracket, len(full)) == (2, 5)
+        cr.max_s(g, zero_gauge(g), theta)
+        assert calls == [g.grid.num_nodes] * count
+        assert len(set(pencils)) == len(pencils)
+
+    @settings(max_examples=60)
+    @given(n=st.sampled_from((1, 2, 3)), seed=st.integers(0, 2**32 - 1), log_cond=st.floats(0.0, 12.0))
+    # draws whose margin at S = 0 is positive and whose M0 the chain cannot factor
+    @example(n=2, seed=43, log_cond=0.0)
+    @example(n=3, seed=1, log_cond=0.0)
+    def test_near_singular_m0_never_ends_in_lin_alg_error(self, n, seed, log_cond):
+        # M0 with cond up to 1e12, and at 1 to 3 nodes a smallest eigenvalue
+        # from 2 ulps below 0 to 8 above, relative to its norm, where the
+        # margin at S = 0 may be positive while a Cholesky factor of M0
+        # fails; the pencil chain never ends in LinAlgError (a ValueError),
+        # and a result is a sign change of the margin
+        rng = np.random.default_rng(seed)
+        shape = (8,) * n
+        frames = np.linalg.qr(rng.standard_normal((*shape, n, n)))[0]
+        spectra = 10.0 ** rng.uniform(0.0, log_cond, (*shape, n))
+        near = np.unravel_index(rng.choice(8**n, rng.integers(1, 4), replace=False), shape)
+        spectra[near + (0,)] = rng.integers(-2, 9, len(near[0])) * spectra[near].max(axis=-1) * 2.0**-52
+        m0 = pair_stored(frames @ (spectra[..., None] * np.swapaxes(frames, -1, -2)))
+        m1 = rng.standard_normal((*shape, n, n))
+        m1 = pair_stored(m1 + np.swapaxes(m1, -1, -2))
+        grid = PeriodicGrid(shape, (2.0 * math.pi,) * n)
+        g0 = geo.MetricField(grid, np.broadcast_to(pair_stored(np.eye(n)), m0.shape))
+        with mock.patch.object(cr, "_pencil_parts", return_value=(m0, m1)):
+            try:
+                result = cr.max_s(g0, zero_gauge(g0), 0.0)
+            except (cr.InfeasibleAtZero, ValueError) as error:
+                assert not isinstance(error, np.linalg.LinAlgError)
+                return
+        assert isinstance(result, cr.PencilResult)
+        assert_sign_change(result, m0, m1)
 
     def test_concavity_of_nodewise_minimum_eigenvalue(self):
         g = geo.metric_from_potential(reg.build_example("bump2d", sizes=(64, 64)))
@@ -246,7 +269,7 @@ class TestMaxS:
         nodes = rng.integers(0, len(flat_m0), size=100)
         for node in nodes:
             f = lambda s: float(
-                cr.sym_min_eigenvalues(flat_m0[node] + s * flat_m1[node], 2)
+                geo.sym_min_eigenvalues(flat_m0[node] + s * flat_m1[node], 2)
             )
             assert f(0.5 * s_star) >= 0.5 * (f(0.0) + f(s_star)) - 1e-10
 
@@ -264,9 +287,13 @@ class TestMaxS:
             assert f(0.5 * s_star) == pytest.approx(0.5 * (f(0.0) + f(s_star)), abs=1e-10)
 
 
+# the absolute stop of the full bisection below, which max_s no longer has
+BISECTION_TOL = 1e-9
+
+
 def reference_margin(m, n):
     """``criteria._margin`` of the full bisection, verbatim but for the
-    ``[:2]`` on ``smallest_eigenvalue``, which also returns its screen."""
+    ``[:2]`` on ``smallest_eigenvalue``, which then also returned its screen."""
     margin, worst = geo.smallest_eigenvalue(m, n)[:2]
     if not math.isfinite(margin):
         raise ValueError(f"the pencil margin is {margin}: the inputs overflow it")
@@ -302,7 +329,7 @@ def reference_max_s(g0, u, theta, scale_gauge_with_s=False):
     else:
         raise RuntimeError("failed to bracket the infeasible region")
     s_lo = 0.0
-    while s_hi - s_lo > cr.BISECTION_TOL and s_lo < (mid := 0.5 * (s_lo + s_hi)) < s_hi:
+    while s_hi - s_lo > BISECTION_TOL and s_lo < (mid := 0.5 * (s_lo + s_hi)) < s_hi:
         found = margin(mid)
         if found[0] >= 0.0:
             s_lo, lo = mid, found
@@ -346,35 +373,51 @@ def random_pencils(draw):
     return shape, pair_stored(m0), pair_stored(m1)
 
 
-def assert_same_result(got, want):
-    assert got.s_max.hex() == want.s_max.hex()
-    assert got.witness_node == want.witness_node
-    if want.witness_direction is None:
-        assert got.witness_direction is None
-    else:
-        assert got.witness_direction.tobytes() == want.witness_direction.tobytes()
+def assert_sign_change(got, m0, m1):
+    """A finite ``S_max`` is a sign change of the computed margin,
+    ``margin(S) >= 0 > margin(nextafter(S, inf))``, and its witness is the
+    first node that attains ``margin(S)``, with the direction of the
+    smallest eigenvalue there."""
+    shape = m0.shape[:-1]
+    n = len(shape)
+    at_s = reference_margin(m0 + got.s_max * m1, n)
+    assert at_s[0] >= 0.0 > reference_margin(m0 + np.nextafter(got.s_max, math.inf) * m1, n)[0]
+    node = np.unravel_index(at_s[1], shape)
+    assert got.witness_node == node
+    _, vecs = np.linalg.eigh(geo.sym_matrices(m0[node] + got.s_max * m1[node], n))
+    assert got.witness_direction.tobytes() == vecs[:, 0].tobytes()
 
 
-def same_outcome(run):
-    """``run(max_s)`` for the active-set and the full bisection: the same
-    result bit for bit, or the same exception and message."""
+def same_outcome(run, m0, m1):
+    """``run(max_s)`` for the walk from the pencil's estimate and for the full
+    bisection: a finite ``S_max`` within ``1e-9 (1 + S_ref)`` of the
+    bisection's, which stops at width 1e-9, and a sign change of the
+    margin; an unbounded result for an unbounded one; or the same
+    exception, with the same message where both raise InfeasibleAtZero."""
     outcomes = []
     for solver in (cr.max_s, reference_max_s):
         try:
             outcomes.append(run(solver))
         except (cr.InfeasibleAtZero, ValueError) as error:
+            assert not isinstance(error, np.linalg.LinAlgError)
             outcomes.append((type(error), str(error)))
     got, want = outcomes
-    if isinstance(want, cr.PencilResult):
-        assert_same_result(got, want)
+    if not isinstance(want, cr.PencilResult):
+        assert type(got) is tuple and got[0] is want[0]
+        assert got == want or want[0] is ValueError
+    elif want.unbounded:
+        assert got.unbounded and got.witness_node is None and got.witness_direction is None
     else:
-        assert got == want
+        assert abs(got.s_max - want.s_max) <= 1e-9 * (1.0 + want.s_max)
+        assert_sign_change(got, m0, m1)
     return want
 
 
 class TestMaxSAgainstFullBisection:
-    """The bisection that runs on the active nodes returns the bits of the
-    one that evaluates every margin over every node."""
+    """The walk from the pencil's estimate ends at a sign change of the
+    computed margin next to the S_max of the bisection that ``max_s`` ran
+    before, kept here as the oracle, which evaluates every margin over
+    every node."""
 
     @settings(max_examples=60)
     @given(pencil=random_pencils())
@@ -384,7 +427,7 @@ class TestMaxSAgainstFullBisection:
         grid = PeriodicGrid(shape, (2.0 * math.pi,) * n)
         g0 = geo.MetricField(grid, np.broadcast_to(pair_stored(np.eye(n)), (*shape, m0.shape[-1])))
         with mock.patch.object(cr, "_pencil_parts", return_value=(m0, m1)):
-            same_outcome(lambda solver: solver(g0, ScalarField.zeros(grid), 0.0))
+            same_outcome(lambda solver: solver(g0, ScalarField.zeros(grid), 0.0), m0, m1)
 
     @settings(max_examples=30)
     @given(example=st.sampled_from(("sin1d", "bump2d", "potential3d")),
@@ -397,12 +440,21 @@ class TestMaxSAgainstFullBisection:
         # c (-log det g0) leaves the slope -(1 - c) beta0, unbounded at c = 1
         g0 = small_metric(example)
         u = cr.log_det_gauge(g0) * gauge_scale
-        same_outcome(lambda solver: solver(g0, u, theta, scale_gauge_with_s=scale_gauge_with_s))
+        m0, m1 = cr._pencil_parts(g0, u, theta, scale_gauge_with_s)
+        same_outcome(lambda solver: solver(g0, u, theta, scale_gauge_with_s=scale_gauge_with_s), m0, m1)
 
     def test_infeasible_at_zero(self):
         g0 = small_metric("potential3d")
-        want = same_outcome(lambda solver: solver(g0, zero_gauge(g0), 1.0))
+        m0, m1 = cr._pencil_parts(g0, zero_gauge(g0), 1.0, False)
+        want = same_outcome(lambda solver: solver(g0, zero_gauge(g0), 1.0), m0, m1)
         assert want[0] is cr.InfeasibleAtZero
+
+
+def report3d_shape():
+    """The shape of the benchmark's 3-D report: 32^3 with a product potential."""
+    grid = PeriodicGrid((32,) * 3, (2.0 * math.pi,) * 3)
+    psi = ScalarField.from_function(grid, lambda x, y, z: 0.1 * np.cos(x) * np.cos(y) * np.cos(z))
+    return geo.metric_from_potential(geo.PotentialMetric(grid, np.eye(3), psi))
 
 
 def small_metric(example):

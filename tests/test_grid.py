@@ -1,5 +1,6 @@
 """Stencil calculus on periodic grids: closed-form values, exact identities."""
 
+import math
 import re
 
 import numpy as np
@@ -79,6 +80,13 @@ class TestPeriodicGrid:
             PeriodicGrid((64,), (-1.0,))
         with pytest.raises(ValueError):
             PeriodicGrid((64,), (1.0, 2.0))
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_periods_must_be_positive_and_finite(self, length):
+        # an infinite period gave spacing inf and a curvature report of zeros
+        message = f"periods must be positive and finite, got lengths (6.0, {length})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PeriodicGrid((8, 8), (6.0, length))
 
     def test_nearest_node_wraps(self):
         grid = line_grid(64)

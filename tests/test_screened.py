@@ -484,33 +484,61 @@ class TestPencilScreen:
     @HYPOTHESIS
     @given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1),
            levels=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=3),
-           log_cond=st.floats(0.0, 12.0))
-    def test_range_equals_the_full_chain(self, n, seed, levels, log_cond):
-        # W = L^-1 G L^-T has repeated and shared eigenvalues; H = L L^T is
-        # conditioned up to 1e12
+           log_cond=st.floats(0.0, 12.0), indefinite=st.booleans())
+    # eigenvalues +-1 of W: tr W = 0 at about half the nodes, where a band in |tr W| fails
+    @example(n=2, seed=0, levels=[1.0], log_cond=5.0, indefinite=True)
+    def test_range_equals_the_full_chain(self, n, seed, levels, log_cond, indefinite):
+        # W = L^-1 G L^-T has repeated and shared eigenvalue magnitudes, of
+        # either sign for an indefinite G (as -M1 of the a2 pencil), where
+        # tr W may vanish while |W|_2 does not; H = L L^T is conditioned up
+        # to 1e12
         rng = np.random.default_rng(seed)
         grid = PeriodicGrid((8,) * n, (TWO_PI,) * n)
         spectrum = rng.choice(levels, (*grid.shape, n))
         spectrum[..., 1] = spectrum[..., 0]
+        if indefinite:
+            spectrum *= rng.choice([-1.0, 1.0], spectrum.shape)
         h = rotated(10.0 ** rng.uniform(0.0, log_cond, (*grid.shape, n)), rng)
         low = np.linalg.cholesky(h)
         g = low @ rotated(spectrum, rng) @ np.swapaxes(low, -1, -2)
-        g, h = (geo.MetricField(grid, pair_stored(0.5 * (a + np.swapaxes(a, -1, -2)))) for a in (g, h))
-        npairs = g.components.shape[-1]
-        smallest, largest, band = geo._pencil_screen(g.components.reshape(-1, npairs),
-                                                     geo._inverse_factor(h.components.reshape(-1, npairs), n), n)
-        linv = np.linalg.inv(np.linalg.cholesky(h.matrices()))
-        eigs = np.linalg.eigvalsh(linv @ g.matrices() @ np.swapaxes(linv, -1, -2))
+        g, h = (pair_stored(0.5 * (a + np.swapaxes(a, -1, -2))) for a in (g, h))
+        npairs = g.shape[-1]
+        flat = (g.reshape(-1, npairs), h.reshape(-1, npairs))
+        smallest, largest, band = geo._pencil_screen(flat[0], geo._inverse_factor(flat[1], n), n)
+        linv = np.linalg.inv(np.linalg.cholesky(geo.sym_matrices(h, n)))
+        eigs = np.linalg.eigvalsh(linv @ geo.sym_matrices(g, n) @ np.swapaxes(linv, -1, -2))
         assert np.all(np.abs(smallest - eigs[..., 0].ravel()) <= band)
         assert np.all(np.abs(largest - eigs[..., -1].ravel()) <= band)
-        lam, big_lam = geo.pencil_eigenvalue_range(g, h)
-        assert np.array_equal(lam, eigs[..., 0].min()) and np.array_equal(big_lam, eigs[..., -1].max())
+        assert geo.largest_pencil_eigenvalue(*flat, n) == first_extreme(eigs[..., -1], largest=True)
+        if not indefinite:
+            lam, big_lam = geo.pencil_eigenvalue_range(geo.MetricField(grid, g), geo.MetricField(grid, h))
+            assert np.array_equal(lam, eigs[..., 0].min()) and np.array_equal(big_lam, eigs[..., -1].max())
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_smooth_range_equals_the_full_chain(self, n):
         g, g0 = smooth_pair(n)
         pencil = full_kernels(n)["pencil"][2]
         assert geo.pencil_eigenvalue_range(g, g0) == (pencil[:, 0].min(), pencil[:, -1].max())
+        flat = (g.components.reshape(len(pencil), -1), g0.components.reshape(len(pencil), -1))
+        assert geo.largest_pencil_eigenvalue(*flat, n) == first_extreme(pencil[:, -1], largest=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a2_pencil_extreme_equals_the_full_chain(self, monkeypatch, n):
+        # the pencil (-M1, M0) of max_s on a smooth metric, theta = 0.5 and
+        # the zero gauge, against the unscreened chain over every node (the
+        # ratio at n = 1), on a few of the nodes
+        g0 = smooth_pair(n)[0] if n > 1 else geo.metric_from_potential(reg.build_example("sin1d"))
+        m0, m1 = (m.reshape(g0.grid.num_nodes, -1)
+                  for m in cr._pencil_parts(g0, ScalarField.zeros(g0.grid), 0.5, scale_gauge_with_s=False))
+        if n == 1:
+            want = first_extreme(-m1[:, 0] / m0[:, 0], largest=True)
+        else:
+            want = first_extreme(geo._pencil_eigenvalues(-m1, m0, n)[:, -1], largest=True)
+        found = []
+        sizes, = kernel_sizes(monkeypatch, ["_pencil_eigenvalues"],
+                              lambda: found.append(geo.largest_pencil_eigenvalue(-m1, m0, n))).values()
+        assert found == [want]
+        assert sum(sizes) < 0.02 * g0.grid.num_nodes if n > 1 else sizes == []
 
 
 def screen_records(monkeypatch, call):
@@ -739,7 +767,7 @@ class TestTorsionScreen:
         g = reg.build_example("twist2d") if name == "twist2d" else smooth_pair(int(name[-1]))[0]
         (values, band, kernel, operands), = screen_records(monkeypatch,
                                                            lambda: geo.pullback_chern_torsion(g))
-        assert kernel is geo._torsion_gnorm
+        assert kernel.__wrapped__ is geo._torsion_gnorm  # gathered per chunk from the pair-stored operands
         exact = kernel(*operands)
         assert np.all(np.abs(values - exact**2) <= band)
         assert exact.max() >= 0.01 if name == "twist2d" else exact.max() < 1e-12
@@ -748,19 +776,21 @@ class TestTorsionScreen:
     @given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1), copies=st.integers(1, 5),
            log_cond=st.floats(0.0, 8.0))
     def test_sup_equals_the_full_chain(self, n, seed, copies, log_cond):
-        # random metric derivatives on a 4^n grid; the node with the largest
-        # torsion norm is repeated at `copies` random nodes
+        # random pair-stored metric derivatives [ij, k] on 4^n nodes (every d
+        # the library forms is symmetric in i, j), g and g^-1 pair-stored as
+        # the bundle keeps them; the node with the largest torsion norm is
+        # repeated at `copies` random nodes
         rng = np.random.default_rng(seed)
         nodes = 4**n
-        d = rng.standard_normal((nodes, n, n, n)) * 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1, 1))
+        first = rng.standard_normal((nodes, len(geo.sym_pairs(n)), n)) * 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1))
         gmat = rotated(10.0 ** rng.uniform(0.0, log_cond, (nodes, n)), rng)
-        ginv = np.linalg.inv(gmat)
-        top = int(np.argmax(geo._torsion_gnorm(d, ginv, gmat)))
+        g, ginv = pair_stored(gmat), pair_stored(np.linalg.inv(gmat))
+        top = int(np.argmax(geo._gathering(geo._torsion_gnorm)(first, ginv, g)))
         for k in rng.choice(nodes, copies, replace=False):
-            d[k], gmat[k], ginv[k] = d[top], gmat[top], ginv[top]
-        d, gmat, ginv = (a.reshape(*(4,) * n, *a.shape[1:]) for a in (d, gmat, ginv))
-        torsion, norm = geo._torsion(d, ginv), geo._sup_torsion_gnorm(d, ginv, gmat)
-        assert np.array_equal(norm, unscreened_torsion_gnorm(torsion, gmat, ginv).max())
+            first[k], g[k], ginv[k] = first[top], g[top], ginv[top]
+        d, full_ginv, full_g = geo._gathered_partials(first), geo.sym_matrices(ginv, n), geo.sym_matrices(g, n)
+        norm = geo._sup_torsion_gnorm((first, ginv, g))
+        assert np.array_equal(norm, unscreened_torsion_gnorm(geo._torsion(d, full_ginv), full_g, full_ginv).max())
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_smooth_sup_equals_the_full_chain(self, n):
