@@ -246,13 +246,17 @@ def sym_inverse_matrices(comps: np.ndarray, n: int) -> np.ndarray:
 
 
 def sym_min_eigenvalues(comps: np.ndarray, n: int) -> np.ndarray:
-    """Nodewise smallest eigenvalue of a pair-stored symmetric matrix field."""
+    """Nodewise smallest eigenvalue of a pair-stored symmetric matrix field;
+    at n = 3 NaN where an entry is not finite, since LAPACK maps a NaN
+    entry to finite eigenvalues."""
     if n == 1:
         return comps[..., 0]
     if n == 2:
         half_trace, radius = _half_trace_radius(comps)
         return half_trace - radius
-    return np.linalg.eigvalsh(sym_matrices(comps, n))[..., 0]
+    eigs = np.linalg.eigvalsh(sym_matrices(comps, n))[..., 0]
+    eigs[~np.isfinite(comps).all(axis=-1)] = np.nan
+    return eigs
 
 
 def _half_trace_radius(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1064,45 +1068,38 @@ def _q_screen(ginv: np.ndarray, first: np.ndarray, d2: np.ndarray) -> tuple[np.n
 def riemann_from_gamma(g: MetricField) -> np.ndarray:
     """Lowered curvature tensor from quadratic products of the difference tensor."""
     gamma_mixed, _ = christoffel(g)
-    return _riemann_from_gamma(gamma_mixed, g.matrices())
-
-
-def _riemann_from_gamma(gamma_mixed: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     r_up = np.einsum("...ilm,...mjk->...ijkl", gamma_mixed, gamma_mixed) - np.einsum(
         "...ikm,...mjl->...ijkl", gamma_mixed, gamma_mixed
     )
-    return np.einsum("...ip,...pjkl->...ijkl", gmat, r_up)
+    return np.einsum("...ip,...pjkl->...ijkl", g.matrices(), r_up)
 
 
-def _riemann_max(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> np.ndarray:
-    """The exact kernel of the Riemann sup: per flat node, the largest
-    ``|R_ijkl|`` of :func:`_riemann_from_gamma` on the Christoffel symbols
-    of the metric derivatives ``d`` and ``g^-1``."""
-    gamma_mixed, _ = _christoffel(d, ginv)
-    return _largest_abs(_riemann_from_gamma(gamma_mixed, gmat))
-
-
-def _riemann_screen(gamma_mixed: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, band)`` per flat node for the sup of :func:`_riemann_max`:
-    the largest ``|R_ijkl|`` over the entries with ``k < l`` only, from the
-    same ``gamma_mixed`` and ``g``, read with the node axis last (views of
-    :func:`_christoffel`'s arrays).  ``R`` is antisymmetric in ``k, l``, so
-    those entries hold the exact maximum; ``band = WHITENING_BAND * 2 n^2
-    max|g| max|gamma|^2`` bounds both sides' rounding (docs/conventions.md)."""
+def _largest_riemann(gamma_mixed: np.ndarray, gmat: np.ndarray, mixed: np.ndarray) -> np.ndarray:
+    """Per flat node the largest ``|R_ijkl|`` of :func:`riemann_from_gamma`,
+    bit for bit, from its ``gamma_mixed`` and a finite ``g`` (a checked
+    metric's), read with the node axis last (views of :func:`_christoffel`'s
+    arrays), and ``mixed``, the largest ``|gamma_mixed|`` per node.  An entry
+    with ``k < l`` is summed in the ``einsum``'s order, one with ``k > l`` is
+    its exact negation, and one with ``k = l`` is ``x - x`` lowered, 0 unless
+    an ``x`` is not finite, so it is formed only where ``2 n mixed^2`` is not
+    (docs/conventions.md, "Node-local kernels")."""
     nodes, n = gamma_mixed.shape[:2]
     gamma, g = np.moveaxis(gamma_mixed, 0, -1), np.ascontiguousarray(np.moveaxis(gmat, 0, -1))
     values = np.zeros(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, l in itertools.combinations(range(n), 2):
-            # r_up[p, j] = sum_m gamma[p, l, m] gamma[m, j, k] - gamma[p, k, m] gamma[m, j, l]
-            r_up = sum(gamma[:, l, m, None] * gamma[m, None, :, k] - gamma[:, k, m, None] * gamma[m, None, :, l]
-                       for m in range(n))
-            lowered = sum(g[:, p, None] * r_up[p] for p in range(n))
-            values = np.maximum(values, np.abs(lowered).reshape(-1, nodes).max(axis=0))
-        g_max = np.abs(g).reshape(-1, nodes).max(axis=0)
-        gamma_max = np.abs(gamma).reshape(-1, nodes).max(axis=0)
-        band = WHITENING_BAND * 2 * n * n * g_max * gamma_max * gamma_max + SCREEN_FLOOR
-    return values, band
+        open_sums = np.flatnonzero(~(2.0 * n * mixed * mixed < np.inf))
+        for k, l in itertools.combinations_with_replacement(range(n), 2):
+            at = slice(None) if k < l else open_sums
+            if k == l and not open_sums.size:
+                continue
+            gam, low = gamma[..., at], g[..., at]
+            # r[p, j] = sum_m gamma[p, l, m] gamma[m, j, k] less the same with k, l swapped,
+            # then sum_p g[i, p] r[p, j]: each sum from 0 in the order of m or p, as the einsum's
+            r = sum(gam[:, l, m, None] * gam[m, None, :, k] for m in range(n))
+            r -= sum(gam[:, k, m, None] * gam[m, None, :, l] for m in range(n))
+            lowered = sum(low[:, p, None] * r[p] for p in range(n))
+            values[at] = np.maximum(values[at], np.abs(lowered).max(axis=(0, 1)))
+    return values
 
 
 def riemann_from_q(q: HessianCurvature) -> np.ndarray:
@@ -1320,13 +1317,11 @@ def curvature_bundle(g: MetricField, pm: PotentialMetric | None,
     is formed on the whole grid.  Q is formed before the Koszul forms, with
     only ``g^-1`` held: the order of the lower peak memory."""
     pairs = _pair_operands(g)
-    defect, mixed, lower, gamma_000, screen, band = _per_chunk(_gathering(_bundle_pass), pairs)
-    # the Riemann tensor only at the candidates of its screen, Christoffel first
-    sup_riemann = screened_extreme(screen, band, _gathering(_riemann_max), pairs, largest=True)[0]
+    defect, mixed, lower, gamma_000, riemann = _per_chunk(_gathering(_bundle_pass), pairs)
     sups = dict(hessian_defect=float(defect.max()), sup_gamma_mixed=float(mixed.max()),
-                sup_gamma_lower=float(lower.max()), sup_riemann=sup_riemann,
+                sup_gamma_lower=float(lower.max()), sup_riemann=float(riemann.max()),
                 gamma_mixed_000=None if node is None else float(gamma_000[np.ravel_multi_index(node, g.grid.shape)]))
-    del defect, mixed, lower, gamma_000, screen, band
+    del defect, mixed, lower, gamma_000, riemann
     sups["torsion_norm"] = _sup_torsion_gnorm(pairs)
     ginv = pairs[1]
     del pairs  # the derivatives freed before Q
@@ -1359,9 +1354,9 @@ def _gathering(kernel: Callable) -> Callable:
 def _bundle_pass(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, ...]:
     """The first pass of :func:`curvature_bundle`, a node-local kernel: per flat
     node the Hessian defect, the largest ``|gamma_mixed|`` and ``|gamma_lower|``,
-    ``gamma^0_00``, and the Riemann screen and band of :func:`_riemann_screen`.
+    ``gamma^0_00`` and the largest ``|R_ijkl|`` (:func:`_largest_riemann`).
     The Christoffel pair is read with the node axis last, as it is formed."""
     gamma_mixed, gamma_lower = _christoffel(d, ginv)
     mixed, lower = (np.abs(np.moveaxis(gamma, 0, -1)).reshape(-1, len(d)).max(axis=0)
                     for gamma in (gamma_mixed, gamma_lower))
-    return (_hessian_defects(d), mixed, lower, gamma_mixed[:, 0, 0, 0], *_riemann_screen(gamma_mixed, gmat))
+    return (_hessian_defects(d), mixed, lower, gamma_mixed[:, 0, 0, 0], _largest_riemann(gamma_mixed, gmat, mixed))

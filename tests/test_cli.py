@@ -127,11 +127,9 @@ class TestCurvature:
         cfg = write_config(tmp_path, "c.cfg", "example = bump2d\nsizes = 16,16\nn_samples = 20\n")
         assert run("curvature", "--config", cfg, "--out", str(tmp_path / "out")) == 0
         assert counts == dict.fromkeys(names, 1)
-        # the Christoffel symbols at every node for their sups and the Riemann
-        # screen, then once inside the Riemann kernel at the screen's
-        # candidates (bump2d's Riemann tensor is rounding noise, so 249 of
-        # the 256 nodes are candidates there)
-        assert len(christoffel_nodes) == 2 and christoffel_nodes[0] == 256
+        # the Christoffel symbols once, at every node, for their sups and the
+        # largest |R_ijkl| per node; no Riemann kernel forms them again
+        assert christoffel_nodes == [256]
 
 
 class TestFlowRun:

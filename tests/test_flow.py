@@ -731,3 +731,36 @@ class TestSmoothingProbe:
     def test_float_time_targets_are_landed_exactly(self):
         series = fl.smoothing_probe(metric("sin1d", sizes=(8,)), (ULP_SAMPLE, ULP_T), CTL)
         assert [t for t, _, _ in series] == [ULP_SAMPLE, ULP_T]
+
+
+class TestLogDetGaugeEnvelope:
+    """The paper's C^0 estimate for the flow's potential, in the log-det
+    gauge, where the a2 window is unbounded: with ``g(t) = g0 + dd(psi)``
+    and ``psi = phi + t log det g0``, ``psi_t = log det g``; at a spatial
+    maximum of ``psi`` ``dd(psi) <= 0``, and at a minimum ``>= 0``, so at
+    every node and for every ``t``
+
+        t (min ldg0 - ldg0(x)) <= phi(t, x) <= t (max ldg0 - ldg0(x)),
+
+    with ``ldg0 = log det g0``, on the tensor leg's ``phi`` (the trapezoid
+    of ``log det g - log det g0``).  In 1-D the 3-point second difference
+    obeys a discrete maximum principle; in 2-D the centered mixed
+    difference does not promise one, so there the bound is measured to
+    hold, not proven.  Smallest margin measured: 5.5e-3 (rough1d at
+    t = 0.1, its upper side)."""
+
+    @pytest.mark.parametrize("name, sizes, times", [
+        ("sin1d", None, (0.5, 1.0)),
+        ("rough1d", None, (0.1, 0.5)),
+        ("bump2d", (64, 64), (0.25, 1.0)),
+        pytest.param("twist2d", None, (0.5,), marks=pytest.mark.slow),  # about 4 s at 128^2
+    ], ids=["sin1d", "rough1d", "bump2d", "twist2d"])
+    def test_phi_lies_in_the_envelope(self, name, sizes, times):
+        g0 = metric(name, sizes)
+        ldg0 = g0.log_det()
+        states, _ = fl.run_flow(g0, max(times), CTL, sample_times=times, diag_stride=0)
+        assert [state.t for state in states] == list(times)
+        for state in states:
+            phi = state.phi_values
+            assert np.all(state.t * (ldg0.min() - ldg0) <= phi), state.t
+            assert np.all(phi <= state.t * (ldg0.max() - ldg0)), state.t

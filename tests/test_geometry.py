@@ -538,7 +538,7 @@ class TestCurvatureBundle:
         _, peak = peak_mib(lambda: geo.curvature_bundle(g, pm, (1, 2, 3)))
         assert peak <= 25  # measured 11.4 MiB; 21.0 with full operands and Q's fourths, 27.1 with Q copied
 
-    # on a constant metric every node ties in the torsion and Riemann screens;
+    # on a constant metric every node ties in the torsion screen;
     # the torsion kernel running on all of them at once peaked at 28.1 MiB
     def test_fallback_peak_memory(self, peak_mib):
         grid = PeriodicGrid((32,) * 3, (TWO_PI,) * 3)

@@ -4,15 +4,17 @@ exact kernels run over every node.
 
 The exact kernels are ``sym_min_eigenvalues`` (LAPACK at n = 3), the
 Cholesky/inverse/eigvalsh chain of the metric pencil, the metric route to
-Q followed by the four-step ``curvature_gnorm`` chain, the five-operand
-contraction of the torsion norm, and the Christoffel symbols followed by
-the largest entry of their Riemann tensor.  ``check_metric`` at n = 3
+Q followed by the four-step ``curvature_gnorm`` chain, and the five-operand
+contraction of the torsion norm.  ``check_metric`` at n = 3
 decides positivity by a certificate and runs the eigenvalue kernel only
 where it cannot.  The design rests on each kernel giving the same
 bits on any subset of nodes as on the full grid; the first class checks
 that on the grid sizes of the benchmark, for these kernels and for the
 node-local kernels that the curvature report runs chunk by chunk (the
-Christoffel pair, its Riemann tensor, the torsion and Q from the potential).
+Christoffel pair, the report's first pass, the torsion and Q from the
+potential).  The sup of ``|R_ijkl|`` needs no screen: the first pass forms
+the exact largest entry per node, which ``TestRiemannSup`` checks bit for
+bit against the ``einsum`` kernel.
 """
 
 import functools
@@ -97,10 +99,6 @@ def full_kernels(n):
                     unscreened_torsion_gnorm(torsion, gmat, ginv).ravel()),
         "christoffel": (lambda d, gi: flat_pair(geo._christoffel(d, gi)), (flat_d, flat_ginv),
                         flat_pair(gamma_pair)),
-        "riemann": (geo._riemann_from_gamma, (gamma_pair[0].reshape(-1, n, n, n), flat_gmat),
-                    geo.riemann_from_gamma(g).reshape(-1, *(n,) * 4)),
-        "riemann_max": (geo._riemann_max, (flat_d, flat_ginv, flat_gmat),
-                        np.abs(geo.riemann_from_gamma(g)).reshape(len(flat_d), -1).max(axis=1)),
         "torsion_tensor": (geo._torsion, (flat_d, flat_ginv), torsion.reshape(-1, n, n, n)),
         "q_potential": (geo._q_potential, potential_operands, geo._q_potential(*potential_operands)),
     }
@@ -146,7 +144,7 @@ def tied_spectra(draw):
 
 
 KERNELS = ("min_eig", "pencil", "gnorm", "q_gnorm", "torsion",
-           "christoffel", "riemann", "riemann_max", "torsion_tensor", "q_potential")
+           "christoffel", "torsion_tensor", "q_potential")
 
 
 class TestKernelsOnSubsets:
@@ -182,9 +180,9 @@ class TestKernelsOnSubsets:
     def test_bundle_pass_on_subsets_and_through_the_runner(self, n):
         # the curvature bundle's first pass: every per-node output, on random
         # subsets and chunk by chunk, has the bits of one call on every node
-        _, operands, _ = full_kernels(n)["riemann_max"]
+        _, operands, _ = full_kernels(n)["torsion"]  # (d, g^-1, g) on the flat nodes
         full = geo._bundle_pass(*operands)
-        assert len(full) == 6 and all(out.shape == (len(operands[0]),) for out in full)
+        assert len(full) == 5 and all(out.shape == (len(operands[0]),) for out in full)
         rng = np.random.default_rng(n)
         for size in (1, 2, 17):
             nodes = rng.choice(len(operands[0]), size, replace=False)
@@ -341,6 +339,18 @@ class TestSymmetricScreen:
         assert info.value.node == np.unravel_index(want_node, comps.shape[:-1])
         assert info.value.min_eigenvalue == want
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_finite_entry_gives_nan_at_its_node(self, n):
+        # 64 pair-stored copies of 2I with a NaN in node 21's first entry:
+        # LAPACK's eigenvalues of that matrix at n = 3 are [0, -0, 2], which
+        # hid the NaN; check_metric rejects the entry by its own check first
+        comps = np.tile(pair_stored(2.0 * np.eye(n)), (*(4,) * 3, 1) if n == 3 else (8, 8, 1))
+        comps.reshape(64, -1)[21, 0] = np.nan
+        value, node = geo.smallest_eigenvalue(comps, n)
+        assert np.isnan(value) and node == 21
+        with pytest.raises(ValueError, match="non-finite"):
+            geo.check_metric(comps, n)
+
     @HYPOTHESIS
     @given(s=st.floats(0.0, 50.0), theta=st.floats(0.0, 2.0), zero_gauge=st.booleans())
     def test_a2_margin_of_indefinite_pencils(self, s, theta, zero_gauge):
@@ -446,38 +456,68 @@ class TestPositivityCertificate:
             assert proven.tobytes() == want_proven.tobytes() and det.tobytes() == want[0].tobytes()
 
 
-@st.composite
-def random_christoffel(draw):
-    """``(d, ginv, gmat)`` on flat nodes for the Riemann sup: random metric
-    derivatives scaled per node by 10^[-3, 3] and ``g`` with ``cond`` up to
-    1e8; the node of the largest ``|R|`` repeated at a few random nodes."""
-    n = draw(st.sampled_from((2, 3)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    nodes = 64
-    d = rng.standard_normal((nodes, n, n, n)) * 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1, 1))
-    gmat = rotated(10.0 ** rng.uniform(0.0, draw(st.floats(0.0, 8.0)), (nodes, n)), rng)
-    gmat = 0.5 * (gmat + np.swapaxes(gmat, -1, -2))
-    ginv = np.linalg.inv(gmat)
-    top = int(np.argmax(geo._riemann_max(d, ginv, gmat)))
-    for k in rng.choice(nodes, draw(st.integers(0, 5)), replace=False):
-        d[k], gmat[k], ginv[k] = d[top], gmat[top], ginv[top]
-    return d, ginv, gmat
+def einsum_riemann_max(gamma_mixed, gmat):
+    """The largest ``|R_ijkl|`` per flat node of the three ``einsum`` calls of
+    ``geometry.riemann_from_gamma`` on the same Christoffel symbols and ``g``
+    (the bit oracle)."""
+    r_up = np.einsum("...ilm,...mjk->...ijkl", gamma_mixed, gamma_mixed) - np.einsum(
+        "...ikm,...mjl->...ijkl", gamma_mixed, gamma_mixed)
+    r = np.einsum("...ip,...pjkl->...ijkl", gmat, r_up)
+    return np.abs(r).reshape(len(r), -1).max(axis=1)
 
 
-class TestRiemannScreen:
-    """The sup of ``|R_ijkl|`` in the curvature report: a screen over the
-    entries with ``k < l`` on every node, the kernel at its candidates."""
+def overflow_1d():
+    """A 1-D potential metric at 64 nodes whose Christoffel symbols and their
+    products overflow at most nodes, so the einsum's ``R_0000 = x - x`` is NaN there."""
+    grid = PeriodicGrid((64,), (TWO_PI,))
+    psi = ScalarField.from_function(grid, lambda x: -(7e307 / 100) * np.cos(10 * x))
+    return geo.PotentialMetric(grid, np.array([[8e307]]), psi)
 
-    @HYPOTHESIS
-    @given(operands=random_christoffel())
-    def test_band_bounds_the_screen_and_the_sup_is_exact(self, operands):
-        d, ginv, gmat = operands
-        gamma_mixed, _ = geo._christoffel(d, ginv)
-        values, band = geo._riemann_screen(gamma_mixed, gmat)
-        exact = geo._riemann_max(d, ginv, gmat)
-        assert np.all(np.abs(values - exact) <= band)
-        sup = geo.screened_extreme(values, band, geo._riemann_max, operands, largest=True)[0]
-        assert np.array_equal(sup, exact.max())
+
+class TestRiemannSup:
+    """The sup of ``|R_ijkl|`` in the curvature report: the bundle's first
+    pass forms the exact largest entry per node, in the einsum's order of
+    summation, with no screen and no second pass."""
+
+    @settings(max_examples=150)
+    @given(n=st.sampled_from((1, 2, 3)), nodes=st.integers(1, 2048), seed=st.integers(0, 2**32 - 1),
+           log_scale=st.floats(0.0, 200.0))
+    def test_pass_gives_the_einsum_bits(self, n, nodes, seed, log_scale):
+        # metric derivatives, g^-1 and g with entries up to 10^(log_scale + 2)
+        # in size, of either sign, within 1e4 of each other at a node, so that
+        # the order of a sum shows in its bits, with planted +0.0 and -0.0,
+        # and NaN in all but g, which the pass takes finite, as a checked
+        # metric's: past log_scale 62 or so the products overflow at some
+        # nodes, and the entries with k = l become NaN with finite
+        # Christoffel symbols
+        rng = np.random.default_rng(seed)
+
+        def entries(*shape, nan=True):
+            scale = rng.uniform(-log_scale, log_scale, (nodes,) + (1,) * len(shape))
+            exponents = scale + rng.uniform(-2.0, 2.0, (nodes, *shape))
+            values = rng.choice((-1.0, 1.0), exponents.shape) * 10.0**exponents
+            planted = rng.random(values.shape)
+            values[planted < 0.1] = 0.0
+            values[(planted >= 0.1) & (planted < 0.2)] = -0.0
+            values[nan & (planted > 0.998)] = np.nan
+            return values
+
+        d, ginv, gmat = entries(n, n, n), entries(n, n), entries(n, n, nan=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = einsum_riemann_max(geo._christoffel(d, ginv)[0], gmat)
+            got = geo._bundle_pass(d, ginv, gmat)[-1]
+        assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_products_give_nan(self):
+        # sup_riemann: nan, as the einsum gives it; at n = 1 there is no
+        # entry with k < l, so only the entries with k = l carry it
+        pm = overflow_1d()
+        g = geo.metric_from_potential(pm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            riemann = np.abs(geo.riemann_from_gamma(g)).ravel()
+            bundle = geo.curvature_bundle(g, pm)
+        assert 0 < np.isnan(riemann).sum() < len(riemann)
+        assert np.isnan(bundle.sup_riemann)
 
 
 class TestPencilScreen:
@@ -914,11 +954,13 @@ class TestCandidates:
 
     @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
     def test_riemann(self, monkeypatch, flat):
+        # no Riemann kernel runs past the first pass: the Christoffel symbols
+        # are formed once per chunk, over every node, whether nodes tie or not
         g = geo.metric_from_potential(reg.build_example("flat")) if flat else smooth_pair(3)[0]
         bundles = []
-        sizes, = kernel_sizes(monkeypatch, ["_riemann_max"],
+        sizes, = kernel_sizes(monkeypatch, ["_christoffel"],
                               lambda: bundles.append(geo.curvature_bundle(g, None))).values()
-        assert sum(sizes) == g.grid.num_nodes if flat else len(sizes) == 1 and sizes[0] < 0.02 * g.grid.num_nodes
+        assert sum(sizes) == g.grid.num_nodes and len(sizes) == -(-g.grid.num_nodes // geo._SCREEN_CHUNK)
         assert bundles[0].sup_riemann == np.abs(geo.riemann_from_gamma(g)).max()
 
     @pytest.mark.parametrize("flat", [False, True], ids=["smooth", "flat"])
