@@ -311,25 +311,38 @@ def run_flow(
     samples = [float(s) for s in (sample_times or [])]
     if not all(0.0 <= s <= t_final for s in samples):
         raise ValueError(f"sample_times must lie in [0, {t_final}], got {samples}")
-    targets = sorted({s for s in samples if s > 0.0} | {t_final})
-
-    state = FlowState.initial(g0)
     trajectory: list[FlowState] = []
-    rows: list[DiagnosticsRow] = [diagnostics_row(state, 0.0)]
-    if 0.0 in samples:
-        trajectory.append(state)
-
     try:
-        for steps, (state, reached) in enumerate(_advance(state, targets, control), start=1):
-            if reached:
-                trajectory.append(state)
+        rows = _flow_rows(g0, t_final, control, samples, diag_stride, trajectory.append)
+    except FlowBlowup as exc:
+        exc.partial = trajectory, exc.partial
+        raise
+    return trajectory, rows
+
+
+def _flow_rows(g0: MetricField, t_final: float, control: StepControl, samples: list[float],
+               diag_stride: int, reached: Callable[[FlowState], None]) -> list[DiagnosticsRow]:
+    """The diagnostics rows of :func:`run_flow` on checked arguments, which
+    hands each state at a sample time to ``reached`` and holds no state past
+    the current one: the one loop of :func:`run_flow` and
+    :func:`smoothing_probe`.  A blow-up carries the rows up to its last
+    valid time as its ``partial``."""
+    targets = sorted({s for s in samples if s > 0.0} | {t_final})
+    state = FlowState.initial(g0)
+    rows = [diagnostics_row(state, 0.0)]
+    if 0.0 in samples:
+        reached(state)
+    try:
+        for steps, (state, at_target) in enumerate(_advance(state, targets, control), start=1):
+            if at_target:
+                reached(state)
                 rows.append(diagnostics_row(state, state.dt_last))
             elif diag_stride > 0 and steps % diag_stride == 0:
                 rows.append(diagnostics_row(state, state.dt_last))
     except FlowBlowup as exc:
-        exc.partial = trajectory, rows
+        exc.partial = rows
         raise
-    return trajectory, rows
+    return rows
 
 
 # --- potential (scalar) leg ---------------------------------------------------
@@ -431,7 +444,8 @@ def smoothing_probe(
     control: StepControl,
 ) -> list[tuple[float, float, float]]:
     """Curvature-decay series (t, sup|Q|_g, t*sup|Q|_g) along the tensor flow:
-    the sample rows of :func:`run_flow`, which are its only diagnostics rows.
+    the sample rows of :func:`run_flow`, which are its only diagnostics rows;
+    the sample states are not kept, so its memory does not grow with them.
 
     A reporting operation: it records the decay of the g-norm of the
     curvature tensor from low-regularity initial data and asserts nothing.
@@ -444,9 +458,9 @@ def smoothing_probe(
         raise ValueError(f"t_samples must be strictly increasing and positive finite numbers, got {times}")
     blowup = None
     try:
-        _, rows = run_flow(g0_rough, times[-1], control, times, diag_stride=0)
+        rows = _flow_rows(g0_rough, times[-1], control, times, 0, lambda state: None)
     except FlowBlowup as exc:
-        blowup, rows = exc, exc.partial[1]
+        blowup, rows = exc, exc.partial
     series = [(r.t, r.sup_q, r.t_sup_q) for r in rows[1:]]
     if blowup is not None:
         blowup.partial = series

@@ -355,8 +355,7 @@ def _candidates(values: np.ndarray, band: np.ndarray, largest: bool) -> np.ndarr
     the nodes where both ends are finite, and those where one is not; None
     where :func:`screened_extreme` falls back to the full call."""
     with np.errstate(over="ignore", invalid="ignore"):
-        lower, upper = values - band, values + band
-        finite = np.isfinite(lower) & np.isfinite(upper)
+        lower, upper, finite = _bound_ends(values, band)
         if not finite.any():
             return None
         if largest:
@@ -365,6 +364,13 @@ def _candidates(values: np.ndarray, band: np.ndarray, largest: bool) -> np.ndarr
             keep = lower <= upper.min(where=finite, initial=np.inf)
         candidates = np.flatnonzero(keep | ~finite)
     return None if candidates.size == values.size else candidates
+
+
+def _bound_ends(values: np.ndarray, band: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(values - band, values + band, whether both are finite)``: the
+    bounds that :func:`_candidates` compares, under the caller's errstate."""
+    lower, upper = values - band, values + band
+    return lower, upper, np.isfinite(lower) & np.isfinite(upper)
 
 
 def _sym_eigen_screen(comps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -571,7 +577,8 @@ def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, flo
     Generalized eigenvalues of (g, g0) per node, the ordinary eigenvalues of
     L^-1 g L^-T with L the Cholesky factor of g0; for n >= 2 by one chain on
     the candidates of both extremes of the closed-form screen (a node of both
-    runs twice), or on every node where either extreme falls back."""
+    runs twice), or on every node where either extreme falls back.  The
+    screen, like the chain, runs chunk by chunk (:func:`_per_chunk`)."""
     if g.grid != g0.grid:
         raise ValueError("metrics live on different grids")
     n = g.grid.ndim
@@ -580,7 +587,11 @@ def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, flo
         return float(ratio.min()), float(ratio.max())
     npairs = len(sym_pairs(n))
     flat = (g.components.reshape(-1, npairs), g0.components.reshape(-1, npairs))
-    smallest, largest, band = _pencil_screen(flat[0], g0._inverse_factor(), n)
+    x, rounding = g0._inverse_factor()
+    # the screen chunk by chunk, on g0's factor sliced node-first (views, no copy)
+    smallest, largest, band = _per_chunk(
+        lambda g_comps, x_nodes, r: _pencil_screen(g_comps, (np.moveaxis(x_nodes, 0, -1), r), n),
+        (flat[0], np.moveaxis(x, -1, 0), rounding))
     low, high = _candidates(smallest, band, False), _candidates(largest, band, True)
     nodes = None if low is None or high is None else np.concatenate((low, high))
     eigs = _per_chunk(lambda g_comps, h_comps: _pencil_eigenvalues(g_comps, h_comps, n), flat, nodes)
@@ -948,21 +959,73 @@ def sup_q_gnorm(g: MetricField) -> float:
     and Q is formed at its candidates only (docs/conventions.md).  At n = 1
     the kernel is as cheap as any screen.  The operands are the pair-stored
     ``g^-1`` and first and second derivatives, which the screen and the
-    kernel gather into full arrays at the nodes they run on."""
-    n, nodes = g.grid.ndim, g.grid.num_nodes
-    npairs, spacings = g.components.shape[-1], g.grid.spacings
-    operands = [sym_inverse(g.components, n).reshape(nodes, npairs),
-                sym_derivatives(g.components, 1, spacings).reshape(nodes, npairs, n),
-                sym_derivatives(g.components, 2, spacings).reshape(nodes, npairs, npairs)]
-    if n == 1:
-        return float(np.max(_q_gnorm(*operands)))
-    survivors = _candidates(*_q_bounds(*operands), largest=True)
-    if survivors is not None:
-        for k in range(len(operands)):  # one operand at a time: at most one is held twice
-            operands[k] = operands[k][survivors]
+    kernel gather into full arrays at the nodes they run on; for n >= 2
+    they are formed slab by slab and kept at the survivors of the spectral
+    bounds only (:func:`_q_survivors`)."""
+    if g.grid.ndim == 1:
+        return float(np.max(_q_gnorm(*_q_operands(g.components, g.grid.spacings))))
+    operands = _q_survivors(g)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sq, band = _per_chunk(_q_screen, operands)
-    return screened_extreme(sq, band, _q_gnorm, tuple(operands), largest=True)[0]
+    return screened_extreme(sq, band, _q_gnorm, operands, largest=True)[0]
+
+
+def _q_operands(comps: np.ndarray, spacings: tuple[float, ...], halo: int = 0) -> tuple[np.ndarray, ...]:
+    """The flat operands of :func:`_q_gnorm`, the pair-stored ``g^-1``, the
+    ``[ij, k]`` first and the ``[ij, kl]`` second derivatives, of the metric
+    components ``comps`` at its nodes past ``halo`` rows at each end of
+    axis 0, which the stencils read and which are then cropped."""
+    n, npairs = len(spacings), comps.shape[-1]
+    inner = slice(halo, len(comps) - halo)
+    ginv = sym_inverse(comps[inner], n).reshape(-1, npairs)
+    nodes = len(ginv)
+    return (ginv, sym_derivatives(comps, 1, spacings)[inner].reshape(nodes, npairs, n),
+            sym_derivatives(comps, 2, spacings)[inner].reshape(nodes, npairs, npairs))
+
+
+def _q_survivors(g: MetricField) -> tuple[np.ndarray, ...]:
+    """The operands of :func:`sup_q_gnorm` (n >= 2) at the nodes that
+    ``_candidates(*_q_bounds(...), largest=True)`` keeps over the whole
+    grid, in ascending order, without forming them on the whole grid.
+
+    Slab by slab of about ``2 * _SCREEN_CHUNK`` nodes, a band of rows along
+    axis 0 gathered with one periodic halo row at each end (the stencils of
+    orders 1 and 2 reach one node along an axis), the operands and their
+    bounds are formed, and only the nodes whose upper bound reaches the
+    running best finite lower bound, or whose bounds are not finite, are
+    kept.  The best only grows, so every node that the final best keeps
+    was kept, and filtering with the final best leaves ``_candidates``'
+    set (docs/conventions.md, "Screened extremes")."""
+    comps, spacings, n = g.components, g.grid.spacings, g.grid.ndim
+    rows, npairs = len(comps), comps.shape[-1]
+    height = max(1, 2 * _SCREEN_CHUNK * rows // g.grid.num_nodes)
+    best, uppers, finites = -np.inf, [], []
+    kept = (np.empty((0, npairs)), np.empty((0, npairs, n)), np.empty((0, npairs, npairs)))
+    for start in range(0, rows, height):
+        slab = np.take(comps, range(start - 1, min(start + height, rows) + 1), axis=0, mode="wrap")
+        operands = _q_operands(slab, spacings, halo=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower, upper, finite = _bound_ends(*_q_bounds(*operands))
+            best = max(best, lower.max(where=finite, initial=-np.inf))
+            keep = np.flatnonzero((upper >= best) | ~finite)
+        uppers.append(upper[keep])
+        finites.append(finite[keep])
+        for whole, op in zip(kept, operands):
+            # grown in place by realloc, so that no kept node is held twice;
+            # no view of a buffer outlives its statement, so none sees it move
+            count = len(whole)
+            whole.resize((count + len(keep), *whole.shape[1:]), refcheck=False)
+            whole[count:] = op[keep]
+    with np.errstate(invalid="ignore"):
+        keep = np.flatnonzero((np.concatenate(uppers) >= best) | ~np.concatenate(finites))
+    if len(keep) < len(kept[0]):
+        for whole in kept:
+            # compacted in place: keep[i] >= i, so a chunk reads no row written before it
+            for start in range(0, len(keep), _SCREEN_CHUNK):
+                part = keep[start:start + _SCREEN_CHUNK]
+                whole[start:start + len(part)] = whole[part]
+            whole.resize((len(keep), *whole.shape[1:]), refcheck=False)
+    return kept
 
 
 def _q_bounds(ginv: np.ndarray, first: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1315,7 +1378,9 @@ def curvature_bundle(g: MetricField, pm: PotentialMetric | None,
     chunk by chunk on the full arrays gathered per chunk (:func:`_gathering`),
     so no array of the difference tensor, its Riemann tensor or the torsion
     is formed on the whole grid.  Q is formed before the Koszul forms, with
-    only ``g^-1`` held: the order of the lower peak memory."""
+    only ``g^-1`` held: the order of the lower peak memory.  ValueError
+    where a sup of the record or an entry of Q is not finite (the metric's
+    derivatives or their products overflow)."""
     pairs = _pair_operands(g)
     defect, mixed, lower, gamma_000, riemann = _per_chunk(_gathering(_bundle_pass), pairs)
     sups = dict(hessian_defect=float(defect.max()), sup_gamma_mixed=float(mixed.max()),
@@ -1323,10 +1388,15 @@ def curvature_bundle(g: MetricField, pm: PotentialMetric | None,
                 gamma_mixed_000=None if node is None else float(gamma_000[np.ravel_multi_index(node, g.grid.shape)]))
     del defect, mixed, lower, gamma_000, riemann
     sups["torsion_norm"] = _sup_torsion_gnorm(pairs)
+    overflowed = [name for name, value in sups.items() if name != "gamma_mixed_000" and not np.isfinite(value)]
+    if overflowed:
+        raise ValueError(f"{', '.join(overflowed)} not finite (the metric's derivatives overflow)")
     ginv = pairs[1]
     del pairs  # the derivatives freed before Q
     q = None if pm is None else _hessian_curvature(pm, ginv)
     del ginv
+    if q is not None:
+        _check_finite(q.components, "Q is not finite (the potential's derivatives overflow)")
     alpha, kappa, beta = koszul(g)
     return CurvatureBundle(alpha=alpha, kappa=kappa, beta=beta, q=q, **sups)
 

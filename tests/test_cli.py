@@ -509,6 +509,20 @@ class TestErrorPaths:
         assert run(verb, "--config", cfg, "--out", str(tmp_path / "o")) == 2
         assert_one_config_error(capsys.readouterr().err)
 
+    def test_overflowing_curvature_exits_2(self, tmp_path, capsys):
+        # log det g is finite, but the derivatives of g and their products
+        # overflow, so every curvature sup of the report would be nan
+        grid = PeriodicGrid((64,), (2 * np.pi,))
+        psi = ScalarField.from_function(grid, lambda x: -(7e307 / 100) * np.cos(10 * x))
+        snap = tmp_path / "huge.hfld"
+        write_potential_snapshot(str(snap), geo.PotentialMetric(grid, np.array([[8e307]]), psi))
+        cfg = write_config(tmp_path, "c.cfg", f"potential = {snap}\n")
+        assert run("curvature", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        captured = capsys.readouterr()
+        assert_one_config_error(captured.err)
+        assert "sup_riemann" in captured.err and captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_s_max_beyond_the_float_range_exits_2(self, tmp_path, capsys):
         # the margin stays positive up to S = 2^1023, and the next doubling
         # overflows the pencil

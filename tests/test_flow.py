@@ -470,22 +470,28 @@ class TestRunFlow:
 
 
 class TestHotPathMemory:
-    """Clock-free guards on the whole-grid temporaries of the 2-D flow: the
+    """Clock-free guards on the whole-grid temporaries of the flow: the
     ``tracemalloc`` peak of one rk2 step and of one diagnostics row on the
-    benchmark's ``flow2d_diag`` input (seed 402, 128^2), each after one call
-    that fills the per-process caches and ``g0``'s inverse Cholesky factor."""
+    benchmark's ``flow2d_diag`` input (seed 402, 128^2), and of one row on
+    its ``report3d`` input (seed 402, 32^3), each after one step and one
+    call that fills the per-process caches and ``g0``'s inverse Cholesky
+    factor."""
 
-    # measured 1.254 and 3.378 MiB; with a stencil's temporaries per pass,
-    # a copy per derivative slot, out-of-place rk2 stages and spectral
-    # bounds, the full g^-1 and [k, i, j] first derivatives at every node
-    # and g0's factor formed per row, they were 1.626 and 4.503 MiB
-    @pytest.mark.parametrize("name, limit_mib", [("step", 1.26), ("row", 3.38)])
+    # measured 1.254, 1.723 and 7.816 MiB; with the row's sup |Q|_g operands
+    # and spectral bounds and its pencil screen formed on the whole grid,
+    # the rows were 3.378 and 19.50 MiB, and before that, with a stencil's
+    # temporaries per pass, a copy per derivative slot, out-of-place rk2
+    # stages and spectral bounds, the full g^-1 and [k, i, j] first
+    # derivatives at every node and g0's factor formed per row, the 2-D
+    # step and row were 1.626 and 4.503 MiB
+    @pytest.mark.parametrize("name, limit_mib", [("step", 1.26), ("row", 1.73), ("row3d", 7.82)])
     def test_peak_memory(self, peak_mib, name, limit_mib):
-        state = fl.FlowState.initial(bench_metric("flow2d_diag", 402))
+        state = fl.FlowState.initial(bench_metric("report3d" if name == "row3d" else "flow2d_diag", 402))
         dt = fl.stable_dt(state, CTL)
         state = fl.step_tensor(state, dt, CTL)
         run = {"step": lambda: fl.step_tensor(state, dt, CTL),
-               "row": lambda: fl.diagnostics_row(state, dt)}[name]
+               "row": lambda: fl.diagnostics_row(state, dt),
+               "row3d": lambda: fl.diagnostics_row(state, dt)}[name]
         run()
         assert peak_mib(run)[1] <= limit_mib
 
@@ -727,6 +733,22 @@ class TestSmoothingProbe:
             fl.smoothing_probe(g0, (0.01, 0.02, 0.03), CTL)
         assert 0.015 < info.value.t < 0.02
         assert info.value.partial == reached
+
+    def test_peak_memory_does_not_grow_with_the_samples(self, peak_mib):
+        # the probe keeps rows, not sample states: with 20 samples its peak
+        # exceeds that with 2 by less than one state's six arrays (bump2d at
+        # 64^2, 0.19 MiB); measured 1.22 and 1.27 MiB, where keeping every
+        # sample state took 1.29 and 4.71 MiB
+        g0 = metric("bump2d", sizes=(64, 64))
+        state_mib = 6 * g0.grid.num_nodes * 8 / 2**20
+        peaks = []
+        for count in (2, 20):
+            times = np.linspace(0.0, 0.01, count + 1)[1:]
+            fl.smoothing_probe(g0, times, CTL)  # fills the per-process caches
+            series, peak = peak_mib(lambda: fl.smoothing_probe(g0, times, CTL))
+            assert len(series) == count
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < state_mib
 
     def test_float_time_targets_are_landed_exactly(self):
         series = fl.smoothing_probe(metric("sin1d", sizes=(8,)), (ULP_SAMPLE, ULP_T), CTL)

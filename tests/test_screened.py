@@ -509,15 +509,20 @@ class TestRiemannSup:
         assert got.tobytes() == want.tobytes()
 
     def test_overflowing_products_give_nan(self):
-        # sup_riemann: nan, as the einsum gives it; at n = 1 there is no
-        # entry with k < l, so only the entries with k = l carry it
+        # the first pass gives NaN where the einsum does, with its bits; at
+        # n = 1 there is no entry with k < l, so only the entries with k = l
+        # carry it; the bundle then reports sup_riemann as not finite
         pm = overflow_1d()
         g = geo.metric_from_potential(pm)
         with np.errstate(over="ignore", invalid="ignore"):
             riemann = np.abs(geo.riemann_from_gamma(g)).ravel()
-            bundle = geo.curvature_bundle(g, pm)
+            largest = geo._gathering(geo._bundle_pass)(*geo._pair_operands(g))[-1]
+            want = einsum_riemann_max(geo.christoffel(g)[0].reshape(-1, 1, 1, 1), g.matrices().reshape(-1, 1, 1))
+            assert largest.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="sup_riemann"):
+                geo.curvature_bundle(g, pm)
         assert 0 < np.isnan(riemann).sum() < len(riemann)
-        assert np.isnan(bundle.sup_riemann)
+        assert 0 < np.isnan(largest).sum() < len(largest)
 
 
 class TestPencilScreen:
@@ -562,6 +567,13 @@ class TestPencilScreen:
         flat = (g.components.reshape(len(pencil), -1), g0.components.reshape(len(pencil), -1))
         assert geo.largest_pencil_eigenvalue(*flat, n) == first_extreme(pencil[:, -1], largest=True)
 
+    def test_range_peak_memory(self, peak_mib):
+        # at 32^3, after g0's factor is formed: measured 1.42 MiB, where the
+        # screen on the whole grid took 9.50 MiB
+        g, g0 = smooth_pair(3)
+        geo.pencil_eigenvalue_range(g, g0)
+        assert peak_mib(lambda: geo.pencil_eigenvalue_range(g, g0))[1] <= 1.42
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_a2_pencil_extreme_equals_the_full_chain(self, monkeypatch, n):
         # the pencil (-M1, M0) of max_s on a smooth metric, theta = 0.5 and
@@ -596,18 +608,21 @@ def screen_records(monkeypatch, call):
     return records
 
 
-def random_q_metric(patch, n, seed, copies, log_cond, cancel):
-    """``(g, |Q|_g at every node by the full chain)`` for a random metric on an
-    8^n grid with cond(g) up to ``10**log_cond``, whose first and second
-    derivatives ``patch`` replaces by random ones, those of no metric, so Q
-    keeps no symmetry but the swap of its pairs; both reach every caller
-    through the one stencil path.  The node with the largest
-    |Q|_g is repeated at ``copies`` random nodes.  With ``cancel``,
-    ``d[k, i, p] = a_k b_i b_p`` and the second derivatives equal the
-    quadratic term to 1e-9, so Q is 1e-9 of its two terms and the rounding
-    of the quadratic term, not the contraction's, fills the bands."""
+def random_q_metric(patch, n, seed, copies, log_cond, cancel, rows=8, edge=None):
+    """``(g, |Q|_g at every node by the full chain)`` for a random metric on a
+    grid of ``rows`` nodes along axis 0 and 8 along the others, with cond(g)
+    up to ``10**log_cond``, whose first and second derivatives ``patch``
+    replaces by random ones, those of no metric, so Q keeps no symmetry but
+    the swap of its pairs; both reach every caller through the one stencil
+    path, whether it runs on the whole grid or on a slab of its rows.  The
+    node with the largest |Q|_g is repeated at ``copies`` random nodes; with
+    ``edge`` ("first" or "last") it is moved, not copied, to a random node of
+    that row along axis 0.  With ``cancel``, ``d[k, i, p] = a_k b_i b_p`` and
+    the second derivatives equal the quadratic term to 1e-9, so Q is 1e-9 of
+    its two terms and the rounding of the quadratic term, not the
+    contraction's, fills the bands."""
     rng = np.random.default_rng(seed)
-    grid = PeriodicGrid((8,) * n, (TWO_PI,) * n)
+    grid = PeriodicGrid((rows,) + (8,) * (n - 1), (TWO_PI,) * n)
     nodes, npairs = grid.num_nodes, len(geo.sym_pairs(n))
     scale = 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1))
     first = rng.standard_normal((nodes, n, npairs)) * scale
@@ -622,10 +637,17 @@ def random_q_metric(patch, n, seed, copies, log_cond, cancel):
                   * bb[:, None, :] * (1.0 + 1e-9 * rng.standard_normal(second.shape)))
     slot = geo.sym_table(n, 2)
 
+    def components():
+        return pair_stored(0.5 * (gmat + np.swapaxes(gmat, -1, -2))).reshape(*grid.shape, npairs)
+
     def stencil(values, axes, spacings, out=None):
         # every derivative is one of g's components: first[:, k] along (k,),
-        # and second[:, slot[i, j]] along (i, j)
+        # and second[:, slot[i, j]] along (i, j), at the rows of g that
+        # `values` holds (every row of a random metric differs)
+        comps = components()
+        rows_held = [next(r for r in range(rows) if np.array_equal(comps[r], row)) for row in values]
         part = (first[:, axes[0]] if len(axes) == 1 else second[:, slot[axes]]).reshape(*grid.shape, npairs)
+        part = part[rows_held]
         if out is None:
             return part
         out[...] = part
@@ -634,15 +656,20 @@ def random_q_metric(patch, n, seed, copies, log_cond, cancel):
     patch.setattr(geo, "stencil", stencil)
 
     def metric():
-        return geo.MetricField(grid, pair_stored(0.5 * (gmat + np.swapaxes(gmat, -1, -2)))
-                               .reshape(*grid.shape, npairs))
+        return geo.MetricField(grid, components())
 
     def full_chain(g):
         return geo.curvature_gnorm(geo.hessian_curvature_from_metric(g), g.inverse_matrices()).ravel()
 
     top = int(np.argmax(full_chain(metric())))
-    for k in rng.choice(nodes, copies, replace=False):
-        first[k], second[k], gmat[k] = first[top], second[top], gmat[top]
+    if edge is None:
+        for k in rng.choice(nodes, copies, replace=False):
+            first[k], second[k], gmat[k] = first[top], second[top], gmat[top]
+    else:
+        row_nodes = nodes // rows
+        k = rng.integers(row_nodes) + (0 if edge == "first" else nodes - row_nodes)
+        for field in (first, second, gmat):
+            field[[k, top]] = field[[top, k]]
     g = metric()
     return g, full_chain(g)
 
@@ -659,6 +686,25 @@ def bounds_records(monkeypatch, call):
     monkeypatch.setattr(geo, "_q_bounds", recorded)
     call()
     return records
+
+
+def slab_rows(grid):
+    """Rows along axis 0 of each slab of ``sup_q_gnorm``: about
+    ``2 * _SCREEN_CHUNK`` nodes each, the last one shorter."""
+    rows = grid.sizes[0]
+    height = max(1, 2 * geo._SCREEN_CHUNK * rows // grid.num_nodes)
+    return [min(height, rows - start) for start in range(0, rows, height)]
+
+
+def slab_bounds(monkeypatch, g):
+    """``(operands, (mid, half_width))`` of ``sup_q_gnorm(g)``'s ``_q_bounds``
+    calls, one per slab of :func:`slab_rows` on exactly that slab's nodes,
+    joined along the nodes in slab order: the whole grid's, node for node."""
+    records = bounds_records(monkeypatch, lambda: geo.sup_q_gnorm(g))
+    row_nodes = g.grid.num_nodes // g.grid.sizes[0]
+    assert [len(operands[0]) for operands, _ in records] == [rows * row_nodes for rows in slab_rows(g.grid)]
+    operands, bounds = (tuple(np.concatenate(parts) for parts in zip(*side)) for side in zip(*records))
+    return operands, bounds
 
 
 def kernel_sizes(monkeypatch, names, call):
@@ -711,11 +757,77 @@ class TestGnormScreen:
         # its smallest eigenvalue (cond(g) above about 8e5 at n = 3)
         with pytest.MonkeyPatch.context() as patch:
             g, want = random_q_metric(patch, n, seed, copies, log_cond, cancel)
-            (operands, (mid, half)), = bounds_records(patch, lambda: geo.sup_q_gnorm(g))
+            operands, (mid, half) = slab_bounds(patch, g)
             assert np.array_equal(geo._q_gnorm(*operands), want)
             finite = np.isfinite(mid) & np.isfinite(half)
             assert np.all(np.abs(want - mid)[finite] <= half[finite])
             assert finite.all() or (n == 3 and log_cond > 5.0)
+
+    @HYPOTHESIS
+    @given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1), rows=st.integers(8, 19),
+           height=st.sampled_from((None, 2, 3, 4, 5)), edge=st.sampled_from(("first", "last")),
+           log_cond=st.floats(0.0, 8.0), cancel=st.booleans())
+    # 8 nodes per axis (MIN_NODES): three slabs of 3, 3 and 2 rows, or one
+    # slab taller than the grid, whose halo rows wrap onto its own rows
+    @example(n=2, seed=0, rows=8, height=3, edge="first", log_cond=2.0, cancel=False)
+    @example(n=3, seed=1, rows=8, height=3, edge="last", log_cond=2.0, cancel=False)
+    @example(n=2, seed=2, rows=8, height=None, edge="last", log_cond=2.0, cancel=False)
+    def test_slabs_give_the_whole_grid_survivors(self, n, seed, rows, height, edge, log_cond, cancel):
+        # slabs of `height` rows (None: the real slab height, taller than
+        # these grids), where the node of the largest |Q|_g sits on the
+        # first or the last row along axis 0: the survivors are the
+        # operands of the whole grid at _candidates' nodes of its bounds,
+        # and the sup is the full chain's
+        with pytest.MonkeyPatch.context() as patch:
+            if height is not None:
+                patch.setattr(geo, "_SCREEN_CHUNK", height * 8 ** (n - 1) // 2)
+            g, want = random_q_metric(patch, n, seed, 0, log_cond, cancel, rows=rows, edge=edge)
+            assert int(np.argmax(want)) // (g.grid.num_nodes // rows) == (0 if edge == "first" else rows - 1)
+            whole = geo._q_operands(g.components, g.grid.spacings)
+            with np.errstate(over="ignore", invalid="ignore"):
+                whole_bounds = geo._q_bounds(*whole)
+            operands, bounds = slab_bounds(patch, g)
+            assert len(slab_rows(g.grid)) == (1 if height is None else -(-rows // height))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(operands + bounds, whole + whole_bounds))
+            survivors = []
+            original = geo._q_survivors
+            patch.setattr(geo, "_q_survivors", lambda metric: survivors.append(original(metric)) or survivors[-1])
+            assert np.array_equal(geo.sup_q_gnorm(g), want.max())
+            kept = geo._candidates(*whole_bounds, largest=True)
+            kept = np.arange(g.grid.num_nodes) if kept is None else kept
+            assert all(a.tobytes() == b[kept].tobytes() for a, b in zip(survivors[0], whole))
+
+    @HYPOTHESIS
+    @given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1), rows=st.integers(8, 19),
+           height=st.sampled_from((2, 3, 4, 5)), edge=st.sampled_from(("first", "last")))
+    @example(n=2, seed=0, rows=8, height=3, edge="first")
+    @example(n=3, seed=0, rows=8, height=3, edge="last")
+    def test_slab_halo_gives_the_whole_grid_stencils(self, n, seed, rows, height, edge):
+        # the real stencils on a random smooth potential metric, rolled along
+        # axis 0 so that a node of its largest |Q|_g sits on the first or the
+        # last row (a roll moves every stencil's bits with it)
+        rng = np.random.default_rng(seed)
+        grid = PeriodicGrid((rows,) + (8,) * (n - 1), (TWO_PI,) * n)
+        x = grid.coordinate_arrays()
+        psi = sum(rng.uniform(-0.05, 0.05) * np.cos(sum(int(k) * xi for k, xi in zip(rng.integers(-2, 3, n), x))
+                                                     + rng.uniform(0.0, TWO_PI)) for _ in range(4))
+
+        def metric(values):
+            return geo.metric_from_potential(geo.PotentialMetric(grid, np.eye(n), ScalarField(grid, values)))
+
+        def full_chain(g):
+            return geo.curvature_gnorm(geo.hessian_curvature_from_metric(g), g.inverse_matrices()).ravel()
+
+        top = int(np.argmax(full_chain(metric(psi)))) // (grid.num_nodes // rows)
+        g = metric(np.roll(psi, (0 if edge == "first" else rows - 1) - top, axis=0))
+        want = full_chain(g)
+        assert want.reshape(rows, -1)[0 if edge == "first" else rows - 1].max() == want.max()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geo, "_SCREEN_CHUNK", height * 8 ** (n - 1) // 2)
+            whole = geo._q_operands(g.components, grid.spacings)
+            operands, _ = slab_bounds(patch, g)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(operands, whole))
+            assert np.array_equal(geo.sup_q_gnorm(g), want.max())
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_smooth_sup_equals_the_full_chain(self, n):
@@ -757,7 +869,7 @@ class TestGnormScreen:
     def test_flat_falls_back_to_every_node(self, monkeypatch):
         # every node ties, so every node survives and the whitened screen runs on all
         g = geo.metric_from_potential(reg.build_example("flat"))
-        (operands, bounds), = bounds_records(monkeypatch, lambda: geo.sup_q_gnorm(g))
+        operands, bounds = slab_bounds(monkeypatch, g)
         assert geo._candidates(*bounds, largest=True) is None
         sizes, = kernel_sizes(monkeypatch, ["_q_screen"], lambda: geo.sup_q_gnorm(g)).values()
         assert sum(sizes) == g.grid.num_nodes
@@ -770,7 +882,7 @@ class TestGnormScreen:
         comps = g.components.copy()
         comps[0, 0, 0] = pair_stored(np.diag([1e7, 1.0, 1.0]))
         g = geo.MetricField(g.grid, comps)
-        (operands, (mid, half)), = bounds_records(monkeypatch, lambda: geo.sup_q_gnorm(g))
+        operands, (mid, half) = slab_bounds(monkeypatch, g)
         assert np.flatnonzero(~np.isfinite(mid)).tolist() == [0]
         survivors = geo._candidates(mid, half, largest=True)
         finite = np.isfinite(mid)
@@ -782,11 +894,14 @@ class TestGnormScreen:
         want = geo.curvature_gnorm(geo.hessian_curvature_from_metric(g), g.inverse_matrices()).max()
         assert geo.sup_q_gnorm(g) == want
 
-    # building Q at every node peaked at 5.56 MiB at 128^2 and 49.6 MiB at 32^3
-    @pytest.mark.parametrize("n, limit_mib", [(2, 5.56), (3, 49.6)])
+    # measured 2.60 and 19.42 MiB, where 5,310 of 16,384 and 25,980 of
+    # 32,768 nodes survive the spectral bounds; with the operands and the
+    # bounds formed on the whole grid they were 3.38 and 21.10 MiB, and
+    # building Q at every node peaked at 5.56 and 49.6 MiB
+    @pytest.mark.parametrize("n, limit_mib", [(2, 2.61), (3, 19.43)])
     def test_peak_memory(self, peak_mib, n, limit_mib):
         g, _ = smooth_pair(n)
-        assert peak_mib(lambda: geo.sup_q_gnorm(g))[1] <= limit_mib  # measured 4.5 and 23.5 MiB
+        assert peak_mib(lambda: geo.sup_q_gnorm(g))[1] <= limit_mib
 
     # on a constant metric every node ties, so every node survives both
     # screens; the kernel running on all of them at once peaked at 9.6 and
@@ -797,7 +912,7 @@ class TestGnormScreen:
         g = geo.metric_from_potential(geo.PotentialMetric(grid, np.eye(n), ScalarField.zeros(grid)))
         sup, peak = peak_mib(lambda: geo.sup_q_gnorm(g))
         assert sup == 0.0
-        assert peak <= limit_mib  # measured 4.5 and 25.2 MiB
+        assert peak <= limit_mib  # measured 4.30 and 22.63 MiB
 
 
 class TestTorsionScreen:
@@ -978,6 +1093,22 @@ class TestCandidates:
         else:
             assert [len(s) for s in sizes.values()] == [1, 1]
             assert max(max(s) for s in sizes.values()) < 0.02 * nodes
+
+    def test_pencil_screen_runs_chunk_by_chunk(self, monkeypatch):
+        # rows of the benchmark's 2-D flow at t = 0, where g = g0 and every
+        # node ties, so the chain falls back to every node, and after one
+        # step: the screen sees every node once, never more than a chunk
+        g0 = geo.metric_from_potential(reg.build_example("bump2d"))
+        control = fl.StepControl()
+        state = fl.FlowState.initial(g0)
+        for dt in (0.0, fl.stable_dt(g0, control)):
+            if dt:
+                state = fl.step_tensor(state, dt, control)
+            sizes = kernel_sizes(monkeypatch, ["_pencil_screen", "_pencil_eigenvalues"],
+                                 lambda: geo.pencil_eigenvalue_range(state.g, g0))
+            assert sum(sizes["_pencil_screen"]) == g0.grid.num_nodes
+            assert (sum(sizes["_pencil_eigenvalues"]) == g0.grid.num_nodes) == (dt == 0.0)
+            monkeypatch.undo()
 
     def test_pencil_with_one_extreme_falling_back(self, monkeypatch):
         # g = diag(lam(x), 1) against g0 = I: lam < 1 varies, so the smallest
