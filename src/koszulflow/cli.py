@@ -181,7 +181,10 @@ def _curvature(run: Run):
     cfg, pm, g, node = run.cfg, run.pm, run.g, run.node
     seed = run.seed if run.seed is not None else 0  # the sectional search's seed
     grid = g.grid
-    bundle = geo.curvature_bundle(g, pm, node)
+    # the sample nodes are drawn first, so the bundle keeps Q's rows there only
+    draw = {"seed": seed, **_given(cfg, ("n_samples",))}
+    samples = None if pm is None else geo.sectional_samples(grid, **draw)[0]
+    bundle = geo.curvature_bundle(g, pm, node, samples)
     alpha, kappa, beta, q = bundle.alpha, bundle.kappa, bundle.beta, bundle.q
     lines = [
         f"input: {run.label}",
@@ -197,8 +200,8 @@ def _curvature(run: Run):
     ]
 
     if q is not None:
-        lines.append(f"sup_q: {format_float(q.sup_norm())}")
-        report = geo.sectional_extremes(q, g, seed=seed, **_given(cfg, ("n_samples", "refine_steps")))
+        lines.append(f"sup_q: {format_float(q.sup)}")
+        report = geo.sectional_extremes(q, g, **draw, **_given(cfg, ("refine_steps",)))
         lines.append(f"sectional_max: {format_float(report.max_value)}")
         lines.append(f"sectional_min: {format_float(report.min_value)}")
         lines.append(f"sectional_seed: {seed}")
@@ -216,7 +219,7 @@ def _curvature(run: Run):
             lines.append(f"alpha_{i}@probe: {format_float(alpha[(*node, i)])}")
         lines.append(f"gamma_mixed_000@probe: {format_float(bundle.gamma_mixed_000)}")
         if q is not None:
-            lines.append(f"q_0000@probe: {format_float(q.component(0, 0, 0, 0)[node])}")
+            lines.append(f"q_0000@probe: {format_float(q.probe[0])}")  # slot 0 stores Q_0000
         else:
             lines.append(f"q_0000@probe: {NOT_APPLICABLE}")
 
@@ -233,8 +236,13 @@ def _curvature(run: Run):
 
 def _flow_run(run: Run):
     cfg, grid = run.cfg, run.g.grid
-    (trajectory, rows), blowup = _until_blowup(
-        fl.run_flow, run.g, cfg["T"], run.control, **_given(cfg, ("sample_times", "diag_stride")))
+    trajectory: list[fl.FlowState] = []
+
+    def reached(state: fl.FlowState) -> None:
+        trajectory[:] = [state]  # only the last state reached is written, so only it is kept
+
+    rows, blowup = _until_blowup(fl._flow_rows, run.g, cfg["T"], run.control, reached,
+                                 **_given(cfg, ("sample_times", "diag_stride")))
     outcome, last_t = ("ok", cfg["T"]) if blowup is None else ("blowup", blowup.t)
     header = fl.DiagnosticsRow.csv_header(grid.ndim)
     csv_rows = [r.csv_values() for r in rows]

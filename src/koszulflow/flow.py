@@ -304,6 +304,22 @@ def run_flow(
     the end.  On blow-up the raised :class:`FlowBlowup` carries the
     trajectory and rows up to its last valid time as its ``partial``.
     """
+    trajectory: list[FlowState] = []
+    try:
+        rows = _flow_rows(g0, t_final, control, trajectory.append, sample_times, diag_stride)
+    except FlowBlowup as exc:
+        exc.partial = trajectory, exc.partial
+        raise
+    return trajectory, rows
+
+
+def _flow_rows(g0: MetricField, t_final: float, control: StepControl, reached: Callable[[FlowState], None],
+               sample_times: Sequence[float] | None = None, diag_stride: int = 100) -> list[DiagnosticsRow]:
+    """The diagnostics rows of :func:`run_flow`, which hands each state at a
+    sample time to ``reached`` and holds no state past the current one: the
+    one loop of :func:`run_flow`, :func:`smoothing_probe` and the CLI's
+    ``flow-run``, which keeps only the newest state reached.  A blow-up
+    carries the rows up to its last valid time as its ``partial``."""
     if not 0.0 < t_final < math.inf:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
     if diag_stride < 0:
@@ -311,22 +327,6 @@ def run_flow(
     samples = [float(s) for s in (sample_times or [])]
     if not all(0.0 <= s <= t_final for s in samples):
         raise ValueError(f"sample_times must lie in [0, {t_final}], got {samples}")
-    trajectory: list[FlowState] = []
-    try:
-        rows = _flow_rows(g0, t_final, control, samples, diag_stride, trajectory.append)
-    except FlowBlowup as exc:
-        exc.partial = trajectory, exc.partial
-        raise
-    return trajectory, rows
-
-
-def _flow_rows(g0: MetricField, t_final: float, control: StepControl, samples: list[float],
-               diag_stride: int, reached: Callable[[FlowState], None]) -> list[DiagnosticsRow]:
-    """The diagnostics rows of :func:`run_flow` on checked arguments, which
-    hands each state at a sample time to ``reached`` and holds no state past
-    the current one: the one loop of :func:`run_flow` and
-    :func:`smoothing_probe`.  A blow-up carries the rows up to its last
-    valid time as its ``partial``."""
     targets = sorted({s for s in samples if s > 0.0} | {t_final})
     state = FlowState.initial(g0)
     rows = [diagnostics_row(state, 0.0)]
@@ -350,8 +350,13 @@ def _flow_rows(g0: MetricField, t_final: float, control: StepControl, samples: l
 @dataclass(frozen=True, eq=False)
 class PotentialFlowState(FlowState):
     """Scalar-leg snapshot: ``g_comps`` is the reconstruction
-    ``g0 - t beta0 + dd(phi)`` with the frozen pair-stored ``beta0 = beta(g0)``."""
+    ``g0 - t beta0 + dd(phi)`` with the frozen pair-stored ``beta0 = beta(g0)``.
+    A step reads only ``phi``, ``ratio``, ``beta0`` and ``g0`` of it, so a
+    state whose reconstruction is no longer wanted may hold None there, as
+    :func:`equivalence_check`'s do once their discrepancy is measured; such
+    a state has no :attr:`g`, and only a step reads it."""
 
+    g_comps: np.ndarray | None  # the inherited field, in its place
     beta0: np.ndarray
 
     @classmethod
@@ -435,6 +440,8 @@ def equivalence_check(
         except NotPositiveDefinite as exc:
             raise FlowBlowup(t, exc.node, worst) from None
         worst = max(worst, sup_abs(tensor.g_comps - scalar.g_comps))
+        # measured, the reconstruction is dropped: the next step does not read it
+        scalar = replace(scalar, g_comps=None)
     return worst
 
 
@@ -458,7 +465,7 @@ def smoothing_probe(
         raise ValueError(f"t_samples must be strictly increasing and positive finite numbers, got {times}")
     blowup = None
     try:
-        rows = _flow_rows(g0_rough, times[-1], control, times, 0, lambda state: None)
+        rows = _flow_rows(g0_rough, times[-1], control, lambda state: None, times, 0)
     except FlowBlowup as exc:
         blowup, rows = exc, exc.partial
     series = [(r.t, r.sup_q, r.t_sup_q) for r in rows[1:]]

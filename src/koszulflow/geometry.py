@@ -84,14 +84,18 @@ def sym_table(n: int, order: int) -> np.ndarray:
     return table
 
 
-def sym_derivatives(values: np.ndarray, order: int, spacings: tuple[float, ...]) -> np.ndarray:
+def sym_derivatives(values: np.ndarray, order: int, spacings: tuple[float, ...],
+                    out: np.ndarray | None = None) -> np.ndarray:
     """``(*values.shape, k)`` derivatives of ``order`` of a node array, one
     stencil call per sorted index tuple, in :func:`sym_indices` order: the
     one loop over derivative index sets.  ``values`` may carry trailing
     component axes, so a tensor's derivatives are stored ``[components, K]``.
-    Each stencil writes its last pass into its slot, so no slot is copied."""
+    Each stencil writes its last pass into its slot, so no slot is copied;
+    the slots are those of ``out`` where given (an array of that shape, a
+    strided view of a larger one too), which is returned."""
     indices = sym_indices(len(spacings), order)
-    out = np.empty((*values.shape, len(indices)))
+    if out is None:
+        out = np.empty((*values.shape, len(indices)))
     for s, axes in enumerate(indices):
         stencil(values, axes, spacings, out=out[..., s])
     return out
@@ -303,7 +307,7 @@ _SCREEN_CHUNK = 2048  # nodes per chunk of a node-local kernel; bounds its inter
 
 
 def _per_chunk(fn: Callable, operands: tuple[np.ndarray, ...], rows: np.ndarray | None = None,
-               out: np.ndarray | None = None):
+               out: np.ndarray | None = None, fold: np.ufunc | None = None):
     """``fn(*operands)`` on the flat nodes ``rows`` (None: every node), called
     on at most ``_SCREEN_CHUNK`` of them at a time, its array output or each
     array of its tuple output stacked along the nodes: the one loop over
@@ -311,13 +315,21 @@ def _per_chunk(fn: Callable, operands: tuple[np.ndarray, ...], rows: np.ndarray 
     bounded however many nodes it runs on.  ``fn`` gives the same bits on
     any subset of nodes as on all, so the result is that of one call.  An
     array output is stacked into ``out`` where given, which may be an
-    operand: each chunk is read before its result is written over it."""
+    operand: each chunk is read before its result is written over it.
+    With ``fold``, a ufunc such as ``np.maximum``, each output is instead
+    reduced over the nodes by ``fold``, chunk by chunk, so none is held on
+    every node: the result of ``fold.reduce`` on the stacked output for a
+    reduction exact under any grouping, as a max is."""
     nodes = len(operands[0]) if rows is None else len(rows)
     stacked = None if out is None else (out,)
     for start in range(0, nodes, _SCREEN_CHUNK):
         chunk = slice(start, start + _SCREEN_CHUNK)
         part = fn(*(op[chunk if rows is None else rows[chunk]] for op in operands))
         parts = part if isinstance(part, tuple) else (part,)
+        if fold is not None:
+            reduced = tuple(fold.reduce(p, axis=0) for p in parts)
+            stacked = reduced if stacked is None else tuple(map(fold, stacked, reduced))
+            continue
         if stacked is None:
             stacked = tuple(np.empty((nodes, *p.shape[1:]), p.dtype) for p in parts)
         for whole, p in zip(stacked, parts):
@@ -697,11 +709,14 @@ def potential_hessian(psi: ScalarField) -> Sym2Field:
     first differences at rounding level, which is what makes the discrete
     Hessian-ness and torsion identities exact for constructed metrics.
     """
-    grid, n, spacings = psi.grid, psi.grid.ndim, psi.grid.spacings
-    # second[..., i * n + j] = first difference along j of that along i
-    second = sym_derivatives(sym_derivatives(psi.values, 1, spacings), 1, spacings)
-    upper = [i * n + j for i, j in sym_pairs(n)]
-    return Sym2Field(grid, np.take(second.reshape(*grid.shape, -1), upper, axis=-1))
+    grid, spacings = psi.grid, psi.grid.spacings
+    first = sym_derivatives(psi.values, 1, spacings)
+    pairs = sym_pairs(grid.ndim)
+    second = np.empty((*grid.shape, len(pairs)))
+    for s, (i, j) in enumerate(pairs):
+        # the first difference along j of that along i, straight into its slot
+        stencil(first[..., i], (j,), spacings, out=second[..., s])
+    return Sym2Field._wrap(grid, _check_finite(second))
 
 
 def metric_from_potential(pm: PotentialMetric) -> MetricField:
@@ -743,7 +758,7 @@ def sup_abs(values: np.ndarray) -> float:
     node's components, reduced chunk by chunk of nodes (:func:`_per_chunk`),
     so no whole-grid ``|values|`` is formed; a max is exact under any
     grouping, so the value is the same."""
-    return float(_per_chunk(_largest_abs, (values.reshape(-1, values.shape[-1]),)).max())
+    return float(_per_chunk(_largest_abs, (values.reshape(-1, values.shape[-1]),), fold=np.maximum))
 
 
 def _largest_abs(t: np.ndarray) -> np.ndarray:
@@ -830,6 +845,31 @@ class HessianCurvature(_StoredTensor):
         """Materialize the full ``(*shape, n, n, n, n)`` array."""
         return self._gather()
 
+    def rows_at(self, nodes: np.ndarray) -> np.ndarray:
+        """The stored components at the flat ``nodes``, one row each."""
+        return self.components.reshape(-1, self.components.shape[-1])[nodes]
+
+
+@dataclass(frozen=True, eq=False)
+class QRecord:
+    """What the curvature report reads of Q, reduced as Q is formed chunk by
+    chunk (:func:`_q_record`), so Q is never held on the whole grid: ``sup``
+    is ``sup |Q|`` over the nodes and components, ``rows`` the stored
+    components at the flat sample ``nodes`` of the sectional search, and
+    ``probe`` those at the probe node (None without a probe)."""
+
+    sup: float
+    nodes: np.ndarray
+    rows: np.ndarray
+    probe: np.ndarray | None
+
+    def rows_at(self, nodes: np.ndarray) -> np.ndarray:
+        """:meth:`HessianCurvature.rows_at` for the nodes the record was
+        taken at; ValueError for any other nodes."""
+        if not np.array_equal(nodes, self.nodes):
+            raise ValueError("Q was recorded at other sample nodes")
+        return self.rows
+
 
 def hessian_curvature(pm: PotentialMetric) -> HessianCurvature:
     """Q of a potential metric, from third and fourth potential derivatives.
@@ -838,28 +878,39 @@ def hessian_curvature(pm: PotentialMetric) -> HessianCurvature:
     background drops out of third and higher derivatives, so only psi is
     differentiated.
     """
-    g = metric_from_potential(pm)
-    return _hessian_curvature(pm, sym_inverse(g.components, g.grid.ndim))
+    return _hessian_curvature(pm, metric_from_potential(pm).components)
 
 
-def _hessian_curvature(pm: PotentialMetric, ginv: np.ndarray) -> HessianCurvature:
-    """:func:`hessian_curvature` from the pair-stored ``g^-1``.  Each distinct
-    fourth derivative is stenciled straight into the first slot of Q that
-    reads it, and copied into the others; :func:`_q_potential` then turns
-    the slots into Q chunk by chunk, over themselves."""
-    grid, n, psi, nodes = pm.grid, pm.grid.ndim, pm.psi.values, pm.grid.num_nodes
-    thirds = sym_derivatives(psi, 3, grid.spacings).reshape(nodes, -1)
-    fourths = _q_fourths(n)
-    comps = np.empty((*grid.shape, len(fourths)))
-    for s, fourth in enumerate(fourths):
-        first = fourths.index(fourth)
-        if first < s:
-            comps[..., s] = comps[..., first]
-        else:
-            stencil(psi, sym_indices(n, 4)[fourth], grid.spacings, out=comps[..., s])
-    flat = comps.reshape(nodes, -1)
-    _per_chunk(_q_potential, (ginv.reshape(nodes, -1), thirds, flat), out=flat)
+def _hessian_curvature(pm: PotentialMetric, g_comps: np.ndarray) -> HessianCurvature:
+    """:func:`hessian_curvature` from the metric's pair-stored components:
+    the distinct fourth derivatives are stenciled straight into the leading
+    slots of Q, and :func:`_q_pass`'s kernel turns them into Q chunk by
+    chunk over themselves (each chunk gathers its slots before its Q is
+    written)."""
+    grid, nodes = pm.grid, pm.grid.num_nodes
+    comps = np.empty((*grid.shape, len(_q_fourths(grid.ndim))))
+    kernel, operands = _q_pass(pm, g_comps, comps[..., :len(sym_indices(grid.ndim, 4))])
+    _per_chunk(kernel, operands, out=comps.reshape(nodes, -1))
     return HessianCurvature._wrap(grid, comps)
+
+
+def _q_pass(pm: PotentialMetric, g_comps: np.ndarray,
+            fourths: np.ndarray | None = None) -> tuple[Callable, tuple[np.ndarray, ...]]:
+    """``(kernel, operands)`` of Q from the potential: the one route of
+    :func:`hessian_curvature` and of the curvature report's record
+    (:func:`_q_record`).  The flat operands are the metric's pair-stored
+    components and psi's third and distinct fourth derivatives
+    (:func:`sym_indices` order), stenciled on the whole grid, the fourths
+    into ``fourths`` where given.  The node-local kernel inverts the metric
+    (:func:`sym_inverse` is node-local too), gathers each slot's fourth
+    derivative and runs :func:`_q_potential`, so it gives Q's stored
+    components on any nodes, and no whole-grid ``g^-1`` is held."""
+    grid, n, psi, nodes = pm.grid, pm.grid.ndim, pm.psi.values, pm.grid.num_nodes
+    slots = list(_q_fourths(n))
+    thirds = sym_derivatives(psi, 3, grid.spacings).reshape(nodes, -1)
+    fourths = sym_derivatives(psi, 4, grid.spacings, fourths).reshape(nodes, -1)
+    return (lambda g, third, fourth: _q_potential(sym_inverse(g, n), third, fourth[:, slots]),
+            (g_comps.reshape(nodes, -1), thirds, fourths))
 
 
 @functools.cache
@@ -1187,7 +1238,7 @@ def pullback_chern_torsion(g: MetricField) -> tuple[np.ndarray, float]:
     ``T[..., k, i, j]`` and the sup over nodes of its fully g-contracted
     norm, which vanishes (to truncation) exactly when g is Hessian."""
     pairs, n = _pair_operands(g), g.grid.ndim
-    torsion = _torsion(_gathered_partials(pairs[0]), sym_matrices(pairs[1], n))
+    torsion = _torsion(_gathered_partials(pairs[0]), sym_inverse_matrices(pairs[1], n))
     return torsion.reshape(*g.grid.shape, n, n, n), _sup_torsion_gnorm(pairs)
 
 
@@ -1198,7 +1249,7 @@ def _torsion(d: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, anti)
 
 
-def _sup_torsion_gnorm(pairs: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+def _sup_torsion_gnorm(pairs: tuple[np.ndarray, np.ndarray]) -> float:
     """Sup over the nodes of the torsion's g-norm, with ``T`` formed at the
     candidates of the closed-form screen only, from the flat pair-stored
     operands ``pairs`` of :func:`_pair_operands`, which the screen and the
@@ -1298,8 +1349,23 @@ def _refine_frame(qn, gmat, v, w, sign, steps):
     return best, best_v, best_w
 
 
+def sectional_samples(grid: PeriodicGrid, n_samples: int = 1000,
+                      seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draw of :func:`sectional_extremes`: ``n_samples`` uniformly random
+    flat nodes, then the vectors ``v`` and then ``w``, standard normal
+    ``(n_samples, n)``, from ``default_rng(seed)``.  The nodes are known
+    before Q is formed, so the curvature report keeps Q's rows there only."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    nodes = rng.integers(0, grid.num_nodes, size=n_samples)
+    v = rng.standard_normal((n_samples, grid.ndim))
+    w = rng.standard_normal((n_samples, grid.ndim))
+    return nodes, v, w
+
+
 def sectional_extremes(
-    q: HessianCurvature,
+    q: HessianCurvature | QRecord,
     g: MetricField,
     n_samples: int = 1000,
     refine_steps: int = 50,
@@ -1312,19 +1378,14 @@ def sectional_extremes(
     constraint, which is empty in one dimension and only enlarges the
     search set otherwise); the best and worst samples are then refined by
     fixed-step projected gradient iterations at their nodes.  Deterministic
-    for a fixed seed.
+    for a fixed seed.  ``q`` is Q of g's potential, or its :class:`QRecord`
+    taken at the nodes of ``sectional_samples(g.grid, n_samples, seed)``;
+    either gives the same report.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    grid, n = q.grid, q.grid.ndim
-    nodes = rng.integers(0, grid.num_nodes, size=n_samples)
-    v = rng.standard_normal((n_samples, n))
-    w = rng.standard_normal((n_samples, n))
-
+    nodes, v, w = sectional_samples(g.grid, n_samples, seed)
+    grid, n = g.grid, g.grid.ndim
     gmats = sym_matrices(g.components.reshape(-1, g.components.shape[-1])[nodes], n)
-    ncomp = q.components.shape[-1]
-    q_nodes = np.take(q.components.reshape(-1, ncomp)[nodes], _q_table(n), axis=-1)
+    q_nodes = np.take(q.rows_at(nodes), _q_table(n), axis=-1)
     v = _g_normalize(v, gmats)
     w = _g_normalize(w, gmats)
     values = np.einsum("sijkl,si,sj,sk,sl->s", q_nodes, v, v, w, w)
@@ -1352,10 +1413,10 @@ def sectional_extremes(
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """The curvature report of one metric: the Koszul forms, ``Q`` (None for
-    a non-Hessian input), and of the difference tensor, its Riemann tensor
-    and the Chern torsion only the sups and the probe's ``gamma^0_00``
-    (None without a probe node)."""
+    """The curvature report of one metric: the Koszul forms, the record of
+    ``Q`` (:class:`QRecord`; None for a non-Hessian input), and of the
+    difference tensor, its Riemann tensor and the Chern torsion only the
+    sups and the probe's ``gamma^0_00`` (None without a probe node)."""
 
     alpha: np.ndarray
     kappa: Sym2Field
@@ -1366,67 +1427,88 @@ class CurvatureBundle:
     sup_gamma_lower: float
     sup_riemann: float
     gamma_mixed_000: float | None
-    q: HessianCurvature | None
+    q: QRecord | None
 
 
 def curvature_bundle(g: MetricField, pm: PotentialMetric | None,
-                     node: tuple[int, ...] | None = None) -> CurvatureBundle:
+                     node: tuple[int, ...] | None = None,
+                     samples: np.ndarray | None = None) -> CurvatureBundle:
     """The curvature record of ``g = metric_from_potential(pm)``, or of a
-    non-Hessian ``g`` with ``pm = None``, probed at ``node``.  The metric
-    derivatives and ``g^-1`` are computed once, pair-stored, and shared by
-    every formula; past the stencils every formula is node-local and runs
-    chunk by chunk on the full arrays gathered per chunk (:func:`_gathering`),
-    so no array of the difference tensor, its Riemann tensor or the torsion
-    is formed on the whole grid.  Q is formed before the Koszul forms, with
-    only ``g^-1`` held: the order of the lower peak memory.  ValueError
-    where a sup of the record or an entry of Q is not finite (the metric's
-    derivatives or their products overflow)."""
+    non-Hessian ``g`` with ``pm = None``, probed at ``node``, with Q's rows
+    kept at the flat ``samples`` nodes (those of :func:`sectional_samples`
+    for the sectional search; None: no rows).  The metric derivatives are
+    computed once, pair-stored, and shared by every formula; past the
+    stencils every formula is node-local and runs chunk by chunk on the
+    full arrays gathered per chunk (:func:`_gathering`, which forms ``g^-1``
+    there), and each sup is folded chunk by chunk (a max is exact under any
+    grouping), so no array of ``g^-1``, the difference tensor, its Riemann
+    tensor, the torsion or Q is formed on the whole grid, nor one of their
+    per-node sups.  Q's record is taken after the derivatives are freed
+    and before the Koszul forms: the order of the lower peak memory.
+    ValueError where a sup of the record or an entry of Q is not finite
+    (the metric's derivatives or their products overflow)."""
     pairs = _pair_operands(g)
-    defect, mixed, lower, gamma_000, riemann = _per_chunk(_gathering(_bundle_pass), pairs)
-    sups = dict(hessian_defect=float(defect.max()), sup_gamma_mixed=float(mixed.max()),
-                sup_gamma_lower=float(lower.max()), sup_riemann=float(riemann.max()),
-                gamma_mixed_000=None if node is None else float(gamma_000[np.ravel_multi_index(node, g.grid.shape)]))
-    del defect, mixed, lower, gamma_000, riemann
+    sups = dict(zip(("hessian_defect", "sup_gamma_mixed", "sup_gamma_lower", "sup_riemann"),
+                    map(float, _per_chunk(_gathering(_bundle_pass), pairs, fold=np.maximum))))
     sups["torsion_norm"] = _sup_torsion_gnorm(pairs)
-    overflowed = [name for name, value in sups.items() if name != "gamma_mixed_000" and not np.isfinite(value)]
+    overflowed = [name for name, value in sups.items() if not np.isfinite(value)]
     if overflowed:
         raise ValueError(f"{', '.join(overflowed)} not finite (the metric's derivatives overflow)")
-    ginv = pairs[1]
-    del pairs  # the derivatives freed before Q
-    q = None if pm is None else _hessian_curvature(pm, ginv)
-    del ginv
-    if q is not None:
-        _check_finite(q.components, "Q is not finite (the potential's derivatives overflow)")
+    gamma_000 = None
+    if node is not None:  # on the probe node alone
+        probe = np.array([np.ravel_multi_index(node, g.grid.shape)])
+        gamma_000 = float(_per_chunk(_gathering(lambda d, ginv, _: _christoffel(d, ginv)[0][:, 0, 0, 0]),
+                                     pairs, probe)[0])
+    del pairs  # freed before Q
+    q = None if pm is None else _q_record(pm, g.components, samples, node)
     alpha, kappa, beta = koszul(g)
-    return CurvatureBundle(alpha=alpha, kappa=kappa, beta=beta, q=q, **sups)
+    return CurvatureBundle(alpha=alpha, kappa=kappa, beta=beta, gamma_mixed_000=gamma_000, q=q, **sups)
 
 
-def _pair_operands(g: MetricField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _q_record(pm: PotentialMetric, g_comps: np.ndarray, samples: np.ndarray | None,
+              node: tuple[int, ...] | None) -> QRecord:
+    """The :class:`QRecord` of ``pm`` from the metric's components, by
+    :func:`_q_pass`'s kernel chunk by chunk: ``sup |Q|`` folded from each
+    chunk's largest entry, then the rows at the sample and probe nodes.
+    ValueError where an entry of Q is not finite, which makes the sup so."""
+    kernel, operands = _q_pass(pm, g_comps)
+    sup = float(_per_chunk(lambda *ops: _largest_abs(kernel(*ops)), operands, fold=np.maximum))
+    if not np.isfinite(sup):
+        raise ValueError("Q is not finite (the potential's derivatives overflow)")
+    samples = np.asarray([] if samples is None else samples, np.intp)
+    probe = [] if node is None else [np.ravel_multi_index(node, pm.grid.shape)]
+    at = np.concatenate((samples, np.asarray(probe, np.intp)))
+    rows = _per_chunk(kernel, operands, at) if len(at) else np.empty((0, len(_q_fourths(pm.grid.ndim))))
+    return QRecord(sup=sup, nodes=samples, rows=rows[:len(samples)], probe=None if node is None else rows[-1])
+
+
+def _pair_operands(g: MetricField) -> tuple[np.ndarray, np.ndarray]:
     """The flat pair-stored operands of the node-local kernels of
     :func:`curvature_bundle` and :func:`pullback_chern_torsion`: per flat
-    node the ``[ij, k]`` first derivatives, ``g^-1`` and ``g``'s components."""
+    node the ``[ij, k]`` first derivatives and ``g``'s components."""
     n, nodes = g.grid.ndim, g.grid.num_nodes
-    return (sym_derivatives(g.components, 1, g.grid.spacings).reshape(nodes, -1, n),
-            sym_inverse(g.components, n).reshape(nodes, -1), g.components.reshape(nodes, -1))
+    return sym_derivatives(g.components, 1, g.grid.spacings).reshape(nodes, -1, n), g.components.reshape(nodes, -1)
 
 
 def _gathering(kernel: Callable) -> Callable:
     """``kernel(d, g^-1, g)``, a node-local kernel of full arrays, on the
     flat pair-stored operands of :func:`_pair_operands`, gathered on the
-    nodes it runs on; ``__wrapped__`` is the kernel."""
+    nodes it runs on, where ``g^-1`` is formed too (:func:`sym_inverse` is
+    node-local), so no whole-grid ``g^-1`` is held; ``__wrapped__`` is the
+    kernel."""
     @functools.wraps(kernel)
-    def gathered(first: np.ndarray, ginv: np.ndarray, g: np.ndarray):
+    def gathered(first: np.ndarray, g: np.ndarray):
         n = first.shape[-1]
-        return kernel(_gathered_partials(first), sym_matrices(ginv, n), sym_matrices(g, n))
+        return kernel(_gathered_partials(first), sym_inverse_matrices(g, n), sym_matrices(g, n))
     return gathered
 
 
 def _bundle_pass(d: np.ndarray, ginv: np.ndarray, gmat: np.ndarray) -> tuple[np.ndarray, ...]:
     """The first pass of :func:`curvature_bundle`, a node-local kernel: per flat
-    node the Hessian defect, the largest ``|gamma_mixed|`` and ``|gamma_lower|``,
-    ``gamma^0_00`` and the largest ``|R_ijkl|`` (:func:`_largest_riemann`).
-    The Christoffel pair is read with the node axis last, as it is formed."""
+    node the Hessian defect, the largest ``|gamma_mixed|`` and ``|gamma_lower|``
+    and the largest ``|R_ijkl|`` (:func:`_largest_riemann`).  The Christoffel
+    pair is read with the node axis last, as it is formed."""
     gamma_mixed, gamma_lower = _christoffel(d, ginv)
     mixed, lower = (np.abs(np.moveaxis(gamma, 0, -1)).reshape(-1, len(d)).max(axis=0)
                     for gamma in (gamma_mixed, gamma_lower))
-    return (_hessian_defects(d), mixed, lower, gamma_mixed[:, 0, 0, 0], _largest_riemann(gamma_mixed, gmat, mixed))
+    return _hessian_defects(d), mixed, lower, _largest_riemann(gamma_mixed, gmat, mixed)

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 import koszulflow
 from koszulflow import cli
+from koszulflow import flow as fl
 from koszulflow import geometry as geo
 from koszulflow import registry as reg
 from koszulflow.cli import _INPUT_KEYS, VERBS, main, write_potential_snapshot
 from koszulflow.grid import PeriodicGrid, ScalarField
-from koszulflow.io import read_snapshot, write_snapshot
+from koszulflow.io import read_snapshot, render_csv, write_snapshot
 
 
 def write_config(tmp_path, name, text):
@@ -99,8 +100,24 @@ class TestCurvature:
         g = geo.metric_from_potential(reg.build_example("sin1d", sizes=(128,)))
         assert np.array_equal(comps[..., 0], g.component(0, 0))
 
+    @pytest.mark.parametrize("n_samples", ["0", "-3"])
+    def test_no_sectional_samples_exits_2_before_any_curvature_work(self, tmp_path, capsys, monkeypatch,
+                                                                    n_samples):
+        # the sample nodes are drawn before Q is formed, and the count is
+        # checked before either
+        def forbidden(*args, **kwargs):
+            raise AssertionError("curvature work started")
+
+        for name in ("metric_from_potential", "curvature_bundle", "sectional_samples", "sectional_extremes"):
+            monkeypatch.setattr(geo, name, forbidden)
+        cfg = write_config(tmp_path, "c.cfg", f"example = sin1d\nsizes = 64\nn_samples = {n_samples}\n")
+        assert run("curvature", "--config", cfg, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert_one_config_error(err)
+        assert "'n_samples' must be positive" in err
+
     def test_differentiates_the_metric_once(self, tmp_path, monkeypatch):
-        counts, metrics = {}, []
+        counts, metrics, inverted = {}, [], []
 
         def counted(name, original):
             def wrapper(*args):
@@ -113,23 +130,32 @@ class TestCurvature:
                 return result
             return wrapper
 
-        names = ("sym_derivatives", "sym_inverse", "metric_from_potential")
+        names = ("sym_derivatives", "metric_from_potential")
         for name in names:
             monkeypatch.setattr(geo, name, counted(name, getattr(geo, name)))
         christoffel_nodes = []
-        original = geo._christoffel
+        original_christoffel, original_inverse = geo._christoffel, geo.sym_inverse
 
         def christoffel(d, ginv):
             christoffel_nodes.append(len(d))
-            return original(d, ginv)
+            return original_christoffel(d, ginv)
+
+        def inverse(comps, n):
+            inverted.append(comps.size // comps.shape[-1])
+            return original_inverse(comps, n)
 
         monkeypatch.setattr(geo, "_christoffel", christoffel)
+        monkeypatch.setattr(geo, "sym_inverse", inverse)
+        monkeypatch.setattr(geo, "_SCREEN_CHUNK", 64)
         cfg = write_config(tmp_path, "c.cfg", "example = bump2d\nsizes = 16,16\nn_samples = 20\n")
         assert run("curvature", "--config", cfg, "--out", str(tmp_path / "out")) == 0
         assert counts == dict.fromkeys(names, 1)
         # the Christoffel symbols once, at every node, for their sups and the
         # largest |R_ijkl| per node; no Riemann kernel forms them again
-        assert christoffel_nodes == [256]
+        assert sum(christoffel_nodes) == 256 and max(christoffel_nodes) == 64
+        # g^-1 is node-local: each pass that reads it forms it chunk by
+        # chunk at its own nodes, and none holds it on the whole grid
+        assert inverted and max(inverted) <= 64
 
 
 class TestFlowRun:
@@ -160,6 +186,53 @@ class TestFlowRun:
         assert t == 0.1
         g0 = geo.metric_from_potential(reg.build_example("flat"))
         assert np.array_equal(comps, g0.components)  # flat is stationary
+
+    def test_writes_the_rows_and_last_state_of_run_flow(self, tmp_path):
+        # flow-run keeps only the newest state it reaches, and writes what
+        # run_flow's trajectory ends in, with every one of run_flow's rows
+        times = (0.002, 0.004, 0.006)
+        text = "example = bump2d\nsizes = 16,16\nT = 0.008\ndiag_stride = 3\nsample_times = 0.002,0.004,0.006\n"
+        out_dir = tmp_path / "out"
+        assert run("flow-run", "--config", write_config(tmp_path, "f.cfg", text), "--out", str(out_dir)) == 0
+        g0 = geo.metric_from_potential(reg.build_example("bump2d", sizes=(16, 16)))
+        trajectory, rows = fl.run_flow(g0, 0.008, fl.StepControl(), sample_times=times, diag_stride=3)
+        assert [s.t for s in trajectory] == [*times, 0.008]
+        expected = render_csv(fl.DiagnosticsRow.csv_header(2), [r.csv_values() for r in rows])
+        assert (out_dir / "diagnostics.csv").read_bytes() == expected
+        _, comps, t, _ = read_snapshot(str(out_dir / "final_metric.hfld"))
+        _, phi, _, _ = read_snapshot(str(out_dir / "final_phi.hfld"))
+        assert t == 0.008
+        assert comps.tobytes() == trajectory[-1].g_comps.tobytes()
+        assert phi.tobytes() == trajectory[-1].phi_values.tobytes()
+
+    def test_peak_memory_does_not_grow_with_sample_times(self, tmp_path, peak_mib):
+        # only the last state reached is written, so only it is held: one
+        # more 64^2 state is 0.19 MiB, and holding every sample state took
+        # the peak from 1.70 to 2.84 MiB
+        peaks = []
+        for times in ("0.005", ",".join(str(0.00125 * k) for k in range(1, 9))):
+            text = f"example = bump2d\nsizes = 64,64\nT = 0.01\ndiag_stride = 0\nsample_times = {times}\n"
+            cfg = write_config(tmp_path, "f.cfg", text)
+            argv = ("flow-run", "--config", cfg, "--out", str(tmp_path / "out"))
+            assert run(*argv) == 0  # fills the per-process caches
+            peaks.append(peak_mib(lambda: run(*argv))[1])
+        assert peaks[1] <= peaks[0] + 0.05  # measured 1.51 and 1.52 MiB
+
+    def test_blowup_writes_the_last_state_reached(self, tmp_path, blowup_past):
+        # the run blows up just past t = 0.015: its snapshots are those of
+        # the last sample time it reached
+        text = "example = sin1d\nsizes = 32\nT = 0.03\nsample_times = 0.01,0.015{}\n"
+        reached, cut = tmp_path / "reached", tmp_path / "cut"
+        assert run("flow-run", "--config", write_config(tmp_path, "r.cfg", text.format("")),
+                   "--out", str(reached)) == 0
+        blowup_past(0.015)
+        assert run("flow-run", "--config", write_config(tmp_path, "c.cfg", text.format(",0.02")),
+                   "--out", str(cut)) == 3
+        _, comps, t, _ = read_snapshot(str(cut / "final_metric.hfld"))
+        assert t == 0.015
+        reference = fl.run_flow(geo.metric_from_potential(reg.build_example("sin1d", sizes=(32,))), 0.015,
+                                fl.StepControl(), sample_times=(0.01,))[0][-1]
+        assert comps.tobytes() == reference.g_comps.tobytes()
 
     def test_blowup_exit_code_and_manifest(self, tmp_path):
         # dt_min above the stability bound with no halving budget forces the

@@ -502,26 +502,38 @@ class TestReportMemory:
     input (seed 402, 32^3), after one call that fills the per-process
     caches.  Each limit is the value this code reaches."""
 
-    # measured 0.506, 3.894, 4.144, 10.41, 11.41 and 1.127 MiB; with the
-    # certificate and the 3x3 eigenvalue screen formed on the whole grid in
-    # one temporary per operation, g0 - t beta0 formed twice per potential
-    # step, the tensor leg's old state held through the potential step, and
-    # the bundle's full d, g^-1 and g matrices and Q's fourth derivatives on
-    # the whole grid, they were 5.565, 8.566, 9.066, 17.57, 21.02 and 4.503 MiB
+    # measured 0.506, 3.894, 4.144, 8.918, 8.518, 8.515 and 1.127 MiB; with
+    # the certificate and the 3x3 eigenvalue screen formed on the whole grid
+    # in one temporary per operation, g0 - t beta0 formed twice per
+    # potential step, the tensor leg's old state held through the potential
+    # step, and the bundle's full d, g^-1 and g matrices and Q's fourth
+    # derivatives on the whole grid, they were 5.565, 8.566, 9.066, 17.57,
+    # 21.02, 21.02 and 4.503 MiB; with the potential leg's last reconstruction
+    # held through its step, and Q, g^-1 and the bundle's per-node sups on
+    # the whole grid, equivalence, bundle and curvature were 10.41, 11.41
+    # and 11.41 MiB.  curvature is the report: the sample nodes drawn, the
+    # bundle, then the sectional search on its record of Q
     @pytest.mark.parametrize("name, limit_mib", [("check_metric", 0.51), ("tensor_step", 3.9),
-                                                 ("potential_step", 4.15), ("equivalence", 10.42),
-                                                 ("bundle", 11.42), ("smallest_eigenvalue", 1.13)])
+                                                 ("potential_step", 4.15), ("equivalence", 8.92),
+                                                 ("bundle", 8.52), ("curvature", 8.52),
+                                                 ("smallest_eigenvalue", 1.13)])
     def test_peak_memory(self, peak_mib, name, limit_mib):
         pm = bench_potential("report3d", 402)
         g = geo.metric_from_potential(pm)
         dt = fl.stable_dt(g, CTL)
         tensor = fl.step_tensor(fl.FlowState.initial(g), dt, CTL)
         scalar = fl.step_potential(fl.PotentialFlowState.initial(g), dt, CTL)
+
+        def curvature():
+            samples = geo.sectional_samples(g.grid, seed=402)[0]
+            return geo.sectional_extremes(geo.curvature_bundle(g, pm, (1, 2, 3), samples).q, g, seed=402)
+
         run = {"check_metric": lambda: geo.check_metric(g.components, 3),
                "tensor_step": lambda: fl.step_tensor(tensor, dt, CTL),
                "potential_step": lambda: fl.step_potential(scalar, dt, CTL),
                "equivalence": lambda: fl.equivalence_check(g, 0.0025, CTL, 0.0005),
                "bundle": lambda: geo.curvature_bundle(g, pm, (1, 2, 3)),
+               "curvature": curvature,
                "smallest_eigenvalue": lambda: geo.smallest_eigenvalue(g.components, 3)}[name]
         run()
         assert peak_mib(run)[1] <= limit_mib

@@ -468,16 +468,17 @@ class TestSectionalExtremes:
 class TestCurvatureBundle:
     def test_bundle_is_internally_consistent(self):
         pm = sin1d(256)
-        bundle = geo.curvature_bundle(geo.metric_from_potential(pm), pm)
+        bundle = geo.curvature_bundle(geo.metric_from_potential(pm), pm, (0,))
         assert np.max(np.abs(bundle.kappa.components + 0.5 * bundle.beta.components)) == 0.0
-        assert bundle.q.component(0, 0, 0, 0)[0] == pytest.approx(-0.25, abs=1e-3)
+        assert bundle.q.probe[0] == pytest.approx(-0.25, abs=1e-3)  # slot 0 stores Q_0000
 
-    # the last three cases have more than 2048 nodes, so the node-local
-    # kernels of the bundle run in several chunks.  Each case is also checked
-    # translated along the first axis so that the node of the largest entry
-    # of each whole-grid array lies in the last row, hence in the last chunk
+    # the last four cases have more than 2048 nodes, so the node-local
+    # kernels of the bundle run in several chunks, the last of them partial
+    # at the odd size 13^3.  Each case is also checked translated along the
+    # first axis so that the node of the largest entry of each whole-grid
+    # array lies in the last row, hence in the last chunk
     @pytest.mark.parametrize("case", ["sin1d", "twist2d", "potential3d",
-                                      "sin1d_3000", "twist2d_48", "potential3d_14"])
+                                      "sin1d_3000", "twist2d_48", "potential3d_14", "potential3d_13"])
     def test_fields_equal_the_public_functions(self, case):
         name, _, size = case.partition("_")
         if name == "twist2d":
@@ -488,7 +489,10 @@ class TestCurvatureBundle:
             g = geo.metric_from_potential(pm)
         self.check_fields(g, pm)
         shape = g.grid.shape
-        for array in (*geo.christoffel(g), geo.riemann_from_gamma(g)):
+        arrays = (*geo.christoffel(g), geo.riemann_from_gamma(g))
+        if pm is not None:
+            arrays += (geo.hessian_curvature(pm).components,)
+        for array in arrays:
             row = np.unravel_index(np.argmax(np.abs(array).reshape(*shape, -1).max(axis=-1)), shape)[0]
             self.check_fields(*self.translated(g, pm, shape[0] - 1 - row))
 
@@ -504,9 +508,14 @@ class TestCurvatureBundle:
     @staticmethod
     def check_fields(g, pm):
         """Every field of the bundle against the public functions on the whole
-        grid, bit for bit; probes at the first node, the first node of the
-        second chunk and the last node."""
-        bundle = geo.curvature_bundle(g, pm)
+        grid, bit for bit: the record of Q at the sectional search's sample
+        nodes and at the first and last nodes of the first and last chunks;
+        probes at the first node, the first node of the second chunk and the
+        last node."""
+        nodes = g.grid.num_nodes
+        ends = [0, min(2047, nodes - 1), nodes - 1 - (nodes - 1) % 2048, nodes - 1]
+        samples = np.concatenate((geo.sectional_samples(g.grid, 40, seed=5)[0], ends))
+        bundle = geo.curvature_bundle(g, pm, samples=samples)
         gamma_mixed, gamma_lower = geo.christoffel(g)
         alpha, kappa, beta = geo.koszul(g)
         assert bundle.sup_gamma_mixed == float(np.max(np.abs(gamma_mixed)))
@@ -518,16 +527,23 @@ class TestCurvatureBundle:
         assert bundle.hessian_defect == geo.hessian_defect(g)
         assert bundle.torsion_norm == geo.pullback_chern_torsion(g)[1]
         assert bundle.sup_riemann == float(np.max(np.abs(geo.riemann_from_gamma(g))))
-        for flat in {0, min(2048, g.grid.num_nodes - 1), g.grid.num_nodes - 1}:
+        q = None if pm is None else geo.hessian_curvature(pm).components.reshape(nodes, -1)
+        for flat in {0, min(2048, nodes - 1), nodes - 1}:
             node = tuple(int(k) for k in np.unravel_index(flat, g.grid.shape))
             probed = geo.curvature_bundle(g, pm, node)
             assert probed.gamma_mixed_000 == gamma_mixed[(*node, 0, 0, 0)]
+            if pm is not None:
+                assert probed.q.probe.tobytes() == q[flat].tobytes()
+                assert probed.q.rows.shape == (0, q.shape[-1])
         if pm is None:
             assert bundle.q is None
         else:
-            assert np.array_equal(bundle.q.components, geo.hessian_curvature(pm).components)
+            assert bundle.q.sup == float(np.max(np.abs(q)))
+            assert bundle.q.rows.tobytes() == q[samples].tobytes()
+            assert np.array_equal(bundle.q.rows_at(samples), q[samples])
+            assert bundle.q.probe is None
             # the component loops form the quadratic term on the whole grid at once
-            assert_same_bytes(bundle.q.components, reference_potential_q(pm, g.inverse_matrices()))
+            assert_same_bytes(q, reference_potential_q(pm, g.inverse_matrices()).reshape(nodes, -1))
 
     # building the whole difference tensor and Riemann array peaked at 62.5 MiB
     def test_peak_memory(self, peak_mib):
@@ -536,7 +552,8 @@ class TestCurvatureBundle:
         pm = geo.PotentialMetric(grid, np.eye(3), psi)
         g = geo.metric_from_potential(pm)
         _, peak = peak_mib(lambda: geo.curvature_bundle(g, pm, (1, 2, 3)))
-        assert peak <= 25  # measured 11.4 MiB; 21.0 with full operands and Q's fourths, 27.1 with Q copied
+        assert peak <= 25  # measured 8.5 MiB; 11.4 with Q on the whole grid, 21.0 with full operands and
+        # Q's fourths, 27.1 with Q copied
 
     # on a constant metric every node ties in the torsion screen;
     # the torsion kernel running on all of them at once peaked at 28.1 MiB
@@ -546,7 +563,7 @@ class TestCurvatureBundle:
         g = geo.metric_from_potential(pm)
         bundle, peak = peak_mib(lambda: geo.curvature_bundle(g, pm, (1, 2, 3)))
         assert bundle.torsion_norm == bundle.sup_riemann == 0.0
-        assert peak <= 25  # measured 13.1 MiB; 21.0 with full operands and Q's fourths
+        assert peak <= 25  # measured 8.5 MiB; 13.1 with Q on the whole grid, 21.0 with full operands
 
 
 class TestThreeDimensions:
@@ -734,7 +751,7 @@ class TestSymmetricStorage:
     def test_hessian_curvature_matches_component_loops(self, n):
         pm = random_potential(n, seed=n)
         g = geo.metric_from_potential(pm)
-        q = geo._hessian_curvature(pm, geo.sym_inverse(g.components, n))
+        q = geo.hessian_curvature(pm)
         assert_same_bytes(q.components, reference_potential_q(pm, g.inverse_matrices()))
         assert_same_bytes(q.full(), reference_q_full(q))
         for index in itertools.product(range(n), repeat=4):
@@ -743,24 +760,37 @@ class TestSymmetricStorage:
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_stencil_per_derivative_index_set(self, monkeypatch, n):
         g, pm = random_metric(n, seed=0), random_potential(n, seed=0)
-        ginv = geo.sym_inverse(geo.metric_from_potential(pm).components, n)
+        g_comps = geo.metric_from_potential(pm).components
         calls = []
 
         def counted(values, axes, spacings, out=None):
-            calls.append((values.ndim, tuple(sorted(axes))))
+            # keyed by the operand's address too, so that composing one first
+            # difference with those along different axes counts once per pair
+            calls.append((values.ndim, tuple(sorted(axes)), values.__array_interface__["data"][0]))
             return stencil(values, axes, spacings, out)
 
         monkeypatch.setattr(geo, "stencil", counted)
         m = n * (n + 1) // 2
         for run, expected in ((lambda: geo.metric_partials(g), n),
                               (lambda: geo.hessian_curvature_from_metric(g), n + m),
-                              (lambda: geo._hessian_curvature(pm, ginv), {2: 4 + 5, 3: 10 + 15}[n]),
+                              (lambda: geo._hessian_curvature(pm, g_comps), {2: 4 + 5, 3: 10 + 15}[n]),
                               (lambda: geo.koszul(g), n + m),
-                              # first differences of the stacked first differences
-                              (lambda: geo.potential_hessian(pm.psi), 2 * n)):
+                              # the first differences, then one of them per upper pair
+                              (lambda: geo.potential_hessian(pm.psi), n + m)):
             calls.clear()
             run()
             assert len(calls) == len(set(calls)) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_potential_hessian_keeps_the_composed_differences(self, n):
+        # the upper pairs only, stenciled into their slots: the bits of
+        # every composed first difference formed and the upper ones taken
+        psi = random_potential(n, seed=4, size=9).psi
+        spacings = psi.grid.spacings
+        second = geo.sym_derivatives(geo.sym_derivatives(psi.values, 1, spacings), 1, spacings)
+        upper = [i * n + j for i, j in geo.sym_pairs(n)]
+        want = np.take(second.reshape(*psi.grid.shape, -1), upper, axis=-1)
+        assert_same_bytes(geo.potential_hessian(psi).components, want)
 
     def test_q_metric_peak_memory(self, peak_mib):
         grid = PeriodicGrid((32,) * 3, (TWO_PI,) * 3)
@@ -769,8 +799,9 @@ class TestSymmetricStorage:
         q, peak = peak_mib(lambda: geo.hessian_curvature_from_metric(g))
         assert peak <= 3 * q.nbytes / 2**20  # measured 2.45x; the component loops took 4.5x
 
-    # measured 9.9, 11.25, 5.5 and 2.64 MiB; the fourth derivatives stacked
-    # apart from Q took _hessian_curvature to 13.5 MiB, copying the fresh Q
+    # measured 10.3, 11.25, 5.5 and 2.64 MiB (_hessian_curvature with g^-1
+    # formed per chunk; 9.9 when given a whole-grid g^-1 formed apart); the
+    # fourth derivatives stacked apart from Q took it to 13.5 MiB, copying the fresh Q
     # to 16.8 MiB, a swapaxes gather metric_partials to
     # 15.8 MiB, and copying the fresh kappa and beta koszul to 7.2 MiB and
     # beta_form to 3.2 MiB
@@ -779,8 +810,7 @@ class TestSymmetricStorage:
     def test_peak_memory(self, peak_mib, name, limit_mib):
         pm = cos_sin_potential3d()
         g = geo.metric_from_potential(pm)
-        ginv = geo.sym_inverse(g.components, 3)
-        run = {"hessian_curvature": lambda: geo._hessian_curvature(pm, ginv),
+        run = {"hessian_curvature": lambda: geo._hessian_curvature(pm, g.components),
                "metric_partials": lambda: geo.metric_partials(g),
                "koszul": lambda: geo.koszul(g),
                "beta_form": lambda: geo.beta_form(g)}[name]

@@ -182,7 +182,7 @@ class TestKernelsOnSubsets:
         # subsets and chunk by chunk, has the bits of one call on every node
         _, operands, _ = full_kernels(n)["torsion"]  # (d, g^-1, g) on the flat nodes
         full = geo._bundle_pass(*operands)
-        assert len(full) == 5 and all(out.shape == (len(operands[0]),) for out in full)
+        assert len(full) == 4 and all(out.shape == (len(operands[0]),) for out in full)
         rng = np.random.default_rng(n)
         for size in (1, 2, 17):
             nodes = rng.choice(len(operands[0]), size, replace=False)
@@ -932,19 +932,18 @@ class TestTorsionScreen:
            log_cond=st.floats(0.0, 8.0))
     def test_sup_equals_the_full_chain(self, n, seed, copies, log_cond):
         # random pair-stored metric derivatives [ij, k] on 4^n nodes (every d
-        # the library forms is symmetric in i, j), g and g^-1 pair-stored as
-        # the bundle keeps them; the node with the largest torsion norm is
-        # repeated at `copies` random nodes
+        # the library forms is symmetric in i, j) and g pair-stored as the
+        # bundle keeps them, g^-1 formed from g as its kernels form it; the
+        # node with the largest torsion norm is repeated at `copies` random nodes
         rng = np.random.default_rng(seed)
         nodes = 4**n
         first = rng.standard_normal((nodes, len(geo.sym_pairs(n)), n)) * 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1))
-        gmat = rotated(10.0 ** rng.uniform(0.0, log_cond, (nodes, n)), rng)
-        g, ginv = pair_stored(gmat), pair_stored(np.linalg.inv(gmat))
-        top = int(np.argmax(geo._gathering(geo._torsion_gnorm)(first, ginv, g)))
+        g = pair_stored(rotated(10.0 ** rng.uniform(0.0, log_cond, (nodes, n)), rng))
+        top = int(np.argmax(geo._gathering(geo._torsion_gnorm)(first, g)))
         for k in rng.choice(nodes, copies, replace=False):
-            first[k], g[k], ginv[k] = first[top], g[top], ginv[top]
-        d, full_ginv, full_g = geo._gathered_partials(first), geo.sym_matrices(ginv, n), geo.sym_matrices(g, n)
-        norm = geo._sup_torsion_gnorm((first, ginv, g))
+            first[k], g[k] = first[top], g[top]
+        d, full_ginv, full_g = geo._gathered_partials(first), geo.sym_inverse_matrices(g, n), geo.sym_matrices(g, n)
+        norm = geo._sup_torsion_gnorm((first, g))
         assert np.array_equal(norm, unscreened_torsion_gnorm(geo._torsion(d, full_ginv), full_g, full_ginv).max())
 
     @pytest.mark.parametrize("n", [2, 3])
