@@ -370,6 +370,8 @@ def _prepare(verb: Verb, name: str, args) -> Run:
             raise ConfigError(f"config key {key!r} must be positive, got {cfg[key]}")
     control = fl.StepControl(**_given(cfg, _STEP_KEYS))
     seed = args.seed if args.seed is not None else cfg.get("seed")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     built, label = _build_input(cfg, seed)
     pm = built if isinstance(built, geo.PotentialMetric) else None
     g = geo.metric_from_potential(pm) if pm is not None else built

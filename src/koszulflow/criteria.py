@@ -27,8 +27,8 @@ import numpy as np
 
 from .geometry import (
     MetricField,
+    _pencil_extremes,
     beta_form,
-    largest_pencil_eigenvalue,
     smallest_eigenvalue,
     sym_derivatives,
     sym_matrices,
@@ -129,7 +129,9 @@ def max_s(
         return PencilResult(s_max=math.inf, witness_node=None, witness_direction=None)
 
     try:
-        lam = largest_pencil_eigenvalue(np.negative(m1), m0, n)[0]
+        # M0's factor formed per chunk: a whole-grid one raises the memory peak
+        # (docs/conventions.md, "The a2 window from the pencil's own extreme")
+        lam = _pencil_extremes(np.negative(m1), m0, n)[1]
     except np.linalg.LinAlgError:  # a node of M0 that its Cholesky factor finds singular
         lam = math.nan
     s = 1.0 / lam if lam > 0.0 else math.inf

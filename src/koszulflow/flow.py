@@ -268,7 +268,9 @@ def _advance(
 
 
 def diagnostics_row(state: FlowState, dt_used: float) -> DiagnosticsRow:
-    """Monitoring record for one state (curvature norm, pinching, drift)."""
+    """Monitoring record for one state (curvature norm, pinching, drift);
+    ValueError naming its CSV columns that are not finite, as where the
+    metric's derivatives or determinant overflow them."""
     g, g0 = state.g, state.g0
     sup_q = sup_q_gnorm(g)
     lam, big_lam = pencil_eigenvalue_range(g, g0)
@@ -276,7 +278,7 @@ def diagnostics_row(state: FlowState, dt_used: float) -> DiagnosticsRow:
         float(np.mean(g.component(i, j)) - np.mean(g0.component(i, j)))
         for i, j in sym_pairs(g.grid.ndim)
     )
-    return DiagnosticsRow(
+    row = DiagnosticsRow(
         t=state.t,
         sup_q=sup_q,
         t_sup_q=state.t * sup_q,
@@ -287,6 +289,11 @@ def diagnostics_row(state: FlowState, dt_used: float) -> DiagnosticsRow:
         sup_phi=float(np.max(np.abs(state.phi_values))),
         dt=dt_used,
     )
+    columns = zip(DiagnosticsRow.csv_header(g.grid.ndim), row.csv_values())
+    bad = [name for name, value in columns if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"diagnostics at t = {state.t} are not finite in {', '.join(bad)}: the metric overflows them")
+    return row
 
 
 def run_flow(

@@ -392,10 +392,7 @@ def _sym_eigen_screen(comps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):
         if n == 2:
             q, p = _half_trace_radius(comps)
-            band = np.abs(q)
-            band += p
-            band *= WHITENING_BAND
-            smallest, largest = q - p, np.add(q, p, out=q)
+            smallest, largest, band = q - p, q + p, WHITENING_BAND * (np.abs(q) + p)
         else:
             # rows [a b c; b d e; c e f], each a contiguous (N,) array
             a, b, c, d, e, f = np.ascontiguousarray(comps.T)
@@ -584,46 +581,40 @@ class MetricField(Sym2Field):
 
 
 def pencil_eigenvalue_range(g: MetricField, g0: MetricField) -> tuple[float, float]:
-    """Tight constants (lam, Lam) with lam*g0 <= g <= Lam*g0 over all nodes.
-
-    Generalized eigenvalues of (g, g0) per node, the ordinary eigenvalues of
-    L^-1 g L^-T with L the Cholesky factor of g0; for n >= 2 by one chain on
-    the candidates of both extremes of the closed-form screen (a node of both
-    runs twice), or on every node where either extreme falls back.  The
-    screen, like the chain, runs chunk by chunk (:func:`_per_chunk`)."""
+    """Tight constants (lam, Lam) with lam*g0 <= g <= Lam*g0 over all nodes:
+    the extreme generalized eigenvalues of (g, g0) (:func:`_pencil_extremes`),
+    screened on ``g0``'s kept factor."""
     if g.grid != g0.grid:
         raise ValueError("metrics live on different grids")
     n = g.grid.ndim
-    if n == 1:
-        ratio = g.components[..., 0] / g0.components[..., 0]
-        return float(ratio.min()), float(ratio.max())
-    npairs = len(sym_pairs(n))
-    flat = (g.components.reshape(-1, npairs), g0.components.reshape(-1, npairs))
-    x, rounding = g0._inverse_factor()
-    # the screen chunk by chunk, on g0's factor sliced node-first (views, no copy)
-    smallest, largest, band = _per_chunk(
-        lambda g_comps, x_nodes, r: _pencil_screen(g_comps, (np.moveaxis(x_nodes, 0, -1), r), n),
-        (flat[0], np.moveaxis(x, -1, 0), rounding))
-    low, high = _candidates(smallest, band, False), _candidates(largest, band, True)
-    nodes = None if low is None or high is None else np.concatenate((low, high))
-    eigs = _per_chunk(lambda g_comps, h_comps: _pencil_eigenvalues(g_comps, h_comps, n), flat, nodes)
-    return float(eigs[:, 0].min()), float(eigs[:, -1].max())
+    flat = (m.components.reshape(-1, m.components.shape[-1]) for m in (g, g0))
+    return _pencil_extremes(*flat, n, g0._inverse_factor() if n > 1 else None)
 
 
-def largest_pencil_eigenvalue(g_flat: np.ndarray, h_flat: np.ndarray, n: int) -> tuple[float, int]:
-    """Largest generalized eigenvalue over the flat nodes of the pair-stored
-    pencil (G, H), H positive definite and G any symmetric field, and its
-    flat node (the first on ties): the ratio at n = 1, else the
-    :func:`_pencil_eigenvalues` chain on the candidates of the screen, which
-    factors H chunk by chunk; LinAlgError where the chain cannot factor H."""
+def _pencil_extremes(g_flat: np.ndarray, h_flat: np.ndarray, n: int,
+                     factor: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
+    """Smallest and largest generalized eigenvalues over the flat nodes of the
+    pair-stored pencil (G, H), H positive definite and G any symmetric field:
+    the ratio at n = 1, else one :func:`_pencil_eigenvalues` chain on the
+    candidates of both extremes of the closed-form screen (a node of both
+    runs twice), or on every node where either extreme falls back;
+    LinAlgError where the chain cannot factor H.  The screen runs chunk by
+    chunk (:func:`_per_chunk`), on ``factor``, H's :func:`_inverse_factor`
+    on every node, or where it is None on H's factor formed per chunk."""
     if n == 1:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ratio = g_flat[:, 0] / h_flat[:, 0]
-        top = int(ratio.argmax())
-        return float(ratio[top]), top
-    largest, band = _per_chunk(lambda g, h: _pencil_screen(g, _inverse_factor(h, n), n)[1:], (g_flat, h_flat))
-    return screened_extreme(largest, band, lambda g, h: _pencil_eigenvalues(g, h, n)[:, -1],
-                            (g_flat, h_flat), largest=True)
+        return float(ratio.min()), float(ratio.max())
+    if factor is None:
+        smallest, largest, band = _per_chunk(lambda g, h: _pencil_screen(g, _inverse_factor(h, n), n),
+                                             (g_flat, h_flat))
+    else:  # the factor sliced node-first (views, no copy)
+        smallest, largest, band = _per_chunk(lambda g, x, r: _pencil_screen(g, (np.moveaxis(x, 0, -1), r), n),
+                                             (g_flat, np.moveaxis(factor[0], -1, 0), factor[1]))
+    low, high = _candidates(smallest, band, False), _candidates(largest, band, True)
+    nodes = None if low is None or high is None else np.concatenate((low, high))
+    eigs = _per_chunk(lambda g, h: _pencil_eigenvalues(g, h, n), (g_flat, h_flat), nodes)
+    return float(eigs[:, 0].min()), float(eigs[:, -1].max())
 
 
 def _pencil_eigenvalues(g_comps: np.ndarray, h_comps: np.ndarray, n: int) -> np.ndarray:
@@ -1092,59 +1083,23 @@ def _q_bounds(ginv: np.ndarray, first: np.ndarray, d2: np.ndarray) -> tuple[np.n
     nodes, n = first.shape[0], first.shape[-1]
     weights = sym_pair_weights(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        low, big, band = _sym_eigen_screen(ginv, n)
-        low -= band
-        big += band
+        smallest, largest, band = _sym_eigen_screen(ginv, n)
+        low, big = smallest - band, largest + band
         low[~(low > 0.0)] = np.nan
         flat = d2.reshape(nodes, -1)
-        d2_norm = np.einsum("ni,ni,i->n", flat, flat, np.outer(weights, weights).ravel())
-        np.sqrt(d2_norm, out=d2_norm)
+        d2_norm = np.sqrt(np.einsum("ni,ni,i->n", flat, flat, np.outer(weights, weights).ravel()))
         flat = first.reshape(nodes, -1)  # [ij, k]
         d_sq = np.einsum("ni,ni,i->n", flat, flat, np.repeat(weights, n))
-        # in place below, each with the bits of its expression (a product or a
-        # sum of two terms is the same in either order):
-        # eps_q = WHITENING_BAND (M d_sq + d2_norm) + SCREEN_FLOOR (1 + M)
-        # bounds the kernel's rounding of Q, |Q - (d2 - quad) / 2|_F (the floor,
-        # times M^2, covers underflow in both norms); root =
-        # sqrt(WHITENING_BAND (n M)^4 (d2_norm / 2 + M d_sq / 2 + eps_q)^2 + SCREEN_FLOOR)
-        # carries the rounding of its squared g-norm, with tr(g^-1) <= n M
-        eps_q = big * d_sq
-        eps_q += d2_norm
-        eps_q *= WHITENING_BAND
-        band = np.add(1.0, big, out=band)
-        band *= SCREEN_FLOOR
-        eps_q += band
-        root = np.multiply(0.5, big, out=band)
-        root *= d_sq
-        root += 0.5 * d2_norm
-        root += eps_q
-        np.square(root, out=root)
-        scaled = n * big
-        np.power(scaled, 4, out=scaled)
-        scaled *= WHITENING_BAND
-        root *= scaled
-        root += SCREEN_FLOOR
-        np.sqrt(root, out=root)
-        # mid = (M^2 + m^2) d2_norm / 4 and half = (M^2 - m^2) d2_norm / 4 +
-        # M^3 d_sq / 2 + M^2 eps_q + root
-        big_sq = np.multiply(big, big, out=scaled)
-        np.square(low, out=low)
-        mid = big_sq + low
-        mid *= 0.25
-        mid *= d2_norm
-        half = np.subtract(big_sq, low, out=low)
-        half *= 0.25
-        half *= d2_norm
-        big *= 0.5 * big_sq
-        big *= d_sq
-        half += big
-        eps_q *= big_sq
-        half += eps_q
-        half += root
-        root = np.add(mid, half, out=root)  # every rounding above and in _candidates
-        root *= WHITENING_BAND
-        root += SCREEN_FLOOR
-        half += root
+        # eps_q bounds the kernel's rounding of Q, |Q - (d2 - quad) / 2|_F (the
+        # floor, times M^2, covers underflow in both norms); root carries the
+        # rounding of its squared g-norm, with tr(g^-1) <= n M
+        eps_q = WHITENING_BAND * (big * d_sq + d2_norm) + SCREEN_FLOOR * (1.0 + big)
+        root = np.sqrt(WHITENING_BAND * (n * big) ** 4 * (0.5 * d2_norm + 0.5 * big * d_sq + eps_q) ** 2
+                       + SCREEN_FLOOR)
+        big_sq, low_sq = big * big, low * low
+        mid = 0.25 * (big_sq + low_sq) * d2_norm
+        half = 0.25 * (big_sq - low_sq) * d2_norm + 0.5 * big_sq * big * d_sq + big_sq * eps_q + root
+        half += WHITENING_BAND * (mid + half) + SCREEN_FLOOR  # every rounding above and in _candidates
     return mid, half
 
 

@@ -582,18 +582,40 @@ class TestErrorPaths:
         assert run(verb, "--config", cfg, "--out", str(tmp_path / "o")) == 2
         assert_one_config_error(capsys.readouterr().err)
 
-    def test_overflowing_curvature_exits_2(self, tmp_path, capsys):
+    # each verb's extra config, and what its error line names
+    OVERFLOWING_CURVATURE = {"curvature": ("", "sup_riemann"),
+                             "flow-run": ("T = 1e-300\n", "sup_q, t_sup_q, var_det"),
+                             "smoothing-probe": ("t_samples = 1e-300\n", "sup_q, t_sup_q, var_det")}
+
+    @pytest.mark.parametrize("verb", sorted(OVERFLOWING_CURVATURE))
+    def test_overflowing_curvature_exits_2(self, tmp_path, capsys, verb):
         # log det g is finite, but the derivatives of g and their products
-        # overflow, so every curvature sup of the report would be nan
+        # overflow, so every curvature sup of the report would be nan, and so
+        # would sup|Q|_g of a flow's first diagnostics row (var det g is inf)
         grid = PeriodicGrid((64,), (2 * np.pi,))
         psi = ScalarField.from_function(grid, lambda x: -(7e307 / 100) * np.cos(10 * x))
         snap = tmp_path / "huge.hfld"
         write_potential_snapshot(str(snap), geo.PotentialMetric(grid, np.array([[8e307]]), psi))
-        cfg = write_config(tmp_path, "c.cfg", f"potential = {snap}\n")
-        assert run("curvature", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        extra, named = self.OVERFLOWING_CURVATURE[verb]
+        cfg = write_config(tmp_path, "c.cfg", f"potential = {snap}\n{extra}")
+        assert run(verb, "--config", cfg, "--out", str(tmp_path / "o")) == 2
         captured = capsys.readouterr()
         assert_one_config_error(captured.err)
-        assert "sup_riemann" in captured.err and captured.out == ""
+        assert named in captured.err and captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("example", ["rough1d", "sin1d"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, example, where):
+        # rough1d draws its potential from the seed, sin1d ignores it; either
+        # way a negative seed is rejected before the input is built
+        text = f"example = {example}\nsizes = 16\nT = 0.01\n" + ("seed = -1\n" if where == "config" else "")
+        flags = ["--seed", "-1"] if where == "flag" else []
+        cfg = write_config(tmp_path, "s.cfg", text)
+        assert run("flow-run", "--config", cfg, "--out", str(tmp_path / "o"), *flags) == 2
+        err = capsys.readouterr().err
+        assert_one_config_error(err)
+        assert "seed must be non-negative, got -1" in err
         assert not (tmp_path / "o").exists()
 
     def test_s_max_beyond_the_float_range_exits_2(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ Reference-run constants (this grid family, this package, numpy 2.x):
   max t*sup|Q|_g observed 0.040845; sup|Q| decays 51.8x across the window.
 """
 
+import dataclasses
 import importlib.util
 import math
 import os
@@ -41,6 +42,17 @@ def metric(name, sizes=None):
     if isinstance(built, geo.PotentialMetric):
         return geo.metric_from_potential(built)
     return built
+
+
+def derivative_gnorm(g):
+    """``|nabla Q|_g`` at every node of a 1-D metric, from the package's
+    stencils: ``|Q' - 4 Gamma Q| g^(-5/2)`` with ``Q = g''/2 - g'^2/(2g)``
+    and ``Gamma = g'/(2g)`` (docs/conventions.md, "Curvature norm")."""
+    values, spacings = g.component(0, 0), g.grid.spacings
+    d1, d2 = (geo.sym_derivatives(values, order, spacings)[..., 0] for order in (1, 2))
+    q, gamma = 0.5 * d2 - d1 * d1 / (2.0 * values), d1 / (2.0 * values)
+    dq = geo.sym_derivatives(q, 1, spacings)[..., 0]
+    return np.abs(dq - 4.0 * gamma * q) * values ** -2.5
 
 
 def bench_potential(name, seed):
@@ -468,6 +480,16 @@ class TestRunFlow:
         _, rows = fl.run_flow(g0, 20 * fl.stable_dt(g0, CTL), CTL, diag_stride=5)
         assert len(rows) == 5 and len(calls) == 1
 
+    def test_row_that_is_not_finite_names_its_columns(self):
+        # g = 1e300 against g0 = 1e-9: the pencil's ratio overflows, with no
+        # warning, to inf at both ends of the range
+        grid = PeriodicGrid((8,), (2 * np.pi,))
+        g0 = geo.MetricField(grid, np.full((8, 1), 1e-9))
+        state = dataclasses.replace(fl.FlowState.initial(g0), g_comps=np.full((8, 1), 1e300), min_eig=None)
+        assert geo.pencil_eigenvalue_range(state.g, g0) == (math.inf, math.inf)
+        with pytest.raises(ValueError, match=r"not finite in lambda_min, lambda_max: "):
+            fl.diagnostics_row(state, 0.0)
+
 
 class TestHotPathMemory:
     """Clock-free guards on the whole-grid temporaries of the flow: the
@@ -730,6 +752,24 @@ class TestSmoothingProbe:
         assert initial[2] >= 5.0 * initial[0]
         for settling in (peak, early):
             assert abs(settling[2] - settling[1]) < abs(settling[1] - settling[0])
+
+    @pytest.mark.slow
+    def test_derivative_bound_settles_under_grid_refinement(self):
+        # one derivative up: the Shi-type bound |nabla Q| <= b / t^(3/2), with
+        # b set by the C^0 data of g0 as well; on the nested rough1d family,
+        # measured at N = 128, 256, 512: sup|nabla Q|_g(0) 203.2, 1368.6,
+        # 5950.2; max_t t^(3/2) sup|nabla Q|_g 0.052663, 0.052879, 0.052933
+        # (at t = 0.6, the last sample).  Without smoothing (beta = 0) the
+        # scaled sup grows with sup|nabla Q|_g(0), that is with N.
+        times = np.geomspace(1e-4, 0.6, 30).tolist()
+        initial, peak = [], []
+        for n in (128, 256, 512):
+            g0 = metric("rough1d", sizes=(n,))
+            trajectory, _ = fl.run_flow(g0, 0.6, CTL, sample_times=times, diag_stride=0)
+            initial.append(derivative_gnorm(g0).max())
+            peak.append(max(state.t ** 1.5 * derivative_gnorm(state.g).max() for state in trajectory))
+        assert initial[2] >= 20.0 * initial[0]
+        assert max(peak) - min(peak) < 0.01 * min(peak)
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):

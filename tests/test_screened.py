@@ -244,8 +244,9 @@ class TestQPotentialBits:
 
 
 def expression_q_bounds(ginv, first, d2):
-    """``_q_bounds`` with one temporary per operation, its screen of ``g^-1``
-    included: the bits that its in-place form keeps."""
+    """``_q_bounds`` as the expressions of docs/conventions.md, its screen of
+    ``g^-1`` included (at n = 2 from the half-trace and radius): the bits
+    that it keeps."""
     nodes, n = first.shape[0], first.shape[-1]
     weights = geo.sym_pair_weights(n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -271,9 +272,10 @@ def expression_q_bounds(ginv, first, d2):
 
 
 class TestInPlaceBits:
-    """The closed forms of a flow step and row that form their terms in
-    place keep the bits of one temporary per operation, signed zeros,
-    overflow and NaN included."""
+    """The closed forms of a flow step that form their terms in place keep
+    the bits of one temporary per operation, signed zeros, overflow and NaN
+    included; a row's spectral bounds, written as expressions, keep the bits
+    of ``expression_q_bounds``."""
 
     @HYPOTHESIS
     @given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-200.0, 200.0),
@@ -554,7 +556,10 @@ class TestPencilScreen:
         eigs = np.linalg.eigvalsh(linv @ geo.sym_matrices(g, n) @ np.swapaxes(linv, -1, -2))
         assert np.all(np.abs(smallest - eigs[..., 0].ravel()) <= band)
         assert np.all(np.abs(largest - eigs[..., -1].ravel()) <= band)
-        assert geo.largest_pencil_eigenvalue(*flat, n) == first_extreme(eigs[..., -1], largest=True)
+        # both extremes, with H's factor formed per chunk and on every node
+        want = (eigs[..., 0].min(), eigs[..., -1].max())
+        assert geo._pencil_extremes(*flat, n) == want
+        assert geo._pencil_extremes(*flat, n, geo._inverse_factor(flat[1], n)) == want
         if not indefinite:
             lam, big_lam = geo.pencil_eigenvalue_range(geo.MetricField(grid, g), geo.MetricField(grid, h))
             assert np.array_equal(lam, eigs[..., 0].min()) and np.array_equal(big_lam, eigs[..., -1].max())
@@ -565,7 +570,14 @@ class TestPencilScreen:
         pencil = full_kernels(n)["pencil"][2]
         assert geo.pencil_eigenvalue_range(g, g0) == (pencil[:, 0].min(), pencil[:, -1].max())
         flat = (g.components.reshape(len(pencil), -1), g0.components.reshape(len(pencil), -1))
-        assert geo.largest_pencil_eigenvalue(*flat, n) == first_extreme(pencil[:, -1], largest=True)
+        assert geo._pencil_extremes(*flat, n) == (pencil[:, 0].min(), pencil[:, -1].max())
+
+    def test_ratio_overflows_to_inf(self):
+        # at n = 1 the pencil is the ratio G / H, which overflows to inf
+        # without a warning (a RuntimeWarning fails the suite)
+        g_flat, h_flat = np.array([[2.0], [1e300], [-1e300]]), np.array([[1.0], [1e-10], [1e-10]])
+        assert geo._pencil_extremes(g_flat, h_flat, 1) == (-np.inf, np.inf)
+        assert geo._pencil_extremes(g_flat[:2], h_flat[:2], 1) == (2.0, np.inf)
 
     def test_range_peak_memory(self, peak_mib):
         # at 32^3, after g0's factor is formed: measured 1.42 MiB, where the
@@ -578,17 +590,16 @@ class TestPencilScreen:
     def test_a2_pencil_extreme_equals_the_full_chain(self, monkeypatch, n):
         # the pencil (-M1, M0) of max_s on a smooth metric, theta = 0.5 and
         # the zero gauge, against the unscreened chain over every node (the
-        # ratio at n = 1), on a few of the nodes
+        # ratio at n = 1), on a few of the nodes: the candidates of
+        # both extremes
         g0 = smooth_pair(n)[0] if n > 1 else geo.metric_from_potential(reg.build_example("sin1d"))
         m0, m1 = (m.reshape(g0.grid.num_nodes, -1)
                   for m in cr._pencil_parts(g0, ScalarField.zeros(g0.grid), 0.5, scale_gauge_with_s=False))
-        if n == 1:
-            want = first_extreme(-m1[:, 0] / m0[:, 0], largest=True)
-        else:
-            want = first_extreme(geo._pencil_eigenvalues(-m1, m0, n)[:, -1], largest=True)
+        eigs = -m1 / m0 if n == 1 else geo._pencil_eigenvalues(-m1, m0, n)
+        want = (eigs[:, 0].min(), eigs[:, -1].max())
         found = []
         sizes, = kernel_sizes(monkeypatch, ["_pencil_eigenvalues"],
-                              lambda: found.append(geo.largest_pencil_eigenvalue(-m1, m0, n))).values()
+                              lambda: found.append(geo._pencil_extremes(-m1, m0, n))).values()
         assert found == [want]
         assert sum(sizes) < 0.02 * g0.grid.num_nodes if n > 1 else sizes == []
 
