@@ -23,8 +23,10 @@ Exit codes:
   or not positive definite), a metric whose ``log det`` or a2 margin
   overflows, a step control or sample times the integrators reject
   (``sigma`` outside ``(0, 1]``, ``dt_min <= 0``, ``max_halvings < 0``,
-  ``diag_stride < 0``, ``sample_times`` outside ``[0, T]``), or an output
-  that cannot be written (say, an output file name taken by a directory);
+  ``diag_stride < 0``, ``sample_times`` outside ``[0, T]``), an input too
+  large to allocate (say, ``sizes`` or ``n_samples`` of 10^15), or an
+  output that cannot be written (say, an output file name taken by a
+  directory);
 * 3 flow blow-up: positivity failed beyond the halving budget; the printed
   lines and outputs of every flow verb (``flow-run``, ``flow-compare``,
   ``smoothing-probe``) hold the partial result up to the last valid time,
@@ -397,6 +399,11 @@ def _run_verb(name: str, args) -> int:
             seconds = time.perf_counter() - start
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # numpy's message names the array that could not be allocated
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"config error: the input does not fit in memory{detail}", file=sys.stderr)
         return EXIT_CONFIG
     except geo.NotPositiveDefinite as exc:
         print(f"positivity failure: {exc}", file=sys.stderr)

@@ -84,18 +84,14 @@ def sym_table(n: int, order: int) -> np.ndarray:
     return table
 
 
-def sym_derivatives(values: np.ndarray, order: int, spacings: tuple[float, ...],
-                    out: np.ndarray | None = None) -> np.ndarray:
+def sym_derivatives(values: np.ndarray, order: int, spacings: tuple[float, ...]) -> np.ndarray:
     """``(*values.shape, k)`` derivatives of ``order`` of a node array, one
     stencil call per sorted index tuple, in :func:`sym_indices` order: the
     one loop over derivative index sets.  ``values`` may carry trailing
     component axes, so a tensor's derivatives are stored ``[components, K]``.
-    Each stencil writes its last pass into its slot, so no slot is copied;
-    the slots are those of ``out`` where given (an array of that shape, a
-    strided view of a larger one too), which is returned."""
+    Each stencil writes its last pass into its slot, so no slot is copied."""
     indices = sym_indices(len(spacings), order)
-    if out is None:
-        out = np.empty((*values.shape, len(indices)))
+    out = np.empty((*values.shape, len(indices)))
     for s, axes in enumerate(indices):
         stencil(values, axes, spacings, out=out[..., s])
     return out
@@ -307,21 +303,19 @@ _SCREEN_CHUNK = 2048  # nodes per chunk of a node-local kernel; bounds its inter
 
 
 def _per_chunk(fn: Callable, operands: tuple[np.ndarray, ...], rows: np.ndarray | None = None,
-               out: np.ndarray | None = None, fold: np.ufunc | None = None):
+               fold: np.ufunc | None = None):
     """``fn(*operands)`` on the flat nodes ``rows`` (None: every node), called
     on at most ``_SCREEN_CHUNK`` of them at a time, its array output or each
     array of its tuple output stacked along the nodes: the one loop over
     node chunks, so a node-local kernel's intermediates' memory stays
     bounded however many nodes it runs on.  ``fn`` gives the same bits on
-    any subset of nodes as on all, so the result is that of one call.  An
-    array output is stacked into ``out`` where given, which may be an
-    operand: each chunk is read before its result is written over it.
+    any subset of nodes as on all, so the result is that of one call.
     With ``fold``, a ufunc such as ``np.maximum``, each output is instead
     reduced over the nodes by ``fold``, chunk by chunk, so none is held on
     every node: the result of ``fold.reduce`` on the stacked output for a
     reduction exact under any grouping, as a max is."""
     nodes = len(operands[0]) if rows is None else len(rows)
-    stacked = None if out is None else (out,)
+    stacked = None
     for start in range(0, nodes, _SCREEN_CHUNK):
         chunk = slice(start, start + _SCREEN_CHUNK)
         part = fn(*(op[chunk if rows is None else rows[chunk]] for op in operands))
@@ -867,40 +861,25 @@ def hessian_curvature(pm: PotentialMetric) -> HessianCurvature:
 
     ``Q_ijkl = phi_ijkl/2 - g^pq phi_ikp phi_jlq / 2``; the quadratic
     background drops out of third and higher derivatives, so only psi is
-    differentiated.
+    differentiated.  :func:`_q_pass`'s kernel forms Q chunk by chunk.
     """
-    return _hessian_curvature(pm, metric_from_potential(pm).components)
+    q = _per_chunk(*_q_pass(pm, metric_from_potential(pm).components))
+    return HessianCurvature._wrap(pm.grid, q.reshape(*pm.grid.shape, -1))
 
 
-def _hessian_curvature(pm: PotentialMetric, g_comps: np.ndarray) -> HessianCurvature:
-    """:func:`hessian_curvature` from the metric's pair-stored components:
-    the distinct fourth derivatives are stenciled straight into the leading
-    slots of Q, and :func:`_q_pass`'s kernel turns them into Q chunk by
-    chunk over themselves (each chunk gathers its slots before its Q is
-    written)."""
-    grid, nodes = pm.grid, pm.grid.num_nodes
-    comps = np.empty((*grid.shape, len(_q_fourths(grid.ndim))))
-    kernel, operands = _q_pass(pm, g_comps, comps[..., :len(sym_indices(grid.ndim, 4))])
-    _per_chunk(kernel, operands, out=comps.reshape(nodes, -1))
-    return HessianCurvature._wrap(grid, comps)
-
-
-def _q_pass(pm: PotentialMetric, g_comps: np.ndarray,
-            fourths: np.ndarray | None = None) -> tuple[Callable, tuple[np.ndarray, ...]]:
+def _q_pass(pm: PotentialMetric, g_comps: np.ndarray) -> tuple[Callable, tuple[np.ndarray, ...]]:
     """``(kernel, operands)`` of Q from the potential: the one route of
     :func:`hessian_curvature` and of the curvature report's record
     (:func:`_q_record`).  The flat operands are the metric's pair-stored
     components and psi's third and distinct fourth derivatives
-    (:func:`sym_indices` order), stenciled on the whole grid, the fourths
-    into ``fourths`` where given.  The node-local kernel inverts the metric
-    (:func:`sym_inverse` is node-local too), gathers each slot's fourth
-    derivative and runs :func:`_q_potential`, so it gives Q's stored
-    components on any nodes, and no whole-grid ``g^-1`` is held."""
+    (:func:`sym_indices` order), stenciled on the whole grid.  The
+    node-local kernel inverts the metric (:func:`sym_inverse` is node-local
+    too) and runs :func:`_q_potential`, so it gives Q's stored components
+    on any nodes, and no whole-grid ``g^-1`` is held."""
     grid, n, psi, nodes = pm.grid, pm.grid.ndim, pm.psi.values, pm.grid.num_nodes
-    slots = list(_q_fourths(n))
     thirds = sym_derivatives(psi, 3, grid.spacings).reshape(nodes, -1)
-    fourths = sym_derivatives(psi, 4, grid.spacings, fourths).reshape(nodes, -1)
-    return (lambda g, third, fourth: _q_potential(sym_inverse(g, n), third, fourth[:, slots]),
+    fourths = sym_derivatives(psi, 4, grid.spacings).reshape(nodes, -1)
+    return (lambda g, third, fourth: _q_potential(sym_inverse(g, n), third, fourth),
             (g_comps.reshape(nodes, -1), thirds, fourths))
 
 
@@ -915,9 +894,11 @@ def _q_fourths(n: int) -> tuple[int, ...]:
 
 def _q_potential(ginv: np.ndarray, thirds: np.ndarray, fourths: np.ndarray) -> np.ndarray:
     """Stored components of ``Q = phi_ijkl/2 - g^pq phi_ikp phi_jlq/2`` on flat
-    nodes, from the pair-stored ``g^-1``, the stored third potential
-    derivatives (:func:`sym_indices` order) and ``phi_ijkl`` per storage slot
-    of Q: node-local, so a chunk of nodes gives the bits of the whole grid."""
+    nodes, from the pair-stored ``g^-1`` and the stored third and fourth
+    potential derivatives (:func:`sym_indices` order): node-local, so a
+    chunk of nodes gives the bits of the whole grid.  Each slot's
+    ``phi_ijkl`` is gathered after the quadratic term, so the gathered
+    slots are not held beside its product arrays."""
     nodes, n = len(ginv), int(np.sqrt(2 * ginv.shape[-1]))  # n^2 <= n (n + 1) < (n + 1)^2
     pairs = sym_pairs(n)
     m = len(pairs)
@@ -933,8 +914,9 @@ def _q_potential(ginv: np.ndarray, thirds: np.ndarray, fourths: np.ndarray) -> n
         quad[s:s + m - a] = (((g_inv * t[:, None, a])[:, :, None] * t[:, lo:])  # [p, q, b]
                              .reshape(n * n, m - lo, nodes).sum(axis=0, initial=0.0)[a - lo:])
         s += m - a
-    # 0.5 * fourths - 0.5 * quad.T, with the bits of the expression
-    q = 0.5 * fourths
+    # 0.5 * fourths[:, slots] - 0.5 * quad.T, with the bits of the expression
+    q = fourths[:, _q_fourths(n)]
+    q *= 0.5
     quad *= 0.5
     q -= quad.T
     return q

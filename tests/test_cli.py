@@ -618,6 +618,18 @@ class TestErrorPaths:
         assert "seed must be non-negative, got -1" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("verb, text", [("curvature", "n_samples = 1000000000000000\n"),
+                                            ("flow-run", "sizes = 1000000000000000\nT = 0.01\n")])
+    def test_input_too_large_to_allocate_exits_2(self, tmp_path, capsys, verb, text):
+        # 10^15 entries are petabytes, more than any address space holds, so
+        # the allocation fails at once without touching memory
+        cfg = write_config(tmp_path, "m.cfg", f"example = sin1d\n{text}")
+        assert run(verb, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        captured = capsys.readouterr()
+        assert_one_config_error(captured.err)
+        assert "does not fit in memory" in captured.err and captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_s_max_beyond_the_float_range_exits_2(self, tmp_path, capsys):
         # the margin stays positive up to S = 2^1023, and the next doubling
         # overflows the pencil

@@ -757,6 +757,14 @@ class TestSymmetricStorage:
         for index in itertools.product(range(n), repeat=4):
             assert np.array_equal(q.component(*index), reference_q_component(q, *index))
 
+    @pytest.mark.parametrize("n, size", [(2, 48), (3, 16)])
+    def test_hessian_curvature_over_several_chunks_matches_component_loops(self, n, size):
+        # 2,304 and 4,096 nodes: the kernel runs on more than one chunk
+        pm = random_potential(n, seed=n, size=size)
+        assert pm.grid.num_nodes > geo._SCREEN_CHUNK
+        g = geo.metric_from_potential(pm)
+        assert_same_bytes(geo.hessian_curvature(pm).components, reference_potential_q(pm, g.inverse_matrices()))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_stencil_per_derivative_index_set(self, monkeypatch, n):
         g, pm = random_metric(n, seed=0), random_potential(n, seed=0)
@@ -773,7 +781,7 @@ class TestSymmetricStorage:
         m = n * (n + 1) // 2
         for run, expected in ((lambda: geo.metric_partials(g), n),
                               (lambda: geo.hessian_curvature_from_metric(g), n + m),
-                              (lambda: geo._hessian_curvature(pm, g_comps), {2: 4 + 5, 3: 10 + 15}[n]),
+                              (lambda: geo._per_chunk(*geo._q_pass(pm, g_comps)), {2: 4 + 5, 3: 10 + 15}[n]),
                               (lambda: geo.koszul(g), n + m),
                               # the first differences, then one of them per upper pair
                               (lambda: geo.potential_hessian(pm.psi), n + m)):
@@ -799,9 +807,10 @@ class TestSymmetricStorage:
         q, peak = peak_mib(lambda: geo.hessian_curvature_from_metric(g))
         assert peak <= 3 * q.nbytes / 2**20  # measured 2.45x; the component loops took 4.5x
 
-    # measured 10.3, 11.25, 5.5 and 2.64 MiB (_hessian_curvature with g^-1
-    # formed per chunk; 9.9 when given a whole-grid g^-1 formed apart); the
-    # fourth derivatives stacked apart from Q took it to 13.5 MiB, copying the fresh Q
+    # measured 13.72, 11.25, 5.5 and 2.64 MiB (Q from the potential stacked
+    # apart from the distinct fourth derivatives, each slot's gathered after
+    # the quadratic term; 14.05 gathered before it, 10.3 with the fourths
+    # stenciled into Q's leading slots); copying the fresh Q took Q
     # to 16.8 MiB, a swapaxes gather metric_partials to
     # 15.8 MiB, and copying the fresh kappa and beta koszul to 7.2 MiB and
     # beta_form to 3.2 MiB
@@ -810,7 +819,7 @@ class TestSymmetricStorage:
     def test_peak_memory(self, peak_mib, name, limit_mib):
         pm = cos_sin_potential3d()
         g = geo.metric_from_potential(pm)
-        run = {"hessian_curvature": lambda: geo._hessian_curvature(pm, g.components),
+        run = {"hessian_curvature": lambda: geo._per_chunk(*geo._q_pass(pm, g.components)),
                "metric_partials": lambda: geo.metric_partials(g),
                "koszul": lambda: geo.koszul(g),
                "beta_form": lambda: geo.beta_form(g)}[name]

@@ -84,7 +84,7 @@ def full_kernels(n):
     gamma_pair = geo.christoffel(g)
     pm = smooth_potentials(n)[0]
     psi, spacings = pm.psi.values, pm.grid.spacings
-    fourths = geo.sym_derivatives(psi, 4, spacings).reshape(len(flat_d), -1)[:, list(geo._q_fourths(n))]
+    fourths = geo.sym_derivatives(psi, 4, spacings).reshape(len(flat_d), -1)
     potential_operands = (geo.sym_inverse(g.components, n).reshape(-1, npairs),
                           geo.sym_derivatives(psi, 3, spacings).reshape(len(flat_d), -1), fourths)
     return {
@@ -204,7 +204,7 @@ def per_slot_q_potential(ginv, thirds, fourths):
     """``geometry._q_potential`` as it summed the quadratic term before it was
     batched: per stored slot, the n^2 products ``g^pq phi_ikp phi_jlq`` added
     from 0 in the C order of ``(p, q)`` by a Python sum (the bit oracle).
-    ``ginv`` is pair-stored and ``fourths`` holds ``phi_ijkl`` per slot."""
+    ``ginv`` is pair-stored and ``fourths`` holds the distinct ``phi_ijkl``."""
     n = int(np.sqrt(2 * ginv.shape[-1]))
     ginv, third = geo.sym_matrices(ginv, n), np.take(thirds, geo.sym_table(n, 3), axis=-1)
     pairs = geo.sym_pairs(n)
@@ -213,7 +213,7 @@ def per_slot_q_potential(ginv, thirds, fourths):
     for s, (a, b) in enumerate(slots):
         (i, k), (j, l) = pairs[a], pairs[b]
         quad = sum(ginv[:, p, q] * third[:, i, k, p] * third[:, j, l, q] for p, q in np.ndindex(n, n))
-        comps[:, s] = 0.5 * fourths[:, s] - 0.5 * quad
+        comps[:, s] = 0.5 * fourths[:, geo.sym_table(n, 4)[i, j, k, l]] - 0.5 * quad
     return comps
 
 
@@ -238,7 +238,8 @@ class TestQPotentialBits:
             return values
 
         m = n * (n + 1) // 2
-        operands = (entries(nodes, m), entries(nodes, len(geo.sym_indices(n, 3))), entries(nodes, m * (m + 1) // 2))
+        operands = (entries(nodes, m), entries(nodes, len(geo.sym_indices(n, 3))),
+                    entries(nodes, len(geo.sym_indices(n, 4))))
         with np.errstate(over="ignore", invalid="ignore"):
             assert geo._q_potential(*operands).tobytes() == per_slot_q_potential(*operands).tobytes()
 
